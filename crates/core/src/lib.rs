@@ -74,8 +74,8 @@ pub use pipeline::DeadlockFuzzer;
 pub use pool::TrialPool;
 pub use program::{Named, Program, ProgramRef};
 pub use report::{
-    CycleConfirmation, Phase1Report, Phase2Report, ProbabilityReport, Report, TrialOutcome,
-    TrialOutcomes,
+    BaselineReport, CycleConfirmation, Phase1Report, Phase2Report, ProbabilityReport, Report,
+    TrialOutcome, TrialOutcomes,
 };
 
 // Re-export the sub-crates so downstream users need only one dependency.

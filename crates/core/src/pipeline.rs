@@ -18,8 +18,8 @@ use crate::error::DfError;
 use crate::pool::TrialPool;
 use crate::program::{Program, ProgramRef};
 use crate::report::{
-    CycleConfirmation, Phase1Report, Phase2Report, ProbabilityReport, Report, TrialOutcome,
-    TrialOutcomes,
+    BaselineReport, CycleConfirmation, Phase1Report, Phase2Report, ProbabilityReport, Report,
+    TrialOutcome, TrialOutcomes,
 };
 
 /// Offset between the seeds of successive retry attempts of one trial.
@@ -735,13 +735,14 @@ impl DeadlockFuzzer {
     /// Baseline: `trials` uninstrumented-equivalent runs under the plain
     /// random scheduler, counting how many deadlock (the paper's "ran each
     /// program normally 100 times" control) and measuring their mean
-    /// duration for the overhead columns of Table 1. Runs fan out across
-    /// [`Config::jobs`] workers like confirmation trials do.
+    /// duration and schedule points for the overhead columns of Table 1
+    /// and Figure 2. Runs fan out across [`Config::jobs`] workers like
+    /// confirmation trials do.
     ///
     /// # Errors
     ///
     /// Returns [`DfError::InvalidConfig`] when `trials` is zero.
-    pub fn baseline(&self, trials: u32) -> Result<(u32, std::time::Duration), DfError> {
+    pub fn baseline(&self, trials: u32) -> Result<BaselineReport, DfError> {
         if trials == 0 {
             return Err(DfError::InvalidConfig(
                 "at least one trial required".to_string(),
@@ -759,6 +760,7 @@ impl DeadlockFuzzer {
                 (
                     matches!(r.outcome, Outcome::Deadlock(_)),
                     start.elapsed(),
+                    r.steps,
                     shard,
                 )
             },
@@ -766,14 +768,20 @@ impl DeadlockFuzzer {
         );
         let mut deadlocks = 0;
         let mut total = std::time::Duration::ZERO;
-        for (deadlocked, duration, shard) in &results {
+        let mut steps = 0u64;
+        for (deadlocked, duration, run_steps, shard) in &results {
             obs.absorb(shard);
             total += *duration;
+            steps += run_steps;
             if *deadlocked {
                 deadlocks += 1;
             }
         }
-        Ok((deadlocks, total / trials))
+        Ok(BaselineReport {
+            deadlocks,
+            avg_duration: total / trials,
+            avg_steps: steps as f64 / f64::from(trials),
+        })
     }
 }
 
@@ -878,7 +886,9 @@ mod tests {
     #[test]
     fn baseline_rarely_deadlocks_on_figure1() {
         let fuzzer = DeadlockFuzzer::new(figure1());
-        let (deadlocks, _avg) = fuzzer.baseline(20).expect("trials > 0");
+        let baseline = fuzzer.baseline(20).expect("trials > 0");
+        let deadlocks = baseline.deadlocks;
+        assert!(baseline.avg_steps > 0.0);
         assert!(
             deadlocks <= 6,
             "baseline should rarely deadlock: {deadlocks}/20"

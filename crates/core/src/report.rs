@@ -275,6 +275,21 @@ pub struct ProbabilityReport {
     pub retries: u32,
 }
 
+/// Aggregate of the plain-scheduler control runs
+/// ([`crate::DeadlockFuzzer::baseline`]): the paper's "ran each program
+/// normally" column.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct BaselineReport {
+    /// Runs that deadlocked.
+    pub deadlocks: u32,
+    /// Mean wall-clock duration per run.
+    pub avg_duration: Duration,
+    /// Mean schedule points per run. Phase II trials stop at the deadlock
+    /// they create while plain runs usually complete, so runtime overhead
+    /// compares time per schedule point, not time per run.
+    pub avg_steps: f64,
+}
+
 impl Default for ProbabilityReport {
     /// A zero-trial placeholder, used when a confirmation campaign failed
     /// before producing any trials.

@@ -42,12 +42,20 @@ pub(crate) struct Inner {
     pub(crate) handles: Vec<JoinHandle<()>>,
     /// Set when the run has fully terminated (normally or by abort).
     pub(crate) done: bool,
+    /// Scratch buffer for the enabled set, refilled at every pick so the
+    /// per-step path does not allocate.
+    enabled: Vec<ThreadId>,
 }
 
 /// Shared controller for one run.
+///
+/// Every virtual thread parks on its own condvar (`ThreadState::wake`)
+/// under the one `inner` mutex; a pick wakes only the thread it made
+/// `current`. The supervisor parks on `done_cond`, which is notified only
+/// when `inner.done` is set.
 pub(crate) struct Controller {
     pub(crate) inner: Mutex<Inner>,
-    pub(crate) cond: Condvar,
+    pub(crate) done_cond: Condvar,
     pub(crate) config: RunConfig,
 }
 
@@ -83,8 +91,9 @@ impl Controller {
                 strategy: Some(strategy),
                 handles: Vec::new(),
                 done: false,
+                enabled: Vec::new(),
             }),
-            cond: Condvar::new(),
+            done_cond: Condvar::new(),
             config,
         })
     }
@@ -115,42 +124,56 @@ impl Controller {
         }
     }
 
-    /// Ends the run with `outcome` (first writer wins) and wakes everyone.
-    fn abort(&self, inner: &mut Inner, outcome: Outcome) {
+    /// Ends the run with `outcome` (first writer wins) and wakes every
+    /// parked thread plus the supervisor.
+    pub(crate) fn abort(&self, inner: &mut Inner, outcome: Outcome) {
         if inner.g.final_outcome.is_none() {
             inner.g.final_outcome = Some(outcome);
         }
         inner.g.aborting = true;
         inner.done = true;
-        self.cond.notify_all();
+        for ts in &inner.g.threads {
+            ts.wake.notify_one();
+        }
+        self.done_cond.notify_one();
     }
 
     /// Picks the next thread to run. Called whenever the token is free
-    /// (`current == None`). On success `current` is set and sleepers are
-    /// woken. Returns `Err(Aborted)` if the run ended instead.
+    /// (`current == None`). On success `current` is set and only the picked
+    /// thread is woken. Returns `Err(Aborted)` if the run ended instead.
     fn reschedule(&self, inner: &mut Inner) -> Result<(), Aborted> {
         if inner.g.aborting {
             return Err(Aborted);
         }
         self.inject_spurious_wakeup(inner);
-        let enabled = inner.g.enabled();
+        let Inner {
+            g,
+            strategy,
+            enabled,
+            ..
+        } = inner;
+        g.fill_enabled(enabled);
         if enabled.is_empty() {
-            let alive = inner.g.alive();
-            if alive.is_empty() {
-                self.abort(inner, Outcome::Completed);
+            let alive = g.alive();
+            let outcome = if alive.is_empty() {
+                Outcome::Completed
             } else {
-                let outcome = self.diagnose_stall(&inner.g, alive);
-                self.abort(inner, outcome);
-            }
+                self.diagnose_stall(g, alive)
+            };
+            self.abort(inner, outcome);
             return Err(Aborted);
         }
-        let mut strat = inner.strategy.take().expect("strategy present");
-        let directive = strat.pick(&StateView { g: &inner.g }, &enabled);
-        inner.strategy = Some(strat);
+        let directive = strategy
+            .as_mut()
+            .expect("strategy present")
+            .pick(&StateView { g }, enabled);
         match directive {
             Directive::Run(t) if enabled.contains(&t) => {
-                inner.g.current = Some(t);
-                self.cond.notify_all();
+                // `current` is only written under `inner`, and a waiter
+                // re-checks it under `inner` before parking, so this notify
+                // cannot be lost even if `t` has not parked yet.
+                g.current = Some(t);
+                g.thread(t).wake.notify_one();
                 Ok(())
             }
             Directive::Run(t) => {
@@ -381,7 +404,8 @@ impl Controller {
             if inner.g.current == Some(me) {
                 break;
             }
-            self.cond.wait(inner);
+            let wake = Arc::clone(&inner.g.thread(me).wake);
+            wake.wait(inner);
         }
         inner.g.thread_mut(me).status = ThreadStatus::Running;
         Ok(())
@@ -923,6 +947,5 @@ impl Controller {
         if !inner.g.aborting {
             let _ = self.reschedule(&mut inner);
         }
-        self.cond.notify_all();
     }
 }

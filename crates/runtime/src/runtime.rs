@@ -104,16 +104,12 @@ impl VirtualRuntime {
                 last_progress = inner.g.progress;
                 last_change = Instant::now();
             } else if deadline_hit || last_change.elapsed() >= self.config.hang_timeout {
-                inner.g.aborting = true;
-                inner.done = true;
-                if inner.g.final_outcome.is_none() {
-                    inner.g.final_outcome = Some(if deadline_hit {
-                        Outcome::DeadlineExceeded
-                    } else {
-                        Outcome::Hang
-                    });
-                }
-                ctl.cond.notify_all();
+                let outcome = if deadline_hit {
+                    Outcome::DeadlineExceeded
+                } else {
+                    Outcome::Hang
+                };
+                ctl.abort(&mut inner, outcome);
                 break true;
             }
             let mut wait = self
@@ -126,7 +122,7 @@ impl VirtualRuntime {
                 let remaining = d.saturating_sub(started.elapsed());
                 wait = wait.min(remaining.max(std::time::Duration::from_millis(1)));
             }
-            ctl.cond.wait_for(&mut inner, wait);
+            ctl.done_cond.wait_for(&mut inner, wait);
         };
 
         // Collect results. On a hang we cannot join threads stuck in user

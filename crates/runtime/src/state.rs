@@ -1,8 +1,10 @@
 //! Internal mutable state of the controller.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use df_events::{AcquireMode, IndexFrame, Label, ObjId, ThreadId, Trace};
+use parking_lot::Condvar;
 
 use crate::fault::{FaultLog, FaultState};
 use crate::pending::PendingOp;
@@ -37,6 +39,9 @@ pub(crate) struct ThreadState {
     /// Stack of method receivers (`this`), aligned with call depth; used by
     /// k-object-sensitive abstraction.
     pub(crate) receiver_stack: Vec<Option<ObjId>>,
+    /// The thread's own parking spot: it waits here (with the controller
+    /// mutex) until it is picked or the run aborts.
+    pub(crate) wake: Arc<Condvar>,
 }
 
 impl ThreadState {
@@ -51,6 +56,7 @@ impl ThreadState {
             call_stack: Vec::new(),
             counters: vec![HashMap::new()],
             receiver_stack: Vec::new(),
+            wake: Arc::new(Condvar::new()),
         }
     }
 
@@ -248,11 +254,21 @@ impl Global {
 
     /// All enabled threads in id order.
     pub(crate) fn enabled(&self) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .filter(|ts| self.is_enabled(ts.id))
-            .map(|ts| ts.id)
-            .collect()
+        let mut out = Vec::new();
+        self.fill_enabled(&mut out);
+        out
+    }
+
+    /// Replaces `out`'s contents with the enabled threads in id order,
+    /// reusing its allocation.
+    pub(crate) fn fill_enabled(&self, out: &mut Vec<ThreadId>) {
+        out.clear();
+        out.extend(
+            self.threads
+                .iter()
+                .filter(|ts| self.is_enabled(ts.id))
+                .map(|ts| ts.id),
+        );
     }
 
     /// All alive (non-finished) threads in id order.

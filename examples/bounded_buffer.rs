@@ -22,7 +22,7 @@ fn main() {
         Config::default().with_confirm_trials(15),
     );
 
-    let (baseline, _) = fuzzer.baseline(15).expect("trials > 0");
+    let baseline = fuzzer.baseline(15).expect("trials > 0").deadlocks;
     println!("plain runs that deadlocked: {baseline}/15");
 
     let report = fuzzer.run();

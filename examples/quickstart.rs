@@ -43,7 +43,7 @@ fn main() {
     let fuzzer = DeadlockFuzzer::with_config(figure1(), Config::default().with_confirm_trials(20));
 
     // Control: plain random testing does not find the deadlock.
-    let (baseline_deadlocks, _) = fuzzer.baseline(20).expect("trials > 0");
+    let baseline_deadlocks = fuzzer.baseline(20).expect("trials > 0").deadlocks;
     println!("plain random testing: {baseline_deadlocks}/20 runs deadlocked");
 
     // Phase I: observe one execution, predict potential cycles.

@@ -12,7 +12,7 @@ fn two_thread_figure1_full_story() {
     );
     // Plain testing rarely finds it (the paper ran 100 normal executions
     // with zero deadlocks).
-    let (baseline, _) = fuzzer.baseline(15).expect("trials > 0");
+    let baseline = fuzzer.baseline(15).expect("trials > 0").deadlocks;
     assert!(
         baseline <= 4,
         "baseline should rarely deadlock: {baseline}/15"
