@@ -1,7 +1,7 @@
 //! Shared event vocabulary for the `deadlock-fuzzer` toolchain.
 //!
 //! This crate defines the data that flows between the execution substrates
-//! (`df-runtime`'s virtual threads and `df-realthread`'s instrumented real
+//! (`df-runtime`'s virtual threads and `df-lock`'s tracked locks on real
 //! threads) and the analyses (`df-igoodlock`, `df-abstraction`, `df-fuzzer`):
 //!
 //! * [`Label`] — an interned program location (the paper's statement label

@@ -52,7 +52,9 @@ use crate::tracker::{self, Tracker, TrackerInner};
 pub struct TrackedCondvar {
     tracker: Arc<TrackerInner>,
     id: ObjId,
-    cv: std::sync::Condvar,
+    /// Shared with the tracker while a thread is parked, so a Phase II
+    /// abort can wake it.
+    cv: Arc<std::sync::Condvar>,
 }
 
 impl TrackedCondvar {
@@ -71,7 +73,7 @@ impl TrackedCondvar {
         TrackedCondvar {
             tracker: inner,
             id,
-            cv: std::sync::Condvar::new(),
+            cv: Arc::new(std::sync::Condvar::new()),
         }
     }
 
@@ -84,24 +86,29 @@ impl TrackedCondvar {
     /// reacquiring the guard's mutex like `std::sync::Condvar::wait`.
     /// Callers must re-check their predicate in a loop, exactly as with
     /// `std`.
+    ///
+    /// Under a fuzz or noise policy an abort of the tracker's run wakes
+    /// the waiter, which then unwinds (releasing the guard).
     #[track_caller]
     pub fn wait<'a, T>(
         &self,
         guard: TrackedMutexGuard<'a, T>,
     ) -> LockResult<TrackedMutexGuard<'a, T>> {
         let site = caller_site();
-        let (lock, native) = guard.into_parts();
+        let lock_id = guard.mutex().id();
         debug_assert!(
-            Arc::ptr_eq(&self.tracker, lock.tracker_inner()),
+            Arc::ptr_eq(&self.tracker, guard.mutex().tracker_inner()),
             "condvar and mutex must share a tracker"
         );
-        tracker::cond_wait_begin(&self.tracker, self.id, lock.id(), site);
+        tracker::cond_wait_begin(&self.tracker, &self.cv, self.id, lock_id, site);
+        let (lock, native) = guard.into_parts();
         let (native, poisoned) = match self.cv.wait(native) {
             Ok(g) => (g, false),
             Err(p) => (p.into_inner(), true),
         };
-        tracker::cond_wait_end(&self.tracker, lock.id(), site);
+        tracker::cond_wait_end(&self.tracker, lock_id, site);
         let g = lock.guard(native, site);
+        tracker::unwind_if_aborting(&self.tracker);
         if poisoned {
             tracker::note_poison_recovered(&self.tracker);
             Err(PoisonError::new(g))

@@ -3,10 +3,10 @@
 //! recovery.
 //!
 //! The rest of the workspace analyzes programs running inside the
-//! serialized virtual runtime or behind `df-realthread`'s controller.
-//! This crate is the front door for *real* programs on the *native* OS
-//! scheduler: swap `std::sync::Mutex` → [`TrackedMutex`],
-//! `std::sync::RwLock` → [`TrackedRwLock`], `std::thread::spawn` →
+//! serialized virtual runtime. This crate is the front door for *real*
+//! programs on the *native* OS scheduler: swap `std::sync::Mutex` →
+//! [`TrackedMutex`], `std::sync::RwLock` → [`TrackedRwLock`],
+//! `std::sync::Condvar` → [`TrackedCondvar`], `std::thread::spawn` →
 //! [`TrackedThread::spawn`], and
 //!
 //! * every acquisition/release/spawn flows into the existing
@@ -25,7 +25,13 @@
 //!   recoverable `Err`, poisoned locks are recovered with release
 //!   events still emitted, and [`Tracker::seal`] (also run by the
 //!   [`DeadlockHandler::SealAndExit`] handler) makes the spill of a
-//!   deadlocked run analyzable post-mortem.
+//!   deadlocked run analyzable post-mortem;
+//! * DeadlockFuzzer's Phase II runs on the same locks: a tracker under
+//!   [`Policy::Fuzz`] pauses threads about to take part in a target
+//!   cycle from a recorded run's iGoodlock report, checks for the real
+//!   deadlock at every pause, and unwinds the program's threads instead
+//!   of leaving them deadlocked; [`Tracker::finish`] classifies the run
+//!   as a [`FuzzOutcome`].
 //!
 //! # Quickstart
 //!
@@ -56,15 +62,16 @@ mod condvar;
 mod handler;
 mod mutex;
 mod rwlock;
+mod session;
 mod thread;
 mod tls;
 mod tracker;
-mod wfg;
 
 pub use condvar::TrackedCondvar;
 pub use handler::{DeadlockHandler, LIVE_DEADLOCK_EXIT_CODE};
 pub use mutex::{TrackedMutex, TrackedMutexGuard};
 pub use rwlock::{TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard};
+pub use session::{FuzzConfig, FuzzOutcome, FuzzStats, NoiseConfig, Policy};
 pub use thread::{TrackedJoinHandle, TrackedThread};
 pub use tracker::{Tracker, TrackerConfig};
 

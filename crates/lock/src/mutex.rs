@@ -71,9 +71,14 @@ impl<T> TrackedMutex<T> {
     /// poisoned mutex is reported as `Err` exactly like `std`, with the
     /// guard recoverable via [`PoisonError::into_inner`] (the recovery
     /// is counted and release events still flow).
+    ///
+    /// Under a fuzz policy the acquisition may first pause (see
+    /// [`crate::Policy`]); once the tracker's run has aborted it unwinds
+    /// the calling thread instead.
     #[track_caller]
     pub fn lock(&self) -> LockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
+        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_lock() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
@@ -136,6 +141,7 @@ impl<T> TrackedMutex<T> {
     #[track_caller]
     pub fn try_lock_for(&self, timeout: Duration) -> TryLockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
+        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_lock() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
@@ -211,6 +217,11 @@ pub struct TrackedMutexGuard<'a, T> {
 }
 
 impl<'a, T> TrackedMutexGuard<'a, T> {
+    /// The mutex this guard holds.
+    pub(crate) fn mutex(&self) -> &'a TrackedMutex<T> {
+        self.lock
+    }
+
     /// Splits the guard for a condvar wait: hands the native guard back
     /// (so `std::sync::Condvar::wait` can consume it) together with the
     /// lock it belongs to, *without* running the drop-time release —
@@ -244,5 +255,40 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // already have re-acquired.
         tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FuzzConfig, Policy, TrackerConfig};
+    use df_igoodlock::AbstractCycle;
+
+    #[test]
+    fn lock_guards_data() {
+        let tracker = Tracker::default();
+        let m = TrackedMutex::with_tracker(&tracker, vec![1, 2]);
+        m.lock().unwrap().push(3);
+        assert_eq!(*m.lock().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn reentry_panics_with_diagnostic() {
+        // Re-locking a held std mutex would hang forever. Under a fuzz
+        // policy the self-wait is a one-thread witness: the thread
+        // unwinds and the run reports the witness.
+        let policy = Policy::Fuzz(FuzzConfig::new(AbstractCycle::new(vec![])));
+        let tracker = Tracker::new(TrackerConfig::default().with_policy(policy));
+        let m = TrackedMutex::with_tracker(&tracker, ());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = m.lock().unwrap();
+            let _again = m.lock();
+        }));
+        assert!(unwound.is_err(), "re-entry must unwind, not hang");
+        let outcome = tracker.finish();
+        let w = outcome.deadlock().expect("re-entry is a witness");
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.components[0].waiting_for, m.id());
+        assert_eq!(w.components[0].holding, vec![m.id()]);
     }
 }

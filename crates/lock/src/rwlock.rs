@@ -65,6 +65,7 @@ impl<T> TrackedRwLock<T> {
     #[track_caller]
     pub fn read(&self) -> LockResult<TrackedRwLockReadGuard<'_, T>> {
         let site = caller_site();
+        tracker::gate(&self.tracker, self.id, site, Access::Shared);
         match self.data.try_read() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Shared);
@@ -96,6 +97,7 @@ impl<T> TrackedRwLock<T> {
     #[track_caller]
     pub fn write(&self) -> LockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
+        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_write() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
@@ -180,6 +182,7 @@ impl<T> TrackedRwLock<T> {
         timeout: Duration,
     ) -> TryLockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
+        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
         match self.data.try_write() {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);

@@ -1,5 +1,6 @@
 //! Drop-in tracked thread spawning.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use df_events::{caller_site, Label, ThreadId};
@@ -68,7 +69,10 @@ where
                 inner: Arc::clone(&inner_for_child),
                 id: child,
             };
-            f()
+            panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+                tracker::thread_panicked(&inner_for_child, payload.as_ref());
+                panic::resume_unwind(payload)
+            })
         })
         .expect("spawn tracked thread");
     TrackedJoinHandle {
@@ -94,7 +98,9 @@ impl<T> TrackedJoinHandle<T> {
     /// Waits for the thread to finish, like
     /// `std::thread::JoinHandle::join`: a panicking child returns
     /// `Err` with the panic payload (and its locks were already
-    /// released — with events — during the unwind).
+    /// released — with events — during the unwind). A child unwound by
+    /// a Phase II abort also returns `Err`; [`crate::Tracker::finish`]
+    /// tells an abort from a program panic.
     pub fn join(self) -> std::thread::Result<T> {
         let result = self.handle.join();
         let joiner = tracker::current_thread(&self.inner);

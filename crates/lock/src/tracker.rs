@@ -7,6 +7,8 @@
 //! held-set and context, `Release`, `Blocked`/`Unblocked`, spawn and
 //! exit events — into the attached [`SinkHandle`], and maintains the
 //! live holds/waits registry the online wait-for-graph detector walks.
+//! Under a Phase II [`Policy`] the same registry carries the paused
+//! intents (see [`crate::session`]).
 //!
 //! ## Why detection cannot miss and cannot lie
 //!
@@ -27,35 +29,42 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use df_events::{
     AcquireMode, Event, EventKind, IndexFrame, Label, ObjId, ObjKind, ObjectTable, SinkHandle,
     ThreadId, Trace,
 };
 use df_obs::Obs;
-use df_runtime::{DeadlockWitness, Detector, WitnessComponent};
-use parking_lot::Mutex;
+use df_runtime::{DeadlockWitness, Detector, WaitForGraph, WitnessComponent};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::handler::{DeadlockHandler, LIVE_DEADLOCK_EXIT_CODE};
+use crate::session::{self, FuzzOutcome, FuzzStats, Policy, Session, SessionState};
 use crate::tls;
-use crate::wfg::WfGraph;
 
 /// Configuration of a [`Tracker`], built with `with_*` chaining.
 #[derive(Debug, Default)]
 pub struct TrackerConfig {
-    /// Policy invoked when the online detector closes a cycle.
+    /// Policy invoked when the online detector closes a cycle. Under a
+    /// fuzz or noise [`Policy`] a cycle aborts the run instead, and
+    /// [`Tracker::finish`] reports it.
     pub handler: DeadlockHandler,
     /// Streaming observers of the emitted event stream (a spill writer,
     /// a relation builder, …). Sinks run on program threads and must
     /// not acquire tracked locks.
     pub sink: SinkHandle,
     /// Observability handle for the `wfg_*`/`lock_timeouts`/
-    /// `poisoned_recovered` counters.
+    /// `poisoned_recovered` counters, the Phase II pause/thrash counters
+    /// and the scheduler-decision trace.
     pub obs: Obs,
     /// Also materialize the event vector in memory (the trace handed to
     /// sinks on [`Tracker::seal`] then carries events, not just the
     /// object table). Off by default: streaming sinks don't need it.
     pub record_events: bool,
+    /// Phase II: steer toward a target cycle or inject noise. `None`
+    /// (the default) only observes.
+    pub policy: Option<Policy>,
 }
 
 impl TrackerConfig {
@@ -80,6 +89,12 @@ impl TrackerConfig {
     /// Also records the in-memory event trace.
     pub fn with_record_events(mut self, record: bool) -> Self {
         self.record_events = record;
+        self
+    }
+
+    /// Sets the Phase II policy.
+    pub fn with_policy(mut self, policy: Policy) -> Self {
+        self.policy = Some(policy);
         self
     }
 
@@ -119,41 +134,52 @@ enum Holders {
 }
 
 #[derive(Debug)]
-struct ThreadState {
-    obj: ObjId,
-    name: String,
+pub(crate) struct ThreadState {
+    pub(crate) obj: ObjId,
+    pub(crate) name: String,
     /// Locks held, outermost first (repeats on re-entrant tries).
     lock_stack: Vec<ObjId>,
     /// Acquisition sites parallel to `lock_stack`.
-    context_stack: Vec<Label>,
+    pub(crate) context_stack: Vec<Label>,
     /// Per-site allocation counts for execution-index object metadata.
     alloc_counts: HashMap<Label, u32>,
+    /// Released by the Phase II watchdog: the next acquisition is not
+    /// paused again.
+    pub(crate) released: bool,
+    /// The thread's body returned or unwound.
+    pub(crate) exited: bool,
 }
 
 #[derive(Default)]
-struct State {
+pub(crate) struct State {
     /// Object table + thread bindings (+ events when `record_events`).
-    trace: Trace,
-    event_seq: u64,
+    pub(crate) trace: Trace,
+    /// Sequence number of the next event; also the progress clock of the
+    /// Phase II watchdog.
+    pub(crate) event_seq: u64,
     next_thread: u32,
-    threads: HashMap<ThreadId, ThreadState>,
+    pub(crate) threads: HashMap<ThreadId, ThreadState>,
     locks: HashMap<ObjId, Holders>,
-    /// Blocked contended acquires: thread → (awaited lock, site, mode).
-    waits: HashMap<ThreadId, (ObjId, Label, AcquireMode)>,
+    /// Blocked contended acquires, condvar waiters' pending reacquires
+    /// and paused Phase II intents: thread → (awaited lock, site, mode).
+    pub(crate) waits: HashMap<ThreadId, (ObjId, Label, AcquireMode)>,
     /// Sorted lock sets (held ∪ awaited across the cycle) of deadlocks
     /// already reported, so a persisting deadlock is not re-reported by
     /// every thread that bumps into it.
     reported: HashSet<Vec<ObjId>>,
     sealed: bool,
+    pub(crate) session: SessionState,
 }
 
 /// Shared guts of a [`Tracker`]; lock types hold an `Arc` to this.
 pub struct TrackerInner {
-    state: Mutex<State>,
+    pub(crate) state: Mutex<State>,
     sink: SinkHandle,
-    obs: Obs,
+    pub(crate) obs: Obs,
     handler: DeadlockHandler,
     record_events: bool,
+    /// The Phase II session, when a fuzz or noise policy is set.
+    pub(crate) session: Option<Session>,
 }
 
 /// Exclusive (write) or shared (read) acquisition, for the registry.
@@ -178,17 +204,38 @@ impl Default for Tracker {
 }
 
 impl Tracker {
-    /// Creates a tracker with `config`.
+    /// Creates a tracker with `config`. A fuzz or noise policy also
+    /// starts the Phase II watchdog thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a noise policy fails [`crate::NoiseConfig::validate`] —
+    /// check first when the knobs come from user input.
     pub fn new(config: TrackerConfig) -> Self {
-        Tracker {
-            inner: Arc::new(TrackerInner {
-                state: Mutex::new(State::default()),
-                sink: config.sink,
-                obs: config.obs,
-                handler: config.handler,
-                record_events: config.record_events,
-            }),
+        Tracker::build(config, Instant::now())
+    }
+
+    /// [`Tracker::new`] with the creation instant — the deadline's
+    /// anchor — given explicitly.
+    pub(crate) fn build(config: TrackerConfig, created: Instant) -> Self {
+        let session = config.policy.map(|policy| Session::new(policy, created));
+        let state = State {
+            session: SessionState::seeded(session.as_ref().map_or(0, Session::seed)),
+            ..State::default()
+        };
+        let inner = Arc::new(TrackerInner {
+            state: Mutex::new(state),
+            sink: config.sink,
+            obs: config.obs,
+            handler: config.handler,
+            record_events: config.record_events,
+            session,
+        });
+        if let Some(session) = &inner.session {
+            session::install_quiet_hook();
+            session::start_watchdog(&inner, session);
         }
+        Tracker { inner }
     }
 
     /// Installs `config` as the process-wide tracker used by
@@ -224,6 +271,30 @@ impl Tracker {
     /// the [`DeadlockHandler::SealAndExit`] handler before exiting.
     pub fn seal(&self) {
         seal(&self.inner);
+    }
+
+    /// A copy of the trace so far: the object table and thread bindings,
+    /// plus the events when [`TrackerConfig::record_events`] is set —
+    /// the input of Phase I.
+    pub fn trace(&self) -> Trace {
+        self.inner.state.lock().trace.clone()
+    }
+
+    /// Classifies the run and stops the Phase II watchdog. Call after
+    /// joining all program threads.
+    ///
+    /// Precedence: a witnessed deadlock beats everything (it is the
+    /// verdict Phase II exists to produce), then a program panic, then
+    /// the deadline, then the progress watchdog. Only a fuzz or noise
+    /// policy turns cycles into witnesses here; without one they go to
+    /// the handler.
+    pub fn finish(&self) -> FuzzOutcome {
+        self.inner.state.lock().session.finish()
+    }
+
+    /// Phase II statistics so far: pauses, thrashes, monitor releases.
+    pub fn stats(&self) -> FuzzStats {
+        self.inner.state.lock().session.stats
     }
 
     /// Spawns a tracked thread under this tracker. See
@@ -314,6 +385,8 @@ pub(crate) fn register_thread(
                 lock_stack: Vec::new(),
                 context_stack: Vec::new(),
                 alloc_counts: HashMap::new(),
+                released: false,
+                exited: false,
             },
         );
         if let Some(parent) = spawner {
@@ -377,8 +450,28 @@ pub(crate) fn register_condvar(inner: &Arc<TrackerInner>, site: Label) -> ObjId 
     obj
 }
 
-/// Records ownership and emits `Acquire`/`Reacquire` for a completed
-/// acquisition. Must be called with the native lock already held.
+/// Unwinds the calling thread if its tracker's Phase II run aborted.
+/// Only acquire-side operations call this; release paths never panic.
+pub(crate) fn unwind_if_aborting(inner: &TrackerInner) {
+    if inner.session.as_ref().is_some_and(Session::aborting) {
+        session::unwind();
+    }
+}
+
+/// The Phase II gate before a blocking acquisition (`lock`, `read`,
+/// `write` and the `*_for` variants): a no-op unless a fuzz or noise
+/// policy is set.
+pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
+    if let Some(session) = &inner.session {
+        session::gate(inner, session, lock, site, access);
+    }
+}
+
+/// Records ownership and the held stack for a completed acquisition and
+/// emits its event — `Reacquire` when the thread already holds the
+/// lock, otherwise `event(held, held sites)` over the stacks as they
+/// were before this acquisition. Must be called with the native lock
+/// already held.
 fn record_acquire(
     inner: &TrackerInner,
     st: &mut State,
@@ -386,6 +479,7 @@ fn record_acquire(
     lock: ObjId,
     site: Label,
     access: Access,
+    event: impl FnOnce(&[ObjId], &[Label]) -> EventKind,
 ) {
     match access {
         Access::Exclusive => {
@@ -407,22 +501,34 @@ fn record_acquire(
         .get_mut(&me)
         .expect("acquiring thread registered");
     let re_entrant = ts.lock_stack.contains(&lock);
-    let held = ts.lock_stack.clone();
-    let mut context = ts.context_stack.clone();
-    context.push(site);
+    let kind = if re_entrant {
+        EventKind::reacquire(lock, site)
+    } else {
+        event(&ts.lock_stack, &ts.context_stack)
+    };
     ts.lock_stack.push(lock);
     ts.context_stack.push(site);
-    if re_entrant {
-        emit(inner, st, me, EventKind::reacquire(lock, site));
-    } else {
-        emit(
-            inner,
-            st,
-            me,
-            EventKind::acquire(lock, site, held, context).with_mode(access),
-        );
+    emit(inner, st, me, kind);
+    if !re_entrant {
         inner.obs.counters().add_acquires_observed(1);
     }
+}
+
+/// `record_acquire` for a blocking acquisition: the `Acquire` event
+/// carries the held set and the context ending at `site`.
+fn record_blocking_acquire(
+    inner: &TrackerInner,
+    st: &mut State,
+    me: ThreadId,
+    lock: ObjId,
+    site: Label,
+    access: Access,
+) {
+    record_acquire(inner, st, me, lock, site, access, |held, sites| {
+        let mut context = sites.to_vec();
+        context.push(site);
+        EventKind::acquire(lock, site, held.to_vec(), context).with_mode(access)
+    });
 }
 
 /// Bookkeeping for a non-blocking `try_*` attempt. A successful try
@@ -438,47 +544,20 @@ pub(crate) fn try_acquired(
     access: Access,
     acquired: bool,
 ) {
+    unwind_if_aborting(inner);
     let me = current_thread(inner);
     let mut st = inner.state.lock();
-    if !acquired {
+    if acquired {
+        record_acquire(inner, &mut st, me, lock, site, access, |_, _| {
+            EventKind::try_acquire(lock, site, true).with_mode(access)
+        });
+    } else {
         emit(
             inner,
             &mut st,
             me,
             EventKind::try_acquire(lock, site, false).with_mode(access),
         );
-        return;
-    }
-    match access {
-        Access::Exclusive => {
-            st.locks.insert(lock, Holders::Writer(me));
-        }
-        Access::Shared => match st
-            .locks
-            .entry(lock)
-            .or_insert_with(|| Holders::Readers(vec![]))
-        {
-            Holders::Readers(rs) => rs.push(me),
-            Holders::Writer(_) => {}
-        },
-    }
-    let ts = st
-        .threads
-        .get_mut(&me)
-        .expect("acquiring thread registered");
-    let re_entrant = ts.lock_stack.contains(&lock);
-    ts.lock_stack.push(lock);
-    ts.context_stack.push(site);
-    if re_entrant {
-        emit(inner, &mut st, me, EventKind::reacquire(lock, site));
-    } else {
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::try_acquire(lock, site, true).with_mode(access),
-        );
-        inner.obs.counters().add_acquires_observed(1);
     }
 }
 
@@ -489,36 +568,32 @@ pub(crate) fn acquired_uncontended(
     site: Label,
     access: Access,
 ) {
+    unwind_if_aborting(inner);
     let me = current_thread(inner);
     let mut st = inner.state.lock();
-    record_acquire(inner, &mut st, me, lock, site, access);
+    record_blocking_acquire(inner, &mut st, me, lock, site, access);
 }
 
 /// Registers the wait edge of a contended acquisition *before* the
 /// caller parks on the native lock, and runs cycle detection from the
-/// blocking thread. This is the detector's single entry point: a cycle
-/// exists exactly when its last wait edge is registered, and that
-/// registration happens here, under the registry lock.
+/// blocking thread. This is the detector's entry point for blocked
+/// threads: a cycle exists exactly when its last wait edge is
+/// registered, and that registration happens here or at a Phase II
+/// pause, under the registry lock.
 pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
+    unwind_if_aborting(inner);
     let me = current_thread(inner);
-    let report = {
-        let mut st = inner.state.lock();
-        st.waits.insert(me, (lock, site, access));
-        inner.obs.counters().add_wfg_edges(1);
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::blocked(lock).with_mode(access),
-        );
-        detect(&mut st, me)
-    };
-    // Handler dispatch happens after the registry lock is dropped so a
-    // SealAndExit (which seals sinks) or a callback cannot deadlock
-    // against other program threads touching the tracker.
-    if let Some((witness, rendered)) = report {
-        inner.obs.counters().add_wfg_cycles_detected(1);
-        dispatch(inner, &witness, &rendered);
+    let mut st = inner.state.lock();
+    st.waits.insert(me, (lock, site, access));
+    inner.obs.counters().add_wfg_edges(1);
+    emit(
+        inner,
+        &mut st,
+        me,
+        EventKind::blocked(lock).with_mode(access),
+    );
+    if let Some(witness) = detect(&mut st, me, Detector::WaitForGraph) {
+        report(inner, st, me, witness);
     }
 }
 
@@ -533,8 +608,9 @@ pub(crate) fn acquired_contended(
     let me = current_thread(inner);
     let mut st = inner.state.lock();
     st.waits.remove(&me);
+    unwind_if_aborting(inner);
     emit(inner, &mut st, me, EventKind::unblocked(lock));
-    record_acquire(inner, &mut st, me, lock, site, access);
+    record_blocking_acquire(inner, &mut st, me, lock, site, access);
 }
 
 /// A timed acquisition gave up: clears the wait edge and counts the
@@ -598,32 +674,43 @@ pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
 /// and registers the eventual-reacquire wait edge — a parked waiter is
 /// one notify away from blocking on the lock, so cycles running through
 /// it are real deadlocks and must be visible to other threads'
-/// detection passes.
-pub(crate) fn cond_wait_begin(inner: &Arc<TrackerInner>, condvar: ObjId, lock: ObjId, site: Label) {
+/// detection passes. The waiter itself cannot close a cycle here: the
+/// lock it waits for was held by nobody else a moment ago.
+///
+/// Under a Phase II policy the native condvar `cv` is registered so an
+/// abort can wake the waiter; a wait that would start after the abort
+/// unwinds here instead, with the caller's guard still live.
+pub(crate) fn cond_wait_begin(
+    inner: &Arc<TrackerInner>,
+    cv: &Arc<std::sync::Condvar>,
+    condvar: ObjId,
+    lock: ObjId,
+    site: Label,
+) {
     let me = current_thread(inner);
-    let report = {
-        let mut st = inner.state.lock();
-        if matches!(st.locks.get(&lock), Some(Holders::Writer(t)) if *t == me) {
-            st.locks.remove(&lock);
-        }
-        let ts = st.threads.get_mut(&me).expect("waiting thread registered");
-        if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
-            ts.lock_stack.remove(pos);
-            ts.context_stack.remove(pos);
-        }
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::cond_wait(condvar, lock, site),
-        );
-        st.waits.insert(me, (lock, site, Access::Exclusive));
-        inner.obs.counters().add_wfg_edges(1);
-        detect(&mut st, me)
-    };
-    if let Some((witness, rendered)) = report {
-        inner.obs.counters().add_wfg_cycles_detected(1);
-        dispatch(inner, &witness, &rendered);
+    let mut st = inner.state.lock();
+    // Checked under the registry lock, where aborts happen: a waiter
+    // registered before the abort is woken by it, and none registers
+    // after.
+    unwind_if_aborting(inner);
+    if matches!(st.locks.get(&lock), Some(Holders::Writer(t)) if *t == me) {
+        st.locks.remove(&lock);
+    }
+    let ts = st.threads.get_mut(&me).expect("waiting thread registered");
+    if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
+        ts.lock_stack.remove(pos);
+        ts.context_stack.remove(pos);
+    }
+    emit(
+        inner,
+        &mut st,
+        me,
+        EventKind::cond_wait(condvar, lock, site),
+    );
+    st.waits.insert(me, (lock, site, Access::Exclusive));
+    inner.obs.counters().add_wfg_edges(1);
+    if inner.session.is_some() {
+        st.session.parked.insert(me, Arc::clone(cv));
     }
 }
 
@@ -636,6 +723,7 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label)
     let me = current_thread(inner);
     let mut st = inner.state.lock();
     st.waits.remove(&me);
+    st.session.parked.remove(&me);
     st.locks.insert(lock, Holders::Writer(me));
     let ts = st.threads.get_mut(&me).expect("waiting thread registered");
     ts.lock_stack.push(lock);
@@ -666,10 +754,19 @@ pub(crate) fn thread_started(inner: &Arc<TrackerInner>, id: ThreadId) {
     emit(inner, &mut st, id, EventKind::ThreadStart);
 }
 
-/// Emits `ThreadExit`; runs from a drop guard so it fires even when the
-/// thread body panicked.
+/// Records a tracked thread's panic for [`Tracker::finish`] (the abort
+/// unwinding is not a program panic).
+pub(crate) fn thread_panicked(inner: &Arc<TrackerInner>, payload: &(dyn std::any::Any + Send)) {
+    inner.state.lock().session.note_panic(payload);
+}
+
+/// Marks the thread exited and emits `ThreadExit`; runs from a drop
+/// guard so it fires even when the thread body panicked.
 pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
+    if let Some(ts) = st.threads.get_mut(&id) {
+        ts.exited = true;
+    }
     emit(inner, &mut st, id, EventKind::ThreadExit);
 }
 
@@ -679,11 +776,24 @@ pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, joiner: ThreadId, target:
     emit(inner, &mut st, joiner, EventKind::Join { target });
 }
 
-/// Walks the wait-for graph from `me`; on a new cycle builds the
-/// witness and its rendered report (both under the registry lock, so
-/// the snapshot is consistent), for dispatch after unlock.
-fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
-    let mut g = WfGraph::new();
+/// Whether `me`'s registered wait is on its own conflicting hold — a
+/// one-thread deadlock, since std locks are not re-entrant. (The
+/// [`WaitForGraph`] leaves self-edges to its caller.)
+fn waits_on_itself(st: &State, me: ThreadId) -> bool {
+    let Some(&(lock, _, mode)) = st.waits.get(&me) else {
+        return false;
+    };
+    match st.locks.get(&lock) {
+        Some(Holders::Writer(t)) => *t == me,
+        Some(Holders::Readers(rs)) => mode.is_exclusive() && rs.contains(&me),
+        None => false,
+    }
+}
+
+/// The registry as a wait-for graph: every hold and every registered
+/// wait (blocked, condvar-parked or paused).
+fn wait_for_graph(st: &State) -> WaitForGraph {
+    let mut g = WaitForGraph::new();
     for (&lock, holders) in &st.locks {
         match holders {
             Holders::Writer(t) => g.add_holds(*t, lock),
@@ -700,7 +810,23 @@ fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
             Access::Shared => g.add_waits_shared(t, lock),
         }
     }
-    let cycle = g.find_cycle_from(me)?;
+    g
+}
+
+/// Looks for a cycle through `me`'s registered wait edge; on a new one
+/// builds the witness under the registry lock, so the snapshot is
+/// consistent. Serves both the contended-acquire check and the Phase II
+/// pause-point check (`checkRealDeadlock`), told apart by `detected_by`.
+pub(crate) fn detect(
+    st: &mut State,
+    me: ThreadId,
+    detected_by: Detector,
+) -> Option<DeadlockWitness> {
+    let cycle = if waits_on_itself(st, me) {
+        vec![me]
+    } else {
+        wait_for_graph(st).find_cycle_from(me)?
+    };
 
     // Dedup on the deadlock's full lock set — held ∪ awaited across the
     // cycle's threads. Keying on awaited locks alone reports a
@@ -752,12 +878,30 @@ fn detect(st: &mut State, me: ThreadId) -> Option<(DeadlockWitness, String)> {
             }
         })
         .collect();
-    let witness = DeadlockWitness {
+    Some(DeadlockWitness {
         components,
-        detected_by: Detector::WaitForGraph,
-    };
+        detected_by,
+    })
+}
+
+/// Delivers a witness found at a contended acquire by `me`. Under a
+/// Phase II session it aborts the run and unwinds `me`; otherwise the
+/// handler fires, after the registry lock is dropped so a SealAndExit
+/// (which seals sinks) or a callback cannot deadlock against other
+/// program threads touching the tracker.
+fn report(
+    inner: &Arc<TrackerInner>,
+    st: MutexGuard<'_, State>,
+    me: ThreadId,
+    witness: DeadlockWitness,
+) {
+    inner.obs.counters().add_wfg_cycles_detected(1);
+    if let Some(session) = &inner.session {
+        session::abort_with(session, st, me, witness);
+    }
     let rendered = render_report(&witness, st.trace.objects());
-    Some((witness, rendered))
+    drop(st);
+    dispatch(inner, &witness, &rendered);
 }
 
 /// Names a lock by id and allocation site, e.g.
@@ -850,4 +994,60 @@ pub(crate) fn seal(inner: &Arc<TrackerInner>) {
         st
     };
     inner.sink.finish(&st.trace);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(i: u32) -> ThreadId {
+        ThreadId::new(i)
+    }
+    fn o(i: u32) -> ObjId {
+        ObjId::new(i)
+    }
+
+    /// Thread t1 holds o1 (as `held`) and waits for it again in `mode`.
+    fn relocking(held: Holders, mode: AcquireMode) -> State {
+        let mut st = State::default();
+        st.threads.insert(
+            t(1),
+            ThreadState {
+                obj: o(0),
+                name: "t1".to_string(),
+                lock_stack: vec![o(1)],
+                context_stack: vec![Label::new("lock")],
+                alloc_counts: HashMap::new(),
+                released: false,
+                exited: false,
+            },
+        );
+        st.locks.insert(o(1), held);
+        st.waits.insert(t(1), (o(1), Label::new("relock"), mode));
+        st
+    }
+
+    #[test]
+    fn self_loop_is_a_one_thread_cycle() {
+        // Non-re-entrant std lock: blocking on a lock you hold is a
+        // real single-thread deadlock, unlike the virtual runtime.
+        let mut st = relocking(Holders::Writer(t(1)), AcquireMode::Exclusive);
+        let w = detect(&mut st, t(1), Detector::WaitForGraph).expect("self-wait");
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.components[0].holding, vec![o(1)]);
+        assert_eq!(w.components[0].waiting_for, o(1));
+    }
+
+    #[test]
+    fn upgrade_self_loop_is_a_one_thread_cycle() {
+        // A thread write-waiting on a lock it read-holds: the classic
+        // std::sync::RwLock upgrade deadlock.
+        let mut st = relocking(Holders::Readers(vec![t(2), t(1)]), AcquireMode::Exclusive);
+        let w = detect(&mut st, t(1), Detector::WaitForGraph).expect("upgrade self-wait");
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.components[0].holding_modes, vec![AcquireMode::Shared]);
+        // A shared re-read next to other readers is not a self-wait.
+        let st = relocking(Holders::Readers(vec![t(2), t(1)]), AcquireMode::Shared);
+        assert!(!waits_on_itself(&st, t(1)));
+    }
 }

@@ -62,6 +62,6 @@ pub use pending::PendingOp;
 pub use result::{DeadlockWitness, Detector, Outcome, RunResult, WitnessComponent};
 pub use strategy::{Directive, Strategy, StrategyStats};
 pub use view::{StateView, ThreadView};
-pub use waitfor::{find_lock_stack_cycle, WaitForGraph};
+pub use waitfor::WaitForGraph;
 
 pub use runtime::VirtualRuntime;

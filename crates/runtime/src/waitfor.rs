@@ -1,11 +1,14 @@
 //! Wait-for graphs and deadlock-cycle extraction.
 //!
-//! Used in two places:
+//! Used in three places:
 //!
 //! * the runtime's stall detector — when no thread is enabled, the cycle in
 //!   the wait-for graph *is* the deadlock witness;
 //! * `checkRealDeadlock` (Algorithm 4) — the fuzzer adds *intended*
-//!   acquisitions of paused threads as wait-for edges and asks for a cycle.
+//!   acquisitions of paused threads as wait-for edges and asks for a cycle;
+//! * df-lock's tracker over native threads, which asks
+//!   [`WaitForGraph::find_cycle_from`] the thread whose wait edge (blocked
+//!   or paused) was just registered.
 
 use std::collections::{HashMap, HashSet};
 
@@ -170,38 +173,47 @@ impl WaitForGraph {
         done.insert(cur);
         None
     }
-}
 
-/// Algorithm 4 of the paper, generalized: given each thread's held-lock
-/// stack *including a pending/intended lock on top*, find distinct threads
-/// `t_1 … t_m` and locks `l_1 … l_m` such that `t_i` holds `l_i` and wants
-/// (holds later in stack order) `l_{i+1}`, cyclically.
-///
-/// `stacks` maps each thread to `(held locks outermost-first, intended
-/// lock)`. `contexts` provides the matching site labels for witness
-/// construction. Returns the threads in cycle order.
-///
-/// # Example
-///
-/// ```
-/// use df_runtime::find_lock_stack_cycle;
-/// use df_events::{ObjId, ThreadId};
-///
-/// let (t1, t2) = (ThreadId::new(1), ThreadId::new(2));
-/// let (l1, l2) = (ObjId::new(1), ObjId::new(2));
-/// let stacks = vec![(t1, vec![l1], l2), (t2, vec![l2], l1)];
-/// let cycle = find_lock_stack_cycle(&stacks).expect("cycle");
-/// assert_eq!(cycle, vec![t1, t2]);
-/// ```
-pub fn find_lock_stack_cycle(stacks: &[(ThreadId, Vec<ObjId>, ObjId)]) -> Option<Vec<ThreadId>> {
-    let mut g = WaitForGraph::new();
-    for (t, held, intended) in stacks {
-        for &l in held {
-            g.add_holds(*t, l);
-        }
-        g.add_waits(*t, *intended);
+    /// Finds a cycle through `start`: threads `start → t_2 → … → t_m`
+    /// where each waits for a lock held (in a conflicting mode) by the
+    /// next and `t_m` waits for a lock `start` holds. Returns the threads
+    /// in cycle order beginning with `start`, or `None` when no cycle
+    /// passes through `start` — a tail leading into a cycle is not part
+    /// of it. Self-edges are ignored, as in [`WaitForGraph::find_cycle`].
+    ///
+    /// This is the incremental check: the thread whose new wait edge may
+    /// have closed a cycle asks only about cycles it belongs to.
+    pub fn find_cycle_from(&self, start: ThreadId) -> Option<Vec<ThreadId>> {
+        let mut path = vec![start];
+        let mut visited = HashSet::from([start]);
+        self.reaches(start, start, &mut path, &mut visited)
+            .then_some(path)
     }
-    g.find_cycle()
+
+    /// Depth-first walk back to `start`. A thread that cannot reach
+    /// `start` cannot reach it along another branch either, so `visited`
+    /// is a sound memo and the walk is linear in threads.
+    fn reaches(
+        &self,
+        cur: ThreadId,
+        start: ThreadId,
+        path: &mut Vec<ThreadId>,
+        visited: &mut HashSet<ThreadId>,
+    ) -> bool {
+        for next in self.successors(cur) {
+            if next == start {
+                return true;
+            }
+            if visited.insert(next) {
+                path.push(next);
+                if self.reaches(next, start, path, visited) {
+                    return true;
+                }
+                path.pop();
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -292,27 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn lock_stack_cycle_matches_algorithm_4() {
-        // t1 holds l1 wants l2; t2 holds l2 wants l3; t3 holds l3 wants l1.
-        let stacks = vec![
-            (t(1), vec![o(1)], o(2)),
-            (t(2), vec![o(2)], o(3)),
-            (t(3), vec![o(3)], o(1)),
-        ];
-        let c = find_lock_stack_cycle(&stacks).unwrap();
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn lock_stack_no_cycle() {
-        let stacks = vec![(t(1), vec![o(1)], o(2)), (t(2), vec![], o(2))];
-        assert!(find_lock_stack_cycle(&stacks).is_none());
-    }
-
-    #[test]
     fn empty_graph_has_no_cycle() {
         assert!(WaitForGraph::new().find_cycle().is_none());
-        assert!(find_lock_stack_cycle(&[]).is_none());
+        assert!(WaitForGraph::new().find_cycle_from(t(1)).is_none());
     }
 
     #[test]
@@ -363,5 +357,109 @@ mod tests {
         g.add_holds(t(1), o(1));
         assert_eq!(g.holders_of(o(1)), vec![t(1), t(2), t(3)]);
         assert_eq!(g.holder_of(o(1)), Some(t(1)));
+    }
+
+    #[test]
+    fn two_cycle_found_in_order() {
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(1), o(1));
+        g.add_holds(t(2), o(2));
+        g.add_waits(t(1), o(2));
+        g.add_waits(t(2), o(1));
+        assert_eq!(g.find_cycle_from(t(1)), Some(vec![t(1), t(2)]));
+        assert_eq!(g.find_cycle_from(t(2)), Some(vec![t(2), t(1)]));
+    }
+
+    #[test]
+    fn three_cycle_found_from_any_member() {
+        let mut g = WaitForGraph::new();
+        for i in 1..=3 {
+            g.add_holds(t(i), o(i));
+            g.add_waits(t(i), o(i % 3 + 1));
+        }
+        for start in 1..=3 {
+            let c = g.find_cycle_from(t(start)).unwrap();
+            assert_eq!(c.len(), 3);
+            assert_eq!(c[0], t(start));
+        }
+    }
+
+    #[test]
+    fn hierarchy_has_no_cycle() {
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(1), o(1));
+        g.add_waits(t(1), o(2));
+        g.add_holds(t(2), o(2));
+        g.add_waits(t(2), o(3));
+        assert!(g.find_cycle_from(t(1)).is_none());
+        assert!(g.find_cycle_from(t(2)).is_none());
+    }
+
+    #[test]
+    fn cycle_through_one_of_many_readers() {
+        // t1 writes-waits on a lock read-held by t2 and t3; only t3
+        // closes the cycle back to t1.
+        let mut g = WaitForGraph::new();
+        g.add_holds_shared(t(2), o(1));
+        g.add_holds_shared(t(3), o(1));
+        g.add_holds(t(1), o(2));
+        g.add_waits(t(1), o(1));
+        g.add_waits(t(3), o(2));
+        assert_eq!(g.find_cycle_from(t(1)), Some(vec![t(1), t(3)]));
+    }
+
+    #[test]
+    fn shared_wait_ignores_shared_holders_from_start() {
+        // t1 read-waits on a lock read-held by t2 — readers coexist, so
+        // even a t2 that circles back to t1 is not a deadlock edge.
+        let mut g = WaitForGraph::new();
+        g.add_holds_shared(t(2), o(1));
+        g.add_holds(t(1), o(2));
+        g.add_waits_shared(t(1), o(1));
+        g.add_waits(t(2), o(2));
+        assert!(g.find_cycle_from(t(1)).is_none());
+        // From t2 the walk reaches t1, whose shared wait still cannot
+        // point back at reader t2 — no cycle from either side.
+        assert!(g.find_cycle_from(t(2)).is_none());
+    }
+
+    #[test]
+    fn shared_wait_on_a_writer_closes_cycles() {
+        // t1 read-waits on o1 write-held by t2; t2 write-waits on o2
+        // read-held by t1 — a reader/writer 2-cycle.
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(2), o(1));
+        g.add_holds_shared(t(1), o(2));
+        g.add_waits_shared(t(1), o(1));
+        g.add_waits(t(2), o(2));
+        assert_eq!(g.find_cycle_from(t(1)), Some(vec![t(1), t(2)]));
+        assert_eq!(g.find_cycle_from(t(2)), Some(vec![t(2), t(1)]));
+    }
+
+    #[test]
+    fn tail_into_a_cycle_is_not_part_of_it() {
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(1), o(1));
+        g.add_holds(t(2), o(2));
+        g.add_waits(t(1), o(2));
+        g.add_waits(t(2), o(1));
+        g.add_waits(t(3), o(1));
+        // The cycle exists, but it does not pass through t3.
+        assert!(g.find_cycle_from(t(3)).is_none());
+        assert!(g.find_cycle_from(t(1)).is_some());
+    }
+
+    #[test]
+    fn self_edges_are_not_cycles_from_start() {
+        // Like `find_cycle`, the graph leaves self-waits to the caller:
+        // the virtual runtime's locks are re-entrant, and a caller whose
+        // locks are not checks the self-wait itself.
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(1), o(1));
+        g.add_waits(t(1), o(1));
+        g.add_holds_shared(t(2), o(2));
+        g.add_waits(t(2), o(2));
+        assert!(g.find_cycle_from(t(1)).is_none());
+        assert!(g.find_cycle_from(t(2)).is_none());
     }
 }

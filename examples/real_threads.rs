@@ -1,6 +1,6 @@
-//! DeadlockFuzzer on **real OS threads**, via the `df-realthread`
-//! instrumented lock wrappers (`std::sync::Mutex` cannot be intercepted,
-//! so programs use `DfMutex` — the Rust analogue of the paper's bytecode
+//! DeadlockFuzzer on **real OS threads**, via df-lock's tracked locks
+//! (`std::sync::Mutex` cannot be intercepted, so programs use
+//! `TrackedMutex` — the Rust analogue of the paper's bytecode
 //! instrumentation).
 //!
 //! ```text
@@ -9,47 +9,56 @@
 
 use std::sync::Arc;
 
-use df_abstraction::AbstractionMode;
-use df_events::site;
-use df_igoodlock::IGoodlockOptions;
-use df_realthread::{DfMutex, FuzzConfig, FuzzOutcome, Session};
+use deadlock_fuzzer::abstraction::{AbstractionMode, Abstractor};
+use deadlock_fuzzer::igoodlock::{igoodlock, IGoodlockOptions, LockDependencyRelation};
+use deadlock_fuzzer::lock::{
+    FuzzConfig, FuzzOutcome, Policy, TrackedMutex, Tracker, TrackerConfig,
+};
 
 /// The Figure 1 program: t1 sleeps first (so plain runs don't deadlock),
 /// then the two threads take the two accounts in opposite orders.
-fn transfer_program(session: &Session) {
-    let checking = Arc::new(DfMutex::new(session, 100i64, site!("open checking")));
-    let savings = Arc::new(DfMutex::new(session, 500i64, site!("open savings")));
+fn transfer_program(tracker: &Tracker) {
+    let checking = Arc::new(TrackedMutex::with_tracker(tracker, 100i64));
+    let savings = Arc::new(TrackedMutex::with_tracker(tracker, 500i64));
 
     let (c1, s1) = (Arc::clone(&checking), Arc::clone(&savings));
-    let t1 = session.spawn(site!("spawn transfer c->s"), "c-to-s", move || {
+    let t1 = tracker.spawn("c-to-s", move || {
         std::thread::sleep(std::time::Duration::from_millis(25)); // statement batch
-        let mut from = c1.lock(site!("lock checking (c->s)"));
-        let mut to = s1.lock(site!("lock savings (c->s)"));
+        let mut from = c1.lock().unwrap();
+        let mut to = s1.lock().unwrap();
         *from -= 10;
         *to += 10;
     });
     let (c2, s2) = (Arc::clone(&checking), Arc::clone(&savings));
-    let t2 = session.spawn(site!("spawn transfer s->c"), "s-to-c", move || {
-        let mut from = s2.lock(site!("lock savings (s->c)"));
-        let mut to = c2.lock(site!("lock checking (s->c)"));
+    let t2 = tracker.spawn("s-to-c", move || {
+        let mut from = s2.lock().unwrap();
+        let mut to = c2.lock().unwrap();
         *from -= 25;
         *to += 25;
     });
-    t1.join();
-    t2.join();
+    // Threads unwound by a biased run's abort join as `Err`; the
+    // tracker's `finish` classifies the run.
+    let _ = t1.join();
+    let _ = t2.join();
 }
 
 fn main() {
     // Phase I: record a normal run.
-    let record = Session::record();
+    let record = Tracker::new(TrackerConfig::default().with_record_events(true));
     transfer_program(&record);
-    let report = record.analyze(&IGoodlockOptions::default());
+    let trace = record.trace();
+    let relation = LockDependencyRelation::from_trace(&trace);
+    let cycles = igoodlock(&relation, &IGoodlockOptions::default());
     println!(
         "Phase I observed {} nested acquisitions; iGoodlock reports {} potential cycle(s):",
-        report.relation_size,
-        report.cycles.len()
+        relation.len(),
+        cycles.len()
     );
-    let cycles = report.abstract_cycles(AbstractionMode::default());
+    let abstractor = Abstractor::new(AbstractionMode::default());
+    let cycles: Vec<_> = cycles
+        .iter()
+        .map(|c| c.abstract_with(trace.objects(), &abstractor))
+        .collect();
     for c in &cycles {
         println!("  {c}");
     }
@@ -58,9 +67,10 @@ fn main() {
     let mut created = 0;
     let trials = 5;
     for seed in 0..trials {
-        let session = Session::fuzz(FuzzConfig::new(cycles[0].clone()).with_seed(seed));
-        transfer_program(&session);
-        match session.finish() {
+        let config = FuzzConfig::new(cycles[0].clone()).with_seed(seed);
+        let tracker = Tracker::new(TrackerConfig::default().with_policy(Policy::Fuzz(config)));
+        transfer_program(&tracker);
+        match tracker.finish() {
             FuzzOutcome::Deadlock(w) => {
                 created += 1;
                 if seed == 0 {
