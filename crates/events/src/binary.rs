@@ -115,14 +115,22 @@ fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Marks a label with no string id yet in [`BinaryEncoder`]'s table.
+const NO_STR: u32 = u32::MAX;
+
 /// Streaming encoder for the binary format: turns events and the footer
 /// into frame bytes, maintaining the per-file string table. Pure — it
 /// never touches I/O, so the same encoder serves both the synchronous
 /// [`crate::BinaryTraceWriter`] and the ring-buffered spill writer.
 pub(crate) struct BinaryEncoder {
-    labels: HashMap<Label, u32>,
+    /// String id of each label defined so far, indexed by
+    /// [`Label::index`]; [`NO_STR`] where none is defined yet.
+    labels: Vec<u32>,
     names: HashMap<String, u32>,
     next_str: u32,
+    /// The event payload under construction, kept across events so
+    /// encoding allocates only while frames still grow.
+    payload: Vec<u8>,
 }
 
 impl BinaryEncoder {
@@ -139,9 +147,10 @@ impl BinaryEncoder {
         put_frame(&mut out, &payload);
         (
             BinaryEncoder {
-                labels: HashMap::new(),
+                labels: Vec::new(),
                 names: HashMap::new(),
                 next_str: 0,
+                payload: Vec::with_capacity(24),
             },
             out,
         )
@@ -162,12 +171,14 @@ impl BinaryEncoder {
     /// Interns a label, emitting its `StrDef` frame into `out` on first
     /// use, and returns its string id.
     fn label_id(&mut self, label: Label, out: &mut Vec<u8>) -> u32 {
-        if let Some(&id) = self.labels.get(&label) {
-            return id;
+        let slot = label.index() as usize;
+        match self.labels.get(slot) {
+            Some(&id) if id != NO_STR => return id,
+            Some(_) => {}
+            None => self.labels.resize(slot + 1, NO_STR),
         }
-        let text = label.as_str();
-        let id = self.def_str(text.as_bytes(), out);
-        self.labels.insert(label, id);
+        let id = self.def_str(label.as_str().as_bytes(), out);
+        self.labels[slot] = id;
         id
     }
 
@@ -184,7 +195,10 @@ impl BinaryEncoder {
     /// Encodes one event (string definitions first, then the event
     /// frame) into `out`.
     pub(crate) fn encode_event(&mut self, event: &Event, out: &mut Vec<u8>) {
-        let mut p = Vec::with_capacity(24);
+        // Taken out of `self` so string definitions can go to `out` while
+        // the payload is half built.
+        let mut p = std::mem::take(&mut self.payload);
+        p.clear();
         p.push(tag::EVENT);
         put_varint(&mut p, event.seq);
         put_varint(&mut p, u64::from(event.thread.as_u32()));
@@ -331,6 +345,7 @@ impl BinaryEncoder {
             }
         }
         put_frame(out, &p);
+        self.payload = p;
     }
 
     /// Encodes the footer frame plus the trailing seal frame into `out`.

@@ -1,7 +1,9 @@
 //! Interned program-location labels.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::Location;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -91,6 +93,9 @@ impl Label {
 /// and gets the location of *its caller*, so drop-in replacements for
 /// `std::sync` label events without explicit site arguments.
 ///
+/// Each thread memoizes the label per call site, so only a thread's first
+/// visit to a site formats the location and takes the interner lock.
+///
 /// # Example
 ///
 /// ```
@@ -103,8 +108,29 @@ impl Label {
 /// ```
 #[track_caller]
 pub fn caller_site() -> Label {
-    let loc = std::panic::Location::caller();
+    let loc = Location::caller();
+    // The key is the `'static` location's address: it is never reused,
+    // and two addresses of one source position still intern to one label.
+    let key = std::ptr::from_ref(loc) as usize;
+    SITES
+        .try_with(|sites| {
+            if let Some(&label) = sites.borrow().get(&key) {
+                return label;
+            }
+            let label = intern_location(loc);
+            sites.borrow_mut().insert(key, label);
+            label
+        })
+        // Thread-local storage is gone during thread teardown.
+        .unwrap_or_else(|_| intern_location(loc))
+}
+
+fn intern_location(loc: &Location<'_>) -> Label {
     Label::new(&format!("{}:{}:{}", loc.file(), loc.line(), loc.column()))
+}
+
+thread_local! {
+    static SITES: RefCell<HashMap<usize, Label>> = RefCell::new(HashMap::new());
 }
 
 impl fmt::Display for Label {
@@ -193,6 +219,54 @@ mod tests {
         assert!(l.as_str().contains("label.rs"));
         let named = crate::site!("acquire l1");
         assert!(named.as_str().starts_with("acquire l1"));
+    }
+
+    #[test]
+    fn site_macro_interns_like_label_new() {
+        // Two evaluations of one expansion hit its memo; both must be
+        // the label of the expansion's location string.
+        let sites: Vec<Label> = (0..2).map(|_| crate::site!()).collect();
+        let text = sites[0].as_str();
+        assert!(text.starts_with(&format!("{}:{}:", file!(), line!() - 2)));
+        assert_eq!(sites, vec![Label::new(&text); 2]);
+        let named: Vec<Label> = (0..2).map(|_| crate::site!("acquire l1")).collect();
+        let expected = Label::new(&format!("acquire l1 ({}:{})", file!(), line!() - 1));
+        assert_eq!(named, vec![expected; 2]);
+    }
+
+    /// The caller's site through the memo, next to the label
+    /// `Label::new` gives its `file:line:col` directly.
+    #[track_caller]
+    fn memo_and_fresh() -> (Label, Label) {
+        let loc = Location::caller();
+        let fresh = Label::new(&format!("{}:{}:{}", loc.file(), loc.line(), loc.column()));
+        (caller_site(), fresh)
+    }
+
+    #[test]
+    fn caller_site_memo_agrees_across_threads() {
+        // One call site, wherever the closure runs.
+        let here = || memo_and_fresh();
+        let first = here();
+        assert_eq!(first.0, first.1, "the memo returns Label::new's label");
+        assert_eq!(here(), first, "a memo hit on this thread");
+        let other = std::thread::spawn(here).join().unwrap();
+        assert_eq!(other, first, "the same site from another thread");
+        // A thread started after the first lookup starts with an empty
+        // memo and still resolves to the same label.
+        let late = std::thread::spawn(move || (0..3).map(|_| here()).collect::<Vec<_>>())
+            .join()
+            .unwrap();
+        assert_eq!(late, vec![first; 3]);
+    }
+
+    #[test]
+    fn caller_site_distinguishes_columns_on_one_line() {
+        let (a, b) = (memo_and_fresh(), memo_and_fresh());
+        assert_eq!((a.0, b.0), (a.1, b.1));
+        assert_ne!(a.0, b.0, "same line, different columns");
+        let prefix = format!("{}:{}:", file!(), line!() - 3);
+        assert!(a.0.as_str().starts_with(&prefix) && b.0.as_str().starts_with(&prefix));
     }
 
     #[test]

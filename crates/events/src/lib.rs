@@ -66,6 +66,9 @@ pub use writer::{AnySpillSink, RingSpillSink, SpillConfig};
 /// identifier for "the program location of this operation" that does not
 /// change across executions.
 ///
+/// Each expansion interns its location string once and keeps the label in
+/// a static, so evaluating it again (in a loop, say) is a load.
+///
 /// # Example
 ///
 /// ```
@@ -75,9 +78,13 @@ pub use writer::{AnySpillSink, RingSpillSink, SpillConfig};
 #[macro_export]
 macro_rules! site {
     () => {
-        $crate::Label::new(concat!(file!(), ":", line!(), ":", column!()))
+        $crate::site!(@interned concat!(file!(), ":", line!(), ":", column!()))
     };
+    (@interned $location:expr) => {{
+        static SITE: ::std::sync::OnceLock<$crate::Label> = ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::Label::new($location))
+    }};
     ($name:expr) => {
-        $crate::Label::new(concat!($name, " (", file!(), ":", line!(), ")"))
+        $crate::site!(@interned concat!($name, " (", file!(), ":", line!(), ")"))
     };
 }

@@ -8,7 +8,8 @@
 //! batches (configurable batch size and flush interval). When the ring
 //! fills, the emitter blocks — backpressure, not data loss — and each
 //! stall is counted for the `spill_backpressure_waits` observability
-//! counter.
+//! counter. Drained frame buffers travel back to the emitter through a
+//! second ring of the same capacity, so a steady stream allocates none.
 //!
 //! Crash-safe sealing is preserved: `on_finish` pushes the footer and
 //! joins the writer thread, and *dropping* an unfinished sink still
@@ -85,11 +86,13 @@ impl SpillConfig {
 }
 
 /// The spill-writer thread: drains encoded frames from the ring,
-/// batches them, and keeps draining even after an I/O error so the
-/// producer can never block forever on a dead disk.
+/// batches them, returns the emptied buffers through `spare`, and keeps
+/// draining even after an I/O error so the producer can never block
+/// forever on a dead disk.
 fn drain_ring<W: Write>(
     mut out: W,
     mut frames: RingConsumer<Vec<u8>>,
+    mut spare: RingProducer<Vec<u8>>,
     batch_bytes: usize,
     flush_interval: Duration,
 ) -> io::Result<()> {
@@ -99,7 +102,7 @@ fn drain_ring<W: Write>(
     let mut last_flush = Instant::now();
     loop {
         let mut progressed = false;
-        while let Some(frame) = frames.pop() {
+        while let Some(mut frame) = frames.pop() {
             progressed = true;
             if result.is_ok() {
                 batch.extend_from_slice(&frame);
@@ -109,6 +112,10 @@ fn drain_ring<W: Write>(
                     last_flush = Instant::now();
                 }
             }
+            frame.clear();
+            // Never wait for the emitter: when it already has a ring's
+            // worth of spare buffers, this one is freed instead.
+            let _ = spare.try_push(frame);
         }
         if frames.is_disconnected() {
             break;
@@ -137,6 +144,8 @@ fn drain_ring<W: Write>(
 pub struct RingSpillSink {
     encoder: Option<TraceEncoder>,
     frames: Option<RingProducer<Vec<u8>>>,
+    /// Emptied frame buffers coming back from the writer thread.
+    spare: RingConsumer<Vec<u8>>,
     writer: Option<thread::JoinHandle<io::Result<()>>>,
     events: u64,
     bytes: u64,
@@ -156,16 +165,18 @@ impl RingSpillSink {
     ) -> Result<Self, SpillError> {
         let (encoder, preamble) = TraceEncoder::new(config.format)?;
         let (producer, consumer) = spsc_ring::<Vec<u8>>(config.ring_capacity.max(1));
+        let (spare_producer, spare) = spsc_ring::<Vec<u8>>(config.ring_capacity.max(1));
         let batch_bytes = config.batch_bytes;
         let flush_interval = config.flush_interval;
         let writer = thread::Builder::new()
             .name("df-spill-writer".to_string())
-            .spawn(move || drain_ring(out, consumer, batch_bytes, flush_interval))
+            .spawn(move || drain_ring(out, consumer, spare_producer, batch_bytes, flush_interval))
             .map_err(SpillError::Io)?;
         let bytes = preamble.len() as u64;
         let mut sink = RingSpillSink {
             encoder: Some(encoder),
             frames: Some(producer),
+            spare,
             writer: Some(writer),
             events: 0,
             bytes,
@@ -272,7 +283,7 @@ impl EventSink for RingSpillSink {
         let Some(encoder) = self.encoder.as_mut() else {
             return;
         };
-        let mut frame = Vec::with_capacity(96);
+        let mut frame = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(96));
         match encoder.encode_event(event, &mut frame) {
             Ok(()) => {
                 self.events += 1;
@@ -539,6 +550,57 @@ mod tests {
             let back = read_trace_bytes(&buf.bytes()).expect("dropped spill still parses");
             assert_eq!(back.events().len(), 7);
             assert!(back.objects().is_empty(), "empty emergency footer");
+        }
+    }
+
+    /// 64× a 4-frame ring's capacity in events; every 16th names a new,
+    /// ever longer label, so its frame (string definition included)
+    /// outgrows any recycled buffer.
+    fn long_label_trace() -> Trace {
+        let mut trace = Trace::new();
+        let t0 = ThreadId::new(0);
+        let obj = trace
+            .objects_mut()
+            .create(ObjKind::Thread, Label::new("<main>"), None, vec![]);
+        trace.bind_thread(t0, obj);
+        let lock = trace
+            .objects_mut()
+            .create(ObjKind::Lock, Label::new("r:1"), None, vec![]);
+        for i in 0..128 {
+            let site = if i % 8 == 0 {
+                Label::new(&format!("recycle:{i}:{}", "x".repeat(200 + 16 * i)))
+            } else {
+                Label::new("r:2")
+            };
+            trace.push(t0, EventKind::acquire(lock, site, vec![], vec![site]));
+            trace.push(t0, EventKind::release(lock, Label::new("r:3")));
+        }
+        trace
+    }
+
+    #[test]
+    fn recycled_frames_keep_the_spill_byte_identical() {
+        let trace = long_label_trace();
+        assert!(trace.events().len() >= 64 * 4);
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let direct = write_trace_as(Vec::new(), &trace, format).unwrap();
+            let buf = SharedBuf::default();
+            let config = SpillConfig::with_format(format).with_ring(4);
+            let mut sink = RingSpillSink::spawn(buf.clone(), &config).unwrap();
+            feed(&mut sink, &trace);
+            sink.close().unwrap();
+            assert_eq!(buf.bytes(), direct, "format {format}");
+
+            // Dropped halfway, the spill still seals and analyzes.
+            let buf = SharedBuf::default();
+            let mut sink = RingSpillSink::spawn(buf.clone(), &config).unwrap();
+            let half = trace.events().len() / 2;
+            for event in &trace.events()[..half] {
+                sink.on_event(event);
+            }
+            drop(sink);
+            let back = read_trace_bytes(&buf.bytes()).expect("dropped spill still parses");
+            assert_eq!(back.events(), &trace.events()[..half], "format {format}");
         }
     }
 

@@ -18,13 +18,17 @@ thread_local! {
 }
 
 /// The calling thread's id under `inner`, if it has been bound.
+///
+/// Compares addresses instead of upgrading: a `Weak` keeps its
+/// allocation alive, so no other tracker can occupy that address while
+/// the entry exists, and the lookup touches no reference count.
 pub(crate) fn lookup(inner: &Arc<TrackerInner>) -> Option<ThreadId> {
+    let target = Arc::as_ptr(inner);
     BINDINGS.with(|b| {
-        b.borrow().iter().find_map(|(weak, id)| {
-            weak.upgrade()
-                .filter(|a| Arc::ptr_eq(a, inner))
-                .map(|_| *id)
-        })
+        b.borrow()
+            .iter()
+            .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), target))
+            .map(|&(_, id)| id)
     })
 }
 

@@ -167,6 +167,9 @@ pub(crate) struct State {
     /// already reported, so a persisting deadlock is not re-reported by
     /// every thread that bumps into it.
     reported: HashSet<Vec<ObjId>>,
+    /// The `held` and `context` buffers of the last `Acquire` event,
+    /// taken back after delivery so the next one allocates nothing.
+    acquire_scratch: (Vec<ObjId>, Vec<Label>),
     sealed: bool,
     pub(crate) session: SessionState,
 }
@@ -324,8 +327,10 @@ impl std::fmt::Debug for Tracker {
     }
 }
 
-/// Assigns the next sequence number and delivers one event.
-fn emit(inner: &TrackerInner, st: &mut State, thread: ThreadId, kind: EventKind) {
+/// Assigns the next sequence number and delivers one event, handing it
+/// back so the caller can reuse its buffers (the recorded trace, when
+/// kept, owns a copy).
+fn emit(inner: &TrackerInner, st: &mut State, thread: ThreadId, kind: EventKind) -> Event {
     let seq = st.event_seq;
     st.event_seq += 1;
     let event = Event::new(seq, thread, kind);
@@ -337,6 +342,7 @@ fn emit(inner: &TrackerInner, st: &mut State, thread: ThreadId, kind: EventKind)
         inner.sink.emit(&event);
         inner.obs.counters().add_events_streamed(1);
     }
+    event
 }
 
 /// The execution-index frame of an allocation: the allocating statement
@@ -470,8 +476,8 @@ pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: 
 /// Records ownership and the held stack for a completed acquisition and
 /// emits its event — `Reacquire` when the thread already holds the
 /// lock, otherwise `event(held, held sites)` over the stacks as they
-/// were before this acquisition. Must be called with the native lock
-/// already held.
+/// were before this acquisition — and returns the emitted event. Must be
+/// called with the native lock already held.
 fn record_acquire(
     inner: &TrackerInner,
     st: &mut State,
@@ -480,7 +486,7 @@ fn record_acquire(
     site: Label,
     access: Access,
     event: impl FnOnce(&[ObjId], &[Label]) -> EventKind,
-) {
+) -> Event {
     match access {
         Access::Exclusive => {
             st.locks.insert(lock, Holders::Writer(me));
@@ -508,14 +514,16 @@ fn record_acquire(
     };
     ts.lock_stack.push(lock);
     ts.context_stack.push(site);
-    emit(inner, st, me, kind);
+    let emitted = emit(inner, st, me, kind);
     if !re_entrant {
         inner.obs.counters().add_acquires_observed(1);
     }
+    emitted
 }
 
 /// `record_acquire` for a blocking acquisition: the `Acquire` event
-/// carries the held set and the context ending at `site`.
+/// carries the held set and the context ending at `site`, built in the
+/// state's scratch buffers and taken back once delivered.
 fn record_blocking_acquire(
     inner: &TrackerInner,
     st: &mut State,
@@ -524,11 +532,19 @@ fn record_blocking_acquire(
     site: Label,
     access: Access,
 ) {
-    record_acquire(inner, st, me, lock, site, access, |held, sites| {
-        let mut context = sites.to_vec();
+    let (mut held, mut context) = std::mem::take(&mut st.acquire_scratch);
+    let emitted = record_acquire(inner, st, me, lock, site, access, |held_now, sites| {
+        held.clear();
+        held.extend_from_slice(held_now);
+        context.clear();
+        context.extend_from_slice(sites);
         context.push(site);
-        EventKind::acquire(lock, site, held.to_vec(), context).with_mode(access)
+        EventKind::acquire(lock, site, held, context).with_mode(access)
     });
+    // A `Reacquire` never called the closure; its buffers dropped with it.
+    if let EventKind::Acquire { held, context, .. } = emitted.kind {
+        st.acquire_scratch = (held, context);
+    }
 }
 
 /// Bookkeeping for a non-blocking `try_*` attempt. A successful try
