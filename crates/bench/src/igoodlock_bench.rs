@@ -13,13 +13,10 @@ use std::time::Instant;
 
 use df_events::{Label, ObjId, ThreadId};
 use df_igoodlock::{
-    goodlock_dfs, igoodlock_parallel, igoodlock_with_stats, naive_igoodlock_with_stats,
-    IGoodlockOptions, LockDep, LockDependencyRelation,
+    goodlock_dfs, igoodlock_with_stats, naive_igoodlock_with_stats, IGoodlockOptions, LockDep,
+    LockDependencyRelation,
 };
 use serde::Serialize;
-
-/// Jobs value used for the `parallel_ms` column of the main join table.
-const PARALLEL_COLUMN_JOBS: usize = 4;
 
 /// The lock dependency relation that Phase I extracts from an n-way
 /// dining-philosophers ring: philosopher `p` (thread `p + 1`) acquires
@@ -101,10 +98,6 @@ pub struct IGoodlockBenchRow {
     pub indexed_ms: f64,
     /// Best-of-reps wall time of the DFS lock-graph baseline, milliseconds.
     pub dfs_ms: f64,
-    /// Best-of-reps wall time of the parallel join at 4 jobs,
-    /// milliseconds — parity-checked against the indexed join before the
-    /// row is emitted.
-    pub parallel_ms: f64,
     /// `naive_ms / indexed_ms`.
     pub speedup: f64,
     /// Chains built by the join — asserted identical between naive and
@@ -154,17 +147,6 @@ pub fn igoodlock_bench_row(
     let ((naive_cycles, naive_stats), naive_ms) =
         time_best_of(reps, || naive_igoodlock_with_stats(relation, &options));
     let ((dfs_cycles, dfs_stats), dfs_ms) = time_best_of(reps, || goodlock_dfs(relation, &options));
-    let ((parallel_cycles, parallel_stats, _), parallel_ms) = time_best_of(reps, || {
-        igoodlock_parallel(relation, None, &options, PARALLEL_COLUMN_JOBS)
-    });
-    if parallel_cycles != indexed_cycles || parallel_stats != indexed_stats {
-        return Err(format!(
-            "{workload}: parallel join (jobs={PARALLEL_COLUMN_JOBS}) diverged from \
-             the sequential indexed join ({} vs {} cycles)",
-            parallel_cycles.len(),
-            indexed_cycles.len()
-        ));
-    }
     if indexed_cycles != naive_cycles {
         return Err(format!(
             "{workload}: indexed and naive cycle reports differ \
@@ -194,7 +176,6 @@ pub fn igoodlock_bench_row(
         naive_ms,
         indexed_ms,
         dfs_ms,
-        parallel_ms,
         speedup: naive_ms / indexed_ms.max(1e-9),
         chains_built: indexed_stats.chains_built,
         naive_candidates_examined: naive_stats.join_candidates_examined,
@@ -271,133 +252,6 @@ pub fn igoodlock_bench(
     Ok(rows)
 }
 
-/// One row of the `join_parallel` envelope: a workload joined with the
-/// sharded parallel Phase I join at one `jobs` value, cross-checked
-/// byte-for-byte against the sequential indexed join before emission.
-#[derive(Clone, Debug, Serialize)]
-pub struct JoinParallelRow {
-    /// Workload label (`ring-12`, `synthetic-96x16384`).
-    pub workload: String,
-    /// Deduplicated tuples in the relation.
-    pub relation_size: usize,
-    /// Worker count handed to [`igoodlock_parallel`].
-    pub jobs: usize,
-    /// Potential deadlock cycles found (identical across jobs values).
-    pub cycles: usize,
-    /// Best-of-reps wall time of the sequential indexed join, ms.
-    pub indexed_ms: f64,
-    /// Best-of-reps wall time of the parallel join at `jobs`, ms.
-    pub parallel_ms: f64,
-    /// `indexed_ms / parallel_ms`.
-    pub speedup: f64,
-    /// Chains built — asserted identical to the sequential join.
-    pub chains_built: u64,
-    /// Join candidates examined — asserted identical to the sequential
-    /// join.
-    pub candidates_examined: u64,
-    /// Frontier chunks executed by the parallel scheduler (scheduling
-    /// observability; varies with `jobs`).
-    pub tasks_executed: u64,
-    /// Drained-queue observations by join workers (varies with `jobs`).
-    pub steal_waits: u64,
-}
-
-/// Measures one workload under the parallel join at each `jobs` value,
-/// asserting byte-identical cycle reports and identical join stats
-/// against the sequential indexed join (and, once per workload, the
-/// naive oracle). Returns one row per `jobs` value.
-pub fn join_parallel_rows(
-    workload: &str,
-    relation: &LockDependencyRelation,
-    reps: u32,
-    jobs_list: &[usize],
-) -> Result<Vec<JoinParallelRow>, String> {
-    let options = IGoodlockOptions::default();
-    let _ = igoodlock_with_stats(relation, &options); // untimed warmup
-    let ((seq_cycles, seq_stats), indexed_ms) =
-        time_best_of(reps, || igoodlock_with_stats(relation, &options));
-    let (naive_cycles, naive_stats) = naive_igoodlock_with_stats(relation, &options);
-    if seq_cycles != naive_cycles || seq_stats.chains_built != naive_stats.chains_built {
-        return Err(format!(
-            "{workload}: sequential indexed join diverged from the naive oracle \
-             ({} vs {} cycles)",
-            seq_cycles.len(),
-            naive_cycles.len()
-        ));
-    }
-    let seq_bytes = serde_json::to_string(&seq_cycles).expect("cycles serialize");
-    let mut rows = Vec::new();
-    for &jobs in jobs_list {
-        let ((cycles, stats, pstats), parallel_ms) =
-            time_best_of(reps, || igoodlock_parallel(relation, None, &options, jobs));
-        let bytes = serde_json::to_string(&cycles).expect("cycles serialize");
-        if bytes != seq_bytes {
-            return Err(format!(
-                "{workload}: parallel join at jobs={jobs} produced a different \
-                 cycle report than the sequential indexed join"
-            ));
-        }
-        if stats != seq_stats {
-            return Err(format!(
-                "{workload}: parallel join at jobs={jobs} diverged on join stats \
-                 (chains_built {} vs {}, candidates {} vs {})",
-                stats.chains_built,
-                seq_stats.chains_built,
-                stats.join_candidates_examined,
-                seq_stats.join_candidates_examined
-            ));
-        }
-        rows.push(JoinParallelRow {
-            workload: workload.to_string(),
-            relation_size: relation.len(),
-            jobs,
-            cycles: cycles.len(),
-            indexed_ms,
-            parallel_ms,
-            speedup: indexed_ms / parallel_ms.max(1e-9),
-            chains_built: stats.chains_built,
-            candidates_examined: stats.join_candidates_examined,
-            tasks_executed: pstats.tasks_executed,
-            steal_waits: pstats.steal_waits,
-        });
-    }
-    Ok(rows)
-}
-
-/// The `join_parallel` envelope sweep: every philosophers ring, the
-/// standard synthetic relation, and a scaled synthetic relation at
-/// `2 * pairs` two-cycles over `4 * noise` acyclic tuples (the workload
-/// the jobs=4 speedup acceptance is measured on), each under every
-/// entry of `jobs_list`.
-pub fn join_parallel_bench(
-    ring_sizes: &[u32],
-    pairs: u32,
-    noise: u32,
-    reps: u32,
-    jobs_list: &[usize],
-) -> Result<Vec<JoinParallelRow>, String> {
-    let mut rows = Vec::new();
-    for &n in ring_sizes {
-        let rel = philosophers_ring_relation(n);
-        rows.extend(join_parallel_rows(
-            &format!("ring-{n}"),
-            &rel,
-            reps,
-            jobs_list,
-        )?);
-    }
-    for (pairs, noise) in [(pairs, noise), (2 * pairs, 4 * noise)] {
-        let rel = synthetic_join_relation(pairs, noise);
-        rows.extend(join_parallel_rows(
-            &format!("synthetic-{pairs}x{noise}"),
-            &rel,
-            reps,
-            jobs_list,
-        )?);
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,7 +277,6 @@ mod tests {
             assert!(row.cycles > 0);
             assert!(row.chains_built >= row.relation_size as u64);
             assert!(row.indexed_candidates_examined <= row.naive_candidates_examined);
-            assert!(row.parallel_ms > 0.0);
         }
         assert_eq!(rows[2].cycles, 4);
     }
@@ -436,7 +289,6 @@ mod tests {
             naive_ms,
             indexed_ms,
             dfs_ms: naive_ms,
-            parallel_ms: indexed_ms,
             speedup: naive_ms / indexed_ms,
             chains_built: 1,
             naive_candidates_examined: 1,
@@ -466,31 +318,5 @@ mod tests {
         let err = check_speedup_floor(&[above, below]).expect_err("0.6x < 0.7x");
         assert!(err.starts_with("below:"), "{err}");
         assert!(err.contains("0.7x floor"), "{err}");
-    }
-
-    #[test]
-    fn join_parallel_rows_pass_parity_across_jobs() {
-        // pairs=4 + noise=128 gives a 136-tuple relation: wide enough
-        // that the parallel join actually fans out across workers
-        // instead of delegating to the sequential path.
-        let rows = join_parallel_bench(&[6], 4, 32, 1, &[1, 2, 4]).expect("parity holds");
-        assert_eq!(rows.len(), 3 * 3, "3 workloads x 3 jobs values");
-        let big: Vec<_> = rows
-            .iter()
-            .filter(|r| r.workload == "synthetic-8x128")
-            .collect();
-        assert_eq!(big.len(), 3);
-        assert!(big[0].relation_size >= 64, "{}", big[0].relation_size);
-        for r in &big {
-            assert_eq!(r.cycles, big[0].cycles);
-            assert_eq!(r.chains_built, big[0].chains_built);
-            assert_eq!(r.candidates_examined, big[0].candidates_examined);
-        }
-        let fanned = big.iter().find(|r| r.jobs == 4).expect("jobs=4 row");
-        assert!(
-            fanned.tasks_executed > 1,
-            "jobs=4 on a wide frontier must execute several chunks: {}",
-            fanned.tasks_executed
-        );
     }
 }

@@ -7,8 +7,6 @@
 //! * run Phase I and render/serialize its cycles ([`cmd_phase1`]);
 //! * record a Phase I run to durable artifacts and analyze them later
 //!   ([`cmd_record`], [`cmd_analyze`]);
-//! * dump a trace as JSON and analyze a dumped trace offline
-//!   ([`cmd_trace`], [`analyze_trace_json`]);
 //! * confirm cycles with Phase II trials ([`cmd_confirm`]);
 //! * run the full pipeline ([`cmd_run`]).
 //!
@@ -26,7 +24,7 @@ use df_abstraction::Abstractor;
 #[cfg(test)]
 use df_events::TraceFormat;
 use df_events::{SpillConfig, Trace, TRACE_BINARY_MAGIC};
-use df_igoodlock::{igoodlock_parallel, HbFilter, IGoodlockOptions, LockDependencyRelation};
+use df_igoodlock::{igoodlock_filtered, HbFilter, IGoodlockOptions, LockDependencyRelation};
 
 /// Documented process exit codes for the verdict commands (`confirm`,
 /// `run`). See README "Failure taxonomy & exit codes".
@@ -317,7 +315,6 @@ pub fn config_of(opts: &CliOptions) -> Result<Config, CliError> {
         .with_adaptive_trials(opts.adaptive)
         .with_trial_budget(opts.trial_budget)
         .with_jobs(opts.jobs)
-        .with_phase1_jobs(opts.jobs)
         .with_stream_phase1(opts.stream)
         .with_spill(opts.spill);
     if let Some(p) = opts.fault_panic {
@@ -369,17 +366,6 @@ pub fn cmd_phase1(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
             .map_err(|e| CliError::internal(e.to_string()));
     }
     Ok(CmdOutput::ok(format!("{report}")))
-}
-
-/// `dfz trace <benchmark>` — run Phase I and dump the trace as JSON.
-pub fn cmd_trace(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    let program = resolve_program(name)?;
-    let fuzzer = DeadlockFuzzer::from_ref(program, config_of(opts)?);
-    // An observation run under the plain random scheduler.
-    let report = fuzzer.phase2(&df_igoodlock::AbstractCycle::new(vec![]), opts.seed);
-    serde_json::to_string(&report.trace)
-        .map(CmdOutput::ok)
-        .map_err(|e| CliError::internal(e.to_string()))
 }
 
 /// `dfz record <benchmark>` — run Phase I once and persist it as durable
@@ -496,20 +482,14 @@ fn abstraction_of(variant: Variant) -> df_abstraction::AbstractionMode {
     }
 }
 
-/// Offline iGoodlock over an in-memory [`Trace`]: the shared engine
-/// behind [`cmd_analyze`] (trace artifacts) and [`analyze_trace_json`].
+/// Offline iGoodlock over a decoded trace artifact, for [`cmd_analyze`].
 /// With `--json` the output is the same pretty-printed abstract-cycle
 /// array [`cmd_phase1`] prints, so a recorded run can be diffed
 /// byte-for-byte against a live one.
 fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError> {
     let relation = LockDependencyRelation::from_trace(trace);
     let hb = opts.hb.then(|| HbFilter::from_trace(trace));
-    let (cycles, stats, _) = igoodlock_parallel(
-        &relation,
-        hb.as_ref(),
-        &IGoodlockOptions::default(),
-        opts.jobs,
-    );
+    let (cycles, stats) = igoodlock_filtered(&relation, hb.as_ref(), &IGoodlockOptions::default());
     let abstractor = Abstractor::new(abstraction_of(opts.variant));
     let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
         .iter()
@@ -549,16 +529,14 @@ fn analyze_relation(
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
     let timings = df_obs::PhaseTimings::new();
-    let (cycles, stats, pstats) = timings.time("phase1_join", || {
-        igoodlock_parallel(relation, None, &IGoodlockOptions::default(), opts.jobs)
+    let (cycles, stats) = timings.time("phase1_join", || {
+        igoodlock_filtered(relation, None, &IGoodlockOptions::default())
     });
     let mut metrics = df_obs::Metrics::new("analyze-relation");
     metrics.counters.dependency_edges = relation.len() as u64;
     metrics.counters.cycles_found = cycles.len() as u64;
     metrics.counters.join_candidates_examined = stats.join_candidates_examined;
     metrics.counters.join_chains_built = stats.chains_built;
-    metrics.counters.join_tasks_executed = pstats.tasks_executed;
-    metrics.counters.join_steal_waits = pstats.steal_waits;
     metrics.phases = timings.snapshot();
     if let Some(span) = metrics.phases.iter().find(|s| s.name == "phase1_join") {
         metrics
@@ -587,11 +565,10 @@ fn analyze_relation(
 /// `dfz analyze <artifact>` — offline iGoodlock over a recorded
 /// artifact, sniffing its format from the first bytes: `df-trace`
 /// binary v2 (from `dfz record --format binary`), `df-trace` JSONL v1
-/// (from `dfz record --out` or a sealed `df-lock` spill), `df-relation`
-/// JSON (from `dfz record --relation-out`), or a legacy plain-trace
-/// JSON dump (from `dfz trace`). Both trace encodings decode to the
-/// same [`Trace`], so `--json` output is byte-identical regardless of
-/// which one was recorded. `source` is the artifact's path (or other
+/// (from `dfz record --out` or a sealed `df-lock` spill), or
+/// `df-relation` JSON (from `dfz record --relation-out`). Both trace
+/// encodings decode to the same [`Trace`], so `--json` output is
+/// byte-identical regardless of which one was recorded. `source` is the artifact's path (or other
 /// provenance string), used verbatim in error messages.
 ///
 /// # Errors
@@ -600,8 +577,8 @@ fn analyze_relation(
 /// (the filter's vector clocks need the events) and for a truncated or
 /// corrupt artifact — the message names `source` and, when the failure
 /// is tied to one line (JSONL) or frame (binary), its 1-based index.
-/// Returns a [`CliError::Internal`] if the content parses as none of
-/// the formats.
+/// Returns a [`CliError::Internal`] naming `source` if the content
+/// matches none of the formats.
 pub fn cmd_analyze(content: &[u8], source: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
     if content.starts_with(&TRACE_BINARY_MAGIC) {
         let trace = df_events::read_trace_bytes(content)
@@ -629,18 +606,9 @@ pub fn cmd_analyze(content: &[u8], source: &str, opts: &CliOptions) -> Result<Cm
             .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
         return analyze_relation(&relation, opts);
     }
-    analyze_trace_json(content, opts)
-}
-
-/// `dfz analyze` over a legacy plain-trace JSON dump (`dfz trace`).
-///
-/// # Errors
-///
-/// Returns a [`CliError::Internal`] if the JSON is not a valid trace.
-pub fn analyze_trace_json(json: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    let trace: Trace =
-        serde_json::from_str(json).map_err(|e| CliError::internal(format!("not a trace: {e}")))?;
-    analyze_trace(&trace, opts)
+    Err(CliError::internal(format!(
+        "{source} is not a df-trace or df-relation artifact"
+    )))
 }
 
 /// `dfz confirm <benchmark>` — Phase II confirmation of one or all cycles.
@@ -866,18 +834,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_dump_round_trips_through_offline_analysis() {
-        let opts = CliOptions::default();
-        let json = cmd_trace("figure1", &opts).unwrap().text;
-        let out = analyze_trace_json(&json, &opts).unwrap().text;
-        assert!(out.contains("1 potential cycle"), "{out}");
-    }
-
-    #[test]
     fn analyze_rejects_garbage() {
-        let err = analyze_trace_json("{not json", &CliOptions::default()).unwrap_err();
-        assert_eq!(err.exit_code(), exit_code::INTERNAL_ERROR);
-        assert!(err.message().contains("not a trace"));
+        // Neither format's header, in UTF-8 text and in raw bytes: an
+        // internal error that names the source.
+        for (content, source) in [
+            (&b"{not json"[..], "runs/garbage.json"),
+            (&[0xff, 0xfe, 0x00][..], "runs/garbage.bin"),
+        ] {
+            let err = cmd_analyze(content, source, &CliOptions::default()).unwrap_err();
+            assert_eq!(err.exit_code(), exit_code::INTERNAL_ERROR, "{err}");
+            assert!(err.message().contains(source), "{err}");
+        }
     }
 
     #[test]
@@ -999,17 +966,33 @@ mod tests {
 
     #[test]
     fn hb_flag_prunes_in_offline_analysis() {
-        let opts = CliOptions::default();
-        let json = cmd_trace("jigsaw", &opts).unwrap().text;
-        let plain = analyze_trace_json(&json, &opts).unwrap().text;
-        let hb_opts = CliOptions {
-            hb: true,
-            ..CliOptions::default()
-        };
-        let filtered = analyze_trace_json(&json, &hb_opts).unwrap().text;
-        assert!(filtered.contains("pruned by happens-before"), "{filtered}");
-        assert!(plain.contains("waitForRunner"));
-        assert!(!filtered.contains("waitForRunner"));
+        for (tag, spill) in [
+            ("jsonl", SpillConfig::default()),
+            ("binary", SpillConfig::with_format(TraceFormat::Binary)),
+        ] {
+            let trace_path = TempPath::new(&format!("jigsaw-hb.{tag}"));
+            let record_opts = CliOptions {
+                out: Some(trace_path.0.clone()),
+                spill,
+                ..CliOptions::default()
+            };
+            cmd_record("jigsaw", &record_opts).unwrap();
+            let content = std::fs::read(&trace_path.0).unwrap();
+            let plain = cmd_analyze(&content, tag, &CliOptions::default())
+                .unwrap()
+                .text;
+            let hb_opts = CliOptions {
+                hb: true,
+                ..CliOptions::default()
+            };
+            let filtered = cmd_analyze(&content, tag, &hb_opts).unwrap().text;
+            assert!(
+                filtered.contains("pruned by happens-before"),
+                "{tag}: {filtered}"
+            );
+            assert!(plain.contains("waitForRunner"), "{tag}: {plain}");
+            assert!(!filtered.contains("waitForRunner"), "{tag}: {filtered}");
+        }
     }
 
     #[test]
@@ -1253,7 +1236,6 @@ mod tests {
         let content = std::fs::read(&relation_path.0).unwrap();
         let opts = CliOptions {
             metrics_out: Some(metrics_path.0.clone()),
-            jobs: 2,
             ..CliOptions::default()
         };
         let out = cmd_analyze(&content, "timed-relation.json", &opts).unwrap();
@@ -1268,34 +1250,6 @@ mod tests {
         );
         assert_eq!(metrics.counters.cycles_found, 1);
         assert!(metrics.counters.dependency_edges > 0);
-    }
-
-    #[test]
-    fn offline_analysis_is_jobs_invariant() {
-        let trace_path = TempPath::new("jobs-trace.jsonl");
-        cmd_record(
-            "dining-philosophers",
-            &CliOptions {
-                out: Some(trace_path.0.clone()),
-                ..CliOptions::default()
-            },
-        )
-        .unwrap();
-        let content = std::fs::read(&trace_path.0).unwrap();
-        let analyze = |jobs| {
-            let opts = CliOptions {
-                json: true,
-                jobs,
-                ..CliOptions::default()
-            };
-            cmd_analyze(&content, "jobs-trace.jsonl", &opts)
-                .unwrap()
-                .text
-        };
-        let seq = analyze(1);
-        for jobs in [0, 2, 4] {
-            assert_eq!(seq, analyze(jobs), "jobs={jobs}");
-        }
     }
 
     #[test]

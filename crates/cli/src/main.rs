@@ -6,8 +6,7 @@
 //! dfz record  <benchmark> [--seed N] [--stream] --out F [--relation-out F.json]
 //!             [--format jsonl|binary] [--spill-ring N]
 //!             [--spill-batch-bytes N] [--spill-flush-ms N]
-//! dfz trace   <benchmark> [--seed N]            # dump a trace as JSON to stdout
-//! dfz analyze <artifact>  [--hb] [--variant V] [--json] [--jobs N]
+//! dfz analyze <artifact>  [--hb] [--variant V] [--json]
 //!             [--metrics-out F]                 # offline iGoodlock
 //! dfz confirm <benchmark> [--cycle I] [--trials N] [--variant V] [--jobs N]
 //!             [--feasibility] [--adaptive] [--trial-budget N]
@@ -19,22 +18,23 @@
 //!
 //! `analyze` accepts any recorded artifact: a `df-trace` binary v2
 //! stream (`record --format binary`), a `df-trace` JSONL stream
-//! (`record --out`), a `df-relation` JSON envelope (`record
-//! --relation-out`), or the plain trace dump of `dfz trace`. A leading
-//! flag implies `run`, so `dfz --benchmark figure1 --metrics-out m.json`
-//! is the observability one-liner.
+//! (`record --out`), or a `df-relation` JSON envelope (`record
+//! --relation-out`). `--jobs` sizes the Phase II trial pool of
+//! `confirm` and `run`; Phase I is sequential. A leading flag implies
+//! `run`, so `dfz --benchmark figure1 --metrics-out m.json` is the
+//! observability one-liner.
 
 use df_cli::{
-    cmd_analyze, cmd_confirm, cmd_list, cmd_phase1, cmd_races, cmd_record, cmd_run, cmd_trace,
+    cmd_analyze, cmd_confirm, cmd_list, cmd_phase1, cmd_races, cmd_record, cmd_run,
     resolve_variant, CliError, CliOptions, CmdOutput,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dfz <list | phase1 | record | trace | analyze | confirm | run | races> [args]\n\
+        "usage: dfz <list | phase1 | record | analyze | confirm | run | races> [args]\n\
          a leading flag implies `run` (e.g. dfz --benchmark figure1 --metrics-out m.json)\n\
          parallelism: --jobs <n> (0 = one worker per core, 1 = sequential;\n\
-         \x20    drives Phase II trial workers and the Phase I parallel join)\n\
+         \x20    drives the Phase II trial workers of confirm and run)\n\
          observability: --metrics-out <file> --trace-out <file.jsonl>\n\
          recording: --out <trace file> --relation-out <relation.json> --stream\n\
          \x20    --format <jsonl|binary> --spill-ring <frames> (0 = synchronous)\n\
@@ -187,10 +187,6 @@ fn main() {
         },
         "record" => match positional.first() {
             Some(name) => cmd_record(name, &opts),
-            None => usage(),
-        },
-        "trace" => match positional.first() {
-            Some(name) => cmd_trace(name, &opts),
             None => usage(),
         },
         "analyze" => match positional.first() {

@@ -76,6 +76,11 @@ fn usage_errors_exit_two() {
             .code(),
         Some(2)
     );
+    // Streamed Phase I keeps no trace to score feasibility from.
+    let out = dfz(&["phase1", "figure1", "--stream", "--feasibility"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("feasibility"), "{stderr}");
 }
 
 #[test]

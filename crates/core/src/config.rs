@@ -136,13 +136,10 @@ pub struct Config {
     /// index-based, so any `jobs` value produces the same report modulo
     /// wall-clock fields.
     pub jobs: usize,
-    /// Worker threads for the Phase I iGoodlock chain join
-    /// ([`df_igoodlock::igoodlock_parallel`]). `1` (the default) runs
-    /// the sequential indexed join; `0` means one worker per available
-    /// hardware thread. The parallel join's merge is deterministic, so
-    /// any value produces byte-identical cycle reports and identical
-    /// join statistics — only wall-clock and the scheduling counters
-    /// (`join_tasks_executed`, `join_steal_waits`) vary.
+    /// Read by nothing. Kept only because the repository benchmark still
+    /// passes it to the join, and goes away once the benchmark calls
+    /// [`df_igoodlock::igoodlock_filtered`].
+    #[doc(hidden)]
     pub phase1_jobs: usize,
     /// Score every Phase I cycle with the sync-preserving partial-order
     /// feasibility check ([`df_igoodlock::FeasibilityAnalysis`]): each
@@ -151,7 +148,7 @@ pub struct Config {
     /// choice — the filter *removes* provably-impossible cycles, the
     /// scorer *ranks* the survivors (and still marks provably-impossible
     /// ones `Infeasible` when the filter is off). Requires the recorded
-    /// trace, so streamed Phase I reports no verdicts.
+    /// trace, so it is incompatible with [`Config::stream_phase1`].
     pub feasibility: bool,
     /// Replace the uniform `confirm_trials`-per-cycle Phase II campaign
     /// of [`crate::DeadlockFuzzer::run`] with the deterministic adaptive
@@ -183,7 +180,8 @@ pub struct Config {
     /// first. The resulting relation (and therefore every reported
     /// cycle) is byte-identical to the offline path; memory drops from
     /// O(events) to O(relation). Incompatible with
-    /// [`Config::hb_filter`], whose vector clocks need the whole trace.
+    /// [`Config::hb_filter`] and [`Config::feasibility`], which both
+    /// read the whole trace.
     pub stream_phase1: bool,
     /// How recorded traces are spilled to disk: the artifact encoding
     /// (JSONL v1 or binary v2) and the optional SPSC ring that moves
@@ -289,13 +287,6 @@ impl Config {
     /// `1` = sequential).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the Phase I join worker count (`1` = sequential, `0` = one
-    /// per hardware thread; see [`Config::phase1_jobs`]).
-    pub fn with_phase1_jobs(mut self, jobs: usize) -> Self {
-        self.phase1_jobs = jobs;
         self
     }
 
@@ -406,16 +397,17 @@ impl Config {
         if self.igoodlock.max_open_chains == 0 {
             return invalid("igoodlock.max_open_chains must be at least 1".to_string());
         }
-        if self.phase1_jobs > 1024 {
-            return invalid(format!(
-                "phase1_jobs must be at most 1024 (0 = one worker per core), got {}",
-                self.phase1_jobs
-            ));
-        }
         if self.stream_phase1 && self.hb_filter {
             return invalid(
                 "stream_phase1 is incompatible with hb_filter: the happens-before \
                  filter's vector clocks need the full trace in memory"
+                    .to_string(),
+            );
+        }
+        if self.stream_phase1 && self.feasibility {
+            return invalid(
+                "stream_phase1 is incompatible with feasibility: the feasibility \
+                 scorer's vector clocks need the full trace in memory"
                     .to_string(),
             );
         }
@@ -505,7 +497,6 @@ mod tests {
             .with_trial_deadline(Some(Duration::from_secs(5)))
             .with_trial_retries(1)
             .with_jobs(4)
-            .with_phase1_jobs(2)
             .with_stop_on_first(true)
             .with_pause_budget(99)
             .with_yield_budget(3)
@@ -520,7 +511,6 @@ mod tests {
         assert_eq!(c.trial_deadline, Some(Duration::from_secs(5)));
         assert_eq!(c.trial_retries, 1);
         assert_eq!(c.jobs, 4);
-        assert_eq!(c.phase1_jobs, 2);
         assert!(c.stop_on_first);
         assert_eq!(c.pause_budget, 99);
         assert_eq!(c.yield_budget, 3);
@@ -598,19 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_bounds_phase1_jobs() {
-        let c = Config::default().with_phase1_jobs(2000);
-        assert!(rejection(&c).contains("phase1_jobs"));
-        assert!(Config::default().with_phase1_jobs(0).validate().is_ok());
-        assert!(Config::default().with_phase1_jobs(1024).validate().is_ok());
-        assert_eq!(
-            Config::default().phase1_jobs,
-            1,
-            "Phase I is sequential by default"
-        );
-    }
-
-    #[test]
     fn validate_rejects_streaming_combined_with_hb_filter() {
         let c = Config::default()
             .with_stream_phase1(true)
@@ -618,6 +595,16 @@ mod tests {
         assert!(rejection(&c).contains("hb_filter"));
         // Each knob is fine on its own.
         assert!(Config::default().with_hb_filter(true).validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_streaming_combined_with_feasibility() {
+        let c = Config::default()
+            .with_stream_phase1(true)
+            .with_feasibility(true);
+        assert!(rejection(&c).contains("feasibility"));
+        // Each knob is fine on its own.
+        assert!(Config::default().with_feasibility(true).validate().is_ok());
     }
 
     #[test]

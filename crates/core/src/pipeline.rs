@@ -7,7 +7,7 @@ use std::time::Instant;
 use df_abstraction::Abstractor;
 use df_fuzzer::{ActiveConfig, ActiveStrategy, SimpleRandomChecker};
 use df_igoodlock::{
-    igoodlock_parallel, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
+    igoodlock_filtered, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
     HbFilter, LockDependencyRelation, RelationBuilder,
 };
 use df_runtime::{Outcome, RunResult, VirtualRuntime};
@@ -186,12 +186,12 @@ impl DeadlockFuzzer {
 
     /// Runs the program once under the Phase I simple random scheduler
     /// (seeded with [`Config::phase1_seed`]) with `sink` attached —
-    /// the engine behind `dfz record`. With `record_trace` false the
-    /// event vector is never materialized: the sinks (e.g. a
-    /// [`df_events::SpillSink`] writing the on-disk trace format, or a
-    /// [`RelationBuilder`]) are the only consumers of the stream, and
-    /// the returned result's trace carries just the object table and
-    /// thread bindings.
+    /// the engine behind `dfz record` and streamed Phase I. With
+    /// `record_trace` false the event vector is never materialized: the
+    /// sinks (e.g. a [`df_events::SpillSink`] writing the on-disk trace
+    /// format, or a [`RelationBuilder`]) are the only consumers of the
+    /// stream, and the returned result's trace carries just the object
+    /// table and thread bindings.
     pub fn observe(&self, sink: df_events::SinkHandle, record_trace: bool) -> RunResult {
         let program = Arc::clone(&self.program);
         let mut run = self
@@ -236,35 +236,62 @@ impl DeadlockFuzzer {
     /// builder is the same code the offline path delegates to, so the
     /// report's cycles are identical either way.
     pub fn phase1(&self) -> Phase1Report {
-        if self.config.stream_phase1 {
-            return self.phase1_streamed();
-        }
         let start = Instant::now();
-        let obs = self.config.obs().clone();
-        obs.emit(&df_obs::TraceEvent::PhaseStart {
+        self.config.obs().emit(&df_obs::TraceEvent::PhaseStart {
             phase: "phase1".to_string(),
         });
+        if self.config.stream_phase1 {
+            return self.phase1_streamed(start);
+        }
         let result = self.execute(
             Box::new(SimpleRandomChecker::with_seed(self.config.phase1_seed)),
             self.config.phase1_seed,
         );
         let relation = LockDependencyRelation::from_trace(&result.trace);
-        let hb = self
-            .config
-            .hb_filter
-            .then(|| HbFilter::from_trace(&result.trace));
-        let (cycles, stats, pstats) = igoodlock_parallel(
-            &relation,
-            hb.as_ref(),
-            &self.config.igoodlock,
-            self.config.phase1_jobs,
+        self.phase1_join(start, result, relation, true)
+    }
+
+    /// The streaming Phase I path: run once with `record_trace` off and
+    /// a [`RelationBuilder`] sink attached, then run iGoodlock over the
+    /// incrementally built relation. The returned report's trace is
+    /// empty of events (it still owns the object table the abstractions
+    /// need); [`Config::hb_filter`] and [`Config::feasibility`] cannot
+    /// apply here — both read the full trace — and [`Config::validate`]
+    /// rejects either combination up front.
+    fn phase1_streamed(&self, start: Instant) -> Phase1Report {
+        debug_assert!(
+            !self.config.hb_filter && !self.config.feasibility,
+            "validate() rejects stream_phase1 + hb_filter/feasibility"
         );
+        let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
+        let result = self.observe(df_events::SinkHandle::single(builder.clone()), false);
+        let relation = builder.lock().expect("relation builder sink").take();
+        self.phase1_join(start, result, relation, false)
+    }
+
+    /// The part of Phase I both observation modes share: the iGoodlock
+    /// join over `relation`, abstraction, the optional feasibility
+    /// scores, the join counters, and the `phase1` span. `with_events`
+    /// says whether `result.trace` holds the event timeline that the
+    /// happens-before filter and the feasibility scorer read; without
+    /// it neither runs.
+    fn phase1_join(
+        &self,
+        start: Instant,
+        result: RunResult,
+        relation: LockDependencyRelation,
+        with_events: bool,
+    ) -> Phase1Report {
+        let obs = self.config.obs();
+        let hb =
+            (with_events && self.config.hb_filter).then(|| HbFilter::from_trace(&result.trace));
+        let (cycles, stats) = igoodlock_filtered(&relation, hb.as_ref(), &self.config.igoodlock);
         let abstractor = Abstractor::new(self.config.mode);
         let abstract_cycles = cycles
             .iter()
             .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
             .collect();
-        let feasibility = if self.config.feasibility {
+        let feasibility = if with_events && self.config.feasibility {
             FeasibilityAnalysis::new(&result.trace, &relation).score_cycles(&cycles)
         } else {
             Vec::new()
@@ -274,9 +301,6 @@ impl DeadlockFuzzer {
         obs.counters()
             .add_join_candidates_examined(stats.join_candidates_examined);
         obs.counters().add_join_chains_built(stats.chains_built);
-        obs.counters()
-            .add_join_tasks_executed(pstats.tasks_executed);
-        obs.counters().add_join_steal_waits(pstats.steal_waits);
         obs.timings().record("phase1", start.elapsed());
         obs.emit(&df_obs::TraceEvent::PhaseEnd {
             phase: "phase1".to_string(),
@@ -285,79 +309,6 @@ impl DeadlockFuzzer {
             cycles,
             abstract_cycles,
             feasibility,
-            stats,
-            relation_size: relation.len(),
-            acquires_observed: relation.raw_count,
-            duration: start.elapsed(),
-            run_outcome: result.outcome,
-            trace: result.trace,
-        }
-    }
-
-    /// The streaming Phase I path: run once with `record_trace` off and
-    /// a [`RelationBuilder`] sink attached, then run iGoodlock over the
-    /// incrementally built relation. The returned report's trace is
-    /// empty of events (it still owns the object table the abstractions
-    /// need); [`Config::hb_filter`] cannot apply here — its vector
-    /// clocks need the full trace — and [`Config::validate`] rejects the
-    /// combination up front.
-    fn phase1_streamed(&self) -> Phase1Report {
-        debug_assert!(
-            !self.config.hb_filter,
-            "validate() rejects stream_phase1 + hb_filter"
-        );
-        let start = Instant::now();
-        let obs = self.config.obs().clone();
-        obs.emit(&df_obs::TraceEvent::PhaseStart {
-            phase: "phase1".to_string(),
-        });
-        let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
-        let program = Arc::clone(&self.program);
-        let mut run = self
-            .config
-            .run
-            .clone()
-            .with_program_seed(self.config.phase1_seed)
-            .with_record_trace(false)
-            .with_event_sink(df_events::SinkHandle::single(builder.clone()));
-        if run.deadline.is_none() {
-            run.deadline = self.config.trial_deadline;
-        }
-        let result = VirtualRuntime::new(run).run(
-            Box::new(SimpleRandomChecker::with_seed(self.config.phase1_seed)),
-            move |ctx| program.run(ctx),
-        );
-        let relation = builder.lock().expect("relation builder sink").take();
-        let (cycles, stats, pstats) = igoodlock_parallel(
-            &relation,
-            None,
-            &self.config.igoodlock,
-            self.config.phase1_jobs,
-        );
-        let abstractor = Abstractor::new(self.config.mode);
-        let abstract_cycles = cycles
-            .iter()
-            .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
-            .collect();
-        obs.counters().add_dependency_edges(relation.len() as u64);
-        obs.counters().add_cycles_found(cycles.len() as u64);
-        obs.counters()
-            .add_join_candidates_examined(stats.join_candidates_examined);
-        obs.counters().add_join_chains_built(stats.chains_built);
-        obs.counters()
-            .add_join_tasks_executed(pstats.tasks_executed);
-        obs.counters().add_join_steal_waits(pstats.steal_waits);
-        obs.timings().record("phase1", start.elapsed());
-        obs.emit(&df_obs::TraceEvent::PhaseEnd {
-            phase: "phase1".to_string(),
-        });
-        Phase1Report {
-            cycles,
-            abstract_cycles,
-            // Streaming discards the event timeline the feasibility
-            // analysis scores from, so every cycle would come back
-            // `Unknown`; report none instead of noise.
-            feasibility: Vec::new(),
             stats,
             relation_size: relation.len(),
             acquires_observed: relation.raw_count,

@@ -98,10 +98,9 @@ pub struct IGoodlockStats {
 /// An open chain in the indexed join: dep indices plus fixed-width
 /// bitsets over the per-run interned ids. Nothing here borrows the
 /// relation, and extension clones only word-blocks — never thread, lock
-/// or context vectors. Crate-visible so [`crate::parallel`] workers
-/// extend exactly the same chains the sequential loop does.
-pub(crate) struct IndexedChain {
-    pub(crate) deps: Vec<u32>,
+/// or context vectors.
+struct IndexedChain {
+    deps: Vec<u32>,
     /// Interned threads present (Definition 2(1)).
     thread_bits: BitSet,
     /// Interned acquired locks present (Definition 2(2)).
@@ -115,14 +114,14 @@ pub(crate) struct IndexedChain {
     lockset_excl_union: BitSet,
     /// Interned lock acquired by the last component (Definition 2(3):
     /// the next component must hold it — i.e. come from its bucket).
-    pub(crate) last_lock: u32,
+    last_lock: u32,
     /// Mode of that acquisition: selects which bucket (shared
     /// acquisitions only conflict with exclusive holders).
-    pub(crate) last_mode: AcquireMode,
+    last_mode: AcquireMode,
 }
 
 impl IndexedChain {
-    pub(crate) fn single(idx: u32, index: &JoinIndex) -> Self {
+    fn single(idx: u32, index: &JoinIndex) -> Self {
         let i = idx as usize;
         let mut thread_bits = BitSet::zeroed(index.thread_bits());
         thread_bits.insert(index.thread_bit[i]);
@@ -142,9 +141,7 @@ impl IndexedChain {
     /// The Definition 2 + §2.2.3 filter for appending candidate `c`:
     /// dedup root is the minimum thread id, threads and acquired locks
     /// pairwise distinct, and the mode-aware disjoint-locksets check.
-    /// Shared between the sequential loop and the parallel workers so
-    /// the two joins cannot drift apart.
-    pub(crate) fn admits(&self, c: usize, index: &JoinIndex) -> bool {
+    fn admits(&self, c: usize, index: &JoinIndex) -> bool {
         let root = index.thread[self.deps[0] as usize];
         !(index.thread[c] <= root
             || self.thread_bits.contains(index.thread_bit[c])
@@ -153,7 +150,7 @@ impl IndexedChain {
             || index.lockset_excl[c].intersects(&self.lockset_union))
     }
 
-    pub(crate) fn extended(&self, idx: u32, index: &JoinIndex) -> IndexedChain {
+    fn extended(&self, idx: u32, index: &JoinIndex) -> IndexedChain {
         let i = idx as usize;
         let mut deps = self.deps.clone();
         deps.push(idx);
@@ -254,13 +251,13 @@ pub fn igoodlock_filtered(
 /// Relations smaller than this skip [`JoinIndex`] construction and run
 /// the brute-force join directly: with fewer than this many tuples the
 /// index costs more to build than the scan it avoids.
-pub(crate) const SMALL_RELATION_FAST_PATH: usize = 8;
+const SMALL_RELATION_FAST_PATH: usize = 8;
 
 /// The indexed join proper, with no size dispatch — what
 /// [`igoodlock_filtered`] runs above [`SMALL_RELATION_FAST_PATH`], kept
 /// directly callable so equivalence tests exercise the index even on
 /// tiny fixtures.
-pub(crate) fn igoodlock_indexed_filtered(
+fn igoodlock_indexed_filtered(
     relation: &LockDependencyRelation,
     hb: Option<&crate::hb::HbFilter>,
     options: &IGoodlockOptions,
@@ -1029,12 +1026,12 @@ mod tests {
 }
 
 #[cfg(test)]
-pub(crate) mod proptests {
+mod proptests {
     use super::*;
     use df_events::{Label, ThreadId};
     use proptest::prelude::*;
 
-    pub(crate) fn arb_relation() -> impl Strategy<Value = LockDependencyRelation> {
+    fn arb_relation() -> impl Strategy<Value = LockDependencyRelation> {
         prop::collection::vec(
             (
                 1..5u32,                              // thread
@@ -1070,7 +1067,7 @@ pub(crate) mod proptests {
 
     /// Relations mixing shared and exclusive acquisitions and holds —
     /// the vocabulary rwlock-using programs produce.
-    pub(crate) fn arb_mixed_relation() -> impl Strategy<Value = LockDependencyRelation> {
+    fn arb_mixed_relation() -> impl Strategy<Value = LockDependencyRelation> {
         use df_events::AcquireMode;
         prop::collection::vec(
             (

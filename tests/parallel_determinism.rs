@@ -152,64 +152,6 @@ fn ring_buffered_binary_spill_is_jobs_invariant() {
 }
 
 #[test]
-fn phase1_join_is_jobs_invariant_across_modes() {
-    // The Phase I parallel join matrix: phase1_jobs ∈ {1, 2, 4} ×
-    // {offline, streamed} × {hb off, hb on}, skipping streamed+hb
-    // (rejected by Config::validate — the filter needs the full trace).
-    // Within each mode, every jobs value must produce byte-identical
-    // cycle reports, identical join stats, identical trace bytes, and
-    // identical counters — except the two scheduling counters
-    // (join_tasks_executed / join_steal_waits), which measure how the
-    // work was chunked and legitimately vary with the worker count.
-    let run = |phase1_jobs: usize, stream: bool, hb: bool| {
-        let obs = df_obs::Obs::with_memory_sink();
-        let fuzzer = DeadlockFuzzer::from_ref(
-            df_benchmarks::dining_philosophers::program(12),
-            Config::default()
-                .with_phase1_seed(7)
-                .with_stream_phase1(stream)
-                .with_hb_filter(hb)
-                .with_phase1_jobs(phase1_jobs)
-                .with_obs(obs.clone()),
-        );
-        let report = fuzzer.phase1();
-        obs.flush();
-        let cycle_bytes = serde_json::to_string(&report.cycles).expect("cycles serialize");
-        let abstracts: Vec<String> = report
-            .abstract_cycles
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let mut counters = obs.counters().snapshot();
-        counters.join_tasks_executed = 0;
-        counters.join_steal_waits = 0;
-        (
-            cycle_bytes,
-            abstracts,
-            format!("{:?}", report.stats),
-            report.relation_size,
-            obs.trace_contents().expect("memory sink present"),
-            counters,
-        )
-    };
-    for (stream, hb) in [(false, false), (false, true), (true, false)] {
-        let base = run(1, stream, hb);
-        assert!(
-            base.3 >= 8,
-            "the workload must be large enough to exercise the indexed join: {}",
-            base.3
-        );
-        for jobs in [2, 4] {
-            assert_eq!(
-                base,
-                run(jobs, stream, hb),
-                "phase1_jobs={jobs} stream={stream} hb={hb}"
-            );
-        }
-    }
-}
-
-#[test]
 fn seed_driven_program_variation_is_jobs_invariant() {
     // The synchronized-maps model varies which worker is delayed from
     // trial to trial. That variation is derived from `TCtx::run_seed`
