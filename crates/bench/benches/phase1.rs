@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use df_bench::synthetic_join_relation;
-use df_igoodlock::{goodlock_dfs, igoodlock, naive_igoodlock, IGoodlockOptions};
+use df_igoodlock::oracle::naive_igoodlock;
+use df_igoodlock::{goodlock_dfs, igoodlock, IGoodlockOptions};
 
 fn bench_phase1(c: &mut Criterion) {
     let mut group = c.benchmark_group("igoodlock_join");

@@ -12,9 +12,9 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use df_events::{Label, ObjId, ThreadId};
+use df_igoodlock::oracle::naive_igoodlock_with_stats;
 use df_igoodlock::{
-    goodlock_dfs, igoodlock_with_stats, naive_igoodlock_with_stats, IGoodlockOptions, LockDep,
-    LockDependencyRelation,
+    goodlock_dfs, igoodlock_with_stats, IGoodlockOptions, LockDep, LockDependencyRelation,
 };
 use serde::Serialize;
 
@@ -90,6 +90,9 @@ pub struct IGoodlockBenchRow {
     pub workload: String,
     /// Deduplicated tuples in the relation.
     pub relation_size: usize,
+    /// Tuples in the relation's cyclic core — what the pipeline joins.
+    /// The timed joins of the row still run over the whole relation.
+    pub core_size: usize,
     /// Potential deadlock cycles found (identical across implementations).
     pub cycles: usize,
     /// Best-of-reps wall time of the naive join, milliseconds.
@@ -172,6 +175,7 @@ pub fn igoodlock_bench_row(
     Ok(IGoodlockBenchRow {
         workload: workload.to_string(),
         relation_size: relation.len(),
+        core_size: relation.cyclic_core().len(),
         cycles: indexed_cycles.len(),
         naive_ms,
         indexed_ms,
@@ -279,12 +283,17 @@ mod tests {
             assert!(row.indexed_candidates_examined <= row.naive_candidates_examined);
         }
         assert_eq!(rows[2].cycles, 4);
+        // Rings are one cycle; the synthetic noise is strictly ordered.
+        assert_eq!(rows[0].core_size, 4);
+        assert_eq!(rows[2].relation_size, 40);
+        assert_eq!(rows[2].core_size, 8);
     }
 
     fn timed_row(workload: &str, naive_ms: f64, indexed_ms: f64) -> IGoodlockBenchRow {
         IGoodlockBenchRow {
             workload: workload.to_string(),
             relation_size: 1,
+            core_size: 1,
             cycles: 1,
             naive_ms,
             indexed_ms,

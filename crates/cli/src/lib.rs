@@ -483,13 +483,15 @@ fn abstraction_of(variant: Variant) -> df_abstraction::AbstractionMode {
 }
 
 /// Offline iGoodlock over a decoded trace artifact, for [`cmd_analyze`].
+/// Like Phase I, it joins only the relation's cyclic core.
 /// With `--json` the output is the same pretty-printed abstract-cycle
 /// array [`cmd_phase1`] prints, so a recorded run can be diffed
 /// byte-for-byte against a live one.
 fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError> {
     let relation = LockDependencyRelation::from_trace(trace);
+    let core = relation.cyclic_core();
     let hb = opts.hb.then(|| HbFilter::from_trace(trace));
-    let (cycles, stats) = igoodlock_filtered(&relation, hb.as_ref(), &IGoodlockOptions::default());
+    let (cycles, stats) = igoodlock_filtered(&core, hb.as_ref(), &IGoodlockOptions::default());
     let abstractor = Abstractor::new(abstraction_of(opts.variant));
     let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
         .iter()
@@ -503,8 +505,9 @@ fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "offline analysis: {} dependency tuple(s), {} potential cycle(s){}",
+        "offline analysis: {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s){}",
         relation.len(),
+        core.len(),
         cycles.len(),
         if stats.pruned_by_hb > 0 {
             format!(" ({} pruned by happens-before)", stats.pruned_by_hb)
@@ -521,16 +524,19 @@ fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError
 /// Offline iGoodlock over a bare [`LockDependencyRelation`] (a
 /// `df-relation` artifact): no trace means no object table, so cycles
 /// are reported concretely rather than abstracted. With
-/// `--metrics-out`, the join's wall-clock span is recorded through
-/// [`df_obs::PhaseTimings`] and lands both as a `phase1_join` phase and
-/// as a `phase1_join_ms` extra gauge in the metrics document.
+/// `--metrics-out`, the join's wall-clock span (cyclic-core pass
+/// included) is recorded through [`df_obs::PhaseTimings`] and lands both
+/// as a `phase1_join` phase and as a `phase1_join_ms` extra gauge in the
+/// metrics document, next to the `igoodlock_core_size` gauge.
 fn analyze_relation(
     relation: &LockDependencyRelation,
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
     let timings = df_obs::PhaseTimings::new();
-    let (cycles, stats) = timings.time("phase1_join", || {
-        igoodlock_filtered(relation, None, &IGoodlockOptions::default())
+    let (core, (cycles, stats)) = timings.time("phase1_join", || {
+        let core = relation.cyclic_core();
+        let joined = igoodlock_filtered(&core, None, &IGoodlockOptions::default());
+        (core, joined)
     });
     let mut metrics = df_obs::Metrics::new("analyze-relation");
     metrics.counters.dependency_edges = relation.len() as u64;
@@ -543,6 +549,9 @@ fn analyze_relation(
             .extra
             .insert("phase1_join_ms".to_string(), span.micros as f64 / 1000.0);
     }
+    metrics
+        .extra
+        .insert("igoodlock_core_size".to_string(), core.len() as f64);
     write_metrics(opts, &metrics)?;
     if opts.json {
         return serde_json::to_string_pretty(&cycles)
@@ -552,8 +561,9 @@ fn analyze_relation(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "offline analysis (relation artifact): {} dependency tuple(s), {} potential cycle(s)",
+        "offline analysis (relation artifact): {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s)",
         relation.len(),
+        core.len(),
         cycles.len()
     );
     for (i, c) in cycles.iter().enumerate() {
@@ -1244,6 +1254,8 @@ mod tests {
             df_obs::Metrics::from_json(&std::fs::read_to_string(&metrics_path.0).unwrap()).unwrap();
         assert_eq!(metrics.program, "analyze-relation");
         assert!(metrics.extra.contains_key("phase1_join_ms"), "{metrics:?}");
+        assert_eq!(metrics.extra.get("igoodlock_core_size"), Some(&2.0));
+        assert!(out.text.contains("2 in the cyclic core"), "{}", out.text);
         assert!(
             metrics.phases.iter().any(|s| s.name == "phase1_join"),
             "{metrics:?}"

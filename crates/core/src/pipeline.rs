@@ -270,11 +270,14 @@ impl DeadlockFuzzer {
     }
 
     /// The part of Phase I both observation modes share: the iGoodlock
-    /// join over `relation`, abstraction, the optional feasibility
-    /// scores, the join counters, and the `phase1` span. `with_events`
-    /// says whether `result.trace` holds the event timeline that the
-    /// happens-before filter and the feasibility scorer read; without
-    /// it neither runs.
+    /// join over `relation`'s cyclic core, abstraction, the optional
+    /// feasibility scores, the join counters, and the `phase1` span.
+    /// `with_events` says whether `result.trace` holds the event
+    /// timeline that the happens-before filter and the feasibility
+    /// scorer read; without it neither runs. The core only drops tuples
+    /// no cycle can contain, so the cycles are those of the whole
+    /// relation; feasibility scoring and the relation-size figures still
+    /// see the whole relation.
     fn phase1_join(
         &self,
         start: Instant,
@@ -285,7 +288,8 @@ impl DeadlockFuzzer {
         let obs = self.config.obs();
         let hb =
             (with_events && self.config.hb_filter).then(|| HbFilter::from_trace(&result.trace));
-        let (cycles, stats) = igoodlock_filtered(&relation, hb.as_ref(), &self.config.igoodlock);
+        let core = relation.cyclic_core();
+        let (cycles, stats) = igoodlock_filtered(&core, hb.as_ref(), &self.config.igoodlock);
         let abstractor = Abstractor::new(self.config.mode);
         let abstract_cycles = cycles
             .iter()
@@ -311,6 +315,7 @@ impl DeadlockFuzzer {
             feasibility,
             stats,
             relation_size: relation.len(),
+            core_size: core.len(),
             acquires_observed: relation.raw_count,
             duration: start.elapsed(),
             run_outcome: result.outcome,

@@ -146,6 +146,10 @@ pub struct Phase1Report {
     pub stats: IGoodlockStats,
     /// Size of the (deduplicated) lock dependency relation.
     pub relation_size: usize,
+    /// Size of the relation's cyclic core — the tuples the iGoodlock
+    /// join ran over (see
+    /// [`df_igoodlock::LockDependencyRelation::cyclic_core`]).
+    pub core_size: usize,
     /// Number of first-acquisition events observed.
     pub acquires_observed: usize,
     /// Wall-clock time of the instrumented execution + analysis.
@@ -174,9 +178,10 @@ impl fmt::Display for Phase1Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "iGoodlock: {} potential deadlock cycle(s) from {} dependency tuple(s) in {:?}",
+            "iGoodlock: {} potential deadlock cycle(s) from {} dependency tuple(s), {} in the cyclic core, in {:?}",
             self.cycles.len(),
             self.relation_size,
+            self.core_size,
             self.duration
         )?;
         for (i, c) in self.abstract_cycles.iter().enumerate() {
@@ -421,6 +426,10 @@ impl Report {
         m.extra.insert(
             "relation_size".to_string(),
             self.phase1.relation_size as f64,
+        );
+        m.extra.insert(
+            "igoodlock_core_size".to_string(),
+            self.phase1.core_size as f64,
         );
         m.extra
             .insert("igoodlock_iterations".to_string(), stats.iterations as f64);

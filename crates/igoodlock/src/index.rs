@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1 is a relational self-join: each level extends every open
 //! chain with every compatible tuple of `D`. The brute-force form (kept
-//! as [`crate::naive_igoodlock`]) scans **all** of `D` per chain and
+//! as [`crate::oracle::naive_igoodlock`]) scans **all** of `D` per chain and
 //! re-checks Definition 2 with linear lockset scans. This module
 //! precomputes, once per `igoodlock` call:
 //!

@@ -9,7 +9,8 @@
 //!    holding the locks `L`, with `C` the acquisition-site labels of
 //!    `L ∪ {l}`.
 //! 2. [`igoodlock`] computes potential deadlock cycles by the iterative
-//!    relational join of Algorithm 1 — no lock graph, no DFS: `D_{k+1}` is
+//!    relational join of Algorithm 1 — the cycles are enumerated by the
+//!    join, not by a DFS over a lock graph: `D_{k+1}` is
 //!    built by extending every chain in `D_k` with every compatible tuple
 //!    of `D` (Definition 2), reporting chains that close (Definition 3)
 //!    and never extending a closed cycle (so no "complex" cycles are
@@ -18,8 +19,15 @@
 //!    The join is *indexed*: locks and threads are interned to dense
 //!    per-run ids, locksets are bitsets, and extension candidates come
 //!    from a per-lock bucket rather than a scan of the whole relation.
-//!    The brute-force join is kept as [`naive_igoodlock`] — a test
-//!    oracle with byte-identical output.
+//!    The brute-force join is kept as `oracle::naive_igoodlock` — a
+//!    hidden test oracle with byte-identical output.
+//!
+//! Between the two steps the pipeline narrows `D` to its
+//! [`LockDependencyRelation::cyclic_core`]: one strongly-connected-
+//! component pass over the held → acquired lock graph drops the tuples
+//! that no cycle can contain. That pass only removes tuples; Algorithm 1
+//! still enumerates every cycle, and reports the same ones over the core
+//! as over the whole relation.
 //!
 //! The reported [`Cycle`]s carry full context information; pair them with
 //! an [`df_abstraction::Abstractor`] via [`Cycle::abstract_with`] to
@@ -48,6 +56,8 @@ mod dfs;
 mod feasibility;
 mod hb;
 mod index;
+#[doc(hidden)]
+pub mod oracle;
 mod relation;
 
 pub use artifact::{
@@ -55,8 +65,7 @@ pub use artifact::{
 };
 pub use builder::RelationBuilder;
 pub use chains::{
-    igoodlock, igoodlock_filtered, igoodlock_with_stats, naive_igoodlock, naive_igoodlock_filtered,
-    naive_igoodlock_with_stats, IGoodlockOptions, IGoodlockStats,
+    igoodlock, igoodlock_filtered, igoodlock_with_stats, IGoodlockOptions, IGoodlockStats,
 };
 pub use cycle::{AbstractComponent, AbstractCycle, Cycle, CycleComponent};
 pub use dfs::{goodlock_dfs, GoodlockDfsStats};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use df_events::{AcquireMode, Label, ObjId, ThreadId, Trace};
+use df_events::{AcquireMode, DenseInterner, Label, ObjId, ThreadId, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Whether an acquisition in mode `acquire` is blocked by a hold in mode
@@ -308,6 +308,168 @@ impl LockDependencyRelation {
         ls.dedup();
         ls
     }
+
+    /// The relation's *cyclic core*: the tuples whose acquired lock lies
+    /// in one strongly connected component of the lock graph with at
+    /// least one of its held locks, in relation order.
+    ///
+    /// The lock graph has an edge from every held lock to the acquired
+    /// lock of every tuple. Definition 2(3) (`l_i ∈ L_{i+1}`) and
+    /// Definition 3 (`l_m ∈ L_1`) make every potential deadlock cycle a
+    /// cycle `l_1 → … → l_m → l_1` of that graph, so each of its
+    /// components has an edge inside one component of the graph; a tuple
+    /// with no such edge joins no cycle. Read-read holds contribute edges
+    /// too: a superset of edges only keeps more tuples. This is a
+    /// prefilter, not a cycle finder — Algorithm 1 over the core reports
+    /// exactly the cycles it reports over the whole relation, in the same
+    /// order, while building only chains that can still close.
+    ///
+    /// Each kept tuple keeps its [`DepTiming`], so [`Self::timing`] of
+    /// the core still feeds the happens-before filter; `raw_count` is
+    /// the observed run's and is carried over unchanged.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use df_igoodlock::{LockDep, LockDependencyRelation};
+    /// use df_events::{Label, ObjId, ThreadId};
+    ///
+    /// let dep = |t: u32, held: u32, lock: u32| {
+    ///     LockDep::exclusive(
+    ///         ThreadId::new(t),
+    ///         ObjId::new(t),
+    ///         vec![ObjId::new(held)],
+    ///         ObjId::new(lock),
+    ///         vec![Label::new("a:1"), Label::new("a:2")],
+    ///     )
+    /// };
+    /// // 10 → 11 → 10 is a cycle; 11 → 12 leads nowhere.
+    /// let rel =
+    ///     LockDependencyRelation::from_deps(vec![dep(1, 10, 11), dep(1, 11, 12), dep(2, 11, 10)]);
+    /// let core = rel.cyclic_core();
+    /// assert_eq!(core.len(), 2);
+    /// assert_eq!(core.deps()[1].lock, ObjId::new(10));
+    /// ```
+    pub fn cyclic_core(&self) -> LockDependencyRelation {
+        let mut locks: DenseInterner<ObjId> = DenseInterner::new();
+        let mut edges: Vec<Vec<u32>> = Vec::new();
+        for dep in &self.deps {
+            let to = locks.intern(dep.lock);
+            for &held in &dep.lockset {
+                let from = locks.intern(held) as usize;
+                edges.resize_with(locks.len(), Vec::new);
+                edges[from].push(to);
+            }
+        }
+        edges.resize_with(locks.len(), Vec::new);
+        let component = strongly_connected_components(&edges);
+        let component_of =
+            |lock: ObjId| component[locks.get(lock).expect("interned above") as usize];
+        let keep: Vec<usize> = (0..self.deps.len())
+            .filter(|&i| {
+                let dep = &self.deps[i];
+                let acquired = component_of(dep.lock);
+                dep.lockset
+                    .iter()
+                    .any(|&held| component_of(held) == acquired)
+            })
+            .collect();
+        LockDependencyRelation {
+            deps: keep.iter().map(|&i| self.deps[i].clone()).collect(),
+            timings: keep
+                .iter()
+                .filter_map(|&i| self.timings.get(i).copied())
+                .collect(),
+            raw_count: self.raw_count,
+        }
+    }
+}
+
+/// Tarjan's strongly connected components over the graph whose node `v`
+/// has out-edges `edges[v]`, run iteratively so that a deep lock graph
+/// cannot overflow the stack. Returns each node's component id; two
+/// nodes share an id iff each reaches the other.
+fn strongly_connected_components(edges: &[Vec<u32>]) -> Vec<u32> {
+    let mut tarjan = Tarjan {
+        order: vec![UNSEEN; edges.len()],
+        low: vec![0; edges.len()],
+        component: vec![UNSEEN; edges.len()],
+        stack: Vec::new(),
+        frames: Vec::new(),
+        next_order: 0,
+        next_component: 0,
+    };
+    for root in 0..edges.len() {
+        if tarjan.order[root] != UNSEEN {
+            continue;
+        }
+        tarjan.enter(root);
+        while let Some(frame) = tarjan.frames.last_mut() {
+            let v = frame.0;
+            if let Some(&w) = edges[v].get(frame.1) {
+                frame.1 += 1;
+                let w = w as usize;
+                if tarjan.order[w] == UNSEEN {
+                    tarjan.enter(w);
+                } else if tarjan.component[w] == UNSEEN {
+                    // Seen but not yet assigned: `w` is still on the stack.
+                    tarjan.low[v] = tarjan.low[v].min(tarjan.order[w]);
+                }
+            } else {
+                tarjan.leave(v);
+            }
+        }
+    }
+    tarjan.component
+}
+
+/// Marks a node not yet reached by [`strongly_connected_components`].
+const UNSEEN: u32 = u32::MAX;
+
+/// The state of one [`strongly_connected_components`] run.
+struct Tarjan {
+    /// Discovery order of each node (`UNSEEN` before it is reached).
+    order: Vec<u32>,
+    /// Smallest discovery order reachable from the node's DFS subtree
+    /// through at most one edge back into the stack.
+    low: Vec<u32>,
+    /// Component id of each node (`UNSEEN` while it is on the stack).
+    component: Vec<u32>,
+    /// Nodes reached but not yet assigned a component.
+    stack: Vec<usize>,
+    /// The simulated call stack: a node and the index of its next edge.
+    frames: Vec<(usize, usize)>,
+    next_order: u32,
+    next_component: u32,
+}
+
+impl Tarjan {
+    fn enter(&mut self, v: usize) {
+        self.order[v] = self.next_order;
+        self.low[v] = self.next_order;
+        self.next_order += 1;
+        self.stack.push(v);
+        self.frames.push((v, 0));
+    }
+
+    /// Returns from `v`'s frame once its edges are exhausted, closing a
+    /// component if `v` is its root.
+    fn leave(&mut self, v: usize) {
+        self.frames.pop();
+        if let Some(&(parent, _)) = self.frames.last() {
+            self.low[parent] = self.low[parent].min(self.low[v]);
+        }
+        if self.low[v] == self.order[v] {
+            loop {
+                let w = self.stack.pop().expect("a component root is on the stack");
+                self.component[w] = self.next_component;
+                if w == v {
+                    break;
+                }
+            }
+            self.next_component += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +619,95 @@ mod tests {
         assert!(!back.hold_blocks(ObjId::new(6), AcquireMode::Shared));
         assert!(back.hold_blocks(ObjId::new(4), AcquireMode::Shared));
         assert!(back.hold_blocks(ObjId::new(6), AcquireMode::Exclusive));
+    }
+
+    fn dep(t: u32, held: &[u32], lock: u32) -> LockDep {
+        LockDep::exclusive(
+            ThreadId::new(t),
+            ObjId::new(t),
+            held.iter().map(|&h| ObjId::new(h)).collect(),
+            ObjId::new(lock),
+            (0..=held.len())
+                .map(|i| l(&format!("core:{t}:{i}")))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn consistently_ordered_relation_has_an_empty_core() {
+        // Every thread nests in ascending lock order: the lock graph is a
+        // DAG, so no tuple can join a cycle.
+        let rel = LockDependencyRelation::from_deps(vec![
+            dep(1, &[1], 2),
+            dep(1, &[1, 2], 3),
+            dep(2, &[2], 3),
+            dep(3, &[1], 3),
+        ]);
+        let core = rel.cyclic_core();
+        assert!(core.is_empty(), "{core:?}");
+        assert_eq!(core.raw_count, rel.raw_count);
+    }
+
+    #[test]
+    fn core_keeps_cycle_tuples_in_relation_order() {
+        // 1 -> 2 -> 3 -> 1 is a cycle; 3 -> 4 and 5 -> 1 hang off it.
+        let rel = LockDependencyRelation::from_deps(vec![
+            dep(1, &[1], 2),
+            dep(2, &[3], 4),
+            dep(2, &[2], 3),
+            dep(3, &[5], 1),
+            dep(3, &[5, 3], 1),
+        ]);
+        let core = rel.cyclic_core();
+        assert_eq!(
+            core.deps(),
+            &[
+                rel.deps()[0].clone(),
+                rel.deps()[2].clone(),
+                rel.deps()[4].clone()
+            ]
+        );
+    }
+
+    #[test]
+    fn read_read_only_inversion_keeps_its_tuples() {
+        // The inversion closes only through shared holds; the join will
+        // report no cycle, but the core keeps every edge and so both
+        // tuples.
+        let mut a = dep(1, &[1], 2);
+        let mut b = dep(2, &[2], 1);
+        for dep in [&mut a, &mut b] {
+            dep.mode = AcquireMode::Shared;
+            dep.hold_modes = vec![AcquireMode::Shared];
+        }
+        let rel = LockDependencyRelation::from_deps(vec![a, b]);
+        assert_eq!(rel.cyclic_core(), rel);
+    }
+
+    #[test]
+    fn core_of_bare_tuples_has_no_timings() {
+        let rel = LockDependencyRelation::from_deps(vec![dep(1, &[1], 2), dep(2, &[2], 1)]);
+        let core = rel.cyclic_core();
+        assert_eq!(core.len(), 2);
+        assert_eq!(core.timing(0), None);
+    }
+
+    #[test]
+    fn core_of_a_trace_keeps_timings_parallel() {
+        let rel = LockDependencyRelation::from_trace(&opposite_order_trace());
+        let core = rel.cyclic_core();
+        assert_eq!(core, rel);
+        assert!(core.timing(1).is_some());
+    }
+
+    #[test]
+    fn deep_lock_graphs_do_not_recurse() {
+        // One 100k-lock ring: a recursive Tarjan would overflow the
+        // test thread's stack.
+        let n = 100_000u32;
+        let deps = (0..n).map(|i| dep(1, &[i], (i + 1) % n)).collect();
+        let rel = LockDependencyRelation::from_deps(deps);
+        assert_eq!(rel.cyclic_core().len(), n as usize);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! randomized relations and under every truncation option, the two must
 //! produce **byte-identical** cycle reports (same cycles, same component
 //! order, same serialization) and an identical join shape
-//! (`chains_built`, `chains_per_iteration`, `truncated`).
+//! (`chains_built`, `chains_per_iteration`, `truncated`). The indexed
+//! join over the relation's cyclic core must report the same cycles as
+//! the oracle over the whole relation.
 
 use df_events::{AcquireMode, Label, ObjId, ThreadId};
-use df_igoodlock::{
-    igoodlock_with_stats, naive_igoodlock_with_stats, IGoodlockOptions, LockDep,
-    LockDependencyRelation,
-};
+use df_igoodlock::oracle::naive_igoodlock_with_stats;
+use df_igoodlock::{igoodlock_with_stats, IGoodlockOptions, LockDep, LockDependencyRelation};
 use proptest::prelude::*;
 
 /// Random relations with enough thread/lock collisions to exercise every
@@ -107,5 +107,41 @@ proptest! {
         let (_, is) = igoodlock_with_stats(&rel, &IGoodlockOptions::default());
         let (_, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
         prop_assert!(is.join_candidates_examined <= ns.join_candidates_examined);
+    }
+
+    /// The cyclic-core prefilter drops only tuples no cycle can use: the
+    /// indexed join over `cyclic_core(D)` reports byte-identical cycles
+    /// to the naive join over all of `D`, in no more chains, whenever
+    /// the naive join was not cut short by `max_open_chains`. A cut
+    /// naive join reports a prefix of what the core join reports, which
+    /// in turn is a prefix of what an unbounded naive join reports: the
+    /// core's levels hold a subset of the naive join's open chains, so
+    /// it hits the bound no sooner. `truncated` is compared one way
+    /// only: under `max_cycle_length` the naive join also flags chains
+    /// left open that could never close, which the core no longer has.
+    #[test]
+    fn core_join_is_byte_identical_to_naive_over_full(rel in arb_relation()) {
+        let core = rel.cyclic_core();
+        prop_assert!(core.len() <= rel.len());
+        let json = |cycles: &[df_igoodlock::Cycle]| serde_json::to_string(cycles).expect("serialize");
+        for options in option_matrix() {
+            let unbounded = IGoodlockOptions {
+                max_open_chains: usize::MAX,
+                ..options.clone()
+            };
+            let (nc, ns) = naive_igoodlock_with_stats(&rel, &options);
+            let (uc, us) = naive_igoodlock_with_stats(&rel, &unbounded);
+            let (cc, cs) = igoodlock_with_stats(&core, &options);
+            prop_assert!(cs.chains_built <= us.chains_built);
+            if json(&nc) == json(&uc) && ns == us {
+                prop_assert_eq!(json(&cc), json(&nc));
+                prop_assert!(cs.chains_built <= ns.chains_built);
+                prop_assert!(ns.truncated || !cs.truncated);
+            } else {
+                prop_assert!(nc.len() <= cc.len() && cc.len() <= uc.len());
+                prop_assert_eq!(json(&cc[..nc.len()]), json(&nc));
+                prop_assert_eq!(json(&uc[..cc.len()]), json(&cc));
+            }
+        }
     }
 }
