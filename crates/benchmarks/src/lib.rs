@@ -47,7 +47,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod account;
 pub mod buffer;
 pub mod cache4j;
 pub mod dbcp;

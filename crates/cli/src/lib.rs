@@ -139,7 +139,7 @@ pub fn report_exit_code(report: &Report) -> i32 {
 }
 
 /// Names accepted by [`resolve_program`].
-pub const BENCHMARKS: [&str; 19] = [
+pub const BENCHMARKS: [&str; 18] = [
     "figure1",
     "figure1-three-threads",
     "dining-philosophers",
@@ -155,7 +155,6 @@ pub const BENCHMARKS: [&str; 19] = [
     "lists",
     "maps",
     "buffer",
-    "account",
     "producer-consumer",
     "read-mostly-cache",
     "writer-starvation",
@@ -184,7 +183,6 @@ pub fn resolve_program(name: &str) -> Result<ProgramRef, CliError> {
         "lists" => df_benchmarks::lists::program(),
         "maps" => df_benchmarks::maps::program(),
         "buffer" => df_benchmarks::buffer::program(),
-        "account" => df_benchmarks::account::program(),
         "producer-consumer" => df_benchmarks::producer_consumer::program(),
         "read-mostly-cache" => df_benchmarks::read_mostly_cache::program(),
         "writer-starvation" => df_benchmarks::writer_starvation::program(3),
@@ -734,53 +732,6 @@ pub fn cmd_run(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
         code: report_exit_code(&report),
         text: format!("{report}"),
     })
-}
-
-/// `dfz races <benchmark>` — the RaceFuzzer sibling: predict data races
-/// by lockset analysis, then confirm each with the active race
-/// scheduler.
-pub fn cmd_races(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    use df_fuzzer::{predict_races, RaceStrategy, SimpleRandomChecker};
-    use df_runtime::{RunConfig, VirtualRuntime};
-
-    let program = resolve_program(name)?;
-    let rt = VirtualRuntime::new(RunConfig::default());
-    let p = program.clone();
-    let observed = rt.run(
-        Box::new(SimpleRandomChecker::with_seed(opts.seed)),
-        move |ctx| p.run(ctx),
-    );
-    let candidates = predict_races(&observed.trace);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "lockset analysis predicts {} potential race(s)",
-        candidates.len()
-    );
-    for (i, c) in candidates.iter().enumerate() {
-        let mut hits = 0;
-        for seed in 0..opts.trials as u64 {
-            let (strategy, witness) = RaceStrategy::new(c.clone(), seed);
-            let p = program.clone();
-            let _ = rt.run(Box::new(strategy), move |ctx| p.run(ctx));
-            let got = witness.lock().take();
-            if got.is_some() {
-                hits += 1;
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  race {}: {} — {c} ({hits}/{} biased runs)",
-            i + 1,
-            if hits > 0 {
-                "CONFIRMED"
-            } else {
-                "not reproduced"
-            },
-            opts.trials
-        );
-    }
-    Ok(CmdOutput::ok(out))
 }
 
 /// `dfz list` — the benchmark names.

@@ -13,7 +13,6 @@
 //! dfz run     <benchmark> [--trials N] [--variant V] [--hb] [--jobs N]
 //!             [--feasibility] [--adaptive] [--trial-budget N]
 //!             [--metrics-out F] [--trace-out F] [--fault-panic P] [--fault-seed N]
-//! dfz races   <benchmark> [--trials N] [--seed N]  # the RaceFuzzer checker
 //! ```
 //!
 //! `analyze` accepts any recorded artifact: a `df-trace` binary v2
@@ -25,13 +24,13 @@
 //! observability one-liner.
 
 use df_cli::{
-    cmd_analyze, cmd_confirm, cmd_list, cmd_phase1, cmd_races, cmd_record, cmd_run,
-    resolve_variant, CliError, CliOptions, CmdOutput,
+    cmd_analyze, cmd_confirm, cmd_list, cmd_phase1, cmd_record, cmd_run, resolve_variant, CliError,
+    CliOptions, CmdOutput,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dfz <list | phase1 | record | analyze | confirm | run | races> [args]\n\
+        "usage: dfz <list | phase1 | record | analyze | confirm | run> [args]\n\
          a leading flag implies `run` (e.g. dfz --benchmark figure1 --metrics-out m.json)\n\
          parallelism: --jobs <n> (0 = one worker per core, 1 = sequential;\n\
          \x20    drives the Phase II trial workers of confirm and run)\n\
@@ -201,10 +200,6 @@ fn main() {
         },
         "run" => match positional.first() {
             Some(name) => cmd_run(name, &opts),
-            None => usage(),
-        },
-        "races" => match positional.first() {
-            Some(name) => cmd_races(name, &opts),
             None => usage(),
         },
         _ => usage(),

@@ -84,6 +84,26 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn retired_event_vocabulary_is_rejected_with_a_position() {
+    // Artifacts recorded before shared-variable accesses and atomic
+    // blocks left the event vocabulary: rejected, never skipped.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    for (file, position) in [
+        ("retired_access.jsonl", "line 11"),
+        ("retired_access.bin", "frame 12"),
+    ] {
+        let path = format!("{golden}/{file}");
+        let out = dfz(&["analyze", &path]);
+        assert_eq!(out.status.code(), Some(2), "{file}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(file), "{stderr}");
+        assert!(stderr.contains(position), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    assert_eq!(dfz(&["races", "account"]).status.code(), Some(2));
+}
+
+#[test]
 fn unknown_names_are_usage_errors_not_internal() {
     let out = dfz(&["run", "no-such-benchmark"]);
     assert_eq!(out.status.code(), Some(2));

@@ -79,9 +79,9 @@ mod kind {
     pub const UNBLOCKED: u8 = 13;
     pub const YIELD: u8 = 14;
     pub const WORK: u8 = 15;
-    pub const ACCESS: u8 = 16;
-    pub const ATOMIC_BEGIN: u8 = 17;
-    pub const ATOMIC_END: u8 = 18;
+    // Tags 16-18 are retired (they encoded shared-variable accesses and
+    // atomic-block markers) and must never be reused: an old artifact
+    // carrying them must keep failing with "unknown event kind tag".
     pub const WAIT: u8 = 19;
     pub const NOTIFY: u8 = 20;
     // Tags 21+ require a version-3 header; a v2 artifact containing them
@@ -281,26 +281,6 @@ impl BinaryEncoder {
                 p.push(kind::WORK);
                 put_varint(&mut p, u64::from(*units));
             }
-            EventKind::Access {
-                var,
-                site,
-                write,
-                held,
-            } => {
-                p.push(kind::ACCESS);
-                put_varint(&mut p, u64::from(var.as_u32()));
-                put_varint(&mut p, u64::from(self.label_id(*site, out)));
-                p.push(u8::from(*write));
-                put_varint(&mut p, held.len() as u64);
-                for h in held {
-                    put_varint(&mut p, u64::from(h.as_u32()));
-                }
-            }
-            EventKind::AtomicBegin { site } => {
-                p.push(kind::ATOMIC_BEGIN);
-                put_varint(&mut p, u64::from(self.label_id(*site, out)));
-            }
-            EventKind::AtomicEnd => p.push(kind::ATOMIC_END),
             EventKind::Wait { lock, site } => {
                 p.push(kind::WAIT);
                 put_varint(&mut p, u64::from(lock.as_u32()));
@@ -364,7 +344,7 @@ impl BinaryEncoder {
                 ObjKind::Lock => 0,
                 ObjKind::Thread => 1,
                 ObjKind::Plain => 2,
-                ObjKind::Var => 3,
+                // Byte 3 is retired (shared variables); never reuse it.
             });
             put_varint(&mut p, u64::from(self.label_id(meta.site, out)));
             match meta.owner {
@@ -778,30 +758,6 @@ fn read_kind(
         kind::WORK => EventKind::Work {
             units: f.varint_u32()?,
         },
-        kind::ACCESS => {
-            let var = f.obj_id()?;
-            let site = f.str_ref(strings)?;
-            let write = match f.byte()? {
-                0 => false,
-                1 => true,
-                b => return Err(f.bad(format!("bad bool byte {b}"))),
-            };
-            let held_len = f.varint()? as usize;
-            let mut held = Vec::with_capacity(held_len.min(1024));
-            for _ in 0..held_len {
-                held.push(f.obj_id()?);
-            }
-            EventKind::Access {
-                var,
-                site,
-                write,
-                held,
-            }
-        }
-        kind::ATOMIC_BEGIN => EventKind::AtomicBegin {
-            site: f.str_ref(strings)?,
-        },
-        kind::ATOMIC_END => EventKind::AtomicEnd,
         kind::WAIT => EventKind::Wait {
             lock: f.obj_id()?,
             site: f.str_ref(strings)?,
@@ -863,7 +819,6 @@ fn read_footer(
             0 => ObjKind::Lock,
             1 => ObjKind::Thread,
             2 => ObjKind::Plain,
-            3 => ObjKind::Var,
             b => return Err(f.bad(format!("unknown object kind byte {b}"))),
         };
         let site = f.str_ref(strings)?;
@@ -991,32 +946,21 @@ mod tests {
             .create(ObjKind::Lock, Label::new("k:1"), None, vec![]);
         let var = trace
             .objects_mut()
-            .create(ObjKind::Var, Label::new("k:2"), None, vec![]);
+            .create(ObjKind::Plain, Label::new("k:2"), None, vec![]);
+        let outer = trace
+            .objects_mut()
+            .create(ObjKind::Lock, Label::new("k:17"), None, vec![]);
         let l = |s: &str| Label::new(s);
         for kind in [
             EventKind::ThreadStart,
             EventKind::Call { site: l("k:3") },
             EventKind::New { obj: var },
-            EventKind::acquire(lk, l("k:4"), vec![], vec![l("k:4")]),
+            EventKind::acquire(lk, l("k:4"), vec![outer], vec![l("k:17"), l("k:4")]),
             EventKind::reacquire(lk, l("k:5")),
             EventKind::rerelease(lk, l("k:6")),
-            EventKind::Access {
-                var,
-                site: l("k:7"),
-                write: true,
-                held: vec![lk],
-            },
-            EventKind::Access {
-                var,
-                site: l("k:7"),
-                write: false,
-                held: vec![],
-            },
             EventKind::wait(lk, l("k:8")),
             EventKind::notify(lk, l("k:9"), false),
             EventKind::notify(lk, l("k:9"), true),
-            EventKind::AtomicBegin { site: l("k:10") },
-            EventKind::AtomicEnd,
             EventKind::release(lk, l("k:11")),
             EventKind::Spawn {
                 child: ThreadId::new(1),

@@ -168,26 +168,6 @@ pub enum EventKind {
         /// Abstract cost units.
         units: u32,
     },
-    /// A shared-variable access (for the race-detection checker): `var`
-    /// was read or written at `site` while holding `held`.
-    Access {
-        /// The accessed variable.
-        var: ObjId,
-        /// Access site.
-        site: Label,
-        /// `true` for a write.
-        write: bool,
-        /// Locks held at the access, outermost first.
-        held: Vec<ObjId>,
-    },
-    /// Entry into a block the programmer intends to be atomic (for the
-    /// atomicity-violation checker).
-    AtomicBegin {
-        /// Block label.
-        site: Label,
-    },
-    /// Exit from an atomic block.
-    AtomicEnd,
     /// The thread began waiting on a monitor (releasing it), Java
     /// `Object.wait()` style.
     Wait {
@@ -494,26 +474,7 @@ impl Serialize for EventKind {
             EventKind::Work { units } => {
                 variant!(14, "Work", None::<&AcquireMode>, [("units", units)])
             }
-            EventKind::Access {
-                var,
-                site,
-                write,
-                held,
-            } => variant!(
-                15,
-                "Access",
-                None::<&AcquireMode>,
-                [
-                    ("var", var),
-                    ("site", site),
-                    ("write", write),
-                    ("held", held),
-                ]
-            ),
-            EventKind::AtomicBegin { site } => {
-                variant!(16, "AtomicBegin", None::<&AcquireMode>, [("site", site)])
-            }
-            EventKind::AtomicEnd => serializer.serialize_unit_variant(NAME, 17, "AtomicEnd"),
+            // Indices 15-17 are retired; the others keep their numbers.
             EventKind::Wait { lock, site } => variant!(
                 18,
                 "Wait",
@@ -677,27 +638,6 @@ impl<'de> Deserialize<'de> for EventKind {
                         units: sp::field(&mut entries, "units")?,
                     })
                 }
-                "Access" => {
-                    let content = sp::expect_content(content, "Access")?;
-                    let mut entries = sp::expect_obj(content, "EventKind::Access")?;
-                    Ok(EventKind::Access {
-                        var: sp::field(&mut entries, "var")?,
-                        site: sp::field(&mut entries, "site")?,
-                        write: sp::field(&mut entries, "write")?,
-                        held: sp::field(&mut entries, "held")?,
-                    })
-                }
-                "AtomicBegin" => {
-                    let content = sp::expect_content(content, "AtomicBegin")?;
-                    let mut entries = sp::expect_obj(content, "EventKind::AtomicBegin")?;
-                    Ok(EventKind::AtomicBegin {
-                        site: sp::field(&mut entries, "site")?,
-                    })
-                }
-                "AtomicEnd" => {
-                    sp::expect_no_content(content, "AtomicEnd")?;
-                    Ok(EventKind::AtomicEnd)
-                }
                 "Wait" => {
                     let content = sp::expect_content(content, "Wait")?;
                     let mut entries = sp::expect_obj(content, "EventKind::Wait")?;
@@ -795,18 +735,6 @@ impl fmt::Display for Event {
             EventKind::Unblocked { lock } => write!(f, "unblocked from {lock}"),
             EventKind::Yield => write!(f, "yield"),
             EventKind::Work { units } => write!(f, "work {units}"),
-            EventKind::Access {
-                var,
-                site,
-                write,
-                held,
-            } => write!(
-                f,
-                "{} {var} at {site} holding {held:?}",
-                if *write { "write" } else { "read" }
-            ),
-            EventKind::AtomicBegin { site } => write!(f, "atomic-begin at {site}"),
-            EventKind::AtomicEnd => write!(f, "atomic-end"),
             EventKind::Wait { lock, site } => write!(f, "wait on {lock} at {site}"),
             EventKind::Notify { lock, site, all } => {
                 write!(

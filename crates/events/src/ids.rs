@@ -106,9 +106,6 @@ pub enum ObjKind {
     /// Any other heap object (tracked for k-object-sensitive abstraction
     /// chains).
     Plain,
-    /// A shared variable (the target of `Read`/`Write` accesses, for the
-    /// race-detection side of the active-testing framework).
-    Var,
 }
 
 impl fmt::Display for ObjKind {
@@ -117,7 +114,6 @@ impl fmt::Display for ObjKind {
             ObjKind::Lock => f.write_str("lock"),
             ObjKind::Thread => f.write_str("thread"),
             ObjKind::Plain => f.write_str("object"),
-            ObjKind::Var => f.write_str("var"),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The active-testing framework (CalFuzzer): biased random schedulers
-//! that *confirm* predicted concurrency bugs by creating them.
+//! that *confirm* predicted deadlocks by creating them.
 //!
 //! The paper situates DeadlockFuzzer inside an extensible active-testing
 //! framework (§5.1, §6); this crate mirrors that structure. The deadlock
-//! checker (paper §2.3 and §4) is the centerpiece; the [`race`] module is
-//! the RaceFuzzer sibling, and [`explore`] is the systematic
-//! (model-checking-style) baseline the introduction argues against.
+//! checker (paper §2.3 and §4) is the centerpiece, and [`explore`] is the
+//! systematic (model-checking-style) baseline the introduction argues
+//! against.
 //!
 //! Deadlock-checking [`df_runtime::Strategy`] implementations:
 //!
@@ -44,15 +44,11 @@
 #![deny(unsafe_code)]
 
 mod active;
-pub mod atom;
 mod check;
 mod explore;
-pub mod race;
 mod simple;
 
 pub use active::{ActiveConfig, ActiveStrategy};
-pub use atom::{predict_atomicity_violations, AtomCandidate, AtomStrategy, AtomWitness};
 pub use check::check_real_deadlock;
 pub use explore::{explore, DirectedStrategy, ExploreOptions, ExploreResult, ScheduleRecord};
-pub use race::{predict_races, RaceCandidate, RaceStrategy, RaceWitness};
 pub use simple::SimpleRandomChecker;

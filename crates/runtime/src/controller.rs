@@ -753,28 +753,6 @@ impl Controller {
                 ts.context_stack.push(site);
                 Ok(OpOutcome::Unit)
             }
-            PendingOp::AtomicBegin { site } => {
-                self.record(inner, me, EventKind::AtomicBegin { site });
-                Ok(OpOutcome::Unit)
-            }
-            PendingOp::AtomicEnd => {
-                self.record(inner, me, EventKind::AtomicEnd);
-                Ok(OpOutcome::Unit)
-            }
-            PendingOp::Access { var, site, write } => {
-                let held = inner.g.thread(me).lock_stack.clone();
-                self.record(
-                    inner,
-                    me,
-                    EventKind::Access {
-                        var,
-                        site,
-                        write,
-                        held,
-                    },
-                );
-                Ok(OpOutcome::Unit)
-            }
             PendingOp::Notify { lock, site, all } => {
                 let state = inner.g.locks.entry(lock).or_default();
                 if state.owner != Some(me) {

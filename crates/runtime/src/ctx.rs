@@ -41,22 +41,6 @@ impl ObjRef {
     }
 }
 
-/// A handle to a shared variable — the unit the race checker tracks.
-///
-/// Like [`LockRef`], a `VarRef` is a pure synchronization-structure
-/// handle: store the actual data in a [`Shared`] next to it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct VarRef {
-    id: ObjId,
-}
-
-impl VarRef {
-    /// The variable's dynamic object id.
-    pub fn id(&self) -> ObjId {
-        self.id
-    }
-}
-
 /// A handle to a virtual condition variable.
 ///
 /// A condvar has its own wait set, distinct from any lock's monitor wait
@@ -167,64 +151,6 @@ impl TCtx {
             OpOutcome::Created(id) => ObjRef { id },
             _ => unreachable!("New returns Created"),
         }
-    }
-
-    /// Creates a new shared variable at `site` (for the race checker).
-    pub fn new_var(&self, site: Label) -> VarRef {
-        match unwrap_or_abort(self.ctl.op(
-            self.me,
-            PendingOp::New {
-                site,
-                kind: ObjKind::Var,
-            },
-        )) {
-            OpOutcome::Created(id) => VarRef { id },
-            _ => unreachable!("New returns Created"),
-        }
-    }
-
-    /// Records a read of `var` at `site` (a schedule point).
-    pub fn read(&self, var: &VarRef, site: Label) {
-        unwrap_or_abort(self.ctl.op(
-            self.me,
-            PendingOp::Access {
-                var: var.id,
-                site,
-                write: false,
-            },
-        ));
-    }
-
-    /// Records a write of `var` at `site` (a schedule point).
-    pub fn write(&self, var: &VarRef, site: Label) {
-        unwrap_or_abort(self.ctl.op(
-            self.me,
-            PendingOp::Access {
-                var: var.id,
-                site,
-                write: true,
-            },
-        ));
-    }
-
-    /// Marks the start of a block the programmer intends to execute
-    /// atomically (for the atomicity-violation checker). Purely an
-    /// annotation: it does not synchronize anything.
-    pub fn atomic_begin(&self, site: Label) {
-        unwrap_or_abort(self.ctl.op(self.me, PendingOp::AtomicBegin { site }));
-    }
-
-    /// Marks the end of the current intended-atomic block.
-    pub fn atomic_end(&self) {
-        unwrap_or_abort(self.ctl.op(self.me, PendingOp::AtomicEnd));
-    }
-
-    /// Runs `f` inside an intended-atomic block annotation.
-    pub fn atomic<R>(&self, site: Label, f: impl FnOnce() -> R) -> R {
-        self.atomic_begin(site);
-        let r = f();
-        self.atomic_end();
-        r
     }
 
     /// Acquires `lock` exclusively at `site`, blocking (in virtual time)

@@ -56,7 +56,7 @@ mod view;
 mod waitfor;
 
 pub use config::RunConfig;
-pub use ctx::{CondvarRef, LockGuard, LockRef, ObjRef, Shared, TCtx, ThreadRef, VarRef};
+pub use ctx::{CondvarRef, LockGuard, LockRef, ObjRef, Shared, TCtx, ThreadRef};
 pub use fault::{FaultLog, FaultPlan};
 pub use pending::PendingOp;
 pub use result::{DeadlockWitness, Detector, Outcome, RunResult, WitnessComponent};

@@ -134,22 +134,6 @@ pub enum PendingOp {
         /// `true` for `notifyAll`.
         all: bool,
     },
-    /// About to access a shared variable (read or write).
-    Access {
-        /// The variable.
-        var: ObjId,
-        /// Access site.
-        site: Label,
-        /// `true` for a write.
-        write: bool,
-    },
-    /// About to enter an intended-atomic block.
-    AtomicBegin {
-        /// Block label.
-        site: Label,
-    },
-    /// About to leave the current atomic block.
-    AtomicEnd,
     /// About to exit.
     Exit,
 }

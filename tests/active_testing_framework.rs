@@ -1,34 +1,28 @@
-//! Capstone integration test: one program, two bug classes, one
-//! framework. A program containing both a lock-order deadlock and a data
-//! race is analyzed by both checkers — each predicts and then *creates*
-//! its bug, confirming the paper's framing of DeadlockFuzzer as one
-//! instance of a general active-testing recipe.
+//! Capstone integration test: the active-testing recipe end to end. A
+//! service with a lock-order inversion buried among other schedule
+//! points is analyzed by iGoodlock, and the biased scheduler then
+//! *creates* the predicted deadlock, confirming the paper's framing of
+//! DeadlockFuzzer as predict-then-create.
 
 use deadlock_fuzzer::prelude::*;
-use df_fuzzer::{predict_races, RaceStrategy, SimpleRandomChecker};
-use df_runtime::VirtualRuntime;
 
 fn label(s: &str) -> Label {
     Label::new(s)
 }
 
-/// A job queue whose workers (a) take the queue and stats locks in
-/// opposite orders — a deadlock — and (b) bump an unguarded counter — a
-/// race.
+/// A job queue whose workers take the queue and stats locks in opposite
+/// orders — a deadlock.
 fn buggy_service(ctx: &TCtx) {
     let queue_lock = ctx.new_lock(label("Service.queueLock"));
     let stats_lock = ctx.new_lock(label("Service.statsLock"));
-    let processed = ctx.new_var(label("Service.processedCount"));
+    ctx.work(1);
 
     let submitter = ctx.spawn(label("Service.startSubmitter"), "submitter", move |ctx| {
         ctx.work(6);
         // submit(): queue → stats.
         let gq = ctx.lock(&queue_lock, label("Service.submit: queue"));
         let gs = ctx.lock(&stats_lock, label("Service.submit: stats"));
-        ctx.write(
-            &processed,
-            label("Service.submit: bump (unguarded by contract)"),
-        );
+        ctx.work(1);
         drop(gs);
         drop(gq);
     });
@@ -39,8 +33,7 @@ fn buggy_service(ctx: &TCtx) {
         drop(gq);
         drop(gs);
         ctx.work(4);
-        // Racy read of the counter, outside any lock.
-        ctx.read(&processed, label("Service.report: racy read"));
+        ctx.work(1);
     });
     ctx.join(&submitter, label("Service.join"));
     ctx.join(&reporter, label("Service.join"));
@@ -56,41 +49,4 @@ fn deadlock_checker_confirms_the_inversion() {
     assert_eq!(report.potential_count(), 1, "the queue/stats inversion");
     assert_eq!(report.confirmed_count(), 1);
     assert_eq!(report.confirmations[0].probability.matched, 8);
-}
-
-#[test]
-fn race_checker_confirms_the_unguarded_counter() {
-    let rt = VirtualRuntime::new(RunConfig::default());
-    let observed = rt.run(Box::new(SimpleRandomChecker::with_seed(2)), buggy_service);
-    let candidates = predict_races(&observed.trace);
-    // The submit-side write holds both locks; the report-side read holds
-    // none → disjoint locksets → exactly one candidate.
-    assert_eq!(candidates.len(), 1, "{candidates:?}");
-    let mut confirmed = 0;
-    for seed in 0..6 {
-        let (strategy, witness) = RaceStrategy::new(candidates[0].clone(), seed);
-        let _ = rt.run(Box::new(strategy), buggy_service);
-        let got = witness.lock().take();
-        if got.is_some() {
-            confirmed += 1;
-        }
-    }
-    assert!(confirmed >= 5, "race confirms nearly always: {confirmed}/6");
-}
-
-#[test]
-fn the_two_checkers_report_disjoint_bugs() {
-    // The race is invisible to iGoodlock (no lock cycle) and the deadlock
-    // is invisible to the lockset analysis (no conflicting access pair) —
-    // each checker sees exactly its own bug class.
-    let rt = VirtualRuntime::new(RunConfig::default());
-    let observed = rt.run(Box::new(SimpleRandomChecker::with_seed(2)), buggy_service);
-    let races = predict_races(&observed.trace);
-    for c in &races {
-        let t = c.to_string();
-        assert!(
-            t.contains("processedCount") || t.contains("bump") || t.contains("racy read"),
-            "race candidates only concern the counter: {t}"
-        );
-    }
 }
