@@ -16,7 +16,7 @@ use crate::tracker::{self, Tracker, TrackerInner};
 ///
 /// * the `CondWait` event marks the communication edge (condvar, lock,
 ///   site) for `dfz analyze`;
-/// * the registry drops the write hold *before* parking, so a producer
+/// * the waiter drops its hold *before* parking, so a producer
 ///   taking the lock meanwhile sees it free — no false self-cycle;
 /// * the eventual-reacquire wait edge stays registered for the whole
 ///   park, so a cycle running through a parked waiter (its awaited

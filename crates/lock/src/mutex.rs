@@ -250,11 +250,12 @@ impl<T> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
 
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        // Registry release strictly before the native unlock: the
-        // registry must never claim a hold another thread could
-        // already have re-acquired.
+        // Unpublish the hold strictly before the native unlock: a slot
+        // must never claim a hold another thread could already have
+        // re-acquired.
         tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
+        tracker::deliver(&self.lock.tracker);
     }
 }
 

@@ -275,6 +275,7 @@ impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
+        tracker::deliver(&self.lock.tracker);
     }
 }
 
@@ -302,5 +303,6 @@ impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
+        tracker::deliver(&self.lock.tracker);
     }
 }

@@ -370,13 +370,9 @@ fn pause_if_targeted(
 ) {
     tracker::unwind_if_aborting(inner);
     let mut st = inner.state.lock();
-    let ts = st
-        .threads
-        .get_mut(&me)
-        .expect("acquiring thread is registered");
     // A thread the monitor or a thrash released takes its pending
     // acquisition unpaused.
-    if std::mem::take(&mut ts.released) {
+    if std::mem::take(&mut st.threads[me.as_usize()].released) {
         return;
     }
     let Some(lock_abs) = target_lock(cfg, &st, me, lock, site) else {
@@ -385,11 +381,11 @@ fn pause_if_targeted(
     // checkRealDeadlock before pausing (Algorithm 3 line 11): the intent
     // is registered as a wait edge, so the detector sees it — and so do
     // other threads' checks for as long as this thread stays paused.
-    st.waits.insert(me, (lock, site, access));
+    st.set_wait(me, Some((lock, site, access)));
     let verdict = tracker::detect(&mut st, me, Detector::Strategy);
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::CheckRealDeadlock {
-            step: st.event_seq,
+            step: tracker::event_seq(inner),
             verdict: verdict.is_some(),
             cycle_len: verdict.as_ref().map_or(0, |w| w.components.len()),
         });
@@ -399,9 +395,9 @@ fn pause_if_targeted(
     }
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::Pause {
-            step: st.event_seq,
+            step: tracker::event_seq(inner),
             thread: me,
-            name: st.threads[&me].name.clone(),
+            name: st.thread(me).name.clone(),
             lock: lock_abs.to_string(),
             site: site.to_string(),
         });
@@ -412,7 +408,7 @@ fn pause_if_targeted(
     while st.session.paused_since.contains_key(&me) && !session.aborting() {
         session.cond.wait(&mut st);
     }
-    st.waits.remove(&me);
+    st.set_wait(me, None);
     if session.aborting() {
         st.session.paused_since.remove(&me);
         drop(st);
@@ -431,12 +427,11 @@ fn target_lock(
     site: Label,
 ) -> Option<Abstraction> {
     let abstractor = Abstractor::new(cfg.mode);
-    let ts = &st.threads[&me];
+    let ts = st.thread(me);
     let thread_abs = abstractor.abs(st.trace.objects(), ts.obj);
     let lock_abs = abstractor.abs(st.trace.objects(), lock);
     let matched = if cfg.use_context {
-        let mut context = ts.context_stack.clone();
-        context.push(site);
+        let context = ts.slot.lock().context(site);
         cfg.cycle
             .find_component(&thread_abs, &lock_abs, &context)
             .is_some()
@@ -457,7 +452,7 @@ pub(crate) fn abort_with(
     me: ThreadId,
     witness: DeadlockWitness,
 ) -> ! {
-    st.waits.remove(&me);
+    st.set_wait(me, None);
     st.session.witness.get_or_insert(witness);
     abort(session, &st);
     drop(st);
@@ -481,7 +476,7 @@ fn wake_parked(st: &State) {
 /// Un-pauses `t`, exempting its pending acquisition from pausing again.
 fn release(session: &Session, st: &mut State, t: ThreadId) {
     st.session.paused_since.remove(&t);
-    if let Some(ts) = st.threads.get_mut(&t) {
+    if let Some(ts) = st.threads.get_mut(t.as_usize()) {
         ts.released = true;
     }
     session.cond.notify_all();
@@ -489,7 +484,7 @@ fn release(session: &Session, st: &mut State, t: ThreadId) {
 
 fn thread_name(st: &State, t: ThreadId) -> String {
     st.threads
-        .get(&t)
+        .get(t.as_usize())
         .map_or_else(String::new, |ts| ts.name.clone())
 }
 
@@ -545,8 +540,9 @@ pub(crate) fn start_watchdog(inner: &Arc<TrackerInner>, session: &Session) {
                     abort(session, &st);
                     continue;
                 }
-                if st.event_seq != last_progress {
-                    last_progress = st.event_seq;
+                let seq = tracker::event_seq(&inner);
+                if seq != last_progress {
+                    last_progress = seq;
                     last_change = Instant::now();
                 } else if last_change.elapsed() > hang_timeout {
                     st.session.timed_out = true;
@@ -585,7 +581,7 @@ fn release_expired(
         st.session.stats.monitor_releases += 1;
         if inner.obs.traces() {
             inner.obs.emit(&df_obs::TraceEvent::Unpause {
-                step: st.event_seq,
+                step: tracker::event_seq(inner),
                 thread: t,
                 name: thread_name(st, t),
             });
@@ -602,8 +598,9 @@ fn thrash_if_stuck(inner: &TrackerInner, session: &Session, st: &mut State) {
     let all_stuck = st
         .threads
         .iter()
-        .filter(|(_, ts)| !ts.exited)
-        .all(|(t, _)| st.waits.contains_key(t));
+        .zip(&st.waits)
+        .filter(|(ts, _)| !ts.exited)
+        .all(|(_, wait)| wait.is_some());
     if !all_stuck {
         return;
     }
@@ -615,7 +612,7 @@ fn thrash_if_stuck(inner: &TrackerInner, session: &Session, st: &mut State) {
     inner.obs.counters().add_thrash_events(1);
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::Thrash {
-            step: st.event_seq,
+            step: tracker::event_seq(inner),
             thread: victim,
             name: thread_name(st, victim),
         });

@@ -58,12 +58,12 @@ where
     T: Send + 'static,
 {
     let parent = tracker::current_thread(inner);
-    let child = tracker::register_thread(inner, name.clone(), site, Some(parent));
+    let (child, slot) = tracker::register_thread(inner, name.clone(), site, Some(parent));
     let inner_for_child = Arc::clone(inner);
     let handle = std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            crate::tls::bind(&inner_for_child, child);
+            crate::tls::bind(&inner_for_child, child, slot);
             tracker::thread_started(&inner_for_child, child);
             let _exit = ExitGuard {
                 inner: Arc::clone(&inner_for_child),

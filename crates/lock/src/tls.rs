@@ -1,4 +1,5 @@
-//! Per-OS-thread bindings from trackers to their [`df_events::ThreadId`]s.
+//! Per-OS-thread bindings from trackers to the calling thread's
+//! [`df_events::ThreadId`] and thread slot.
 //!
 //! A thread may touch locks of several trackers (a test process runs
 //! many), so the binding is a small vector keyed by tracker identity
@@ -10,33 +11,43 @@ use std::sync::{Arc, Weak};
 
 use df_events::ThreadId;
 
-use crate::tracker::TrackerInner;
+use crate::tracker::{SharedSlot, TrackerInner};
+
+type Binding = (Weak<TrackerInner>, ThreadId, SharedSlot);
 
 thread_local! {
-    static BINDINGS: RefCell<Vec<(Weak<TrackerInner>, ThreadId)>> =
-        const { RefCell::new(Vec::new()) };
+    static BINDINGS: RefCell<Vec<Binding>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The calling thread's id under `inner`, if it has been bound.
+/// Runs `f` on the calling thread's id and slot under `inner`, or hands
+/// `f` back if the thread has not been bound yet.
 ///
 /// Compares addresses instead of upgrading: a `Weak` keeps its
 /// allocation alive, so no other tracker can occupy that address while
-/// the entry exists, and the lookup touches no reference count.
-pub(crate) fn lookup(inner: &Arc<TrackerInner>) -> Option<ThreadId> {
+/// the entry exists, and the lookup touches no reference count. `f` runs
+/// while the bindings are borrowed, so it must not bind.
+pub(crate) fn with_binding<R, F>(inner: &Arc<TrackerInner>, f: F) -> Result<R, F>
+where
+    F: FnOnce(ThreadId, &SharedSlot) -> R,
+{
     let target = Arc::as_ptr(inner);
     BINDINGS.with(|b| {
-        b.borrow()
+        let bindings = b.borrow();
+        match bindings
             .iter()
-            .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), target))
-            .map(|&(_, id)| id)
+            .find(|(weak, _, _)| std::ptr::eq(weak.as_ptr(), target))
+        {
+            Some((_, id, slot)) => Ok(f(*id, slot)),
+            None => Err(f),
+        }
     })
 }
 
-/// Binds the calling thread to `id` under `inner`.
-pub(crate) fn bind(inner: &Arc<TrackerInner>, id: ThreadId) {
+/// Binds the calling thread to `id` and its `slot` under `inner`.
+pub(crate) fn bind(inner: &Arc<TrackerInner>, id: ThreadId, slot: SharedSlot) {
     BINDINGS.with(|b| {
         let mut v = b.borrow_mut();
-        v.retain(|(weak, _)| weak.strong_count() > 0);
-        v.push((Arc::downgrade(inner), id));
+        v.retain(|(weak, _, _)| weak.strong_count() > 0);
+        v.push((Arc::downgrade(inner), id, slot));
     });
 }

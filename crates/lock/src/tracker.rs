@@ -6,26 +6,47 @@
 //! same event stream the virtual runtime would — `New`, `Acquire` with
 //! held-set and context, `Release`, `Blocked`/`Unblocked`, spawn and
 //! exit events — into the attached [`SinkHandle`], and maintains the
-//! live holds/waits registry the online wait-for-graph detector walks.
-//! Under a Phase II [`Policy`] the same registry carries the paused
-//! intents (see [`crate::session`]).
+//! live holds and waits the online wait-for-graph detector walks. Under
+//! a Phase II [`Policy`] the registry also carries the paused intents
+//! (see [`crate::session`]).
+//!
+//! ## Where the bookkeeping lives
+//!
+//! * Each tracked thread owns a [`ThreadSlot`] behind a mutex of its own:
+//!   the locks it holds, as `(lock, site, mode)`. No per-lock holder map
+//!   exists; a lock's holders are the threads whose slots list it.
+//! * Events pass through one short emit section ([`Emitter`]), which
+//!   assigns sequence numbers, records them when asked and queues them.
+//!   A delivery section ([`Delivery`]) hands the queue to the sinks in
+//!   sequence order, outside the native critical sections.
+//! * The registry mutex ([`State`]) guards the rest: registration, wait
+//!   edges, condvar waits, the Phase II session and the seal.
+//!
+//! An uncontended acquire, a release and a `try_*` take only their own
+//! slot, the emit section and, off the native lock, the delivery
+//! section. Lock order: registry → slot → delivery → emit section →
+//! sink.
 //!
 //! ## Why detection cannot miss and cannot lie
 //!
-//! All bookkeeping happens under one internal mutex, and the protocol
-//! orders updates around the native lock operations:
+//! 1. A slot changes only on its own thread.
+//! 2. A thread publishes a hold before it can register its next wait
+//!    edge (program order).
+//! 3. A contended acquisition clears its wait edge and publishes the
+//!    hold together, under the registry lock.
+//! 4. A release unpublishes the hold before the native unlock.
 //!
-//! * ownership is recorded *before* a thread's next wait edge is
-//!   registered (program order), and every thread of a forming cycle
-//!   registers its wait edge before parking — so the last thread to
-//!   register sees the complete cycle and reports it;
-//! * ownership is cleared *before* the native unlock and the wait edge
-//!   of a contended acquire is cleared (with ownership recorded) in the
-//!   same critical section after the native lock is obtained — so the
-//!   registry never claims a hold that has been given up, and a stale
-//!   wait edge always points at a lock whose registry holder entry is
-//!   already cleared. False cycles cannot form.
+//! Wait edges change only under the registry lock, and a thread with a
+//! registered wait edge stays blocked (natively, on a condvar, or
+//! paused) until the registry clears it, so by (1) its slot is frozen
+//! meanwhile. Every thread of a cycle waits; the last one to register
+//! its edge reads every member's slot frozen, with each hold published
+//! (2), and reports the cycle. A published hold is real (4), and no pass
+//! sees a wait edge next to the hold that satisfied it (3), so false
+//! cycles cannot form.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -52,7 +73,11 @@ pub struct TrackerConfig {
     pub handler: DeadlockHandler,
     /// Streaming observers of the emitted event stream (a spill writer,
     /// a relation builder, …). Sinks run on program threads and must
-    /// not acquire tracked locks.
+    /// not acquire tracked locks. They see every event in sequence
+    /// order, in batches handed over by whichever thread delivers. An
+    /// event goes out with a later delivery: at the latest before its
+    /// thread blocks on a lock or condvar, when a thread the tracker
+    /// spawned exits, or at [`Tracker::seal`].
     pub sink: SinkHandle,
     /// Observability handle for the `wfg_*`/`lock_timeouts`/
     /// `poisoned_recovered` counters, the Phase II pause/thrash counters
@@ -123,24 +148,54 @@ impl TrackerConfig {
     }
 }
 
-/// Which threads hold a lock right now. Absent from the registry means
-/// the lock is free.
-#[derive(Debug)]
-enum Holders {
-    /// Exclusive: a mutex owner or an rwlock writer.
-    Writer(ThreadId),
-    /// Shared: rwlock readers, possibly several, possibly repeated.
-    Readers(Vec<ThreadId>),
+/// Exclusive (write) or shared (read) acquisition, for the registry.
+/// The registry speaks the same mode vocabulary as the event stream.
+pub(crate) type Access = AcquireMode;
+
+/// One lock a thread holds.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Hold {
+    pub(crate) lock: ObjId,
+    /// Where it was acquired.
+    pub(crate) site: Label,
+    pub(crate) mode: Access,
 }
+
+/// A tracked thread's own bookkeeping. Only its thread changes it; the
+/// detector, witnesses and the Phase II gate read it under the registry
+/// lock.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadSlot {
+    /// Locks held, outermost first (repeats on re-entrant reads and
+    /// tries).
+    pub(crate) held: Vec<Hold>,
+}
+
+impl ThreadSlot {
+    fn holds(&self, lock: ObjId) -> bool {
+        self.held.iter().any(|h| h.lock == lock)
+    }
+
+    /// The context of an acquisition at `site`: the held locks' sites,
+    /// outermost first, then `site`.
+    pub(crate) fn context(&self, site: Label) -> Vec<Label> {
+        let mut context: Vec<Label> = self.held.iter().map(|h| h.site).collect();
+        context.push(site);
+        context
+    }
+}
+
+/// A thread slot, shared by its thread's binding and the registry.
+pub(crate) type SharedSlot = Arc<Mutex<ThreadSlot>>;
+
+/// A registered wait: the awaited lock, the acquisition site and mode.
+pub(crate) type Wait = (ObjId, Label, Access);
 
 #[derive(Debug)]
 pub(crate) struct ThreadState {
     pub(crate) obj: ObjId,
     pub(crate) name: String,
-    /// Locks held, outermost first (repeats on re-entrant tries).
-    lock_stack: Vec<ObjId>,
-    /// Acquisition sites parallel to `lock_stack`.
-    pub(crate) context_stack: Vec<Label>,
+    pub(crate) slot: SharedSlot,
     /// Per-site allocation counts for execution-index object metadata.
     alloc_counts: HashMap<Label, u32>,
     /// Released by the Phase II watchdog: the next acquisition is not
@@ -150,33 +205,108 @@ pub(crate) struct ThreadState {
     pub(crate) exited: bool,
 }
 
+/// The registry: everything off the uncontended lock path.
 #[derive(Default)]
 pub(crate) struct State {
-    /// Object table + thread bindings (+ events when `record_events`).
+    /// Object table + thread bindings. Recorded events live in the emit
+    /// section.
     pub(crate) trace: Trace,
-    /// Sequence number of the next event; also the progress clock of the
-    /// Phase II watchdog.
-    pub(crate) event_seq: u64,
-    next_thread: u32,
-    pub(crate) threads: HashMap<ThreadId, ThreadState>,
-    locks: HashMap<ObjId, Holders>,
-    /// Blocked contended acquires, condvar waiters' pending reacquires
-    /// and paused Phase II intents: thread → (awaited lock, site, mode).
-    pub(crate) waits: HashMap<ThreadId, (ObjId, Label, AcquireMode)>,
+    /// Registered threads, indexed by [`ThreadId`].
+    pub(crate) threads: Vec<ThreadState>,
+    /// Per thread, indexed by [`ThreadId`]: its blocked contended
+    /// acquire, pending condvar reacquire or paused Phase II intent.
+    pub(crate) waits: Vec<Option<Wait>>,
     /// Sorted lock sets (held ∪ awaited across the cycle) of deadlocks
     /// already reported, so a persisting deadlock is not re-reported by
     /// every thread that bumps into it.
     reported: HashSet<Vec<ObjId>>,
-    /// The `held` and `context` buffers of the last `Acquire` event,
-    /// taken back after delivery so the next one allocates nothing.
-    acquire_scratch: (Vec<ObjId>, Vec<Label>),
+    /// The wait-for graph, cleared and refilled by every cycle check.
+    graph: WaitForGraph,
     sealed: bool,
     pub(crate) session: SessionState,
+}
+
+impl State {
+    pub(crate) fn thread(&self, t: ThreadId) -> &ThreadState {
+        &self.threads[t.as_usize()]
+    }
+
+    pub(crate) fn wait(&self, t: ThreadId) -> Option<Wait> {
+        self.waits[t.as_usize()]
+    }
+
+    pub(crate) fn set_wait(&mut self, t: ThreadId, wait: Option<Wait>) {
+        self.waits[t.as_usize()] = wait;
+    }
+}
+
+/// `Acquire` buffer pairs a thread keeps for reuse.
+const SPARE_BUFFERS: usize = 64;
+
+thread_local! {
+    /// `held`/`context` buffers of `Acquire` events this thread handed
+    /// to the sinks, for the next `Acquire` it builds.
+    static SPARE: RefCell<Vec<(Vec<ObjId>, Vec<Label>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The `Acquire` of `hold` by a thread holding `held`, with the held set
+/// and the context ending at the acquisition site built in reused
+/// buffers.
+fn acquire_event(held: &[Hold], hold: Hold) -> EventKind {
+    let (mut locks, mut context) = SPARE
+        .try_with(|s| s.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    locks.clear();
+    locks.extend(held.iter().map(|h| h.lock));
+    context.clear();
+    context.extend(held.iter().map(|h| h.site));
+    context.push(hold.site);
+    EventKind::acquire(hold.lock, hold.site, locks, context).with_mode(hold.mode)
+}
+
+/// Keeps a delivered `Acquire`'s buffers for this thread's next one.
+fn recycle(event: Event) {
+    if let EventKind::Acquire { held, context, .. } = event.kind {
+        let _ = SPARE.try_with(|s| {
+            let mut spare = s.borrow_mut();
+            if spare.len() < SPARE_BUFFERS {
+                spare.push((held, context));
+            }
+        });
+    }
+}
+
+/// The emit section: every event is sequenced here. An acquisition
+/// passes through it after the native acquire and a release before the
+/// native unlock, so per-lock sequence order is the real order.
+#[derive(Default)]
+struct Emitter {
+    /// Sequence number of the next event; also the progress clock of the
+    /// Phase II watchdog.
+    next_seq: u64,
+    /// The emitted events, when [`TrackerConfig::record_events`] is set.
+    events: Vec<Event>,
+    /// Sequenced events the sinks have not been handed yet.
+    pending: Vec<Event>,
+}
+
+/// The delivery section: the one thread holding it hands sequenced
+/// events to the sinks, in sequence order.
+#[derive(Default)]
+struct Delivery {
+    /// Events taken from [`Emitter::pending`] in one swap.
+    batch: Vec<Event>,
+    /// How many of `batch` the sinks have been handed.
+    done: usize,
 }
 
 /// Shared guts of a [`Tracker`]; lock types hold an `Arc` to this.
 pub struct TrackerInner {
     pub(crate) state: Mutex<State>,
+    emitter: Mutex<Emitter>,
+    delivery: Mutex<Delivery>,
     sink: SinkHandle,
     pub(crate) obs: Obs,
     handler: DeadlockHandler,
@@ -184,10 +314,6 @@ pub struct TrackerInner {
     /// The Phase II session, when a fuzz or noise policy is set.
     pub(crate) session: Option<Session>,
 }
-
-/// Exclusive (write) or shared (read) acquisition, for the registry.
-/// The registry speaks the same mode vocabulary as the event stream.
-pub(crate) type Access = AcquireMode;
 
 /// Tracks native threads and locks, detects deadlocks online.
 ///
@@ -228,6 +354,8 @@ impl Tracker {
         };
         let inner = Arc::new(TrackerInner {
             state: Mutex::new(state),
+            emitter: Mutex::default(),
+            delivery: Mutex::default(),
             sink: config.sink,
             obs: config.obs,
             handler: config.handler,
@@ -280,7 +408,9 @@ impl Tracker {
     /// plus the events when [`TrackerConfig::record_events`] is set —
     /// the input of Phase I.
     pub fn trace(&self) -> Trace {
-        self.inner.state.lock().trace.clone()
+        let st = self.inner.state.lock();
+        let em = self.inner.emitter.lock();
+        full_trace(&st, &em).into_owned()
     }
 
     /// Classifies the run and stops the Phase II watchdog. Call after
@@ -319,37 +449,109 @@ impl Tracker {
 impl std::fmt::Debug for Tracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.state.lock();
+        let mut held: Vec<ObjId> = Vec::new();
+        for ts in &st.threads {
+            held.extend(ts.slot.lock().held.iter().map(|h| h.lock));
+        }
+        held.sort();
+        held.dedup();
         f.debug_struct("Tracker")
             .field("threads", &st.threads.len())
-            .field("locks_held", &st.locks.len())
+            .field("locks_held", &held.len())
             .field("sealed", &st.sealed)
             .finish()
     }
 }
 
-/// Assigns the next sequence number and delivers one event, handing it
-/// back so the caller can reuse its buffers (the recorded trace, when
-/// kept, owns a copy).
-fn emit(inner: &TrackerInner, st: &mut State, thread: ThreadId, kind: EventKind) -> Event {
-    let seq = st.event_seq;
-    st.event_seq += 1;
-    let event = Event::new(seq, thread, kind);
+/// Sequences one event in the emit section: assigns the next sequence
+/// number, records the event and queues it for the sinks.
+fn emit(inner: &TrackerInner, thread: ThreadId, kind: EventKind) {
+    let mut em = inner.emitter.lock();
+    let event = Event::new(em.next_seq, thread, kind);
+    em.next_seq += 1;
     if inner.record_events {
-        let s = st.trace.push(event.thread, event.kind.clone());
-        debug_assert_eq!(s, seq, "recorded trace stays in sequence order");
+        em.events.push(event.clone());
     }
     if inner.sink.is_attached() {
-        inner.sink.emit(&event);
-        inner.obs.counters().add_events_streamed(1);
+        em.pending.push(event);
+    } else {
+        recycle(event);
     }
-    event
+}
+
+/// Hands the sinks, in sequence order, the rest of the current batch
+/// and then everything queued so far, and keeps the delivered `Acquire`
+/// buffers for this thread's next ones.
+fn drain(inner: &TrackerInner, d: &mut Delivery) {
+    hand_out(inner, d);
+    std::mem::swap(&mut inner.emitter.lock().pending, &mut d.batch);
+    hand_out(inner, d);
+}
+
+fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
+    if d.batch.is_empty() {
+        return;
+    }
+    let first = d.done;
+    while d.done < d.batch.len() {
+        // Counted first: an event whose sink panics is not handed out
+        // twice.
+        d.done += 1;
+        inner.sink.emit(&d.batch[d.done - 1]);
+    }
+    inner
+        .obs
+        .counters()
+        .add_events_streamed((d.done - first) as u64);
+    d.batch.drain(..).for_each(recycle);
+    d.done = 0;
+}
+
+/// Delivers queued events unless another thread is delivering. Guards
+/// call this after the native unlock and no acquisition calls it, so
+/// sink work stays out of the critical section of the lock being taken
+/// or given up.
+pub(crate) fn deliver(inner: &TrackerInner) {
+    if !inner.sink.is_attached() {
+        return;
+    }
+    if let Some(mut d) = inner.delivery.try_lock() {
+        drain(inner, &mut d);
+    }
+}
+
+/// Delivers every event sequenced before the call, waiting for the
+/// delivering thread if there is one, and keeps the delivery section so
+/// the caller can tell the sinks more in order.
+fn flush(inner: &TrackerInner) -> MutexGuard<'_, Delivery> {
+    let mut d = inner.delivery.lock();
+    drain(inner, &mut d);
+    d
+}
+
+/// The sequence number the next event will get.
+pub(crate) fn event_seq(inner: &TrackerInner) -> u64 {
+    inner.emitter.lock().next_seq
+}
+
+/// The registry's object table and thread bindings with the recorded
+/// events, if any.
+fn full_trace<'a>(st: &'a State, em: &Emitter) -> Cow<'a, Trace> {
+    if em.events.is_empty() {
+        return Cow::Borrowed(&st.trace);
+    }
+    let mut trace = st.trace.clone();
+    for event in &em.events {
+        trace.push(event.thread, event.kind.clone());
+    }
+    Cow::Owned(trace)
 }
 
 /// The execution-index frame of an allocation: the allocating statement
 /// with its per-thread occurrence count, which is what the `absI_k`
 /// abstraction of analyzed spills keys on.
 fn alloc_index(st: &mut State, by: ThreadId, site: Label) -> Vec<IndexFrame> {
-    let counts = match st.threads.get_mut(&by) {
+    let counts = match st.threads.get_mut(by.as_usize()) {
         Some(ts) => &mut ts.alloc_counts,
         None => return vec![IndexFrame::new(site, 1)],
     };
@@ -358,19 +560,18 @@ fn alloc_index(st: &mut State, by: ThreadId, site: Label) -> Vec<IndexFrame> {
     vec![IndexFrame::new(site, *q)]
 }
 
-/// Registers a thread: assigns an id, creates its thread object, binds
-/// it in the trace and announces the binding to sinks (always before
-/// any event of the thread can be emitted).
+/// Registers a thread: assigns an id, creates its thread object and
+/// slot, binds it in the trace and announces the binding to sinks
+/// (always before any event of the thread can be emitted).
 pub(crate) fn register_thread(
     inner: &Arc<TrackerInner>,
     name: String,
     site: Label,
     spawner: Option<ThreadId>,
-) -> ThreadId {
-    let (id, obj) = {
+) -> (ThreadId, SharedSlot) {
+    let (id, obj, slot) = {
         let mut st = inner.state.lock();
-        let id = ThreadId::new(st.next_thread);
-        st.next_thread += 1;
+        let id = ThreadId::new(st.threads.len() as u32);
         let index = match spawner {
             Some(parent) => alloc_index(&mut st, parent, site),
             None => vec![IndexFrame::new(site, 1)],
@@ -383,22 +584,19 @@ pub(crate) fn register_thread(
             Some(name.clone()),
         );
         st.trace.bind_thread(id, obj);
-        st.threads.insert(
-            id,
-            ThreadState {
-                obj,
-                name,
-                lock_stack: Vec::new(),
-                context_stack: Vec::new(),
-                alloc_counts: HashMap::new(),
-                released: false,
-                exited: false,
-            },
-        );
+        let slot = SharedSlot::default();
+        st.threads.push(ThreadState {
+            obj,
+            name,
+            slot: Arc::clone(&slot),
+            alloc_counts: HashMap::new(),
+            released: false,
+            exited: false,
+        });
+        st.waits.push(None);
         if let Some(parent) = spawner {
             emit(
                 inner,
-                &mut st,
                 parent,
                 EventKind::Spawn {
                     child: id,
@@ -406,53 +604,60 @@ pub(crate) fn register_thread(
                 },
             );
         }
-        (id, obj)
+        (id, obj, slot)
     };
+    let _delivery = flush(inner);
     inner.sink.thread_bound(id, obj);
-    id
+    (id, slot)
 }
 
-/// The calling thread's id under `inner`, auto-registering it (with its
-/// OS thread name, when set) on first contact — this is what makes the
-/// lock types drop-in for threads the tracker did not spawn.
-pub(crate) fn current_thread(inner: &Arc<TrackerInner>) -> ThreadId {
-    if let Some(id) = tls::lookup(inner) {
-        return id;
+/// Runs `f` on the calling thread's id and slot under `inner`,
+/// auto-registering the thread (with its OS thread name, when set) on
+/// first contact — this is what makes the lock types drop-in for threads
+/// the tracker did not spawn.
+fn with_own_slot<R>(inner: &Arc<TrackerInner>, f: impl FnOnce(ThreadId, &SharedSlot) -> R) -> R {
+    match tls::with_binding(inner, f) {
+        Ok(r) => r,
+        Err(f) => {
+            let name = std::thread::current()
+                .name()
+                .map(str::to_string)
+                .unwrap_or_else(|| "<unnamed>".to_string());
+            let (id, slot) = register_thread(inner, name, Label::new("<native thread>"), None);
+            tls::bind(inner, id, Arc::clone(&slot));
+            f(id, &slot)
+        }
     }
-    let name = std::thread::current()
-        .name()
-        .map(str::to_string)
-        .unwrap_or_else(|| "<unnamed>".to_string());
-    let id = register_thread(inner, name, Label::new("<native thread>"), None);
-    tls::bind(inner, id);
-    id
+}
+
+/// The calling thread's id under `inner`, registering it on first
+/// contact.
+pub(crate) fn current_thread(inner: &Arc<TrackerInner>) -> ThreadId {
+    with_own_slot(inner, |me, _| me)
 }
 
 /// Registers a lock object at its allocation site and emits `New`.
 pub(crate) fn register_lock(inner: &Arc<TrackerInner>, site: Label) -> ObjId {
-    let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    let index = alloc_index(&mut st, me, site);
-    let obj = st
-        .trace
-        .objects_mut()
-        .create(ObjKind::Lock, site, None, index);
-    emit(inner, &mut st, me, EventKind::New { obj });
-    obj
+    register_object(inner, ObjKind::Lock, site)
 }
 
 /// Registers a condition variable object (an [`ObjKind::Plain`] object,
 /// like the virtual runtime's condvars) at its allocation site and
 /// emits `New`.
 pub(crate) fn register_condvar(inner: &Arc<TrackerInner>, site: Label) -> ObjId {
+    register_object(inner, ObjKind::Plain, site)
+}
+
+fn register_object(inner: &Arc<TrackerInner>, kind: ObjKind, site: Label) -> ObjId {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    let index = alloc_index(&mut st, me, site);
-    let obj = st
-        .trace
-        .objects_mut()
-        .create(ObjKind::Plain, site, None, index);
-    emit(inner, &mut st, me, EventKind::New { obj });
+    let obj = {
+        let mut st = inner.state.lock();
+        let index = alloc_index(&mut st, me, site);
+        let obj = st.trace.objects_mut().create(kind, site, None, index);
+        emit(inner, me, EventKind::New { obj });
+        obj
+    };
+    deliver(inner);
     obj
 }
 
@@ -473,107 +678,57 @@ pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: 
     }
 }
 
-/// Records ownership and the held stack for a completed acquisition and
-/// emits its event — `Reacquire` when the thread already holds the
-/// lock, otherwise `event(held, held sites)` over the stacks as they
-/// were before this acquisition — and returns the emitted event. Must be
-/// called with the native lock already held.
+/// Publishes a completed acquisition in the caller's slot and emits its
+/// event: `Reacquire` when the thread already holds the lock, otherwise
+/// the `Acquire` (carrying the held set and the context ending at the
+/// acquisition site) or, for a `try_*`, the successful `TryAcquire`.
+/// Must be called with the native lock already held; delivery waits
+/// for a later call.
 fn record_acquire(
     inner: &TrackerInner,
-    st: &mut State,
+    slot: &mut ThreadSlot,
     me: ThreadId,
-    lock: ObjId,
-    site: Label,
-    access: Access,
-    event: impl FnOnce(&[ObjId], &[Label]) -> EventKind,
-) -> Event {
-    match access {
-        Access::Exclusive => {
-            st.locks.insert(lock, Holders::Writer(me));
-        }
-        Access::Shared => match st
-            .locks
-            .entry(lock)
-            .or_insert_with(|| Holders::Readers(vec![]))
-        {
-            Holders::Readers(rs) => rs.push(me),
-            // A writer entry here would mean std handed out a read
-            // guard while a write guard exists; keep the stronger claim.
-            Holders::Writer(_) => {}
-        },
-    }
-    let ts = st
-        .threads
-        .get_mut(&me)
-        .expect("acquiring thread registered");
-    let re_entrant = ts.lock_stack.contains(&lock);
+    hold: Hold,
+    tried: bool,
+) {
+    let re_entrant = slot.holds(hold.lock);
     let kind = if re_entrant {
-        EventKind::reacquire(lock, site)
+        EventKind::reacquire(hold.lock, hold.site)
+    } else if tried {
+        EventKind::try_acquire(hold.lock, hold.site, true).with_mode(hold.mode)
     } else {
-        event(&ts.lock_stack, &ts.context_stack)
+        acquire_event(&slot.held, hold)
     };
-    ts.lock_stack.push(lock);
-    ts.context_stack.push(site);
-    let emitted = emit(inner, st, me, kind);
+    emit(inner, me, kind);
+    slot.held.push(hold);
     if !re_entrant {
         inner.obs.counters().add_acquires_observed(1);
-    }
-    emitted
-}
-
-/// `record_acquire` for a blocking acquisition: the `Acquire` event
-/// carries the held set and the context ending at `site`, built in the
-/// state's scratch buffers and taken back once delivered.
-fn record_blocking_acquire(
-    inner: &TrackerInner,
-    st: &mut State,
-    me: ThreadId,
-    lock: ObjId,
-    site: Label,
-    access: Access,
-) {
-    let (mut held, mut context) = std::mem::take(&mut st.acquire_scratch);
-    let emitted = record_acquire(inner, st, me, lock, site, access, |held_now, sites| {
-        held.clear();
-        held.extend_from_slice(held_now);
-        context.clear();
-        context.extend_from_slice(sites);
-        context.push(site);
-        EventKind::acquire(lock, site, held, context).with_mode(access)
-    });
-    // A `Reacquire` never called the closure; its buffers dropped with it.
-    if let EventKind::Acquire { held, context, .. } = emitted.kind {
-        st.acquire_scratch = (held, context);
     }
 }
 
 /// Bookkeeping for a non-blocking `try_*` attempt. A successful try
-/// joins the registry and the held stack exactly like an acquisition,
-/// but the stream records it as `TryAcquire { acquired: true }` — a try
-/// never blocks, so Phase I must not treat it as a blockable edge. A
-/// failed try leaves all state untouched and records
-/// `TryAcquire { acquired: false }`.
+/// joins the held stack exactly like an acquisition, but the stream
+/// records it as `TryAcquire { acquired: true }` — a try never blocks,
+/// so Phase I must not treat it as a blockable edge. A failed try leaves
+/// the slot untouched and records `TryAcquire { acquired: false }`.
 pub(crate) fn try_acquired(
     inner: &Arc<TrackerInner>,
     lock: ObjId,
     site: Label,
-    access: Access,
+    mode: Access,
     acquired: bool,
 ) {
     unwind_if_aborting(inner);
-    let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    if acquired {
-        record_acquire(inner, &mut st, me, lock, site, access, |_, _| {
-            EventKind::try_acquire(lock, site, true).with_mode(access)
-        });
-    } else {
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::try_acquire(lock, site, false).with_mode(access),
-        );
+    with_own_slot(inner, |me, slot| {
+        if acquired {
+            record_acquire(inner, &mut slot.lock(), me, Hold { lock, site, mode }, true);
+        } else {
+            let kind = EventKind::try_acquire(lock, site, false).with_mode(mode);
+            emit(inner, me, kind);
+        }
+    });
+    if !acquired {
+        deliver(inner);
     }
 }
 
@@ -582,12 +737,18 @@ pub(crate) fn acquired_uncontended(
     inner: &Arc<TrackerInner>,
     lock: ObjId,
     site: Label,
-    access: Access,
+    mode: Access,
 ) {
     unwind_if_aborting(inner);
-    let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    record_blocking_acquire(inner, &mut st, me, lock, site, access);
+    with_own_slot(inner, |me, slot| {
+        record_acquire(
+            inner,
+            &mut slot.lock(),
+            me,
+            Hold { lock, site, mode },
+            false,
+        );
+    });
 }
 
 /// Registers the wait edge of a contended acquisition *before* the
@@ -600,98 +761,73 @@ pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, ac
     unwind_if_aborting(inner);
     let me = current_thread(inner);
     let mut st = inner.state.lock();
-    st.waits.insert(me, (lock, site, access));
+    st.set_wait(me, Some((lock, site, access)));
     inner.obs.counters().add_wfg_edges(1);
-    emit(
-        inner,
-        &mut st,
-        me,
-        EventKind::blocked(lock).with_mode(access),
-    );
+    emit(inner, me, EventKind::blocked(lock).with_mode(access));
     if let Some(witness) = detect(&mut st, me, Detector::WaitForGraph) {
         report(inner, st, me, witness);
+    } else {
+        drop(st);
+        drop(flush(inner));
     }
 }
 
 /// The blocked acquisition of `lock` succeeded: clears the wait edge,
-/// emits `Unblocked`, records ownership.
+/// emits `Unblocked` and publishes the hold, all in one registry
+/// critical section, so no detection pass sees the wait edge next to
+/// the hold that satisfied it.
 pub(crate) fn acquired_contended(
     inner: &Arc<TrackerInner>,
     lock: ObjId,
     site: Label,
-    access: Access,
+    mode: Access,
 ) {
     let me = current_thread(inner);
     let mut st = inner.state.lock();
-    st.waits.remove(&me);
+    st.set_wait(me, None);
     unwind_if_aborting(inner);
-    emit(inner, &mut st, me, EventKind::unblocked(lock));
-    record_blocking_acquire(inner, &mut st, me, lock, site, access);
+    emit(inner, me, EventKind::unblocked(lock));
+    let hold = Hold { lock, site, mode };
+    record_acquire(inner, &mut st.thread(me).slot.lock(), me, hold, false);
 }
 
 /// A timed acquisition gave up: clears the wait edge and counts the
 /// timeout. No `Unblocked` is emitted — that event means "acquired".
 pub(crate) fn wait_timed_out(inner: &Arc<TrackerInner>, _lock: ObjId) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    st.waits.remove(&me);
+    inner.state.lock().set_wait(me, None);
     inner.obs.counters().add_lock_timeouts(1);
 }
 
 /// Release bookkeeping, called by guard drops *before* the native
-/// unlock so the registry never claims a hold the thread gave up.
-/// Emitted even during a panic unwind, which keeps the relation
-/// balanced after poisoning.
+/// unlock so no slot claims a hold the thread gave up; the guard
+/// delivers after the unlock. Emitted even during a panic unwind, which
+/// keeps the relation balanced after poisoning.
 pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
-    let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    // The guard doesn't know its own mode; the registry does — a
-    // read-guard drop finds this thread among the lock's readers.
-    let mut mode = Access::Exclusive;
-    match st.locks.get_mut(&lock) {
-        Some(Holders::Writer(t)) if *t == me => {
-            st.locks.remove(&lock);
-        }
-        Some(Holders::Readers(rs)) => {
-            mode = Access::Shared;
-            if let Some(pos) = rs.iter().rposition(|&t| t == me) {
-                rs.remove(pos);
-            }
-            if rs.is_empty() {
-                st.locks.remove(&lock);
-            }
-        }
-        _ => {}
-    }
-    let ts = st
-        .threads
-        .get_mut(&me)
-        .expect("releasing thread registered");
-    if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
-        ts.lock_stack.remove(pos);
-        ts.context_stack.remove(pos);
-    }
-    let still_held = ts.lock_stack.contains(&lock);
-    if still_held {
-        emit(inner, &mut st, me, EventKind::rerelease(lock, site));
-    } else {
-        emit(
-            inner,
-            &mut st,
-            me,
-            EventKind::release(lock, site).with_mode(mode),
-        );
-    }
+    with_own_slot(inner, |me, slot| {
+        let mut slot = slot.lock();
+        // The guard doesn't know its own mode; the slot does.
+        let mode = match slot.held.iter().rposition(|h| h.lock == lock) {
+            Some(pos) => slot.held.remove(pos).mode,
+            None => Access::Exclusive,
+        };
+        let kind = if slot.holds(lock) {
+            EventKind::rerelease(lock, site)
+        } else {
+            EventKind::release(lock, site).with_mode(mode)
+        };
+        emit(inner, me, kind);
+    });
 }
 
 /// The release half of a condvar wait, run *before* the native
-/// `Condvar::wait` parks (which atomically gives the lock up): clears
-/// this thread's write hold, emits the `CondWait` communication event,
-/// and registers the eventual-reacquire wait edge — a parked waiter is
-/// one notify away from blocking on the lock, so cycles running through
-/// it are real deadlocks and must be visible to other threads'
-/// detection passes. The waiter itself cannot close a cycle here: the
-/// lock it waits for was held by nobody else a moment ago.
+/// `Condvar::wait` parks (which atomically gives the lock up): drops
+/// this thread's hold, emits the `CondWait` communication event, and
+/// registers the eventual-reacquire wait edge — a parked waiter is one
+/// notify away from blocking on the lock, so cycles running through it
+/// are real deadlocks and must be visible to other threads' detection
+/// passes. The waiter itself cannot close a cycle here: the lock it
+/// waits for was held by nobody else a moment ago.
 ///
 /// Under a Phase II policy the native condvar `cv` is registered so an
 /// abort can wake the waiter; a wait that would start after the abort
@@ -709,54 +845,45 @@ pub(crate) fn cond_wait_begin(
     // registered before the abort is woken by it, and none registers
     // after.
     unwind_if_aborting(inner);
-    if matches!(st.locks.get(&lock), Some(Holders::Writer(t)) if *t == me) {
-        st.locks.remove(&lock);
+    {
+        let mut slot = st.thread(me).slot.lock();
+        if let Some(pos) = slot.held.iter().rposition(|h| h.lock == lock) {
+            slot.held.remove(pos);
+        }
     }
-    let ts = st.threads.get_mut(&me).expect("waiting thread registered");
-    if let Some(pos) = ts.lock_stack.iter().rposition(|&l| l == lock) {
-        ts.lock_stack.remove(pos);
-        ts.context_stack.remove(pos);
-    }
-    emit(
-        inner,
-        &mut st,
-        me,
-        EventKind::cond_wait(condvar, lock, site),
-    );
-    st.waits.insert(me, (lock, site, Access::Exclusive));
+    emit(inner, me, EventKind::cond_wait(condvar, lock, site));
+    st.set_wait(me, Some((lock, site, Access::Exclusive)));
     inner.obs.counters().add_wfg_edges(1);
     if inner.session.is_some() {
         st.session.parked.insert(me, Arc::clone(cv));
     }
+    drop(st);
+    drop(flush(inner));
 }
 
 /// The reacquire half of a condvar wait, run after the native wait
 /// returned with the lock re-held: clears the wait edge and restores
-/// ownership *silently* — matching the virtual runtime, where the
+/// the hold *silently* — matching the virtual runtime, where the
 /// original `Acquire` already carries the lock dependency and the
 /// reacquisition emits nothing.
 pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
     let me = current_thread(inner);
     let mut st = inner.state.lock();
-    st.waits.remove(&me);
+    st.set_wait(me, None);
     st.session.parked.remove(&me);
-    st.locks.insert(lock, Holders::Writer(me));
-    let ts = st.threads.get_mut(&me).expect("waiting thread registered");
-    ts.lock_stack.push(lock);
-    ts.context_stack.push(site);
+    st.thread(me).slot.lock().held.push(Hold {
+        lock,
+        site,
+        mode: Access::Exclusive,
+    });
 }
 
 /// Emits the `CondNotify` communication event. Rust `Condvar` semantics:
 /// the notifier need not hold any lock.
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
     let me = current_thread(inner);
-    let mut st = inner.state.lock();
-    emit(
-        inner,
-        &mut st,
-        me,
-        EventKind::cond_notify(condvar, site, all),
-    );
+    emit(inner, me, EventKind::cond_notify(condvar, site, all));
+    deliver(inner);
 }
 
 /// Counts a poisoned-lock recovery (`PoisonError::into_inner`).
@@ -766,8 +893,8 @@ pub(crate) fn note_poison_recovered(inner: &Arc<TrackerInner>) {
 
 /// Emits `ThreadStart` for a freshly spawned tracked thread.
 pub(crate) fn thread_started(inner: &Arc<TrackerInner>, id: ThreadId) {
-    let mut st = inner.state.lock();
-    emit(inner, &mut st, id, EventKind::ThreadStart);
+    emit(inner, id, EventKind::ThreadStart);
+    deliver(inner);
 }
 
 /// Records a tracked thread's panic for [`Tracker::finish`] (the abort
@@ -777,56 +904,64 @@ pub(crate) fn thread_panicked(inner: &Arc<TrackerInner>, payload: &(dyn std::any
 }
 
 /// Marks the thread exited and emits `ThreadExit`; runs from a drop
-/// guard so it fires even when the thread body panicked.
+/// guard so it fires even when the thread body panicked. Delivers
+/// everything sequenced so far, so no event is left queued once the
+/// program's threads are gone.
 pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
-    if let Some(ts) = st.threads.get_mut(&id) {
+    if let Some(ts) = st.threads.get_mut(id.as_usize()) {
         ts.exited = true;
     }
-    emit(inner, &mut st, id, EventKind::ThreadExit);
+    emit(inner, id, EventKind::ThreadExit);
+    drop(st);
+    drop(flush(inner));
 }
 
 /// Emits `Join` after a tracked join completes.
 pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, joiner: ThreadId, target: ThreadId) {
-    let mut st = inner.state.lock();
-    emit(inner, &mut st, joiner, EventKind::Join { target });
+    emit(inner, joiner, EventKind::Join { target });
+    deliver(inner);
 }
 
 /// Whether `me`'s registered wait is on its own conflicting hold — a
 /// one-thread deadlock, since std locks are not re-entrant. (The
 /// [`WaitForGraph`] leaves self-edges to its caller.)
 fn waits_on_itself(st: &State, me: ThreadId) -> bool {
-    let Some(&(lock, _, mode)) = st.waits.get(&me) else {
+    let Some((lock, _, mode)) = st.wait(me) else {
         return false;
     };
-    match st.locks.get(&lock) {
-        Some(Holders::Writer(t)) => *t == me,
-        Some(Holders::Readers(rs)) => mode.is_exclusive() && rs.contains(&me),
-        None => false,
-    }
+    st.thread(me)
+        .slot
+        .lock()
+        .held
+        .iter()
+        .any(|h| h.lock == lock && (h.mode.is_exclusive() || mode.is_exclusive()))
 }
 
-/// The registry as a wait-for graph: every hold and every registered
-/// wait (blocked, condvar-parked or paused).
-fn wait_for_graph(st: &State) -> WaitForGraph {
-    let mut g = WaitForGraph::new();
-    for (&lock, holders) in &st.locks {
-        match holders {
-            Holders::Writer(t) => g.add_holds(*t, lock),
-            Holders::Readers(rs) => {
-                for &t in rs {
-                    g.add_holds_shared(t, lock);
-                }
+/// Refills the registry's wait-for graph: every hold published in a
+/// slot and every registered wait (blocked, condvar-parked or paused).
+fn refill_graph(st: &mut State) {
+    let State {
+        threads,
+        waits,
+        graph,
+        ..
+    } = st;
+    graph.clear();
+    for (i, (ts, wait)) in threads.iter().zip(waits.iter()).enumerate() {
+        let t = ThreadId::new(i as u32);
+        for h in &ts.slot.lock().held {
+            match h.mode {
+                Access::Exclusive => graph.add_holds(t, h.lock),
+                Access::Shared => graph.add_holds_shared(t, h.lock),
             }
         }
-    }
-    for (&t, &(lock, _, mode)) in &st.waits {
-        match mode {
-            Access::Exclusive => g.add_waits(t, lock),
-            Access::Shared => g.add_waits_shared(t, lock),
+        match wait {
+            Some((lock, _, Access::Exclusive)) => graph.add_waits(t, *lock),
+            Some((lock, _, Access::Shared)) => graph.add_waits_shared(t, *lock),
+            None => {}
         }
     }
-    g
 }
 
 /// Looks for a cycle through `me`'s registered wait edge; on a new one
@@ -841,25 +976,25 @@ pub(crate) fn detect(
     let cycle = if waits_on_itself(st, me) {
         vec![me]
     } else {
-        wait_for_graph(st).find_cycle_from(me)?
+        refill_graph(st);
+        st.graph.find_cycle_from(me)?
     };
+    let members: Vec<(ThreadId, Vec<Hold>, Wait)> = cycle
+        .iter()
+        .map(|&t| {
+            let held = st.thread(t).slot.lock().held.clone();
+            (t, held, st.wait(t).expect("cycle thread waits"))
+        })
+        .collect();
 
     // Dedup on the deadlock's full lock set — held ∪ awaited across the
     // cycle's threads. Keying on awaited locks alone reports a
     // reader-heavy cycle once per reader: each reader that bumps into
     // the same stuck writer closes a cycle with a different awaited
     // set, but the union of locks involved is identical.
-    let mut key: Vec<ObjId> = cycle
+    let mut key: Vec<ObjId> = members
         .iter()
-        .flat_map(|t| {
-            st.threads[t]
-                .lock_stack
-                .iter()
-                .copied()
-                .chain(std::iter::once(
-                    st.waits.get(t).expect("cycle thread waits").0,
-                ))
-        })
+        .flat_map(|(_, held, wait)| held.iter().map(|h| h.lock).chain(std::iter::once(wait.0)))
         .collect();
     key.sort();
     key.dedup();
@@ -867,27 +1002,18 @@ pub(crate) fn detect(
         return None;
     }
 
-    let components: Vec<WitnessComponent> = cycle
-        .iter()
-        .map(|t| {
-            let ts = &st.threads[t];
-            let &(waiting_for, site, waiting_mode) = st.waits.get(t).expect("cycle thread waits");
-            let mut context = ts.context_stack.clone();
+    let components: Vec<WitnessComponent> = members
+        .into_iter()
+        .map(|(t, held, (waiting_for, site, waiting_mode))| {
+            let ts = st.thread(t);
+            let mut context: Vec<Label> = held.iter().map(|h| h.site).collect();
             context.push(site);
-            let holding = ts.lock_stack.clone();
-            let holding_modes = holding
-                .iter()
-                .map(|l| match st.locks.get(l) {
-                    Some(Holders::Writer(w)) if w == t => Access::Exclusive,
-                    _ => Access::Shared,
-                })
-                .collect();
             WitnessComponent {
-                thread: *t,
+                thread: t,
                 thread_obj: ts.obj,
                 thread_name: Some(ts.name.clone()),
-                holding,
-                holding_modes,
+                holding: held.iter().map(|h| h.lock).collect(),
+                holding_modes: held.iter().map(|h| h.mode).collect(),
                 waiting_for,
                 waiting_mode,
                 context,
@@ -994,27 +1120,33 @@ fn dispatch(inner: &Arc<TrackerInner>, witness: &DeadlockWitness, rendered: &str
     }
 }
 
-/// Seals the run (idempotent): peak-trace-bytes high-water mark, then
-/// `on_finish` to every sink with the trace skeleton.
+/// Seals the run (idempotent): delivers every sequenced event, records
+/// the peak-trace-bytes high-water mark, then hands `on_finish` the
+/// trace skeleton. The delivery and emit sections stay held through
+/// `on_finish`, so no event lands after the seal.
 pub(crate) fn seal(inner: &Arc<TrackerInner>) {
-    let st = {
-        let mut st = inner.state.lock();
-        if st.sealed {
-            return;
-        }
-        st.sealed = true;
-        inner
-            .obs
-            .counters()
-            .record_peak_trace_bytes(st.trace.approx_event_bytes());
-        st
-    };
-    inner.sink.finish(&st.trace);
+    let mut st = inner.state.lock();
+    if st.sealed {
+        return;
+    }
+    st.sealed = true;
+    let _delivery = flush(inner);
+    let em = inner.emitter.lock();
+    let trace = full_trace(&st, &em);
+    inner
+        .obs
+        .counters()
+        .record_peak_trace_bytes(trace.approx_event_bytes());
+    inner.sink.finish(&trace);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use crate::{TrackedMutex, TrackedRwLock};
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)
@@ -1023,31 +1155,43 @@ mod tests {
         ObjId::new(i)
     }
 
-    /// Thread t1 holds o1 (as `held`) and waits for it again in `mode`.
-    fn relocking(held: Holders, mode: AcquireMode) -> State {
-        let mut st = State::default();
-        st.threads.insert(
-            t(1),
-            ThreadState {
-                obj: o(0),
-                name: "t1".to_string(),
-                lock_stack: vec![o(1)],
-                context_stack: vec![Label::new("lock")],
-                alloc_counts: HashMap::new(),
-                released: false,
-                exited: false,
-            },
-        );
-        st.locks.insert(o(1), held);
-        st.waits.insert(t(1), (o(1), Label::new("relock"), mode));
-        st
+    fn thread_holding_o1(name: &str, mode: Option<AcquireMode>) -> ThreadState {
+        let slot = SharedSlot::default();
+        if let Some(mode) = mode {
+            slot.lock().held.push(Hold {
+                lock: o(1),
+                site: Label::new("lock"),
+                mode,
+            });
+        }
+        ThreadState {
+            obj: o(0),
+            name: name.to_string(),
+            slot,
+            alloc_counts: HashMap::new(),
+            released: false,
+            exited: false,
+        }
+    }
+
+    /// Thread t1 holds o1 in `held` mode (next to reader t0 when `held`
+    /// is shared) and waits for it again in `mode`.
+    fn relocking(held: AcquireMode, mode: AcquireMode) -> State {
+        State {
+            threads: vec![
+                thread_holding_o1("t0", held.is_shared().then_some(held)),
+                thread_holding_o1("t1", Some(held)),
+            ],
+            waits: vec![None, Some((o(1), Label::new("relock"), mode))],
+            ..State::default()
+        }
     }
 
     #[test]
     fn self_loop_is_a_one_thread_cycle() {
         // Non-re-entrant std lock: blocking on a lock you hold is a
         // real single-thread deadlock, unlike the virtual runtime.
-        let mut st = relocking(Holders::Writer(t(1)), AcquireMode::Exclusive);
+        let mut st = relocking(AcquireMode::Exclusive, AcquireMode::Exclusive);
         let w = detect(&mut st, t(1), Detector::WaitForGraph).expect("self-wait");
         assert_eq!(w.len(), 1);
         assert_eq!(w.components[0].holding, vec![o(1)]);
@@ -1058,12 +1202,56 @@ mod tests {
     fn upgrade_self_loop_is_a_one_thread_cycle() {
         // A thread write-waiting on a lock it read-holds: the classic
         // std::sync::RwLock upgrade deadlock.
-        let mut st = relocking(Holders::Readers(vec![t(2), t(1)]), AcquireMode::Exclusive);
+        let mut st = relocking(AcquireMode::Shared, AcquireMode::Exclusive);
         let w = detect(&mut st, t(1), Detector::WaitForGraph).expect("upgrade self-wait");
         assert_eq!(w.len(), 1);
         assert_eq!(w.components[0].holding_modes, vec![AcquireMode::Shared]);
         // A shared re-read next to other readers is not a self-wait.
-        let st = relocking(Holders::Readers(vec![t(2), t(1)]), AcquireMode::Shared);
+        let st = relocking(AcquireMode::Shared, AcquireMode::Shared);
         assert!(!waits_on_itself(&st, t(1)));
+    }
+
+    /// The uncontended acquire, release and try paths never take the
+    /// registry lock: a worker finishes its operations while this thread
+    /// holds it. A regression blocks the worker until the timeout.
+    #[test]
+    fn fast_path_never_takes_the_registry() {
+        const ROUNDS: usize = 2_000;
+        let spill = df_events::SpillConfig::with_format(df_events::TraceFormat::Binary);
+        let (config, sink) = TrackerConfig::default()
+            .with_spill(std::io::sink(), &spill)
+            .expect("start spill");
+        let tracker = Tracker::new(config);
+        let a = TrackedMutex::with_tracker(&tracker, 0u64);
+        let b = TrackedMutex::with_tracker(&tracker, 0u64);
+        let r = TrackedRwLock::with_tracker(&tracker, 0u64);
+        let (go, wait_for_go) = mpsc::channel::<()>();
+        let (done, wait_for_done) = mpsc::channel::<()>();
+        let worker = tracker.spawn("fast path", move || {
+            wait_for_go.recv().expect("go signal");
+            // Five operations a round, each an acquire and a release.
+            for _ in 0..ROUNDS {
+                let mut outer = a.lock().unwrap();
+                *b.lock().unwrap() += 1;
+                *outer += 1;
+                drop(outer);
+                drop(r.read().unwrap());
+                *r.write().unwrap() += 1;
+                drop(a.try_lock().unwrap());
+            }
+            done.send(()).expect("done signal");
+        });
+        let registry = tracker.inner.state.lock();
+        go.send(()).expect("worker waits for go");
+        let finished = wait_for_done.recv_timeout(Duration::from_secs(30));
+        drop(registry);
+        worker.join().expect("worker");
+        assert!(
+            finished.is_ok(),
+            "uncontended lock operations waited for the registry lock"
+        );
+        tracker.seal();
+        let (events, _) = sink.lock().unwrap().close().unwrap();
+        assert!(events >= 10 * ROUNDS as u64);
     }
 }

@@ -8,13 +8,20 @@
 //! * every `Acquire` carries exactly the locks and sites the thread held
 //!   at that point, replayed from the events before it — a stale buffer
 //!   leaking into a later event fails this.
+//!
+//! The same replay checks a contended stream: four threads taking
+//! ordered pairs of shared mutexes and rwlocks, whose events must stay
+//! gapless and in the real per-lock order.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-use df_events::{read_trace_bytes, EventKind, Label, ObjId, SpillConfig, ThreadId, TraceFormat};
-use df_lock::{TrackedMutex, TrackedRwLock, Tracker, TrackerConfig};
+use df_events::{
+    read_trace_bytes, AcquireMode, Event, EventKind, EventSink, Label, ObjId, SinkHandle,
+    SpillConfig, ThreadId, TraceFormat,
+};
+use df_lock::{DeadlockHandler, TrackedMutex, TrackedRwLock, Tracker, TrackerConfig};
 
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -158,4 +165,153 @@ fn reused_acquire_buffers_never_leak_into_later_events() {
             );
         }
     }
+}
+
+/// Keeps every delivered event, in delivery order.
+#[derive(Default)]
+struct Collect(Vec<Event>);
+
+impl EventSink for Collect {
+    fn on_event(&mut self, event: &Event) {
+        self.0.push(event.clone());
+    }
+}
+
+/// One of the stress test's shared locks: even slots are mutexes, odd
+/// slots rwlocks.
+enum Shared {
+    Mutex(TrackedMutex<u64>),
+    RwLock(TrackedRwLock<u64>),
+}
+
+const STRESS_THREADS: u64 = 4;
+const STRESS_LOCKS: usize = 8;
+const STRESS_ROUNDS: u64 = 3;
+const STRESS_PAIRS: usize = 1_000;
+
+/// Takes `locks[lo]` then `locks[hi]` nested, reading an rwlock when
+/// `read`, and releases them in reverse.
+fn take_pair(locks: &[Shared], lo: usize, hi: usize, read: bool) {
+    let hold = |i: usize, then: &dyn Fn()| match &locks[i] {
+        Shared::Mutex(m) => {
+            let mut g = m.lock().unwrap();
+            *g += 1;
+            then();
+        }
+        Shared::RwLock(l) if read => {
+            let _g = l.read().unwrap();
+            then();
+        }
+        Shared::RwLock(l) => {
+            let mut g = l.write().unwrap();
+            *g += 1;
+            then();
+        }
+    };
+    hold(lo, &|| hold(hi, &|| {}));
+}
+
+/// Checks per-lock exclusion in the stream: replayed in sequence order,
+/// no lock is taken exclusively while another thread holds it, nor
+/// shared while another thread holds it exclusively.
+fn check_exclusion(events: &[Event]) {
+    let mut holders: HashMap<ObjId, Vec<(ThreadId, AcquireMode)>> = HashMap::new();
+    for event in events {
+        let taken = match &event.kind {
+            EventKind::Acquire { lock, mode, .. } => Some((*lock, *mode)),
+            EventKind::TryAcquire {
+                lock,
+                acquired: true,
+                mode,
+                ..
+            } => Some((*lock, *mode)),
+            EventKind::Release { lock, .. } | EventKind::Rerelease { lock, .. } => {
+                let held = holders.get_mut(lock).expect("released lock is held");
+                let pos = held
+                    .iter()
+                    .rposition(|&(t, _)| t == event.thread)
+                    .expect("releasing thread holds the lock");
+                held.remove(pos);
+                None
+            }
+            _ => None,
+        };
+        if let Some((lock, mode)) = taken {
+            let held = holders.entry(lock).or_default();
+            let conflict = held
+                .iter()
+                .find(|&&(t, m)| t != event.thread && (mode.is_exclusive() || m.is_exclusive()));
+            assert!(
+                conflict.is_none(),
+                "event {} takes {lock} {mode:?} while {:?} holds it",
+                event.seq,
+                conflict
+            );
+            held.push((event.thread, mode));
+        }
+    }
+}
+
+#[test]
+fn contended_stream_stays_gapless_and_in_lock_order() {
+    let collected = Arc::new(Mutex::new(Collect::default()));
+    let witnesses = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&witnesses);
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(SinkHandle::single(collected.clone()))
+            .with_handler(DeadlockHandler::Callback(Arc::new(move |w| {
+                seen.lock().unwrap().push(w.clone());
+            }))),
+    );
+    let locks: Arc<Vec<Shared>> = Arc::new(
+        (0..STRESS_LOCKS)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Shared::Mutex(TrackedMutex::with_tracker(&tracker, 0))
+                } else {
+                    Shared::RwLock(TrackedRwLock::with_tracker(&tracker, 0))
+                }
+            })
+            .collect(),
+    );
+    for round in 0..STRESS_ROUNDS {
+        let workers: Vec<_> = (0..STRESS_THREADS)
+            .map(|t| {
+                let locks = Arc::clone(&locks);
+                tracker.spawn(&format!("stress-{round}-{t}"), move || {
+                    let mut state =
+                        (round * STRESS_THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut next = move || {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (state >> 33) as usize
+                    };
+                    for _ in 0..STRESS_PAIRS {
+                        let (x, y) = (next() % STRESS_LOCKS, next() % STRESS_LOCKS);
+                        if x != y {
+                            take_pair(&locks, x.min(y), x.max(y), next() % 2 == 0);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+    tracker.seal();
+
+    assert!(
+        witnesses.lock().unwrap().is_empty(),
+        "ordered pairs never deadlock"
+    );
+    let events = std::mem::take(&mut collected.lock().unwrap().0);
+    for (i, event) in events.iter().enumerate() {
+        assert_eq!(event.seq, i as u64, "sequence numbers are gapless");
+    }
+    check_exclusion(&events);
+    let seen = check_acquires_against_replay(&events);
+    assert!(seen["acquire"] > 0);
 }

@@ -1,7 +1,9 @@
 //! The native hot path allocates nothing in steady state: after a
 //! warm-up, nested `TrackedMutex` lock pairs under a tracker — with no
 //! sink, and with a synchronous binary spill — make zero heap
-//! allocations. A count, not a timing, so it holds on any machine.
+//! allocations, and so does a read of a free `TrackedRwLock`. Through a
+//! ring spill the emitting thread reuses the frames the writer thread
+//! hands back. Counts, not timings, so they hold on any machine.
 //!
 //! Run in release mode too: `cargo test --release -p df-lock --test
 //! hot_path_allocs`.
@@ -10,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use df_events::{SpillConfig, TraceFormat};
-use df_lock::{TrackedMutex, Tracker, TrackerConfig};
+use df_lock::{TrackedMutex, TrackedRwLock, Tracker, TrackerConfig};
 
 /// Counts the allocations of the calling thread only, so tests running
 /// in parallel in this binary do not see each other's.
@@ -58,26 +60,31 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const WARM_UP_PAIRS: usize = 100;
 const MEASURED_PAIRS: usize = 10_000;
 
+/// Allocations made by `MEASURED_PAIRS` runs of `op`, after
+/// `WARM_UP_PAIRS` runs have filled the call-site memo and grown every
+/// reused buffer.
+fn steady_state_allocs_of(mut op: impl FnMut()) -> u64 {
+    for _ in 0..WARM_UP_PAIRS {
+        op();
+    }
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..MEASURED_PAIRS {
+        op();
+    }
+    ALLOCS.with(Cell::get) - before
+}
+
 /// Allocations made by `MEASURED_PAIRS` nested lock pairs under
-/// `tracker`, after `WARM_UP_PAIRS` have filled the call-site memo and
-/// grown every reused buffer.
+/// `tracker`, after the warm-up.
 fn steady_state_allocs(tracker: &Tracker) -> u64 {
     let outer = TrackedMutex::with_tracker(tracker, 0u64);
     let inner = TrackedMutex::with_tracker(tracker, 0u64);
-    let pair = || {
+    let allocs = steady_state_allocs_of(|| {
         let mut a = outer.lock().unwrap();
         let mut b = inner.lock().unwrap();
         *a += 1;
         *b += 1;
-    };
-    for _ in 0..WARM_UP_PAIRS {
-        pair();
-    }
-    let before = ALLOCS.with(Cell::get);
-    for _ in 0..MEASURED_PAIRS {
-        pair();
-    }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    });
     assert_eq!(
         *outer.lock().unwrap(),
         (WARM_UP_PAIRS + MEASURED_PAIRS) as u64
@@ -103,4 +110,45 @@ fn lock_pairs_allocate_nothing_with_a_binary_spill() {
     let (events, _) = sink.lock().unwrap().close().unwrap();
     // Every pair reached the spill: two acquires and two releases each.
     assert!(events >= 4 * (WARM_UP_PAIRS + MEASURED_PAIRS) as u64);
+}
+
+#[test]
+fn free_rwlock_reads_allocate_nothing() {
+    let spill = SpillConfig::with_format(TraceFormat::Binary);
+    let (config, sink) = TrackerConfig::default()
+        .with_spill(std::io::sink(), &spill)
+        .unwrap();
+    let tracker = Tracker::new(config);
+    let outer = TrackedMutex::with_tracker(&tracker, 0u64);
+    let shared = TrackedRwLock::with_tracker(&tracker, 0u64);
+    let allocs = steady_state_allocs_of(|| {
+        let mut a = outer.lock().unwrap();
+        *a += *shared.read().unwrap();
+    });
+    assert_eq!(allocs, 0);
+    tracker.seal();
+    let (events, _) = sink.lock().unwrap().close().unwrap();
+    assert!(events >= 4 * (WARM_UP_PAIRS + MEASURED_PAIRS) as u64);
+}
+
+#[test]
+fn lock_pairs_reuse_ring_spill_frames() {
+    let spill = SpillConfig::with_format(TraceFormat::Binary).with_ring(64);
+    let (config, sink) = TrackerConfig::default()
+        .with_spill(std::io::sink(), &spill)
+        .unwrap();
+    let tracker = Tracker::new(config);
+    let allocs = steady_state_allocs(&tracker);
+    // Without reuse every event would allocate its frame: four per
+    // pair. With it, a frame is allocated only while the writer thread
+    // has not handed enough back yet, which scheduling bounds, not the
+    // number of events.
+    let events = 4 * MEASURED_PAIRS as u64;
+    assert!(
+        allocs < events / 10,
+        "{allocs} allocations for {events} ring-spilled events"
+    );
+    tracker.seal();
+    let (spilled, _) = sink.lock().unwrap().close().unwrap();
+    assert!(spilled >= 4 * (WARM_UP_PAIRS + MEASURED_PAIRS) as u64);
 }

@@ -51,6 +51,14 @@ impl WaitForGraph {
         Self::default()
     }
 
+    /// Removes every edge, keeping the allocated capacity, so one graph
+    /// can be refilled for each check.
+    pub fn clear(&mut self) {
+        self.exclusive.clear();
+        self.shared.clear();
+        self.waits.clear();
+    }
+
     /// Records that `t` holds `lock` exclusively.
     pub fn add_holds(&mut self, t: ThreadId, lock: ObjId) {
         self.exclusive.entry(lock).or_default().push(t);
@@ -301,6 +309,24 @@ mod tests {
         let c = g.find_cycle().unwrap();
         assert_eq!(c.len(), 2);
         assert!(!c.contains(&t(3)));
+    }
+
+    #[test]
+    fn cleared_graph_is_refilled_from_scratch() {
+        let mut g = WaitForGraph::new();
+        g.add_holds(t(1), o(1));
+        g.add_holds_shared(t(2), o(2));
+        g.add_waits(t(1), o(2));
+        g.add_waits_shared(t(2), o(1));
+        assert!(g.find_cycle_from(t(1)).is_some());
+        g.clear();
+        assert!(g.find_cycle().is_none());
+        assert_eq!(g.waiting_for(t(1)), None);
+        assert!(g.holders_of(o(1)).is_empty() && g.holders_of(o(2)).is_empty());
+        g.add_holds(t(2), o(2));
+        g.add_waits(t(1), o(2));
+        assert_eq!(g.holder_of(o(2)), Some(t(2)));
+        assert!(g.find_cycle_from(t(1)).is_none());
     }
 
     #[test]
