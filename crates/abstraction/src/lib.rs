@@ -36,7 +36,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 

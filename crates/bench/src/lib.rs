@@ -9,7 +9,7 @@
 //! `BENCH_igoodlock.json`.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod igoodlock_bench;
 mod precision;

@@ -1,8 +1,8 @@
 //! Trace I/O throughput bench: events/sec and bytes/event for the two
 //! `df-trace` encodings (JSONL v1, binary v2) on the two write paths
 //! (offline — a materialized [`Trace`] serialized in one pass — and
-//! streamed — events fed one at a time through an [`AnySpillSink`] with
-//! the SPSC ring writer enabled). Before any numbers are taken the four
+//! streamed — events fed one at a time through a [`SpillSink`], the
+//! way a live run spills). Before any numbers are taken the four
 //! paths are cross-checked on a small workload: streamed output must be
 //! byte-identical to offline output per format, and the binary artifact
 //! must decode back to the exact source trace.
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use df_events::{
-    read_trace_bytes, write_trace_as, AnySpillSink, EventKind, EventSink, Label, ObjId, ObjKind,
-    SpillConfig, ThreadId, Trace, TraceFormat,
+    read_trace_bytes, write_trace_as, EventKind, EventSink, Label, ObjId, ObjKind, SpillSink,
+    ThreadId, Trace, TraceFormat,
 };
 use serde::Serialize;
 
@@ -132,13 +132,12 @@ fn run_offline(trace: &Trace, format: TraceFormat) -> Result<(f64, u64), String>
     Ok((wall, counter.0.load(Ordering::Relaxed)))
 }
 
-/// Streamed path: feed events one at a time through an [`AnySpillSink`]
-/// with the SPSC ring enabled, timing until the seal lands.
+/// Streamed path: feed events one at a time through a [`SpillSink`],
+/// timing until the seal lands.
 fn run_streamed(trace: &Trace, format: TraceFormat) -> Result<(f64, u64), String> {
-    let config = SpillConfig::with_format(format).with_ring(1024);
     let counter = CountingSink::default();
     let start = Instant::now();
-    let mut sink = AnySpillSink::new(counter.clone(), &config).map_err(|e| e.to_string())?;
+    let mut sink = SpillSink::with_format(counter.clone(), format).map_err(|e| e.to_string())?;
     feed(&mut sink, trace);
     let (_events, bytes) = sink.close().map_err(|e| e.to_string())?;
     let wall = start.elapsed().as_secs_f64();
@@ -171,8 +170,8 @@ fn parity_check(trace: &Trace) -> Result<(), String> {
                 }
             }
             let buf = SharedBuf::default();
-            let config = SpillConfig::with_format(format).with_ring(64);
-            let mut sink = AnySpillSink::new(buf.clone(), &config).map_err(|e| e.to_string())?;
+            let mut sink =
+                SpillSink::with_format(buf.clone(), format).map_err(|e| e.to_string())?;
             feed(&mut sink, trace);
             sink.close().map_err(|e| e.to_string())?;
             let bytes = buf.0.lock().unwrap().clone();

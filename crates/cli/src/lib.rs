@@ -15,7 +15,7 @@
 //! [`CmdOutput::code`] on success, [`CliError::exit_code`] on failure.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
 
@@ -261,12 +261,10 @@ pub struct CliOptions {
     /// `dfz record`: write the lock dependency relation as a
     /// `df-relation` artifact to this file.
     pub relation_out: Option<std::path::PathBuf>,
-    /// `dfz record`: how the trace artifact is encoded and scheduled to
-    /// disk — the shared [`SpillConfig`] that `--format`, `--spill-ring`,
-    /// `--spill-batch-bytes` and `--spill-flush-ms` all map onto
-    /// (`dfz analyze` sniffs the encoding, so the format only matters
-    /// when writing). The same struct flows into
-    /// [`Config::with_spill`] and `df_lock::Tracker::with_spill`.
+    /// `dfz record`: how the trace artifact is encoded (`--format`;
+    /// `dfz analyze` sniffs the encoding, so it only matters when
+    /// writing). The same struct configures
+    /// `df_lock::TrackerConfig::with_spill`.
     pub spill: SpillConfig,
 }
 
@@ -313,8 +311,7 @@ pub fn config_of(opts: &CliOptions) -> Result<Config, CliError> {
         .with_adaptive_trials(opts.adaptive)
         .with_trial_budget(opts.trial_budget)
         .with_jobs(opts.jobs)
-        .with_stream_phase1(opts.stream)
-        .with_spill(opts.spill);
+        .with_stream_phase1(opts.stream);
     if let Some(p) = opts.fault_panic {
         config.run = config.run.with_fault_plan(
             deadlock_fuzzer::runtime::FaultPlan::new(opts.fault_seed).with_panic_on_acquire(p),
@@ -366,6 +363,11 @@ pub fn cmd_phase1(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     Ok(CmdOutput::ok(format!("{report}")))
 }
 
+/// Buffer between `dfz record`'s spill sink and the trace file. The
+/// sink encodes and writes on the recording thread, so a larger buffer
+/// means fewer, larger writes on a slow disk.
+const RECORD_BUFFER_BYTES: usize = 64 * 1024;
+
 /// `dfz record <benchmark>` — run Phase I once and persist it as durable
 /// artifacts: the event stream (`--out`, `df-trace` JSONL) and/or the
 /// lock dependency relation (`--relation-out`, `df-relation` JSON). With
@@ -388,7 +390,7 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     let program = resolve_program(name)?;
     let obs = obs_of(opts)?;
     let config = config_of(opts)?;
-    let spill_config = config.spill;
+    let format = opts.spill.format;
     let fuzzer = DeadlockFuzzer::from_ref(program, config.with_obs(obs.clone()));
 
     let mut handle = df_events::SinkHandle::none();
@@ -397,10 +399,9 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
             let file = std::fs::File::create(path).map_err(|e| {
                 CliError::internal(format!("cannot create {}: {e}", path.display()))
             })?;
-            let sink = df_events::AnySpillSink::new(std::io::BufWriter::new(file), &spill_config)
-                .map_err(|e| {
-                CliError::internal(format!("cannot start {}: {e}", path.display()))
-            })?;
+            let out = std::io::BufWriter::with_capacity(RECORD_BUFFER_BYTES, file);
+            let sink = df_events::SpillSink::with_format(out, format)
+                .map_err(|e| CliError::internal(format!("cannot start {}: {e}", path.display())))?;
             let sink = Arc::new(Mutex::new(sink));
             handle = handle.with(sink.clone());
             Some(sink)
@@ -433,24 +434,17 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     if let (Some(sink), Some(path)) = (spill, &opts.out) {
         // Recover a poisoned sink mutex: even if a trial panicked inside
         // the program, the spill must still be harvested and sealed.
-        let mut guard = sink
+        let (events, bytes) = sink
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (events, bytes) = guard
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .close()
             .map_err(|e| CliError::internal(format!("sealing {}: {e}", path.display())))?;
-        let waits = guard.backpressure_waits();
-        drop(guard);
-        obs.counters().add_spill_backpressure_waits(waits);
         let _ = writeln!(
             out,
             "  trace artifact: {} ({events} events, {bytes} bytes)",
             path.display()
         );
-        let _ = writeln!(out, "  trace format: {}", spill_config.format);
-        if spill_config.ring_capacity > 0 {
-            let _ = writeln!(out, "  spill backpressure waits: {waits}");
-        }
+        let _ = writeln!(out, "  trace format: {format}");
     }
     if let (Some(b), Some(path)) = (builder, &opts.relation_out) {
         let relation = b.lock().expect("relation builder sink").take();
@@ -1078,7 +1072,7 @@ mod tests {
         };
         let bin_opts = CliOptions {
             out: Some(bin_path.0.clone()),
-            spill: SpillConfig::with_format(TraceFormat::Binary).with_ring(256),
+            spill: SpillConfig::with_format(TraceFormat::Binary),
             json: true,
             ..CliOptions::default()
         };
@@ -1086,7 +1080,6 @@ mod tests {
         assert!(v1.text.contains("trace format: jsonl"), "{}", v1.text);
         let v2 = cmd_record("figure1", &bin_opts).unwrap();
         assert!(v2.text.contains("trace format: binary"), "{}", v2.text);
-        assert!(v2.text.contains("spill backpressure waits:"), "{}", v2.text);
 
         let jsonl_bytes = std::fs::read(&jsonl_path.0).unwrap();
         let bin_bytes = std::fs::read(&bin_path.0).unwrap();
@@ -1143,24 +1136,6 @@ mod tests {
         // Magic alone is not an artifact.
         let err = cmd_analyze(&bytes[..4], "runs/magic.bin", &plain).unwrap_err();
         assert_eq!(err.exit_code(), exit_code::USAGE);
-    }
-
-    #[test]
-    fn degenerate_spill_settings_are_usage_errors() {
-        let opts = CliOptions {
-            spill: SpillConfig::default().with_batch_bytes(0),
-            ..CliOptions::default()
-        };
-        let err = cmd_phase1("figure1", &opts).unwrap_err();
-        assert_eq!(err.exit_code(), exit_code::USAGE);
-        assert!(err.message().contains("batch_bytes"), "{err}");
-        let opts = CliOptions {
-            spill: SpillConfig::default().with_flush_interval(std::time::Duration::ZERO),
-            ..CliOptions::default()
-        };
-        let err = cmd_phase1("figure1", &opts).unwrap_err();
-        assert_eq!(err.exit_code(), exit_code::USAGE);
-        assert!(err.message().contains("flush_interval"), "{err}");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! dfz list
 //! dfz phase1  <benchmark> [--seed N] [--hb] [--json] [--variant V] [--stream]
 //! dfz record  <benchmark> [--seed N] [--stream] --out F [--relation-out F.json]
-//!             [--format jsonl|binary] [--spill-ring N]
-//!             [--spill-batch-bytes N] [--spill-flush-ms N]
+//!             [--format jsonl|binary]
 //! dfz analyze <artifact>  [--hb] [--variant V] [--json]
 //!             [--metrics-out F]                 # offline iGoodlock
 //! dfz confirm <benchmark> [--cycle I] [--trials N] [--variant V] [--jobs N]
@@ -21,7 +20,9 @@
 //! --relation-out`). `--jobs` sizes the Phase II trial pool of
 //! `confirm` and `run`; Phase I is sequential. A leading flag implies
 //! `run`, so `dfz --benchmark figure1 --metrics-out m.json` is the
-//! observability one-liner.
+//! observability one-liner. `record` writes its trace on the recording
+//! thread through a 64 KiB buffer; the flags of the retired ring writer
+//! are usage errors.
 
 use df_cli::{
     cmd_analyze, cmd_confirm, cmd_list, cmd_phase1, cmd_record, cmd_run, resolve_variant, CliError,
@@ -36,8 +37,7 @@ fn usage() -> ! {
          \x20    drives the Phase II trial workers of confirm and run)\n\
          observability: --metrics-out <file> --trace-out <file.jsonl>\n\
          recording: --out <trace file> --relation-out <relation.json> --stream\n\
-         \x20    --format <jsonl|binary> --spill-ring <frames> (0 = synchronous)\n\
-         \x20    --spill-batch-bytes <n> --spill-flush-ms <n>\n\
+         \x20    --format <jsonl|binary>\n\
          precision: --feasibility (score cycles from the Phase I trace)\n\
          \x20    --adaptive (feasibility-seeded adaptive trial allocation)\n\
          \x20    --trial-budget <n> (campaign-wide cap on adaptive trials)\n\
@@ -140,24 +140,6 @@ fn main() {
                         std::process::exit(df_cli::exit_code::USAGE);
                     }
                 }
-            }
-            "--spill-ring" => {
-                opts.spill.ring_capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--spill-batch-bytes" => {
-                opts.spill.batch_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--spill-flush-ms" => {
-                opts.spill.flush_interval = args
-                    .next()
-                    .and_then(|v| v.parse().ok().map(std::time::Duration::from_millis))
-                    .unwrap_or_else(|| usage());
             }
             "--trial-budget" => {
                 let budget: u32 = args

@@ -84,6 +84,24 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn retired_spill_ring_flags_are_usage_errors() {
+    // The spill is written on the recording thread; the flags that
+    // sized the old writer thread's ring are rejected, not ignored.
+    let out = scratch("retired-ring.bin");
+    let out = out.to_str().unwrap();
+    for flag in ["--spill-ring", "--spill-batch-bytes", "--spill-flush-ms"] {
+        let code = dfz(&["record", "figure1", flag, "4096", "--out", out])
+            .status
+            .code();
+        assert_eq!(code, Some(2), "{flag}");
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a usage error records nothing"
+    );
+}
+
+#[test]
 fn retired_event_vocabulary_is_rejected_with_a_position() {
     // Artifacts recorded before shared-variable accesses and atomic
     // blocks left the event vocabulary: rejected, never skipped.

@@ -2,7 +2,6 @@
 
 use crate::error::DfError;
 use df_abstraction::AbstractionMode;
-use df_events::SpillConfig;
 use df_igoodlock::IGoodlockOptions;
 use df_runtime::RunConfig;
 use serde::{Deserialize, Serialize};
@@ -183,11 +182,6 @@ pub struct Config {
     /// [`Config::hb_filter`] and [`Config::feasibility`], which both
     /// read the whole trace.
     pub stream_phase1: bool,
-    /// How recorded traces are spilled to disk: the artifact encoding
-    /// (JSONL v1 or binary v2) and the optional SPSC ring that moves
-    /// serialization off the emitting threads onto a dedicated writer
-    /// thread (`ring_capacity` of 0 writes synchronously).
-    pub spill: SpillConfig,
 }
 
 impl Default for Config {
@@ -213,7 +207,6 @@ impl Default for Config {
             trial_budget: None,
             stop_on_first: false,
             stream_phase1: false,
-            spill: SpillConfig::default(),
         }
     }
 }
@@ -322,13 +315,6 @@ impl Config {
         self
     }
 
-    /// Sets the trace-spill configuration (artifact format and ring
-    /// buffering; see [`SpillConfig`]).
-    pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.spill = spill;
-        self
-    }
-
     /// Sets the livelock-monitor pause budget (§5).
     pub fn with_pause_budget(mut self, budget: u64) -> Self {
         self.pause_budget = budget;
@@ -422,12 +408,6 @@ impl Config {
                  campaigns produce biased estimates the allocator must not consume"
                     .to_string(),
             );
-        }
-        if self.spill.batch_bytes == 0 {
-            return invalid("spill.batch_bytes must be at least 1".to_string());
-        }
-        if self.spill.flush_interval.is_zero() {
-            return invalid("spill.flush_interval must be positive".to_string());
         }
         if let Some(plan) = &self.run.fault_plan {
             for (name, p) in [
@@ -638,24 +618,6 @@ mod tests {
         assert!(!c.feasibility);
         assert!(!c.adaptive_trials);
         assert_eq!(c.trial_budget, None);
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_spill_settings() {
-        use df_events::TraceFormat;
-        let c = Config::default().with_spill(SpillConfig::default().with_batch_bytes(0));
-        assert!(rejection(&c).contains("batch_bytes"));
-        let c = Config::default()
-            .with_spill(SpillConfig::default().with_flush_interval(Duration::ZERO));
-        assert!(rejection(&c).contains("flush_interval"));
-        let c = Config::default().with_spill(
-            SpillConfig::with_format(TraceFormat::Binary)
-                .with_ring(1024)
-                .with_batch_bytes(4096),
-        );
-        assert!(c.validate().is_ok());
-        assert_eq!(c.spill.format, TraceFormat::Binary);
-        assert!(c.spill.ring_capacity >= 1);
     }
 
     #[test]

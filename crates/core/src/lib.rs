@@ -57,7 +57,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod allocate;
 mod config;

@@ -120,8 +120,7 @@ const NO_STR: u32 = u32::MAX;
 
 /// Streaming encoder for the binary format: turns events and the footer
 /// into frame bytes, maintaining the per-file string table. Pure — it
-/// never touches I/O, so the same encoder serves both the synchronous
-/// [`crate::BinaryTraceWriter`] and the ring-buffered spill writer.
+/// never touches I/O; [`crate::BinaryTraceWriter`] does the writing.
 pub(crate) struct BinaryEncoder {
     /// String id of each label defined so far, indexed by
     /// [`Label::index`]; [`NO_STR`] where none is defined yet.
@@ -428,12 +427,24 @@ impl<W: Write> BinaryTraceWriter<W> {
         objects: &ObjectTable,
         thread_objs: BTreeMap<ThreadId, ObjId>,
     ) -> Result<W, SpillError> {
+        self.seal(objects, thread_objs)?;
+        Ok(self.out)
+    }
+
+    /// Writes and flushes the footer and seal frames, counting their
+    /// bytes.
+    pub(crate) fn seal(
+        &mut self,
+        objects: &ObjectTable,
+        thread_objs: BTreeMap<ThreadId, ObjId>,
+    ) -> Result<(), SpillError> {
         self.scratch.clear();
         self.encoder
             .encode_finish(objects, thread_objs, &mut self.scratch);
         self.out.write_all(&self.scratch)?;
+        self.bytes += self.scratch.len() as u64;
         self.out.flush()?;
-        Ok(self.out)
+        Ok(())
     }
 }
 

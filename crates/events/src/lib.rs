@@ -28,7 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod binary;
 mod event;
@@ -36,11 +36,9 @@ mod ids;
 mod intern;
 mod label;
 mod object;
-mod ring;
 mod sink;
 mod spill;
 mod trace;
-mod writer;
 
 pub use binary::{
     read_binary_trace, write_binary_trace, BinaryTraceWriter, TRACE_BINARY_FORMAT_VERSION,
@@ -51,14 +49,12 @@ pub use ids::{ObjId, ObjKind, ThreadId};
 pub use intern::DenseInterner;
 pub use label::{caller_site, Label};
 pub use object::{IndexFrame, ObjectMeta, ObjectTable};
-pub use ring::{spsc_ring, RingConsumer, RingProducer, TryPush};
 pub use sink::{EventSink, SinkHandle};
 pub use spill::{
-    read_trace, read_trace_bytes, write_trace, write_trace_as, SpillError, SpillSink, TraceFooter,
-    TraceFormat, TraceHeader, TraceWriter, TRACE_FORMAT, TRACE_FORMAT_VERSION,
+    read_trace, read_trace_bytes, write_trace, write_trace_as, SpillConfig, SpillError, SpillSink,
+    TraceFooter, TraceFormat, TraceHeader, TraceWriter, TRACE_FORMAT, TRACE_FORMAT_VERSION,
 };
 pub use trace::Trace;
-pub use writer::{AnySpillSink, RingSpillSink, SpillConfig};
 
 /// Constructs a [`Label`] from the current source location.
 ///

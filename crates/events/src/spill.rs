@@ -25,7 +25,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::binary::{read_binary_trace, BinaryEncoder, BinaryTraceWriter, TRACE_BINARY_MAGIC};
+use crate::binary::{read_binary_trace, BinaryTraceWriter, TRACE_BINARY_MAGIC};
 use crate::{Event, EventSink, ObjId, ObjectTable, ThreadId, Trace};
 
 /// Format name stamped into every trace artifact header.
@@ -214,92 +214,11 @@ impl From<io::Error> for SpillError {
     }
 }
 
-fn jsonl_header_bytes() -> Result<Vec<u8>, SpillError> {
-    let header = TraceLine::Header(TraceHeader {
-        format: TRACE_FORMAT.to_string(),
-        version: TRACE_FORMAT_VERSION,
-    });
-    let mut line = serde_json::to_string(&header).map_err(|e| SpillError::Json(e.to_string()))?;
-    line.push('\n');
-    Ok(line.into_bytes())
-}
-
-fn jsonl_event_bytes(event: &Event, out: &mut Vec<u8>) -> Result<(), SpillError> {
-    let mut line = serde_json::to_string(&TraceLine::Event(event.clone()))
-        .map_err(|e| SpillError::Json(e.to_string()))?;
-    line.push('\n');
-    out.extend_from_slice(line.as_bytes());
-    Ok(())
-}
-
-fn jsonl_footer_bytes(
-    objects: &ObjectTable,
-    thread_objs: BTreeMap<ThreadId, ObjId>,
-    out: &mut Vec<u8>,
-) -> Result<(), SpillError> {
-    let footer = TraceLine::Footer(TraceFooter {
-        objects: objects.clone(),
-        thread_objs,
-    });
-    let mut line = serde_json::to_string(&footer).map_err(|e| SpillError::Json(e.to_string()))?;
-    line.push('\n');
-    out.extend_from_slice(line.as_bytes());
-    Ok(())
-}
-
-/// Format-generic streaming encoder: envelope bytes in, no I/O. This is
-/// what the ring-buffered spill sink runs on its producer side, so the
-/// writer thread only ever sees opaque byte chunks.
-pub(crate) enum TraceEncoder {
-    /// JSONL v1 (stateless).
-    Jsonl,
-    /// Binary v2 (carries the string-interning table).
-    Binary(BinaryEncoder),
-}
-
-impl TraceEncoder {
-    /// Creates an encoder for `format` and returns the artifact
-    /// preamble (header) bytes.
-    pub(crate) fn new(format: TraceFormat) -> Result<(Self, Vec<u8>), SpillError> {
-        match format {
-            TraceFormat::Jsonl => Ok((TraceEncoder::Jsonl, jsonl_header_bytes()?)),
-            TraceFormat::Binary => {
-                let (enc, preamble) = BinaryEncoder::new();
-                Ok((TraceEncoder::Binary(enc), preamble))
-            }
-        }
-    }
-
-    /// Appends one event's encoding to `out`.
-    pub(crate) fn encode_event(
-        &mut self,
-        event: &Event,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SpillError> {
-        match self {
-            TraceEncoder::Jsonl => jsonl_event_bytes(event, out),
-            TraceEncoder::Binary(enc) => {
-                enc.encode_event(event, out);
-                Ok(())
-            }
-        }
-    }
-
-    /// Appends the sealing footer (and, for binary, the seal frame).
-    pub(crate) fn encode_finish(
-        &mut self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SpillError> {
-        match self {
-            TraceEncoder::Jsonl => jsonl_footer_bytes(objects, thread_objs, out),
-            TraceEncoder::Binary(enc) => {
-                enc.encode_finish(objects, thread_objs, out);
-                Ok(())
-            }
-        }
-    }
+/// Serializes one artifact line, trailing newline included.
+fn jsonl_line(line: &TraceLine) -> Result<String, SpillError> {
+    let mut text = serde_json::to_string(line).map_err(|e| SpillError::Json(e.to_string()))?;
+    text.push('\n');
+    Ok(text)
 }
 
 /// Streams one execution into the on-disk trace format.
@@ -317,8 +236,11 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Starts an artifact by writing the header line.
     pub fn new(mut out: W) -> Result<Self, SpillError> {
-        let line = jsonl_header_bytes()?;
-        out.write_all(&line)?;
+        let line = jsonl_line(&TraceLine::Header(TraceHeader {
+            format: TRACE_FORMAT.to_string(),
+            version: TRACE_FORMAT_VERSION,
+        }))?;
+        out.write_all(line.as_bytes())?;
         Ok(TraceWriter {
             out,
             events: 0,
@@ -328,9 +250,8 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends one event line.
     pub fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
-        let mut line = Vec::with_capacity(96);
-        jsonl_event_bytes(event, &mut line)?;
-        self.out.write_all(&line)?;
+        let line = jsonl_line(&TraceLine::Event(event.clone()))?;
+        self.out.write_all(line.as_bytes())?;
         self.events += 1;
         self.bytes += line.len() as u64;
         Ok(())
@@ -352,11 +273,24 @@ impl<W: Write> TraceWriter<W> {
         objects: &ObjectTable,
         thread_objs: BTreeMap<ThreadId, ObjId>,
     ) -> Result<W, SpillError> {
-        let mut line = Vec::with_capacity(256);
-        jsonl_footer_bytes(objects, thread_objs, &mut line)?;
-        self.out.write_all(&line)?;
-        self.out.flush()?;
+        self.seal(objects, thread_objs)?;
         Ok(self.out)
+    }
+
+    /// Writes and flushes the footer line, counting its bytes.
+    pub(crate) fn seal(
+        &mut self,
+        objects: &ObjectTable,
+        thread_objs: BTreeMap<ThreadId, ObjId>,
+    ) -> Result<(), SpillError> {
+        let line = jsonl_line(&TraceLine::Footer(TraceFooter {
+            objects: objects.clone(),
+            thread_objs,
+        }))?;
+        self.out.write_all(line.as_bytes())?;
+        self.bytes += line.len() as u64;
+        self.out.flush()?;
+        Ok(())
     }
 }
 
@@ -406,6 +340,17 @@ impl<W: Write> AnyTraceWriter<W> {
         match self {
             AnyTraceWriter::Jsonl(w) => w.finish(objects, thread_objs),
             AnyTraceWriter::Binary(w) => w.finish(objects, thread_objs),
+        }
+    }
+
+    pub(crate) fn seal(
+        &mut self,
+        objects: &ObjectTable,
+        thread_objs: BTreeMap<ThreadId, ObjId>,
+    ) -> Result<(), SpillError> {
+        match self {
+            AnyTraceWriter::Jsonl(w) => w.seal(objects, thread_objs),
+            AnyTraceWriter::Binary(w) => w.seal(objects, thread_objs),
         }
     }
 }
@@ -504,12 +449,38 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, SpillError> {
     Ok(trace)
 }
 
+/// How a spill sink encodes its artifact.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SpillConfig {
+    /// On-disk encoding ([`TraceFormat::Jsonl`] or
+    /// [`TraceFormat::Binary`]).
+    pub format: TraceFormat,
+}
+
+impl SpillConfig {
+    /// A config writing `format`.
+    pub fn with_format(format: TraceFormat) -> Self {
+        SpillConfig { format }
+    }
+
+    /// Does nothing: spills are always written on the emitting thread.
+    /// Kept so callers written against the retired ring writer still
+    /// compile.
+    #[doc(hidden)]
+    pub fn with_ring(self, _frames: usize) -> Self {
+        self
+    }
+}
+
 /// An [`EventSink`] that spills the event stream straight to a
-/// [`TraceWriter`], sealing the artifact when the execution finishes.
+/// [`TraceWriter`] or [`BinaryTraceWriter`], sealing the artifact when
+/// the execution finishes.
 ///
 /// I/O errors are latched rather than panicking the instrumented program;
 /// harvest them (plus the event/byte counts) with [`SpillSink::close`]
-/// after the run.
+/// after the run. Dropping an unsealed sink seals the artifact with an
+/// empty footer, so a panicking trial still leaves an analyzable file
+/// behind.
 pub struct SpillSink<W: Write + Send> {
     writer: Option<AnyTraceWriter<W>>,
     error: Option<SpillError>,
@@ -542,6 +513,14 @@ impl<W: Write + Send> SpillSink<W> {
         self.sealed
     }
 
+    /// Always 0: the writer never waits on anything but its own I/O.
+    /// Kept so callers written against the retired ring writer still
+    /// compile.
+    #[doc(hidden)]
+    pub fn backpressure_waits(&self) -> u64 {
+        0
+    }
+
     /// Ends the spill: returns `(events_written, bytes_written)` or the
     /// first error encountered while streaming.
     pub fn close(&mut self) -> Result<(u64, u64), SpillError> {
@@ -553,34 +532,49 @@ impl<W: Write + Send> SpillSink<W> {
         }
         Ok((self.events, self.bytes))
     }
+
+    /// Latches `e` and gives up the writer, so nothing more is written
+    /// to a stream that already failed, not even on drop.
+    fn fail(&mut self, e: SpillError) {
+        self.error = Some(e);
+        self.writer = None;
+    }
 }
 
 impl<W: Write + Send> EventSink for SpillSink<W> {
     fn on_event(&mut self, event: &Event) {
-        if self.error.is_some() {
-            return;
-        }
         if let Some(w) = self.writer.as_mut() {
             match w.write_event(event) {
                 Ok(()) => {
                     self.events = w.events_written();
                     self.bytes = w.bytes_written();
                 }
-                Err(e) => self.error = Some(e),
+                Err(e) => self.fail(e),
             }
         }
     }
 
     fn on_finish(&mut self, trace: &Trace) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(w) = self.writer.take() {
-            self.bytes = w.bytes_written();
-            match w.finish(trace.objects(), trace.thread_objs().collect()) {
-                Ok(_) => self.sealed = true,
-                Err(e) => self.error = Some(e),
+        if let Some(mut w) = self.writer.take() {
+            match w.seal(trace.objects(), trace.thread_objs().collect()) {
+                Ok(()) => {
+                    self.bytes = w.bytes_written();
+                    self.sealed = true;
+                }
+                Err(e) => self.fail(e),
             }
+        }
+    }
+}
+
+impl<W: Write + Send> Drop for SpillSink<W> {
+    fn drop(&mut self) {
+        // Dropped mid-stream (a panicking trial, an early exit): seal
+        // anyway, so the artifact on disk is structurally valid and
+        // analyzable. The events are what was saved; the footer's
+        // object table is empty.
+        if let Some(mut w) = self.writer.take() {
+            let _ = w.seal(&ObjectTable::new(), BTreeMap::new());
         }
     }
 }
@@ -738,5 +732,145 @@ mod tests {
         let mut sink = SpillSink::new(Vec::<u8>::new()).unwrap();
         sink.on_event(&Event::new(0, ThreadId::new(0), EventKind::Yield));
         assert!(matches!(sink.close(), Err(SpillError::MissingFooter)));
+    }
+
+    /// A `Write` target whose bytes outlive the sink that owns it.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl SharedBuf {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// 256 events on one lock; every 8th acquisition names a new, ever
+    /// longer site, so the binary string table grows mid-stream.
+    fn long_label_trace() -> Trace {
+        let mut trace = Trace::new();
+        let t0 = ThreadId::new(0);
+        let obj = trace
+            .objects_mut()
+            .create(ObjKind::Thread, Label::new("<main>"), None, vec![]);
+        trace.bind_thread(t0, obj);
+        let lock = trace
+            .objects_mut()
+            .create(ObjKind::Lock, Label::new("r:1"), None, vec![]);
+        for i in 0..128 {
+            let site = if i % 8 == 0 {
+                Label::new(&format!("grow:{i}:{}", "x".repeat(200 + 16 * i)))
+            } else {
+                Label::new("r:2")
+            };
+            trace.push(t0, EventKind::acquire(lock, site, vec![], vec![site]));
+            trace.push(t0, EventKind::release(lock, Label::new("r:3")));
+        }
+        trace
+    }
+
+    /// Feeds `trace` the way a streaming substrate does: events one at a
+    /// time, then a finish carrying only objects and bindings.
+    fn feed(sink: &mut dyn EventSink, trace: &Trace) {
+        for event in trace.events() {
+            sink.on_event(event);
+        }
+        let mut skeleton = Trace::new();
+        *skeleton.objects_mut() = trace.objects().clone();
+        for (t, o) in trace.thread_objs() {
+            skeleton.bind_thread(t, o);
+        }
+        sink.on_finish(&skeleton);
+    }
+
+    #[test]
+    fn spill_sink_matches_write_trace_byte_for_byte() {
+        let trace = long_label_trace();
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let direct = write_trace_as(Vec::new(), &trace, format).unwrap();
+            let buf = SharedBuf::default();
+            let mut sink = SpillSink::with_format(buf.clone(), format).unwrap();
+            feed(&mut sink, &trace);
+            let (events, bytes) = sink.close().unwrap();
+            assert!(sink.is_sealed());
+            assert_eq!(events, trace.events().len() as u64);
+            assert_eq!(buf.bytes(), direct, "format {format}");
+            assert_eq!(bytes, direct.len() as u64);
+        }
+    }
+
+    #[test]
+    fn dropping_mid_stream_still_seals_the_artifact() {
+        let trace = long_label_trace();
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let buf = SharedBuf::default();
+            let mut sink = SpillSink::with_format(buf.clone(), format).unwrap();
+            for event in trace.events().iter().take(7) {
+                sink.on_event(event);
+            }
+            drop(sink); // no on_finish: simulates a dying trial
+            let back = read_trace_bytes(&buf.bytes()).expect("dropped spill still parses");
+            assert_eq!(back.events().len(), 7, "format {format}");
+            assert!(back.objects().is_empty(), "empty emergency footer");
+        }
+    }
+
+    #[test]
+    fn dropped_halfway_spill_keeps_every_event_it_saw() {
+        let trace = long_label_trace();
+        let half = trace.events().len() / 2;
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let buf = SharedBuf::default();
+            let mut sink = SpillSink::with_format(buf.clone(), format).unwrap();
+            for event in &trace.events()[..half] {
+                sink.on_event(event);
+            }
+            drop(sink);
+            let back = read_trace_bytes(&buf.bytes()).expect("dropped spill still parses");
+            assert_eq!(back.events(), &trace.events()[..half], "format {format}");
+        }
+    }
+
+    #[test]
+    fn failed_spill_writes_nothing_more_on_drop() {
+        /// Accepts the header, then fails every write, counting calls.
+        struct FailAfterHeader(std::sync::Arc<std::sync::atomic::AtomicU64>);
+        impl Write for FailAfterHeader {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                match self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
+                    0 => Ok(buf.len()),
+                    _ => Err(io::Error::other("disk full")),
+                }
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let trace = sample_trace();
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let calls = std::sync::Arc::default();
+            let mut sink =
+                SpillSink::with_format(FailAfterHeader(std::sync::Arc::clone(&calls)), format)
+                    .unwrap();
+            feed(&mut sink, &trace);
+            assert!(matches!(sink.close(), Err(SpillError::Io(_))));
+            let attempts = calls.load(std::sync::atomic::Ordering::Relaxed);
+            drop(sink);
+            assert_eq!(
+                calls.load(std::sync::atomic::Ordering::Relaxed),
+                attempts,
+                "format {format}: a failed spill must not be sealed on drop"
+            );
+        }
     }
 }

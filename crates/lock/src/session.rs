@@ -863,7 +863,7 @@ mod tests {
     /// fan-out handle recovers the guard — so a [`df_events::SpillSink`]
     /// sharing the handle still receives the rest of the stream and the
     /// end-of-run seal, and the panicking trial leaves an *analyzable*
-    /// trace behind instead of a truncated one.
+    /// trace behind instead of a truncated one, in either encoding.
     #[test]
     fn panicking_sink_trial_still_seals_an_analyzable_spill() {
         /// Panics on the first `Release` it sees, once.
@@ -880,54 +880,59 @@ mod tests {
             }
         }
 
-        let buf = SharedBuf::default();
-        let spill = Arc::new(std::sync::Mutex::new(
-            df_events::SpillSink::new(buf.clone()).expect("start spill"),
-        ));
-        let exploder: Arc<std::sync::Mutex<dyn df_events::EventSink>> =
-            Arc::new(std::sync::Mutex::new(ExplodingSink::default()));
-        // Spill first: it must see each event before the exploder gets
-        // a chance to panic the emitting thread.
-        let handle = df_events::SinkHandle::single(spill.clone()).with(exploder);
+        for format in [
+            df_events::TraceFormat::Jsonl,
+            df_events::TraceFormat::Binary,
+        ] {
+            let buf = SharedBuf::default();
+            let spill = Arc::new(std::sync::Mutex::new(
+                df_events::SpillSink::with_format(buf.clone(), format).expect("start spill"),
+            ));
+            let exploder: Arc<std::sync::Mutex<dyn df_events::EventSink>> =
+                Arc::new(std::sync::Mutex::new(ExplodingSink::default()));
+            // Spill first: it must see each event before the exploder
+            // gets a chance to panic the emitting thread.
+            let handle = df_events::SinkHandle::single(spill.clone()).with(exploder);
+            let tracker = Tracker::new(TrackerConfig::default().with_sink(handle));
+            let trial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_locking_program(&tracker);
+            }));
+            assert!(trial.is_err(), "the exploding sink panicked the trial");
 
-        let tracker = Tracker::new(TrackerConfig::default().with_sink(handle));
-        let trial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_locking_program(&tracker);
-        }));
-        assert!(trial.is_err(), "the exploding sink panicked the trial");
+            tracker.seal();
+            let (events, bytes_written) = spill
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .close()
+                .expect("panicking trial still seals the spill");
+            assert!(events > 0);
 
-        tracker.seal();
-        let (events, _bytes) = spill
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .close()
-            .expect("panicking trial still seals the spill");
-        assert!(events > 0);
-
-        let bytes = buf.0.lock().expect("buffer mutex").clone();
-        let trace = df_events::read_trace(std::io::BufReader::new(bytes.as_slice()))
-            .expect("sealed spill parses as a df-trace artifact");
-        assert_eq!(trace.events().len() as u64, events);
-        // Both releases made it out: the one that blew up the sink and
-        // the one emitted while unwinding the outer guard.
-        let releases = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Release { .. }))
-            .count();
-        assert_eq!(releases, 2);
+            let bytes = buf.0.lock().expect("buffer mutex").clone();
+            assert_eq!(bytes.len() as u64, bytes_written, "{format}");
+            let trace = df_events::read_trace_bytes(&bytes)
+                .expect("sealed spill parses as a df-trace artifact");
+            assert_eq!(trace.events().len() as u64, events);
+            assert!(trace.thread_objs().count() > 0, "bindings survive the seal");
+            // Both releases made it out: the one that blew up the sink
+            // and the one emitted while unwinding the outer guard.
+            let releases = trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Release { .. }))
+                .count();
+            assert_eq!(releases, 2, "{format}");
+        }
     }
 
-    /// The ring-buffered binary spill path survives the same panicking
-    /// trial: encoded frames cross the SPSC ring to the writer thread,
-    /// the seal frame lands after the panic, and the binary artifact
-    /// decodes to the same events a synchronous JSONL spill would have
-    /// captured.
+    /// A binary spill attached through [`TrackerConfig::with_spill`]
+    /// survives a trial that panics after the program ran: the seal lands
+    /// after the panic, and the binary artifact decodes to every event
+    /// the spill counted, bindings included. (The spill was once fed
+    /// through a ring buffer; it is now written on the emitting thread.)
     #[test]
     fn panicking_trial_seals_a_ring_buffered_binary_spill() {
         let buf = SharedBuf::default();
-        let config =
-            df_events::SpillConfig::with_format(df_events::TraceFormat::Binary).with_ring(128);
+        let config = df_events::SpillConfig::with_format(df_events::TraceFormat::Binary);
         let (config, spill) = TrackerConfig::default()
             .with_spill(buf.clone(), &config)
             .expect("start spill");
@@ -943,14 +948,14 @@ mod tests {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .close()
-            .expect("panicking trial still seals the ring spill");
+            .expect("panicking trial still seals the binary spill");
         assert!(events > 0);
 
         let bytes = buf.0.lock().expect("buffer mutex").clone();
         assert_eq!(bytes.len() as u64, bytes_written);
         assert!(bytes.starts_with(&df_events::TRACE_BINARY_MAGIC));
         let trace = df_events::read_trace_bytes(&bytes)
-            .expect("sealed ring spill parses as a df-trace binary artifact");
+            .expect("sealed spill parses as a df-trace binary artifact");
         assert_eq!(trace.events().len() as u64, events);
         assert!(trace.thread_objs().count() > 0, "bindings survive the seal");
     }

@@ -123,11 +123,11 @@ impl TrackerConfig {
         self
     }
 
-    /// Attaches a spill sink writing to `out` with the given
-    /// [`df_events::SpillConfig`] (format + optional ring buffering) and
-    /// returns both the updated config and a handle to the sink, which
-    /// the caller must [`df_events::AnySpillSink::close`] after
-    /// [`Tracker::seal`] to harvest the event/byte counts.
+    /// Attaches a spill sink writing to `out` in the
+    /// [`df_events::SpillConfig`]'s format and returns both the updated
+    /// config and a handle to the sink, which the caller must
+    /// [`df_events::SpillSink::close`] after [`Tracker::seal`] to harvest
+    /// the event/byte counts.
     ///
     /// # Errors
     ///
@@ -138,10 +138,10 @@ impl TrackerConfig {
         mut self,
         out: W,
         config: &df_events::SpillConfig,
-    ) -> Result<(Self, Arc<std::sync::Mutex<df_events::AnySpillSink<W>>>), df_events::SpillError>
-    {
-        let sink = Arc::new(std::sync::Mutex::new(df_events::AnySpillSink::new(
-            out, config,
+    ) -> Result<(Self, Arc<std::sync::Mutex<df_events::SpillSink<W>>>), df_events::SpillError> {
+        let sink = Arc::new(std::sync::Mutex::new(df_events::SpillSink::with_format(
+            out,
+            config.format,
         )?));
         self.sink = self.sink.with(sink.clone());
         Ok((self, sink))

@@ -141,29 +141,27 @@ fn check_acquires_against_replay(events: &[df_events::Event]) -> HashMap<&'stati
 
 #[test]
 fn reused_acquire_buffers_never_leak_into_later_events() {
-    for ring in [0, 4] {
-        let buf = SharedBuf::default();
-        let spill = SpillConfig::with_format(TraceFormat::Binary).with_ring(ring);
-        let (config, sink) = TrackerConfig::default()
-            .with_record_events(true)
-            .with_spill(buf.clone(), &spill)
-            .unwrap();
-        let tracker = Tracker::new(config);
-        run_program(&tracker);
-        tracker.seal();
-        sink.lock().unwrap().close().unwrap();
+    let buf = SharedBuf::default();
+    let spill = SpillConfig::with_format(TraceFormat::Binary);
+    let (config, sink) = TrackerConfig::default()
+        .with_record_events(true)
+        .with_spill(buf.clone(), &spill)
+        .unwrap();
+    let tracker = Tracker::new(config);
+    run_program(&tracker);
+    tracker.seal();
+    sink.lock().unwrap().close().unwrap();
 
-        let recorded = tracker.trace();
-        let spilled = read_trace_bytes(&buf.0.lock().unwrap()).unwrap();
-        assert_eq!(spilled.events(), recorded.events(), "ring {ring}");
+    let recorded = tracker.trace();
+    let spilled = read_trace_bytes(&buf.0.lock().unwrap()).unwrap();
+    assert_eq!(spilled.events(), recorded.events());
 
-        let seen = check_acquires_against_replay(recorded.events());
-        for shape in ["acquire", "acquire@2", "reacquire", "try ok", "try failed"] {
-            assert!(
-                seen.get(shape).copied().unwrap_or(0) > 0,
-                "no {shape} event"
-            );
-        }
+    let seen = check_acquires_against_replay(recorded.events());
+    for shape in ["acquire", "acquire@2", "reacquire", "try ok", "try failed"] {
+        assert!(
+            seen.get(shape).copied().unwrap_or(0) > 0,
+            "no {shape} event"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
-//! End-to-end: tracked native locks spilling a binary v2 artifact
-//! through the SPSC ring writer, sealed by `Tracker::seal`, analyzable
-//! offline by `dfz analyze` exactly like a JSONL spill.
+//! End-to-end: tracked native locks spilling a binary v2 artifact,
+//! sealed by `Tracker::seal`, analyzable offline by `dfz analyze`
+//! exactly like a JSONL spill.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -67,8 +67,8 @@ fn inverted_order_run(spill: &SpillConfig) -> (Vec<u8>, u64, u64) {
 }
 
 #[test]
-fn tracked_run_spills_binary_through_the_ring_and_analyzes() {
-    let spill = SpillConfig::with_format(TraceFormat::Binary).with_ring(256);
+fn tracked_run_spills_binary_and_analyzes() {
+    let spill = SpillConfig::with_format(TraceFormat::Binary);
     let (bytes, events, written) = inverted_order_run(&spill);
     assert!(events > 0);
     assert_eq!(written as usize, bytes.len());
@@ -86,11 +86,12 @@ fn tracked_run_spills_binary_through_the_ring_and_analyzes() {
 }
 
 #[test]
-fn ring_binary_spill_matches_synchronous_jsonl_spill_semantically() {
-    let ring_binary = SpillConfig::with_format(TraceFormat::Binary).with_ring(64);
-    let sync_jsonl = SpillConfig::default();
-    let (bin_bytes, bin_events, _) = inverted_order_run(&ring_binary);
-    let (jsonl_bytes, jsonl_events, _) = inverted_order_run(&sync_jsonl);
+fn binary_spill_matches_jsonl_spill_semantically() {
+    let binary = SpillConfig::with_format(TraceFormat::Binary);
+    let jsonl = SpillConfig::default();
+    let (bin_bytes, bin_events, _) = inverted_order_run(&binary);
+    let (jsonl_bytes, jsonl_events, written) = inverted_order_run(&jsonl);
+    assert_eq!(written as usize, jsonl_bytes.len());
     assert_eq!(bin_events, jsonl_events);
     assert!(
         bin_bytes.len() < jsonl_bytes.len(),
@@ -106,8 +107,8 @@ fn ring_binary_spill_matches_synchronous_jsonl_spill_semantically() {
         json: true,
         ..df_cli::CliOptions::default()
     };
-    let from_bin = df_cli::cmd_analyze(&bin_bytes, "ring.bin", &opts).unwrap();
-    let from_jsonl = df_cli::cmd_analyze(&jsonl_bytes, "sync.jsonl", &opts).unwrap();
+    let from_bin = df_cli::cmd_analyze(&bin_bytes, "trace.bin", &opts).unwrap();
+    let from_jsonl = df_cli::cmd_analyze(&jsonl_bytes, "trace.jsonl", &opts).unwrap();
     assert_eq!(from_bin.text, from_jsonl.text);
     assert_ne!(
         from_bin.text.trim(),

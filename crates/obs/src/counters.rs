@@ -30,7 +30,6 @@ pub struct Counters {
     wfg_cycles_detected: AtomicU64,
     lock_timeouts: AtomicU64,
     poisoned_recovered: AtomicU64,
-    spill_backpressure_waits: AtomicU64,
     cycles_pruned_infeasible: AtomicU64,
     trials_saved: AtomicU64,
     peak_trace_bytes: AtomicU64,
@@ -75,10 +74,6 @@ pub struct CounterSnapshot {
     /// Poisoned native locks whose guards were recovered via
     /// `PoisonError::into_inner` (release events still emitted).
     pub poisoned_recovered: u64,
-    /// Times an emitting thread blocked because its ring-buffered spill
-    /// writer could not keep up (one per stall episode, not per retry).
-    /// Zero means the spill ring never applied backpressure.
-    pub spill_backpressure_waits: u64,
     /// Cycles the feasibility layer scored `Infeasible` and the adaptive
     /// allocator therefore skipped without spending a single trial.
     pub cycles_pruned_infeasible: u64,
@@ -171,8 +166,6 @@ impl Counters {
             lock_timeouts => add_lock_timeouts;
             /// Counts `n` poisoned locks recovered.
             poisoned_recovered => add_poisoned_recovered;
-            /// Counts `n` spill-ring backpressure stalls.
-            spill_backpressure_waits => add_spill_backpressure_waits;
             /// Counts `n` cycles pruned as infeasible before any trial.
             cycles_pruned_infeasible => add_cycles_pruned_infeasible;
             /// Counts `n` trials saved relative to uniform allocation.
@@ -268,16 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_backpressure_waits_accumulate_and_merge() {
-        let a = Counters::new();
-        a.add_spill_backpressure_waits(2);
-        let b = Counters::new();
-        b.add_spill_backpressure_waits(3);
-        a.merge(&b.snapshot());
-        assert_eq!(a.snapshot().spill_backpressure_waits, 5);
-    }
-
-    #[test]
     fn precision_counters_accumulate_and_merge() {
         let a = Counters::new();
         a.add_cycles_pruned_infeasible(1);
@@ -298,6 +281,19 @@ mod tests {
         let s = c.snapshot();
         let json = serde_json::to_string(&s).unwrap();
         let back: CounterSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(s, back);
+    }
+
+    #[test]
+    fn snapshots_with_retired_counters_still_parse() {
+        // Documents written before a counter was removed keep parsing:
+        // unknown fields are ignored.
+        let c = Counters::new();
+        c.add_cycles_found(7);
+        let s = c.snapshot();
+        let json = serde_json::to_string(&s).unwrap();
+        let old = json.replacen('{', "{\"retired_counter\":3,", 1);
+        let back: CounterSnapshot = serde_json::from_str(&old).unwrap();
         assert_eq!(s, back);
     }
 }

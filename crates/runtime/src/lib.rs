@@ -42,6 +42,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod config;
 mod controller;

@@ -805,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn virtual_runtime_streams_into_a_ring_buffered_binary_spill() {
+    fn virtual_runtime_streams_into_a_binary_spill() {
         use std::io::Write;
 
         #[derive(Clone, Default)]
@@ -821,10 +821,9 @@ mod tests {
         }
 
         let buf = SharedBuf::default();
-        let config =
-            df_events::SpillConfig::with_format(df_events::TraceFormat::Binary).with_ring(64);
         let spill = std::sync::Arc::new(std::sync::Mutex::new(
-            df_events::AnySpillSink::new(buf.clone(), &config).expect("start spill"),
+            df_events::SpillSink::with_format(buf.clone(), df_events::TraceFormat::Binary)
+                .expect("start spill"),
         ));
         let handle = df_events::SinkHandle::single(
             spill.clone() as std::sync::Arc<std::sync::Mutex<dyn df_events::EventSink>>

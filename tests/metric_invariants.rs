@@ -123,85 +123,6 @@ fn live_detector_counters_flow_into_the_metrics_document() {
 }
 
 #[test]
-fn spill_backpressure_flows_into_the_metrics_document() {
-    // A deliberately starved ring — two slots in front of a writer that
-    // dawdles on every batch — must apply backpressure, and the stall
-    // count must surface through the same `--metrics-out` schema as
-    // every other counter.
-    use std::io::Write;
-    use std::time::Duration;
-
-    use df_events::{
-        AnySpillSink, EventKind, EventSink, Label, ObjKind, SpillConfig, ThreadId, Trace,
-        TraceFormat,
-    };
-
-    /// Sleeps on every write so the drain loop cannot keep up.
-    struct SlowSink;
-    impl Write for SlowSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            std::thread::sleep(Duration::from_millis(2));
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let mut trace = Trace::new();
-    let t0 = ThreadId::new(0);
-    let main = trace
-        .objects_mut()
-        .create(ObjKind::Thread, Label::new("<main>"), None, vec![]);
-    trace.bind_thread(t0, main);
-    let lock = trace
-        .objects_mut()
-        .create(ObjKind::Lock, Label::new("slow:1"), None, vec![]);
-    for _ in 0..256 {
-        trace.push(
-            t0,
-            EventKind::acquire(
-                lock,
-                Label::new("slow:2"),
-                vec![],
-                vec![Label::new("slow:2")],
-            ),
-        );
-        trace.push(t0, EventKind::release(lock, Label::new("slow:3")));
-    }
-
-    let config = SpillConfig::with_format(TraceFormat::Binary)
-        .with_ring(2)
-        .with_batch_bytes(1)
-        .with_flush_interval(Duration::from_millis(1));
-    let mut sink = AnySpillSink::new(SlowSink, &config).expect("spill sink");
-    for (thread, obj) in trace.thread_objs() {
-        sink.on_thread_bound(thread, obj);
-    }
-    for event in trace.events() {
-        sink.on_event(event);
-    }
-    sink.on_finish(&trace);
-    sink.close().expect("seal spill");
-    let waits = sink.backpressure_waits();
-    assert!(
-        waits >= 1,
-        "a two-slot ring over a sleeping writer must stall at least once"
-    );
-
-    let obs = Obs::new();
-    obs.counters().add_spill_backpressure_waits(waits);
-    let snapshot = obs.counters().snapshot();
-    assert_eq!(snapshot.spill_backpressure_waits, waits);
-    let doc = serde_json::to_string(&obs.metrics("ring-spill")).expect("serialize metrics");
-    let pair = format!("\"spill_backpressure_waits\":{waits}");
-    assert!(
-        doc.contains(&pair),
-        "metrics document missing {pair}: {doc}"
-    );
-}
-
-#[test]
 fn directed_replay_of_a_recorded_schedule_never_thrashes() {
     // Thrashing is the active scheduler's escape hatch for wrong pauses
     // (§2.3). A directed replay makes no speculative pauses at all, so

@@ -70,18 +70,16 @@ fn full_pipeline_is_jobs_invariant_down_to_the_trace_bytes() {
 }
 
 #[test]
-fn ring_buffered_binary_spill_is_jobs_invariant() {
+fn binary_spill_is_jobs_invariant() {
     // Same contract as above, with the high-throughput trace path in the
-    // loop: the observation run spills df-trace binary v2 through the
-    // SPSC ring writer, and the spilled bytes — produced on a separate
-    // writer thread — must come out identical under jobs=1 and jobs=4,
-    // as must the rolled-up counters (including the backpressure
-    // counter, which a generously sized ring pins at zero).
+    // loop: the observation run spills df-trace binary v2, and the
+    // spilled bytes must come out identical under jobs=1 and jobs=4, as
+    // must the rolled-up counters.
     use std::io::Write;
     use std::sync::{Arc, Mutex};
 
     use deadlock_fuzzer::events::{
-        read_trace_bytes, AnySpillSink, SinkHandle, SpillConfig, TraceFormat, TRACE_BINARY_MAGIC,
+        read_trace_bytes, SinkHandle, SpillSink, TraceFormat, TRACE_BINARY_MAGIC,
     };
 
     #[derive(Clone, Default)]
@@ -98,7 +96,6 @@ fn ring_buffered_binary_spill_is_jobs_invariant() {
 
     let campaign = |jobs: usize| {
         let obs = df_obs::Obs::new();
-        let spill = SpillConfig::with_format(TraceFormat::Binary).with_ring(1 << 15);
         let fuzzer = DeadlockFuzzer::from_ref(
             df_benchmarks::figure1::program(true),
             Config::default()
@@ -106,20 +103,19 @@ fn ring_buffered_binary_spill_is_jobs_invariant() {
                 .with_phase2_seed_base(400)
                 .with_confirm_trials(4)
                 .with_jobs(jobs)
-                .with_spill(spill)
                 .with_obs(obs.clone()),
         );
         let buf = SharedBuf::default();
         let sink = Arc::new(Mutex::new(
-            AnySpillSink::new(buf.clone(), &spill).expect("spill sink"),
+            SpillSink::with_format(buf.clone(), TraceFormat::Binary).expect("spill sink"),
         ));
         let result = fuzzer.observe(SinkHandle::none().with(sink.clone()), false);
         let outcome = format!("{:?}", result.outcome);
-        let mut guard = sink.lock().expect("sink mutex");
-        let (events, bytes) = guard.close().expect("seal spill");
-        let waits = guard.backpressure_waits();
-        drop(guard);
-        obs.counters().add_spill_backpressure_waits(waits);
+        let (events, bytes) = sink
+            .lock()
+            .expect("sink mutex")
+            .close()
+            .expect("seal spill");
         let report = fuzzer.run();
         let spilled = buf.0.lock().unwrap().clone();
         assert_eq!(spilled.len() as u64, bytes, "jobs={jobs}");
@@ -135,19 +131,12 @@ fn ring_buffered_binary_spill_is_jobs_invariant() {
     let (spill4, events4, verdicts4, c4) = campaign(4);
 
     assert!(spill1.starts_with(&TRACE_BINARY_MAGIC));
-    assert_eq!(
-        spill1, spill4,
-        "ring-spilled bytes drifted under parallelism"
-    );
+    assert_eq!(spill1, spill4, "spilled bytes drifted under parallelism");
     assert_eq!(events1, events4);
     assert!(events1 > 0);
     assert_eq!(verdicts1, verdicts4);
     let decoded = read_trace_bytes(&spill1).expect("spill decodes");
     assert_eq!(decoded.events().len() as u64, events1);
-    assert_eq!(
-        c1.spill_backpressure_waits, 0,
-        "a 32768-slot ring must never stall this workload"
-    );
     assert_eq!(c1, c4, "campaign counters drifted under parallelism");
 }
 
