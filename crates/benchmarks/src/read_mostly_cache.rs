@@ -108,8 +108,8 @@ mod tests {
         // mode-aware zero comes from the read–read pruning and not from
         // the inversion failing to be recorded.
         let fuzzer = DeadlockFuzzer::from_ref(program(), Config::default());
-        let p1 = fuzzer.phase1();
-        let relation = LockDependencyRelation::from_trace(&p1.trace);
+        let recorded = fuzzer.observe(df_events::SinkHandle::none(), true);
+        let relation = LockDependencyRelation::from_trace(&recorded.trace);
         let blind: Vec<LockDep> = relation
             .deps()
             .iter()

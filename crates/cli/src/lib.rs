@@ -23,8 +23,8 @@ use deadlock_fuzzer::{Config, DeadlockFuzzer, ProgramRef, Report, Variant};
 use df_abstraction::Abstractor;
 #[cfg(test)]
 use df_events::TraceFormat;
-use df_events::{SpillConfig, Trace, TRACE_BINARY_MAGIC};
-use df_igoodlock::{igoodlock_filtered, HbFilter, IGoodlockOptions, LockDependencyRelation};
+use df_events::{ObjectTable, SpillConfig, TRACE_BINARY_MAGIC};
+use df_igoodlock::{igoodlock_filtered, FeasibilityAnalysis, LockDependencyRelation};
 
 /// Documented process exit codes for the verdict commands (`confirm`,
 /// `run`). See README "Failure taxonomy & exit codes".
@@ -227,7 +227,7 @@ pub struct CliOptions {
     pub variant: Variant,
     /// Enable the happens-before false-positive filter.
     pub hb: bool,
-    /// Score each predicted cycle's feasibility from the Phase I trace
+    /// Score each predicted cycle's feasibility from the Phase I relation
     /// (the precision layer); verdicts ride the reports and
     /// `--metrics-out` gauges.
     pub feasibility: bool,
@@ -252,9 +252,6 @@ pub struct CliOptions {
     /// Worker threads for Phase II trial campaigns (`0` = one per
     /// available hardware thread, `1` = sequential).
     pub jobs: usize,
-    /// Stream Phase I through the incremental relation builder instead
-    /// of materializing the event vector.
-    pub stream: bool,
     /// `dfz record`: write the event stream as a `df-trace` artifact to
     /// this file.
     pub out: Option<std::path::PathBuf>,
@@ -284,7 +281,6 @@ impl Default for CliOptions {
             fault_panic: None,
             fault_seed: 0,
             jobs: 0,
-            stream: false,
             out: None,
             relation_out: None,
             spill: SpillConfig::default(),
@@ -293,8 +289,8 @@ impl Default for CliOptions {
 }
 
 /// Builds the pipeline [`Config`] the options describe and validates it,
-/// so nonsense combinations (`--trials 0`, `--stream --hb`, fault
-/// probabilities outside `[0, 1]`) die at the front door with exit
+/// so nonsense values (`--trials 0`, `--trial-budget 0`,
+/// fault probabilities outside `[0, 1]`) die at the front door with exit
 /// code 2 instead of degenerating mid-campaign.
 ///
 /// # Errors
@@ -310,8 +306,7 @@ pub fn config_of(opts: &CliOptions) -> Result<Config, CliError> {
         .with_feasibility(opts.feasibility)
         .with_adaptive_trials(opts.adaptive)
         .with_trial_budget(opts.trial_budget)
-        .with_jobs(opts.jobs)
-        .with_stream_phase1(opts.stream);
+        .with_jobs(opts.jobs);
     if let Some(p) = opts.fault_panic {
         config.run = config.run.with_fault_plan(
             deadlock_fuzzer::runtime::FaultPlan::new(opts.fault_seed).with_panic_on_acquire(p),
@@ -350,15 +345,19 @@ pub fn write_metrics(opts: &CliOptions, metrics: &df_obs::Metrics) -> Result<(),
     Ok(())
 }
 
+/// Output of a `--json` command: its serialized document.
+fn json_output(json: Result<String, serde_json::Error>) -> Result<CmdOutput, CliError> {
+    json.map(CmdOutput::ok)
+        .map_err(|e| CliError::internal(e.to_string()))
+}
+
 /// `dfz phase1 <benchmark>` — predict potential deadlock cycles.
 pub fn cmd_phase1(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
     let program = resolve_program(name)?;
     let fuzzer = DeadlockFuzzer::from_ref(program, config_of(opts)?);
     let report = fuzzer.phase1();
     if opts.json {
-        return serde_json::to_string_pretty(&report.abstract_cycles)
-            .map(CmdOutput::ok)
-            .map_err(|e| CliError::internal(e.to_string()));
+        return json_output(serde_json::to_string_pretty(&report.abstract_cycles));
     }
     Ok(CmdOutput::ok(format!("{report}")))
 }
@@ -370,9 +369,9 @@ const RECORD_BUFFER_BYTES: usize = 64 * 1024;
 
 /// `dfz record <benchmark>` — run Phase I once and persist it as durable
 /// artifacts: the event stream (`--out`, `df-trace` JSONL) and/or the
-/// lock dependency relation (`--relation-out`, `df-relation` JSON). With
-/// `--stream` the run never materializes the event vector — events flow
-/// straight from the scheduler into the attached sinks.
+/// lock dependency relation (`--relation-out`, `df-relation` JSON). The
+/// run never materializes the event vector — events flow straight from
+/// the scheduler into the attached sinks.
 ///
 /// # Errors
 ///
@@ -417,7 +416,7 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
         None => None,
     };
 
-    let result = fuzzer.observe(handle, !opts.stream);
+    let result = fuzzer.observe(handle, false);
 
     let mut out = String::new();
     let _ = writeln!(out, "recorded {name}: outcome {:?}", result.outcome);
@@ -464,70 +463,30 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     Ok(CmdOutput::ok(out))
 }
 
-/// The abstraction mode Phase I would use for `variant` — keeps
-/// offline analysis output aligned with [`cmd_phase1`].
-fn abstraction_of(variant: Variant) -> df_abstraction::AbstractionMode {
-    match variant {
-        Variant::ContextKObject => df_abstraction::AbstractionMode::KObject(10),
-        Variant::IgnoreAbstraction => df_abstraction::AbstractionMode::Trivial,
-        _ => df_abstraction::AbstractionMode::ExecIndex(10),
-    }
-}
-
-/// Offline iGoodlock over a decoded trace artifact, for [`cmd_analyze`].
-/// Like Phase I, it joins only the relation's cyclic core.
-/// With `--json` the output is the same pretty-printed abstract-cycle
-/// array [`cmd_phase1`] prints, so a recorded run can be diffed
-/// byte-for-byte against a live one.
-fn analyze_trace(trace: &Trace, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    let relation = LockDependencyRelation::from_trace(trace);
-    let core = relation.cyclic_core();
-    let hb = opts.hb.then(|| HbFilter::from_trace(trace));
-    let (cycles, stats) = igoodlock_filtered(&core, hb.as_ref(), &IGoodlockOptions::default());
-    let abstractor = Abstractor::new(abstraction_of(opts.variant));
-    let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
-        .iter()
-        .map(|c| c.abstract_with(trace.objects(), &abstractor))
-        .collect();
-    if opts.json {
-        return serde_json::to_string_pretty(&abstract_cycles)
-            .map(CmdOutput::ok)
-            .map_err(|e| CliError::internal(e.to_string()));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "offline analysis: {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s){}",
-        relation.len(),
-        core.len(),
-        cycles.len(),
-        if stats.pruned_by_hb > 0 {
-            format!(" ({} pruned by happens-before)", stats.pruned_by_hb)
-        } else {
-            String::new()
-        }
-    );
-    for (i, c) in abstract_cycles.iter().enumerate() {
-        let _ = writeln!(out, "  cycle {}: {c}", i + 1);
-    }
-    Ok(CmdOutput::ok(out))
-}
-
-/// Offline iGoodlock over a bare [`LockDependencyRelation`] (a
-/// `df-relation` artifact): no trace means no object table, so cycles
-/// are reported concretely rather than abstracted. With
-/// `--metrics-out`, the join's wall-clock span (cyclic-core pass
-/// included) is recorded through [`df_obs::PhaseTimings`] and lands both
-/// as a `phase1_join` phase and as a `phase1_join_ms` extra gauge in the
-/// metrics document, next to the `igoodlock_core_size` gauge.
-fn analyze_relation(
+/// Offline iGoodlock for [`cmd_analyze`] over the relation of a recorded
+/// artifact — built from a decoded trace or read from a `df-relation`
+/// envelope. Like Phase I, it joins only the relation's cyclic core, and
+/// `--hb` and `--feasibility` read the relation alone. `objects` is the
+/// trace's object table: with it the cycles are abstracted, and `--json`
+/// prints the same pretty-printed abstract-cycle array [`cmd_phase1`]
+/// prints, so a recorded run can be diffed byte-for-byte against a live
+/// one; a relation artifact has none, so its cycles are reported
+/// concretely. With `--metrics-out`, the join's wall-clock span
+/// (cyclic-core pass included) is recorded through
+/// [`df_obs::PhaseTimings`] and lands both as a `phase1_join` phase and
+/// as a `phase1_join_ms` extra gauge in the metrics document, next to
+/// the `igoodlock_core_size` gauge.
+fn analyze(
     relation: &LockDependencyRelation,
+    objects: Option<&ObjectTable>,
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
+    // The join bounds and abstraction Phase I uses for the variant.
+    let config = Config::default().with_variant(opts.variant);
     let timings = df_obs::PhaseTimings::new();
     let (core, (cycles, stats)) = timings.time("phase1_join", || {
         let core = relation.cyclic_core();
-        let joined = igoodlock_filtered(&core, None, &IGoodlockOptions::default());
+        let joined = igoodlock_filtered(&core, opts.hb, &config.igoodlock);
         (core, joined)
     });
     let mut metrics = df_obs::Metrics::new("analyze-relation");
@@ -545,72 +504,101 @@ fn analyze_relation(
         .extra
         .insert("igoodlock_core_size".to_string(), core.len() as f64);
     write_metrics(opts, &metrics)?;
-    if opts.json {
-        return serde_json::to_string_pretty(&cycles)
-            .map(CmdOutput::ok)
-            .map_err(|e| CliError::internal(e.to_string()));
-    }
+    let (label, rendered): (&str, Vec<String>) = match objects {
+        Some(objects) => {
+            let abstractor = Abstractor::new(config.mode);
+            let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
+                .iter()
+                .map(|c| c.abstract_with(objects, &abstractor))
+                .collect();
+            if opts.json {
+                return json_output(serde_json::to_string_pretty(&abstract_cycles));
+            }
+            let rendered = abstract_cycles.iter().map(ToString::to_string).collect();
+            ("offline analysis", rendered)
+        }
+        None => {
+            if opts.json {
+                return json_output(serde_json::to_string_pretty(&cycles));
+            }
+            let rendered = cycles.iter().map(ToString::to_string).collect();
+            ("offline analysis (relation artifact)", rendered)
+        }
+    };
+    let feasibility = if opts.feasibility {
+        FeasibilityAnalysis::from_relation(relation).score_cycles(&cycles)
+    } else {
+        Vec::new()
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "offline analysis (relation artifact): {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s)",
+        "{label}: {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s){}",
         relation.len(),
         core.len(),
-        cycles.len()
+        cycles.len(),
+        if stats.pruned_by_hb > 0 {
+            format!(" ({} pruned by happens-before)", stats.pruned_by_hb)
+        } else {
+            String::new()
+        }
     );
-    for (i, c) in cycles.iter().enumerate() {
-        let _ = writeln!(out, "  cycle {}: {c}", i + 1);
+    for (i, c) in rendered.iter().enumerate() {
+        let _ = match feasibility.get(i) {
+            Some(judgement) => writeln!(out, "  cycle {}: {c} — {judgement}", i + 1),
+            None => writeln!(out, "  cycle {}: {c}", i + 1),
+        };
     }
     Ok(CmdOutput::ok(out))
 }
 
 /// `dfz analyze <artifact>` — offline iGoodlock over a recorded
 /// artifact, sniffing its format from the first bytes: `df-trace`
-/// binary v2 (from `dfz record --format binary`), `df-trace` JSONL v1
-/// (from `dfz record --out` or a sealed `df-lock` spill), or
-/// `df-relation` JSON (from `dfz record --relation-out`). Both trace
-/// encodings decode to the same [`Trace`], so `--json` output is
-/// byte-identical regardless of which one was recorded. `source` is the artifact's path (or other
-/// provenance string), used verbatim in error messages.
+/// binary (from `dfz record --format binary`), `df-trace` JSONL (from
+/// `dfz record --out` or a sealed `df-lock` spill), or `df-relation`
+/// JSON (from `dfz record --relation-out`). Both trace encodings decode
+/// to the same [`df_events::Trace`], so `--json` output is byte-identical
+/// regardless of which one was recorded, and every input goes through
+/// the same relation analysis, so `--hb`, `--feasibility` and
+/// `--metrics-out` work on all three. `source` is the artifact's path
+/// (or other provenance string), used verbatim in error messages.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError::Usage`] for `--hb` over a relation artifact
-/// (the filter's vector clocks need the events) and for a truncated or
-/// corrupt artifact — the message names `source` and, when the failure
-/// is tied to one line (JSONL) or frame (binary), its 1-based index.
-/// Returns a [`CliError::Internal`] naming `source` if the content
-/// matches none of the formats.
+/// Returns a [`CliError::Usage`] for a truncated, corrupt or
+/// other-version artifact — the message names `source` and, when the
+/// failure is tied to one line (JSONL) or frame (binary), its 1-based
+/// index. Returns a [`CliError::Internal`] naming `source` if the
+/// content matches none of the formats.
 pub fn cmd_analyze(content: &[u8], source: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    if content.starts_with(&TRACE_BINARY_MAGIC) {
-        let trace = df_events::read_trace_bytes(content)
-            .map_err(|e| CliError::usage(format!("bad trace artifact {source}: {e}")))?;
-        return analyze_trace(&trace, opts);
-    }
-    let content = std::str::from_utf8(content).map_err(|_| {
-        CliError::internal(format!(
-            "{source} is neither a df-trace binary artifact nor UTF-8 text"
-        ))
-    })?;
-    let head = content.trim_start();
-    if head.starts_with("{\"Header\"") {
-        let trace = df_events::read_trace(content.as_bytes())
-            .map_err(|e| CliError::usage(format!("bad trace artifact {source}: {e}")))?;
-        return analyze_trace(&trace, opts);
-    }
-    if head.starts_with("{\"format\":\"df-relation\"") {
-        if opts.hb {
-            return Err(CliError::usage(
-                "--hb needs the event stream; a relation artifact has none (record with --out)",
-            ));
+    let bad_trace =
+        |e: df_events::SpillError| CliError::usage(format!("bad trace artifact {source}: {e}"));
+    let trace = if content.starts_with(&TRACE_BINARY_MAGIC) {
+        df_events::read_trace_bytes(content).map_err(bad_trace)?
+    } else {
+        let content = std::str::from_utf8(content).map_err(|_| {
+            CliError::internal(format!(
+                "{source} is neither a df-trace binary artifact nor UTF-8 text"
+            ))
+        })?;
+        let head = content.trim_start();
+        if head.starts_with("{\"format\":\"df-relation\"") {
+            let relation = df_igoodlock::read_relation(content.as_bytes())
+                .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
+            return analyze(&relation, None, opts);
         }
-        let relation = df_igoodlock::read_relation(content.as_bytes())
-            .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
-        return analyze_relation(&relation, opts);
-    }
-    Err(CliError::internal(format!(
-        "{source} is not a df-trace or df-relation artifact"
-    )))
+        if !head.starts_with("{\"Header\"") {
+            return Err(CliError::internal(format!(
+                "{source} is not a df-trace or df-relation artifact"
+            )));
+        }
+        df_events::read_trace(content.as_bytes()).map_err(bad_trace)?
+    };
+    analyze(
+        &LockDependencyRelation::from_trace(&trace),
+        Some(trace.objects()),
+        opts,
+    )
 }
 
 /// `dfz confirm <benchmark>` — Phase II confirmation of one or all cycles.
@@ -968,14 +956,6 @@ mod tests {
         assert_eq!(err.exit_code(), exit_code::USAGE);
         assert!(err.message().contains("confirm_trials"), "{err}");
 
-        let streamed_hb = CliOptions {
-            stream: true,
-            hb: true,
-            ..CliOptions::default()
-        };
-        let err = cmd_phase1("figure1", &streamed_hb).unwrap_err();
-        assert_eq!(err.exit_code(), exit_code::USAGE);
-
         let bad_fault = CliOptions {
             fault_panic: Some(1.5),
             ..CliOptions::default()
@@ -1044,7 +1024,6 @@ mod tests {
         let trace_path = TempPath::new("streamed.jsonl");
         let opts = CliOptions {
             out: Some(trace_path.0.clone()),
-            stream: true,
             ..CliOptions::default()
         };
         let out = cmd_record("figure1", &opts).unwrap();
@@ -1138,26 +1117,114 @@ mod tests {
         assert_eq!(err.exit_code(), exit_code::USAGE);
     }
 
-    #[test]
-    fn analyze_rejects_hb_over_relation_artifacts() {
-        let relation_path = TempPath::new("hb-relation.json");
+    /// Records `name` at `seed` into a trace and a relation artifact and
+    /// returns their bytes.
+    fn record_both(name: &str, seed: u64, tag: &str) -> (Vec<u8>, Vec<u8>) {
+        let trace_path = TempPath::new(&format!("{tag}.jsonl"));
+        let relation_path = TempPath::new(&format!("{tag}.relation.json"));
         let opts = CliOptions {
+            seed,
+            out: Some(trace_path.0.clone()),
             relation_out: Some(relation_path.0.clone()),
             ..CliOptions::default()
         };
-        cmd_record("figure1", &opts).unwrap();
-        let content = std::fs::read(&relation_path.0).unwrap();
-        let err = cmd_analyze(
-            &content,
-            "hb-relation.json",
+        cmd_record(name, &opts).unwrap();
+        (
+            std::fs::read(&trace_path.0).unwrap(),
+            std::fs::read(&relation_path.0).unwrap(),
+        )
+    }
+
+    /// The first line of an analysis, from its cycle count on.
+    fn cycle_summary(text: &str) -> &str {
+        let head = text.lines().next().unwrap_or("");
+        &head[head.find("in the cyclic core").unwrap_or(0)..]
+    }
+
+    #[test]
+    fn analyze_prunes_relation_artifacts_under_hb() {
+        let (trace, relation) = record_both("jigsaw", 0, "hb-both");
+        let hb = CliOptions {
+            hb: true,
+            ..CliOptions::default()
+        };
+        let from_trace = cmd_analyze(&trace, "hb-both.jsonl", &hb).unwrap().text;
+        let from_relation = cmd_analyze(&relation, "hb-both.relation.json", &hb)
+            .unwrap()
+            .text;
+        assert!(
+            from_relation.contains("pruned by happens-before"),
+            "{from_relation}"
+        );
+        assert_eq!(cycle_summary(&from_trace), cycle_summary(&from_relation));
+        assert!(!from_relation.contains("waitForRunner"), "{from_relation}");
+    }
+
+    #[test]
+    fn analyze_scores_feasibility_like_live_phase1() {
+        let opts = CliOptions {
+            seed: 7,
+            feasibility: true,
+            ..CliOptions::default()
+        };
+        let (trace, relation) = record_both("jigsaw", 7, "feasibility");
+        let cycle_lines = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.starts_with("  cycle "))
+                .map(str::to_string)
+                .collect()
+        };
+        let verdicts = |text: &str| -> Vec<String> {
+            cycle_lines(text)
+                .iter()
+                .map(|l| l.rsplit(" — ").next().unwrap_or("").to_string())
+                .collect()
+        };
+        let live = cmd_phase1("jigsaw", &opts).unwrap().text;
+        let from_trace = cmd_analyze(&trace, "feasibility.jsonl", &opts)
+            .unwrap()
+            .text;
+        let from_relation = cmd_analyze(&relation, "feasibility.relation.json", &opts)
+            .unwrap()
+            .text;
+        assert_eq!(cycle_lines(&from_trace), cycle_lines(&live));
+        assert_eq!(verdicts(&from_relation), verdicts(&live));
+        assert_eq!(verdicts(&live)[0], "Infeasible (score 0.00)", "{live}");
+    }
+
+    #[test]
+    fn analyze_writes_the_same_metrics_for_every_input() {
+        let (jsonl, relation) = record_both("figure1", 0, "metrics-inputs");
+        let bin_path = TempPath::new("metrics-inputs.bin");
+        cmd_record(
+            "figure1",
             &CliOptions {
-                hb: true,
+                out: Some(bin_path.0.clone()),
+                spill: SpillConfig::with_format(TraceFormat::Binary),
                 ..CliOptions::default()
             },
         )
-        .unwrap_err();
-        assert_eq!(err.exit_code(), exit_code::USAGE);
-        assert!(err.message().contains("--hb"), "{err}");
+        .unwrap();
+        let binary = std::fs::read(&bin_path.0).unwrap();
+        let metrics_of = |content: &[u8], tag: &str| {
+            let path = TempPath::new(&format!("metrics-of-{tag}.json"));
+            let opts = CliOptions {
+                metrics_out: Some(path.0.clone()),
+                ..CliOptions::default()
+            };
+            cmd_analyze(content, tag, &opts).unwrap();
+            let mut m =
+                df_obs::Metrics::from_json(&std::fs::read_to_string(&path.0).unwrap()).unwrap();
+            assert!(m.extra.remove("phase1_join_ms").is_some(), "{tag}: {m:?}");
+            assert!(m.phases.iter().any(|s| s.name == "phase1_join"), "{tag}");
+            m.phases.clear();
+            m
+        };
+        let from_relation = metrics_of(&relation, "relation");
+        assert_eq!(from_relation.extra.get("igoodlock_core_size"), Some(&2.0));
+        assert_eq!(from_relation.counters.cycles_found, 1);
+        assert_eq!(metrics_of(&jsonl, "jsonl"), from_relation);
+        assert_eq!(metrics_of(&binary, "binary"), from_relation);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! dfz list
-//! dfz phase1  <benchmark> [--seed N] [--hb] [--json] [--variant V] [--stream]
-//! dfz record  <benchmark> [--seed N] [--stream] --out F [--relation-out F.json]
+//! dfz phase1  <benchmark> [--seed N] [--hb] [--feasibility] [--json] [--variant V]
+//! dfz record  <benchmark> [--seed N] --out F [--relation-out F.json]
 //!             [--format jsonl|binary]
-//! dfz analyze <artifact>  [--hb] [--variant V] [--json]
+//! dfz analyze <artifact>  [--hb] [--feasibility] [--variant V] [--json]
 //!             [--metrics-out F]                 # offline iGoodlock
 //! dfz confirm <benchmark> [--cycle I] [--trials N] [--variant V] [--jobs N]
 //!             [--feasibility] [--adaptive] [--trial-budget N]
@@ -14,11 +14,13 @@
 //!             [--metrics-out F] [--trace-out F] [--fault-panic P] [--fault-seed N]
 //! ```
 //!
-//! `analyze` accepts any recorded artifact: a `df-trace` binary v2
-//! stream (`record --format binary`), a `df-trace` JSONL stream
-//! (`record --out`), or a `df-relation` JSON envelope (`record
-//! --relation-out`). `--jobs` sizes the Phase II trial pool of
-//! `confirm` and `run`; Phase I is sequential. A leading flag implies
+//! `analyze` accepts any recorded artifact: a `df-trace` binary stream
+//! (`record --format binary`), a `df-trace` JSONL stream (`record
+//! --out`), or a `df-relation` JSON envelope (`record --relation-out`),
+//! and `--hb`, `--feasibility` and `--metrics-out` work on each. Phase I
+//! always streams its events into the relation builder; the retired
+//! `--stream` flag is a usage error. `--jobs` sizes the Phase II trial
+//! pool of `confirm` and `run`; Phase I is sequential. A leading flag implies
 //! `run`, so `dfz --benchmark figure1 --metrics-out m.json` is the
 //! observability one-liner. `record` writes its trace on the recording
 //! thread through a 64 KiB buffer; the flags of the retired ring writer
@@ -36,9 +38,9 @@ fn usage() -> ! {
          parallelism: --jobs <n> (0 = one worker per core, 1 = sequential;\n\
          \x20    drives the Phase II trial workers of confirm and run)\n\
          observability: --metrics-out <file> --trace-out <file.jsonl>\n\
-         recording: --out <trace file> --relation-out <relation.json> --stream\n\
+         recording: --out <trace file> --relation-out <relation.json>\n\
          \x20    --format <jsonl|binary>\n\
-         precision: --feasibility (score cycles from the Phase I trace)\n\
+         precision: --feasibility (score cycles from the Phase I relation)\n\
          \x20    --adaptive (feasibility-seeded adaptive trial allocation)\n\
          \x20    --trial-budget <n> (campaign-wide cap on adaptive trials)\n\
          fault injection: --fault-panic <prob> --fault-seed <n>\n\
@@ -148,7 +150,6 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 opts.trial_budget = Some(budget);
             }
-            "--stream" => opts.stream = true,
             "--hb" => opts.hb = true,
             "--feasibility" => opts.feasibility = true,
             "--adaptive" => opts.adaptive = true,

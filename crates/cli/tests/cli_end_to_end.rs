@@ -76,11 +76,21 @@ fn usage_errors_exit_two() {
             .code(),
         Some(2)
     );
-    // Streamed Phase I keeps no trace to score feasibility from.
-    let out = dfz(&["phase1", "figure1", "--stream", "--feasibility"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("feasibility"), "{stderr}");
+    // Phase I always streams: the retired --stream flag is rejected, not
+    // ignored, and a rejected record writes nothing.
+    assert_eq!(
+        dfz(&["phase1", "figure1", "--stream"]).status.code(),
+        Some(2)
+    );
+    let trace = scratch("retired-stream.jsonl");
+    let trace = trace.to_str().unwrap();
+    assert_eq!(
+        dfz(&["record", "figure1", "--stream", "--out", trace])
+            .status
+            .code(),
+        Some(2)
+    );
+    assert!(!std::path::Path::new(trace).exists());
 }
 
 #[test]
@@ -119,6 +129,19 @@ fn retired_event_vocabulary_is_rejected_with_a_position() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
     assert_eq!(dfz(&["races", "account"]).status.code(), Some(2));
+}
+
+#[test]
+fn version_one_relation_artifacts_are_usage_errors() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/relation.v1.json"
+    );
+    let out = dfz(&["analyze", path]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("relation.v1.json"), "{stderr}");
+    assert!(stderr.contains("version 1"), "{stderr}");
 }
 
 #[test]

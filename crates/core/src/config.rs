@@ -146,8 +146,7 @@ pub struct Config {
     /// numeric score in the report. Layered on top of the ±[`Config::hb_filter`]
     /// choice — the filter *removes* provably-impossible cycles, the
     /// scorer *ranks* the survivors (and still marks provably-impossible
-    /// ones `Infeasible` when the filter is off). Requires the recorded
-    /// trace, so it is incompatible with [`Config::stream_phase1`].
+    /// ones `Infeasible` when the filter is off).
     pub feasibility: bool,
     /// Replace the uniform `confirm_trials`-per-cycle Phase II campaign
     /// of [`crate::DeadlockFuzzer::run`] with the deterministic adaptive
@@ -173,15 +172,6 @@ pub struct Config {
     /// any `jobs`), never trials started after the confirmation. Off by
     /// default — the paper's probability columns need every trial.
     pub stop_on_first: bool,
-    /// Build the Phase I lock dependency relation online, streaming
-    /// events into a [`df_igoodlock::RelationBuilder`] as the execution
-    /// produces them instead of materializing the full event vector
-    /// first. The resulting relation (and therefore every reported
-    /// cycle) is byte-identical to the offline path; memory drops from
-    /// O(events) to O(relation). Incompatible with
-    /// [`Config::hb_filter`] and [`Config::feasibility`], which both
-    /// read the whole trace.
-    pub stream_phase1: bool,
 }
 
 impl Default for Config {
@@ -206,7 +196,6 @@ impl Default for Config {
             adaptive_trials: false,
             trial_budget: None,
             stop_on_first: false,
-            stream_phase1: false,
         }
     }
 }
@@ -308,13 +297,6 @@ impl Config {
         self
     }
 
-    /// Builds the Phase I relation online instead of from a recorded
-    /// trace (see [`Config::stream_phase1`]).
-    pub fn with_stream_phase1(mut self, stream: bool) -> Self {
-        self.stream_phase1 = stream;
-        self
-    }
-
     /// Sets the livelock-monitor pause budget (§5).
     pub fn with_pause_budget(mut self, budget: u64) -> Self {
         self.pause_budget = budget;
@@ -382,20 +364,6 @@ impl Config {
         }
         if self.igoodlock.max_open_chains == 0 {
             return invalid("igoodlock.max_open_chains must be at least 1".to_string());
-        }
-        if self.stream_phase1 && self.hb_filter {
-            return invalid(
-                "stream_phase1 is incompatible with hb_filter: the happens-before \
-                 filter's vector clocks need the full trace in memory"
-                    .to_string(),
-            );
-        }
-        if self.stream_phase1 && self.feasibility {
-            return invalid(
-                "stream_phase1 is incompatible with feasibility: the feasibility \
-                 scorer's vector clocks need the full trace in memory"
-                    .to_string(),
-            );
         }
         if self.trial_budget == Some(0) {
             return invalid(
@@ -514,10 +482,6 @@ mod tests {
     #[test]
     fn default_config_validates() {
         assert!(Config::default().validate().is_ok());
-        assert!(Config::default()
-            .with_stream_phase1(true)
-            .validate()
-            .is_ok());
     }
 
     fn rejection(c: &Config) -> String {
@@ -568,23 +532,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_streaming_combined_with_hb_filter() {
-        let c = Config::default()
-            .with_stream_phase1(true)
-            .with_hb_filter(true);
-        assert!(rejection(&c).contains("hb_filter"));
-        // Each knob is fine on its own.
-        assert!(Config::default().with_hb_filter(true).validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_streaming_combined_with_feasibility() {
-        let c = Config::default()
-            .with_stream_phase1(true)
-            .with_feasibility(true);
-        assert!(rejection(&c).contains("feasibility"));
-        // Each knob is fine on its own.
-        assert!(Config::default().with_feasibility(true).validate().is_ok());
+    fn validate_accepts_every_phase1_filter_combination() {
+        for hb in [false, true] {
+            for feasibility in [false, true] {
+                let c = Config::default()
+                    .with_hb_filter(hb)
+                    .with_feasibility(feasibility);
+                assert!(c.validate().is_ok(), "hb={hb} feasibility={feasibility}");
+            }
+        }
     }
 
     #[test]

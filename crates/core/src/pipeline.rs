@@ -8,7 +8,7 @@ use df_abstraction::Abstractor;
 use df_fuzzer::{ActiveConfig, ActiveStrategy, SimpleRandomChecker};
 use df_igoodlock::{
     igoodlock_filtered, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
-    HbFilter, LockDependencyRelation, RelationBuilder,
+    RelationBuilder,
 };
 use df_runtime::{Outcome, RunResult, VirtualRuntime};
 
@@ -186,7 +186,7 @@ impl DeadlockFuzzer {
 
     /// Runs the program once under the Phase I simple random scheduler
     /// (seeded with [`Config::phase1_seed`]) with `sink` attached —
-    /// the engine behind `dfz record` and streamed Phase I. With
+    /// the engine behind `dfz record` and [`DeadlockFuzzer::phase1`]. With
     /// `record_trace` false the event vector is never materialized: the
     /// sinks (e.g. a [`df_events::SpillSink`] writing the on-disk trace
     /// format, or a [`RelationBuilder`]) are the only consumers of the
@@ -227,76 +227,36 @@ impl DeadlockFuzzer {
     }
 
     /// Phase I: observe one execution under the simple random scheduler
-    /// (Algorithm 2), compute the lock dependency relation, and run
-    /// iGoodlock (Algorithm 1).
+    /// (Algorithm 2), computing the lock dependency relation as it runs,
+    /// and run iGoodlock (Algorithm 1) over the relation's cyclic core.
     ///
-    /// With [`Config::stream_phase1`] the relation is built online by a
-    /// [`df_igoodlock::RelationBuilder`] attached to the runtime as an
-    /// event sink, and the event vector is never materialized; the
-    /// builder is the same code the offline path delegates to, so the
-    /// report's cycles are identical either way.
+    /// A [`RelationBuilder`] attached to the runtime as an event sink
+    /// builds the relation and its fork/join clocks online, so the event
+    /// vector is never materialized: the report's trace holds the object
+    /// table and thread bindings the abstractions need, and no events.
+    /// [`Config::hb_filter`] and [`Config::feasibility`] read only the
+    /// relation. The core only drops tuples no cycle can contain, so the
+    /// cycles are those of the whole relation; feasibility scoring and
+    /// the relation-size figures still see the whole relation.
     pub fn phase1(&self) -> Phase1Report {
         let start = Instant::now();
-        self.config.obs().emit(&df_obs::TraceEvent::PhaseStart {
+        let obs = self.config.obs();
+        obs.emit(&df_obs::TraceEvent::PhaseStart {
             phase: "phase1".to_string(),
         });
-        if self.config.stream_phase1 {
-            return self.phase1_streamed(start);
-        }
-        let result = self.execute(
-            Box::new(SimpleRandomChecker::with_seed(self.config.phase1_seed)),
-            self.config.phase1_seed,
-        );
-        let relation = LockDependencyRelation::from_trace(&result.trace);
-        self.phase1_join(start, result, relation, true)
-    }
-
-    /// The streaming Phase I path: run once with `record_trace` off and
-    /// a [`RelationBuilder`] sink attached, then run iGoodlock over the
-    /// incrementally built relation. The returned report's trace is
-    /// empty of events (it still owns the object table the abstractions
-    /// need); [`Config::hb_filter`] and [`Config::feasibility`] cannot
-    /// apply here — both read the full trace — and [`Config::validate`]
-    /// rejects either combination up front.
-    fn phase1_streamed(&self, start: Instant) -> Phase1Report {
-        debug_assert!(
-            !self.config.hb_filter && !self.config.feasibility,
-            "validate() rejects stream_phase1 + hb_filter/feasibility"
-        );
         let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
         let result = self.observe(df_events::SinkHandle::single(builder.clone()), false);
         let relation = builder.lock().expect("relation builder sink").take();
-        self.phase1_join(start, result, relation, false)
-    }
-
-    /// The part of Phase I both observation modes share: the iGoodlock
-    /// join over `relation`'s cyclic core, abstraction, the optional
-    /// feasibility scores, the join counters, and the `phase1` span.
-    /// `with_events` says whether `result.trace` holds the event
-    /// timeline that the happens-before filter and the feasibility
-    /// scorer read; without it neither runs. The core only drops tuples
-    /// no cycle can contain, so the cycles are those of the whole
-    /// relation; feasibility scoring and the relation-size figures still
-    /// see the whole relation.
-    fn phase1_join(
-        &self,
-        start: Instant,
-        result: RunResult,
-        relation: LockDependencyRelation,
-        with_events: bool,
-    ) -> Phase1Report {
-        let obs = self.config.obs();
-        let hb =
-            (with_events && self.config.hb_filter).then(|| HbFilter::from_trace(&result.trace));
         let core = relation.cyclic_core();
-        let (cycles, stats) = igoodlock_filtered(&core, hb.as_ref(), &self.config.igoodlock);
+        let (cycles, stats) =
+            igoodlock_filtered(&core, self.config.hb_filter, &self.config.igoodlock);
         let abstractor = Abstractor::new(self.config.mode);
         let abstract_cycles = cycles
             .iter()
             .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
             .collect();
-        let feasibility = if with_events && self.config.feasibility {
-            FeasibilityAnalysis::new(&result.trace, &relation).score_cycles(&cycles)
+        let feasibility = if self.config.feasibility {
+            FeasibilityAnalysis::from_relation(&relation).score_cycles(&cycles)
         } else {
             Vec::new()
         };
@@ -515,8 +475,8 @@ impl DeadlockFuzzer {
                     score: judgement.score,
                     infeasible: judgement.verdict == FeasibilityVerdict::Infeasible,
                 },
-                // Unscored (feasibility off or streamed Phase I): a flat
-                // uninformative prior, never pruned.
+                // Unscored (feasibility off): a flat uninformative prior,
+                // never pruned.
                 None => CycleBudget {
                     cycle_index: i,
                     score: 0.5,
@@ -746,6 +706,7 @@ mod tests {
     use super::*;
     use crate::program::Named;
     use df_events::site;
+    use df_igoodlock::LockDependencyRelation;
     use df_runtime::{LockRef, TCtx};
 
     /// Figure 1 of the paper as a reusable program.
@@ -853,32 +814,30 @@ mod tests {
 
     #[test]
     fn streamed_phase1_matches_offline_without_materializing_events() {
-        let offline = DeadlockFuzzer::new(figure1()).phase1();
         let obs = df_obs::Obs::default();
-        let streamed = DeadlockFuzzer::with_config(
-            figure1(),
-            Config::default()
-                .with_stream_phase1(true)
-                .with_obs(obs.clone()),
-        )
-        .phase1();
-        assert_eq!(offline.relation_size, streamed.relation_size);
-        assert_eq!(offline.acquires_observed, streamed.acquires_observed);
-        let render = |r: &Phase1Report| {
-            r.abstract_cycles
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(render(&offline), render(&streamed));
-        assert!(!offline.trace.events().is_empty());
+        let fuzzer =
+            DeadlockFuzzer::with_config(figure1(), Config::default().with_obs(obs.clone()));
+        let streamed = fuzzer.phase1();
+        let recorded = fuzzer.observe(df_events::SinkHandle::none(), true);
+        let offline = LockDependencyRelation::from_trace(&recorded.trace);
+        assert_eq!(offline.len(), streamed.relation_size);
+        assert_eq!(offline.raw_count, streamed.acquires_observed);
+        assert_eq!(
+            igoodlock_filtered(&offline, false, &Config::default().igoodlock).0,
+            streamed.cycles
+        );
+        assert!(!recorded.trace.events().is_empty());
         assert!(
             streamed.trace.events().is_empty(),
-            "streaming must not materialize the event vector"
+            "Phase I must not materialize the event vector"
         );
+        assert_eq!(streamed.trace.objects(), recorded.trace.objects());
         let snap = obs.counters().snapshot();
-        assert_eq!(snap.peak_trace_bytes, 0, "no trace was ever held");
-        assert!(snap.events_streamed > 0);
+        assert_eq!(
+            snap.events_streamed,
+            recorded.trace.events().len() as u64,
+            "Phase I streams every event into the builder"
+        );
         assert_eq!(snap.dependency_edges, streamed.relation_size as u64);
     }
 

@@ -158,12 +158,13 @@ pub struct Phase1Report {
     /// notes Phase I may itself stumble into a deadlock).
     pub run_outcome: Outcome,
     /// Feasibility judgement of each cycle, parallel to [`Self::cycles`],
-    /// when [`crate::Config::feasibility`] is on (empty otherwise, and
-    /// for streamed Phase I, which records no trace to judge from).
+    /// when [`crate::Config::feasibility`] is on (empty otherwise).
     pub feasibility: Vec<CycleFeasibility>,
-    /// The observed trace — owns the object table that the concrete
-    /// [`Cycle`]s reference, so callers can re-abstract cycles under
-    /// other [`df_abstraction::AbstractionMode`]s.
+    /// The observed run's object table and thread bindings, which the
+    /// concrete [`Cycle`]s reference, so callers can re-abstract cycles
+    /// under other [`df_abstraction::AbstractionMode`]s. Phase I streams
+    /// its events into the relation builder, so this trace holds no
+    /// events; record them with [`crate::DeadlockFuzzer::observe`].
     pub trace: df_events::Trace,
 }
 

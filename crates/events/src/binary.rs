@@ -1,4 +1,7 @@
-//! The compact binary trace format (`df-trace` v2).
+//! The compact binary trace format (binary `df-trace`).
+//!
+//! The writer stamps [`TRACE_BINARY_FORMAT_VERSION`]; the reader also
+//! accepts every version down to [`TRACE_BINARY_MIN_FORMAT_VERSION`].
 //!
 //! Carries exactly the same envelope as the JSONL v1 format in
 //! [`crate::spill`] — a versioned header, one record per [`Event`] in
@@ -374,7 +377,7 @@ impl BinaryEncoder {
     }
 }
 
-/// Streams one execution into the binary trace format — the v2
+/// Streams one execution into the binary trace format — the binary
 /// counterpart of [`crate::TraceWriter`], with the same surface.
 /// Dropping without [`BinaryTraceWriter::finish`] leaves a truncated
 /// artifact that [`read_binary_trace`] rejects.

@@ -1,4 +1,4 @@
-//! The versioned on-disk relation format (`df-relation` v1).
+//! The versioned on-disk relation format (`df-relation` v2).
 //!
 //! `dfz record --relation-out` persists the streamed
 //! [`LockDependencyRelation`] so iGoodlock can run in a different
@@ -6,6 +6,7 @@
 //! `df-trace` artifact in `df-events`, the envelope carries an explicit
 //! format name and version, and readers reject anything they do not
 //! understand instead of guessing.
+//! Version 2 added the timings' fork/join clocks and the event count.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -18,7 +19,7 @@ use crate::LockDependencyRelation;
 pub const RELATION_FORMAT: &str = "df-relation";
 
 /// Current version of the on-disk relation format.
-pub const RELATION_FORMAT_VERSION: u32 = 1;
+pub const RELATION_FORMAT_VERSION: u32 = 2;
 
 /// The serialized envelope: format metadata plus the relation itself.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -26,6 +27,13 @@ struct RelationArtifact {
     format: String,
     version: u32,
     relation: LockDependencyRelation,
+}
+
+/// The envelope's metadata, checked before the relation is decoded.
+#[derive(Deserialize)]
+struct Envelope {
+    format: String,
+    version: u32,
 }
 
 /// Why a relation artifact could not be written or read.
@@ -103,17 +111,18 @@ pub fn read_relation<R: Read>(
 ) -> Result<LockDependencyRelation, RelationArtifactError> {
     let mut text = String::new();
     input.read_to_string(&mut text)?;
-    let doc: RelationArtifact =
-        serde_json::from_str(&text).map_err(|e| RelationArtifactError::Json(e.to_string()))?;
-    if doc.format != RELATION_FORMAT {
-        return Err(RelationArtifactError::WrongFormat(doc.format));
+    let json = |e: serde_json::Error| RelationArtifactError::Json(e.to_string());
+    let envelope: Envelope = serde_json::from_str(&text).map_err(json)?;
+    if envelope.format != RELATION_FORMAT {
+        return Err(RelationArtifactError::WrongFormat(envelope.format));
     }
-    if doc.version != RELATION_FORMAT_VERSION {
+    if envelope.version != RELATION_FORMAT_VERSION {
         return Err(RelationArtifactError::VersionMismatch {
-            found: doc.version,
+            found: envelope.version,
             expected: RELATION_FORMAT_VERSION,
         });
     }
+    let doc: RelationArtifact = serde_json::from_str(&text).map_err(json)?;
     Ok(doc.relation)
 }
 
@@ -149,7 +158,7 @@ mod tests {
         write_relation(&mut buf, &rel).unwrap();
         let bumped = String::from_utf8(buf)
             .unwrap()
-            .replacen("\"version\":1", "\"version\":7", 1);
+            .replacen("\"version\":2", "\"version\":7", 1);
         match read_relation(bumped.as_bytes()) {
             Err(RelationArtifactError::VersionMismatch { found: 7, expected }) => {
                 assert_eq!(expected, RELATION_FORMAT_VERSION);

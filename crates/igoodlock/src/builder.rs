@@ -7,11 +7,15 @@
 //! interface. The offline path delegates to this builder, which is what
 //! makes the streamed and trace-based relations byte-identical by
 //! construction — there is exactly one implementation of Definition 1.
+//! It is also the one place fork/join vector clocks are computed: each
+//! new tuple's [`DepTiming`] carries what the happens-before filter and
+//! the feasibility scorer need.
 
 use std::collections::{BTreeMap, HashMap};
 
-use df_events::{AcquireMode, Event, EventKind, EventSink, ObjId, ThreadId, Trace};
+use df_events::{AcquireMode, Event, EventKind, EventSink, ObjId, ThreadId};
 
+use crate::hb::{Epoch, VectorClock};
 use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
 
 /// Builds a [`LockDependencyRelation`] one event at a time.
@@ -20,8 +24,10 @@ use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
 /// ([`RelationBuilder::observe`]) in execution order — or attach it to a
 /// substrate as an [`EventSink`] — then call
 /// [`RelationBuilder::finish`]. Memory is proportional to the
-/// *deduplicated relation* plus the live lock stacks, never to the
-/// length of the execution.
+/// *deduplicated relation* plus the live lock stacks and one clock per
+/// thread, never to the length of the execution. Once its thread is
+/// known, an event that adds no tuple allocates nothing unless it is a
+/// spawn, start, join or exit.
 ///
 /// # Example
 ///
@@ -42,10 +48,71 @@ pub struct RelationBuilder {
     deps: Vec<LockDep>,
     timings: Vec<DepTiming>,
     raw_count: usize,
-    /// Per-thread stack of (lock, acquire seq, mode) mirroring `held`,
-    /// for hold-window starts and hold modes.
-    stacks: HashMap<ThreadId, Vec<(ObjId, u64, AcquireMode)>>,
+    events: u64,
+    threads: HashMap<ThreadId, ThreadState>,
     thread_objs: BTreeMap<ThreadId, ObjId>,
+    /// Clock of each spawn, handed to the child's start.
+    pending_start: HashMap<ThreadId, VectorClock>,
+    /// Clock at each thread's exit, consumed by its joiners.
+    at_exit: HashMap<ThreadId, VectorClock>,
+    /// Scratch for the hold modes of the tuple being probed.
+    hold_modes: Vec<AcquireMode>,
+}
+
+/// What the builder tracks per thread.
+struct ThreadState {
+    /// The thread's component in every clock (see [`VectorClock`]).
+    slot: usize,
+    /// Fork/join clock after the thread's latest event.
+    clock: VectorClock,
+    /// Held locks, innermost last, mirroring the events' `held` (same
+    /// pushes, same rposition removals).
+    stack: Vec<Held>,
+}
+
+/// One entry of a thread's held-lock stack: a potential window start.
+struct Held {
+    lock: ObjId,
+    seq: u64,
+    mode: AcquireMode,
+    /// The thread's own clock component at the acquisition.
+    time: u64,
+    /// The whole clock at the acquisition, saved once a join moved the
+    /// thread's clock on; `None` while only the own component differs.
+    clock: Option<VectorClock>,
+}
+
+impl ThreadState {
+    /// The clock at `held`'s acquisition.
+    fn clock_at(&self, held: &Held) -> VectorClock {
+        held.clock.clone().unwrap_or_else(|| {
+            let mut clock = self.clock.clone();
+            clock.set(self.slot, held.time);
+            clock
+        })
+    }
+
+    /// Joins `other` into the thread's clock, first saving the current
+    /// clock into every held entry that still relies on it.
+    fn join(&mut self, other: &VectorClock) {
+        for i in 0..self.stack.len() {
+            if self.stack[i].clock.is_none() {
+                self.stack[i].clock = Some(self.clock_at(&self.stack[i]));
+            }
+        }
+        self.clock.join(other);
+    }
+
+    fn push(&mut self, lock: ObjId, seq: u64, mode: AcquireMode) {
+        let time = self.clock.get(self.slot);
+        self.stack.push(Held {
+            lock,
+            seq,
+            mode,
+            time,
+            clock: None,
+        });
+    }
 }
 
 impl RelationBuilder {
@@ -63,7 +130,32 @@ impl RelationBuilder {
 
     /// Feeds one event, in execution order.
     pub fn observe(&mut self, event: &Event) {
+        self.events += 1;
+        let t = event.thread;
+        let slot = self.threads.len();
+        let state = self.threads.entry(t).or_insert_with(|| ThreadState {
+            slot,
+            clock: VectorClock::default(),
+            stack: Vec::new(),
+        });
+        state.clock.tick(state.slot);
         match &event.kind {
+            EventKind::Spawn { child, .. } => {
+                self.pending_start.insert(*child, state.clock.clone());
+            }
+            EventKind::ThreadStart => {
+                if let Some(parent) = self.pending_start.remove(&t) {
+                    state.join(&parent);
+                }
+            }
+            EventKind::ThreadExit => {
+                self.at_exit.insert(t, state.clock.clone());
+            }
+            EventKind::Join { target } => {
+                if let Some(exit) = self.at_exit.get(target) {
+                    state.join(exit);
+                }
+            }
             EventKind::Acquire {
                 lock,
                 held,
@@ -72,42 +164,55 @@ impl RelationBuilder {
                 ..
             } => {
                 self.raw_count += 1;
-                let stack = self.stacks.entry(event.thread).or_default();
                 if !held.is_empty() {
-                    // Hold modes come from the live stack, which mirrors
-                    // `held` (same pushes, same rposition removals).
                     // Events replayed without matching stack state (bare
                     // tuples) default to exclusive holds.
-                    let hold_modes: Vec<AcquireMode> = (0..held.len())
-                        .map(|i| {
-                            stack
-                                .get(i)
-                                .map(|&(_, _, m)| m)
-                                .unwrap_or(AcquireMode::Exclusive)
-                        })
-                        .collect();
-                    let dep = LockDep {
-                        thread: event.thread,
-                        thread_obj: self
-                            .thread_objs
-                            .get(&event.thread)
-                            .copied()
-                            .expect("trace binds every thread to its object"),
-                        lockset: held.clone(),
-                        lock: *lock,
-                        contexts: context.clone(),
-                        mode: *mode,
-                        hold_modes,
-                    };
-                    if self.seen.is_new(&self.deps, &dep) {
+                    self.hold_modes.clear();
+                    self.hold_modes.extend((0..held.len()).map(|i| {
+                        state
+                            .stack
+                            .get(i)
+                            .map_or(AcquireMode::Exclusive, |h| h.mode)
+                    }));
+                    let thread_obj = *self
+                        .thread_objs
+                        .get(&t)
+                        .expect("trace binds every thread to its object");
+                    let key = (
+                        t,
+                        thread_obj,
+                        &held[..],
+                        *lock,
+                        &context[..],
+                        *mode,
+                        &self.hold_modes[..],
+                    );
+                    if self.seen.is_new(&self.deps, key) {
+                        let (window_start_seq, window_start_clock) = match state.stack.last() {
+                            Some(h) => (h.seq, state.clock_at(h)),
+                            None => (event.seq, state.clock.clone()),
+                        };
                         self.timings.push(DepTiming {
-                            window_start_seq: stack.last().map(|&(_, s, _)| s).unwrap_or(event.seq),
+                            window_start_seq,
                             acquire_seq: event.seq,
+                            window_start_clock,
+                            acquire_epoch: Epoch {
+                                slot: state.slot,
+                                time: state.clock.get(state.slot),
+                            },
                         });
-                        self.deps.push(dep);
+                        self.deps.push(LockDep {
+                            thread: t,
+                            thread_obj,
+                            lockset: held.clone(),
+                            lock: *lock,
+                            contexts: context.clone(),
+                            mode: *mode,
+                            hold_modes: self.hold_modes.clone(),
+                        });
                     }
                 }
-                stack.push((*lock, event.seq, *mode));
+                state.push(*lock, event.seq, *mode);
             }
             // A successful try joins the held stack — later nested
             // acquires include it in their lockset — but records no
@@ -119,14 +224,10 @@ impl RelationBuilder {
                 acquired: true,
                 mode,
                 ..
-            } => {
-                let stack = self.stacks.entry(event.thread).or_default();
-                stack.push((*lock, event.seq, *mode));
-            }
+            } => state.push(*lock, event.seq, *mode),
             EventKind::Release { lock, .. } => {
-                let stack = self.stacks.entry(event.thread).or_default();
-                if let Some(pos) = stack.iter().rposition(|&(l, _, _)| l == *lock) {
-                    stack.remove(pos);
+                if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
+                    state.stack.remove(pos);
                 }
             }
             // Condvar waits release and reacquire their lock through
@@ -135,6 +236,11 @@ impl RelationBuilder {
             // communication edge and add nothing to Definition 1.
             _ => {}
         }
+    }
+
+    /// The fork/join clock of `thread` after its latest event.
+    pub(crate) fn clock(&self, thread: ThreadId) -> &VectorClock {
+        &self.threads[&thread].clock
     }
 
     /// Number of deduplicated tuples so far.
@@ -154,7 +260,12 @@ impl RelationBuilder {
 
     /// Seals the builder into the finished relation.
     pub fn finish(self) -> LockDependencyRelation {
-        LockDependencyRelation::from_parts(self.deps, self.timings, self.raw_count)
+        LockDependencyRelation {
+            deps: self.deps,
+            timings: self.timings,
+            raw_count: self.raw_count,
+            events: self.events,
+        }
     }
 
     /// Takes the finished relation out of the builder, resetting it —
@@ -173,14 +284,12 @@ impl EventSink for RelationBuilder {
     fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
         self.bind_thread(thread, obj);
     }
-
-    fn on_finish(&mut self, _trace: &Trace) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_events::Label;
+    use df_events::{Label, Trace};
 
     fn l(s: &str) -> Label {
         Label::new(s)
@@ -296,6 +405,85 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&offline).unwrap(),
             serde_json::to_string(&streamed).unwrap()
+        );
+    }
+
+    /// main takes `a`, joins a finished child, then nests `b` inside `a`:
+    /// the tuple's window started before the join, so its clock must not
+    /// have seen the child — the clock the stack entry saved at the join.
+    #[test]
+    fn window_start_clock_predates_a_join_inside_the_window() {
+        let mut trace = Trace::new();
+        let main = ThreadId::new(0);
+        let child = ThreadId::new(1);
+        for (t, site) in [(main, "<main>"), (child, "spawn:1")] {
+            let obj = trace
+                .objects_mut()
+                .create(df_events::ObjKind::Thread, l(site), None, vec![]);
+            trace.bind_thread(t, obj);
+        }
+        let a = trace
+            .objects_mut()
+            .create(df_events::ObjKind::Lock, l("main:1"), None, vec![]);
+        let b = trace
+            .objects_mut()
+            .create(df_events::ObjKind::Lock, l("main:2"), None, vec![]);
+        trace.push(main, EventKind::ThreadStart);
+        let child_obj = trace.thread_obj(child).unwrap();
+        trace.push(main, EventKind::Spawn { child, child_obj });
+        trace.push(child, EventKind::ThreadStart);
+        trace.push(child, EventKind::ThreadExit);
+        trace.push(
+            main,
+            EventKind::acquire(a, l("m:a"), vec![], vec![l("m:a")]),
+        );
+        trace.push(main, EventKind::Join { target: child });
+        trace.push(
+            main,
+            EventKind::acquire(b, l("m:b"), vec![a], vec![l("m:a"), l("m:b")]),
+        );
+        let rel = stream(&trace);
+        let timing = rel.timing(0).expect("a timed tuple");
+        assert_eq!(timing.window_start_seq, 4);
+        // Slots follow first events: main is 0, the child 1.
+        assert_eq!(timing.window_start_clock.get(0), 3);
+        assert_eq!(timing.window_start_clock.get(1), 0);
+        assert_eq!(timing.acquire_epoch.slot, 0);
+        assert_eq!(timing.acquire_epoch.time, 5);
+        assert_eq!(rel.events(), 7);
+        assert_eq!(
+            crate::oracle::HbFilter::from_trace(&trace).retime(&rel),
+            rel
+        );
+    }
+
+    /// Clock slots follow first events, not thread ids: an artifact's
+    /// thread ids cannot size the clocks.
+    #[test]
+    fn clocks_are_sized_by_threads_seen_not_by_their_ids() {
+        let mut trace = Trace::new();
+        let far = ThreadId::new(u32::MAX);
+        let obj = trace
+            .objects_mut()
+            .create(df_events::ObjKind::Thread, l("far"), None, vec![]);
+        trace.bind_thread(far, obj);
+        let a = trace
+            .objects_mut()
+            .create(df_events::ObjKind::Lock, l("m:1"), None, vec![]);
+        let b = trace
+            .objects_mut()
+            .create(df_events::ObjKind::Lock, l("m:2"), None, vec![]);
+        trace.push(far, EventKind::acquire(a, l("f:a"), vec![], vec![l("f:a")]));
+        trace.push(
+            far,
+            EventKind::acquire(b, l("f:b"), vec![a], vec![l("f:a"), l("f:b")]),
+        );
+        let rel = stream(&trace);
+        let timing = rel.timing(0).expect("a timed tuple");
+        assert_eq!(timing.acquire_epoch.slot, 0);
+        assert_eq!(
+            serde_json::to_string(&timing.window_start_clock).unwrap(),
+            "[1]"
         );
     }
 

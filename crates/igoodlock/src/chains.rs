@@ -211,33 +211,31 @@ pub fn igoodlock_with_stats(
     relation: &LockDependencyRelation,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
-    igoodlock_filtered(relation, None, options)
+    igoodlock_filtered(relation, false, options)
 }
 
-/// [`igoodlock`] with an optional happens-before filter: cycles whose
-/// hold windows are ordered by fork/join happens-before (and therefore
-/// can never overlap in any execution) are suppressed and counted in
-/// [`IGoodlockStats::pruned_by_hb`]. Tuples without timing information
-/// (relations built with
+/// [`igoodlock`] with an optional happens-before filter: with `hb` on,
+/// cycles whose hold windows are ordered by fork/join happens-before
+/// (and therefore can never overlap in any execution) are suppressed
+/// and counted in [`IGoodlockStats::pruned_by_hb`]. The clocks come
+/// from the relation's own [`crate::DepTiming`]s; tuples without timing
+/// information (relations built with
 /// [`LockDependencyRelation::from_deps`]) are conservatively kept.
 ///
 /// # Example
 ///
 /// ```
-/// use df_igoodlock::{igoodlock_filtered, HbFilter, IGoodlockOptions, LockDependencyRelation};
+/// use df_igoodlock::{igoodlock_filtered, IGoodlockOptions, LockDependencyRelation};
 /// use df_events::Trace;
 ///
-/// let trace = Trace::default();
-/// let relation = LockDependencyRelation::from_trace(&trace);
-/// let hb = HbFilter::from_trace(&trace);
-/// let (cycles, stats) =
-///     igoodlock_filtered(&relation, Some(&hb), &IGoodlockOptions::default());
+/// let relation = LockDependencyRelation::from_trace(&Trace::default());
+/// let (cycles, stats) = igoodlock_filtered(&relation, true, &IGoodlockOptions::default());
 /// assert!(cycles.is_empty());
 /// assert_eq!(stats.pruned_by_hb, 0);
 /// ```
 pub fn igoodlock_filtered(
     relation: &LockDependencyRelation,
-    hb: Option<&crate::hb::HbFilter>,
+    hb: bool,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
     // Building a JoinIndex (interners, bitsets, buckets) costs more than
@@ -261,7 +259,7 @@ const SMALL_RELATION_FAST_PATH: usize = 8;
 /// tiny fixtures.
 fn igoodlock_indexed_filtered(
     relation: &LockDependencyRelation,
-    hb: Option<&crate::hb::HbFilter>,
+    hb: bool,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
     let deps = relation.deps();
@@ -321,18 +319,9 @@ fn igoodlock_indexed_filtered(
                                 .map(|&i| CycleComponent::from(&deps[i as usize]))
                                 .collect(),
                         );
-                        if let Some(hb) = hb {
-                            let timings: Option<Vec<_>> = ext
-                                .deps
-                                .iter()
-                                .map(|&i| relation.timing(i as usize))
-                                .collect();
-                            if let Some(timings) = timings {
-                                if !hb.cycle_feasible(&cycle, &timings) {
-                                    stats.pruned_by_hb += 1;
-                                    continue;
-                                }
-                            }
+                        if hb && relation.hb_ordered(ext.deps.iter().map(|&i| i as usize)) {
+                            stats.pruned_by_hb += 1;
+                            continue;
                         }
                         cycles.push(cycle);
                         if cycles.len() >= options.max_cycles {
@@ -763,7 +752,7 @@ mod tests {
                 // Call the index directly: these fixtures sit below the
                 // small-relation dispatch, which would otherwise route
                 // the public entry point straight to the oracle.
-                let (ic, is) = igoodlock_indexed_filtered(rel, None, opts);
+                let (ic, is) = igoodlock_indexed_filtered(rel, false, opts);
                 let (nc, ns) = naive_igoodlock_with_stats(rel, opts);
                 assert_eq!(ic, nc);
                 assert_eq!(is.chains_built, ns.chains_built);
@@ -773,7 +762,7 @@ mod tests {
                 assert_eq!(is.peak_open_chains, ns.peak_open_chains);
                 // The public entry point dispatches between the two, so
                 // it can only ever return this same answer.
-                let (pc, ps) = igoodlock_filtered(rel, None, opts);
+                let (pc, ps) = igoodlock_filtered(rel, false, opts);
                 assert_eq!(pc, nc);
                 assert_eq!(ps.chains_built, ns.chains_built);
             }
@@ -954,7 +943,7 @@ mod proptests {
         /// shape, never more candidates examined.
         #[test]
         fn indexed_matches_naive_oracle(rel in arb_relation()) {
-            let (ic, is) = igoodlock_indexed_filtered(&rel, None, &IGoodlockOptions::default());
+            let (ic, is) = igoodlock_indexed_filtered(&rel, false, &IGoodlockOptions::default());
             let (nc, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             prop_assert_eq!(ic, nc);
             prop_assert_eq!(is.chains_built, ns.chains_built);
@@ -968,7 +957,7 @@ mod proptests {
         /// must accept/reject exactly what the scalar mode checks do.
         #[test]
         fn indexed_matches_naive_on_mixed_modes(rel in arb_mixed_relation()) {
-            let (ic, is) = igoodlock_indexed_filtered(&rel, None, &IGoodlockOptions::default());
+            let (ic, is) = igoodlock_indexed_filtered(&rel, false, &IGoodlockOptions::default());
             let (nc, ns) = naive_igoodlock_with_stats(&rel, &IGoodlockOptions::default());
             prop_assert_eq!(ic, nc);
             prop_assert_eq!(is.chains_built, ns.chains_built);

@@ -2,8 +2,9 @@
 //!
 //! iGoodlock predicts cycles from lockset overlap alone, which is what
 //! gives it predictive power — and what makes some predictions
-//! unrealizable. The happens-before filter ([`crate::HbFilter`]) already
-//! *prunes* cycles whose hold windows are ordered by fork/join edges;
+//! unrealizable. The happens-before filter ([`crate::igoodlock_filtered`])
+//! already *prunes* cycles whose hold windows are ordered by fork/join
+//! edges;
 //! this module layers a *scoring* pass on top of it, in the spirit of the
 //! sync-preserving partial-order deadlock predictors: every predicted
 //! cycle gets a verdict — [`Feasible`](FeasibilityVerdict::Feasible),
@@ -27,6 +28,17 @@
 //!   built from bare tuples or merged from a fleet), so nothing can be
 //!   said; the neutral score `0.5` keeps such cycles in the middle of
 //!   any priority order.
+//!
+//! Everything the scorer reads — hold windows, their fork/join clocks,
+//! the trace length — travels with the relation.
+//!
+//! **Precondition: fork/join structure does not depend on the schedule.**
+//! If main spawns the second worker before joining the first only while
+//! a flag the first sets in its critical section is unseen, the observed
+//! run may order the windows while a trial does not, and confirm an
+//! `Infeasible` cycle. The staged generator of
+//! `tests/feasibility_soundness.rs` enforces the precondition; the same
+//! file checks in that counterexample.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,7 +47,6 @@ use df_events::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::cycle::Cycle;
-use crate::hb::HbFilter;
 use crate::relation::{DepTiming, LockDep, LockDependencyRelation};
 
 /// The qualitative outcome of the feasibility check for one cycle.
@@ -50,8 +61,7 @@ pub enum FeasibilityVerdict {
     /// provably unreachable and no trial can ever confirm the cycle.
     Infeasible,
     /// The relation carries no hold-window timings for this cycle (bare
-    /// tuples, fleet merges, streamed Phase I), so feasibility cannot be
-    /// judged.
+    /// tuples, fleet merges), so feasibility cannot be judged.
     Unknown,
 }
 
@@ -92,8 +102,8 @@ const MIN_FEASIBLE_SCORE: f64 = 0.05;
 /// The neutral score assigned to [`FeasibilityVerdict::Unknown`] cycles.
 const UNKNOWN_SCORE: f64 = 0.5;
 
-/// One-shot feasibility analysis of a Phase I run: fork/join vector
-/// clocks from the trace plus a tuple→timing index from the relation.
+/// One-shot feasibility analysis of a Phase I run: a tuple→timing index
+/// over the relation, whose timings carry the fork/join clocks.
 ///
 /// # Example
 ///
@@ -101,34 +111,39 @@ const UNKNOWN_SCORE: f64 = 0.5;
 /// use df_events::Trace;
 /// use df_igoodlock::{FeasibilityAnalysis, LockDependencyRelation};
 ///
-/// let trace = Trace::default();
-/// let relation = LockDependencyRelation::from_trace(&trace);
-/// let analysis = FeasibilityAnalysis::new(&trace, &relation);
+/// let relation = LockDependencyRelation::from_trace(&Trace::default());
+/// let analysis = FeasibilityAnalysis::from_relation(&relation);
 /// assert!(analysis.score_cycles(&[]).is_empty());
 /// ```
-pub struct FeasibilityAnalysis {
-    hb: HbFilter,
+pub struct FeasibilityAnalysis<'a> {
     /// Timing of each deduplicated tuple, keyed by the tuple itself so a
     /// cycle component (which carries identical fields) can find it.
-    timing_of: HashMap<LockDep, DepTiming>,
+    timing_of: HashMap<&'a LockDep, &'a DepTiming>,
     /// Observed trace length, the normalizer for window gaps.
     trace_len: u64,
 }
 
-impl FeasibilityAnalysis {
-    /// Builds the analysis from the observed trace and its relation.
-    pub fn new(trace: &Trace, relation: &LockDependencyRelation) -> Self {
-        let mut timing_of = HashMap::with_capacity(relation.len());
-        for (i, dep) in relation.deps().iter().enumerate() {
-            if let Some(t) = relation.timing(i) {
-                timing_of.insert(dep.clone(), t);
-            }
-        }
+impl<'a> FeasibilityAnalysis<'a> {
+    /// Builds the analysis from a relation and the timings it carries.
+    pub fn from_relation(relation: &'a LockDependencyRelation) -> Self {
+        let timing_of = relation
+            .deps()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, dep)| Some((dep, relation.timing(i)?)))
+            .collect();
         FeasibilityAnalysis {
-            hb: HbFilter::from_trace(trace),
             timing_of,
-            trace_len: trace.events().len() as u64,
+            trace_len: relation.events(),
         }
+    }
+
+    /// [`Self::from_relation`] under its former signature; the trace is
+    /// not read. Kept only because the repository benchmark still calls
+    /// it.
+    #[doc(hidden)]
+    pub fn new(_trace: &Trace, relation: &'a LockDependencyRelation) -> Self {
+        Self::from_relation(relation)
     }
 
     /// Scores every cycle of a Phase I report, in report order.
@@ -143,7 +158,7 @@ impl FeasibilityAnalysis {
     /// Scores one cycle. `cycle_index` is echoed into the result so the
     /// judgement stays attached to its report entry.
     pub fn score_cycle(&self, cycle_index: usize, cycle: &Cycle) -> CycleFeasibility {
-        let timings: Option<Vec<DepTiming>> = cycle
+        let timings: Option<Vec<&DepTiming>> = cycle
             .components()
             .iter()
             .map(|c| {
@@ -159,20 +174,13 @@ impl FeasibilityAnalysis {
                 self.timing_of.get(&dep).copied()
             })
             .collect();
-        let Some(timings) = timings else {
+        let Some(timings) = timings.filter(|t| !t.is_empty() && self.trace_len > 0) else {
             return CycleFeasibility {
                 cycle_index,
                 verdict: FeasibilityVerdict::Unknown,
                 score: UNKNOWN_SCORE,
             };
         };
-        if timings.is_empty() || self.trace_len == 0 {
-            return CycleFeasibility {
-                cycle_index,
-                verdict: FeasibilityVerdict::Unknown,
-                score: UNKNOWN_SCORE,
-            };
-        }
 
         // Sound pruning first: any fork/join-ordered window pair makes
         // the deadlock state unreachable in every execution.
@@ -181,8 +189,8 @@ impl FeasibilityAnalysis {
         let mut pairs = 0u32;
         for i in 0..timings.len() {
             for j in (i + 1)..timings.len() {
-                let (a, b) = (&timings[i], &timings[j]);
-                if !self.hb.windows_may_overlap(a, b) {
+                let (a, b) = (timings[i], timings[j]);
+                if !a.may_overlap(b) {
                     return CycleFeasibility {
                         cycle_index,
                         verdict: FeasibilityVerdict::Infeasible,
@@ -360,7 +368,7 @@ mod tests {
     fn concurrent_opposite_order_scores_feasible() {
         let trace = concurrent_cycle_trace();
         let relation = LockDependencyRelation::from_trace(&trace);
-        let analysis = FeasibilityAnalysis::new(&trace, &relation);
+        let analysis = FeasibilityAnalysis::from_relation(&relation);
         let fs = analysis.score_cycles(&[cycle_of(&relation)]);
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].cycle_index, 0);
@@ -376,7 +384,7 @@ mod tests {
     fn fork_join_ordered_windows_score_infeasible() {
         let trace = ordered_cycle_trace();
         let relation = LockDependencyRelation::from_trace(&trace);
-        let analysis = FeasibilityAnalysis::new(&trace, &relation);
+        let analysis = FeasibilityAnalysis::from_relation(&relation);
         let f = analysis.score_cycle(3, &cycle_of(&relation));
         assert_eq!(f.cycle_index, 3);
         assert_eq!(f.verdict, FeasibilityVerdict::Infeasible);
@@ -390,7 +398,7 @@ mod tests {
         // Rebuild from bare tuples: same cycle, no timings.
         let bare = LockDependencyRelation::from_deps(with_timings.deps().to_vec());
         assert!(bare.timing(0).is_none());
-        let analysis = FeasibilityAnalysis::new(&trace, &bare);
+        let analysis = FeasibilityAnalysis::from_relation(&bare);
         let f = analysis.score_cycle(0, &cycle_of(&bare));
         assert_eq!(f.verdict, FeasibilityVerdict::Unknown);
         assert_eq!(f.score, UNKNOWN_SCORE);
@@ -401,8 +409,8 @@ mod tests {
         let trace = concurrent_cycle_trace();
         let relation = LockDependencyRelation::from_trace(&trace);
         let cycle = cycle_of(&relation);
-        let a = FeasibilityAnalysis::new(&trace, &relation).score_cycle(0, &cycle);
-        let b = FeasibilityAnalysis::new(&trace, &relation).score_cycle(0, &cycle);
+        let a = FeasibilityAnalysis::from_relation(&relation).score_cycle(0, &cycle);
+        let b = FeasibilityAnalysis::from_relation(&relation).score_cycle(0, &cycle);
         assert_eq!(a, b);
         assert_eq!(
             serde_json::to_string(&a).unwrap(),

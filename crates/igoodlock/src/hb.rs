@@ -21,42 +21,50 @@
 //! acquisition — are ordered by fork/join happens-before: such windows
 //! can never overlap in any execution, so the deadlock state is
 //! unreachable.
+//! The [`crate::RelationBuilder`] stores in each tuple's [`DepTiming`] the
+//! clock at its window start and the [`Epoch`] of its acquisition, so the
+//! filter reads only the relation.
 
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize};
 
-use df_events::{EventKind, ThreadId, Trace};
+use crate::relation::{DepTiming, LockDependencyRelation};
 
-use crate::cycle::Cycle;
-use crate::relation::DepTiming;
-
-/// A vector clock: one logical-time component per thread.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A vector clock: one logical-time component per thread. Components are
+/// indexed by *slot*: the [`crate::RelationBuilder`] numbers threads
+/// densely in the order their first events arrive, so a clock's size is
+/// bounded by the threads seen, whatever their ids. Absent components
+/// are zero.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: Vec<u64>,
 }
 
 impl VectorClock {
-    fn new(n: usize) -> Self {
-        VectorClock {
-            entries: vec![0; n],
-        }
+    /// The component of the thread in `slot`.
+    pub fn get(&self, slot: usize) -> u64 {
+        self.entries.get(slot).copied().unwrap_or(0)
     }
 
-    fn tick(&mut self, t: usize) {
-        if self.entries.len() <= t {
-            self.entries.resize(t + 1, 0);
+    /// Sets the component of the thread in `slot`.
+    pub(crate) fn set(&mut self, slot: usize, time: u64) {
+        if self.entries.len() <= slot {
+            self.entries.resize(slot + 1, 0);
         }
-        self.entries[t] += 1;
+        self.entries[slot] = time;
     }
 
-    fn join(&mut self, other: &VectorClock) {
+    /// Advances the component of the thread in `slot` by one event.
+    pub(crate) fn tick(&mut self, slot: usize) {
+        self.set(slot, self.get(slot) + 1);
+    }
+
+    /// Componentwise maximum with `other`.
+    pub(crate) fn join(&mut self, other: &VectorClock) {
         if self.entries.len() < other.entries.len() {
             self.entries.resize(other.entries.len(), 0);
         }
-        for (i, &v) in other.entries.iter().enumerate() {
-            if self.entries[i] < v {
-                self.entries[i] = v;
-            }
+        for (mine, &theirs) in self.entries.iter_mut().zip(&other.entries) {
+            *mine = (*mine).max(theirs);
         }
     }
 
@@ -70,117 +78,64 @@ impl VectorClock {
     }
 }
 
-/// Precomputed fork/join happens-before clocks for every event of a
-/// trace.
-///
-/// # Example
-///
-/// ```
-/// use df_events::Trace;
-/// use df_igoodlock::HbFilter;
-///
-/// let trace = Trace::default();
-/// let filter = HbFilter::from_trace(&trace);
-/// assert_eq!(filter.len(), 0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct HbFilter {
-    /// Clock of each event, indexed by event sequence number.
-    clocks: Vec<VectorClock>,
+// A clock is stored as its plain component array.
+impl Serialize for VectorClock {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.entries.serialize(serializer)
+    }
 }
 
-impl HbFilter {
-    /// Computes fork/join vector clocks for `trace`.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let threads = trace.threads();
-        let n = threads.iter().map(|t| t.as_usize() + 1).max().unwrap_or(0);
-        let mut current: HashMap<ThreadId, VectorClock> = HashMap::new();
-        // Clock transferred from a spawn event to the child's start.
-        let mut pending_start: HashMap<ThreadId, VectorClock> = HashMap::new();
-        // Clock at each thread's exit, consumed by joiners.
-        let mut at_exit: HashMap<ThreadId, VectorClock> = HashMap::new();
-        let mut clocks = Vec::with_capacity(trace.events().len());
-        for event in trace.events() {
-            let t = event.thread;
-            let entry = current.entry(t).or_insert_with(|| VectorClock::new(n));
-            entry.tick(t.as_usize());
-            match &event.kind {
-                EventKind::Spawn { child, .. } => {
-                    pending_start.insert(*child, entry.clone());
-                }
-                EventKind::ThreadStart => {
-                    if let Some(parent_clock) = pending_start.remove(&t) {
-                        entry.join(&parent_clock);
-                    }
-                }
-                EventKind::ThreadExit => {
-                    at_exit.insert(t, entry.clone());
-                }
-                EventKind::Join { target } => {
-                    if let Some(exit_clock) = at_exit.get(target) {
-                        let exit_clock = exit_clock.clone();
-                        entry.join(&exit_clock);
-                    }
-                }
-                _ => {}
-            }
-            clocks.push(current[&t].clone());
-        }
-        HbFilter { clocks }
+impl<'de> Deserialize<'de> for VectorClock {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Vec::deserialize(deserializer).map(|entries| VectorClock { entries })
     }
+}
 
-    /// Number of events covered.
-    pub fn len(&self) -> usize {
-        self.clocks.len()
-    }
+/// One event's position in its own thread: the thread's clock slot and
+/// its component at that event. An event `e` with epoch `c@t`
+/// happens-before (or is) an event with clock `V` exactly when
+/// `c ≤ V[t]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Epoch {
+    /// The clock slot of the thread the event ran on.
+    pub slot: usize,
+    /// That thread's clock component at the event.
+    pub time: u64,
+}
 
-    /// Whether the filter covers no events.
-    pub fn is_empty(&self) -> bool {
-        self.clocks.is_empty()
-    }
-
-    /// Clock of event `seq`.
-    fn clock(&self, seq: u64) -> Option<&VectorClock> {
-        self.clocks.get(usize::try_from(seq).ok()?)
-    }
-
-    /// Whether event `a` happens-before event `b` under fork/join order
-    /// (strictly: `a`'s clock ≤ `b`'s and they are distinct events).
-    pub fn happens_before(&self, a: u64, b: u64) -> bool {
-        match (self.clock(a), self.clock(b)) {
-            (Some(ca), Some(cb)) => a != b && ca.leq(cb),
-            _ => false,
-        }
+impl DepTiming {
+    /// Whether this window's end — its acquisition — happens-before
+    /// `other`'s window start under fork/join order (strictly: the two
+    /// are distinct events).
+    pub fn ends_before(&self, other: &DepTiming) -> bool {
+        self.acquire_seq != other.window_start_seq
+            && self.acquire_epoch.time <= other.window_start_clock.get(self.acquire_epoch.slot)
     }
 
     /// Whether two hold windows may overlap in *some* execution
     /// consistent with fork/join order: neither window ends
     /// happens-before the other begins.
-    pub fn windows_may_overlap(&self, a: &DepTiming, b: &DepTiming) -> bool {
-        !(self.happens_before(a.acquire_seq, b.window_start_seq)
-            || self.happens_before(b.acquire_seq, a.window_start_seq))
+    pub fn may_overlap(&self, other: &DepTiming) -> bool {
+        !(self.ends_before(other) || other.ends_before(self))
     }
+}
 
-    /// Whether a cycle is feasible: every pair of component hold windows
-    /// may overlap. Requires the timings recorded with the relation the
-    /// cycle came from.
-    pub fn cycle_feasible(&self, cycle: &Cycle, timings: &[DepTiming]) -> bool {
-        debug_assert_eq!(cycle.components().len(), timings.len());
-        for i in 0..timings.len() {
-            for j in (i + 1)..timings.len() {
-                if !self.windows_may_overlap(&timings[i], &timings[j]) {
-                    return false;
-                }
-            }
-        }
-        true
+impl LockDependencyRelation {
+    /// Whether two of the hold windows of `tuples` (a cycle's components)
+    /// are ordered by fork/join happens-before — the filter's pruning
+    /// test. Tuples without timings are never ordered.
+    pub(crate) fn hb_ordered(&self, tuples: impl Iterator<Item = usize>) -> bool {
+        let timings: Option<Vec<&DepTiming>> = tuples.map(|i| self.timing(i)).collect();
+        timings
+            .is_some_and(|t| (0..t.len()).any(|i| t[i + 1..].iter().any(|b| !t[i].may_overlap(b))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_events::{Label, ObjKind};
+    use crate::oracle::HbFilter;
+    use df_events::{EventKind, Label, ObjKind, ThreadId, Trace};
 
     fn l(s: &str) -> Label {
         Label::new(s)
@@ -284,25 +239,26 @@ mod tests {
         assert!(hb.happens_before(2, 6));
     }
 
+    /// A window the oracle judges by its sequence numbers alone.
+    fn window(start: u64, end: u64) -> DepTiming {
+        DepTiming {
+            window_start_seq: start,
+            acquire_seq: end,
+            window_start_clock: VectorClock::default(),
+            acquire_epoch: Epoch { slot: 0, time: 0 },
+        }
+    }
+
     #[test]
     fn window_overlap_respects_ordering() {
         let trace = forked_trace();
         let hb = HbFilter::from_trace(&trace);
         // A's window (events 2..4) vs B's window (events 7..9): ordered.
-        let wa = DepTiming {
-            window_start_seq: 2,
-            acquire_seq: 4,
-        };
-        let wb = DepTiming {
-            window_start_seq: 7,
-            acquire_seq: 9,
-        };
+        let wa = window(2, 4);
+        let wb = window(7, 9);
         assert!(!hb.windows_may_overlap(&wa, &wb));
         // A window vs main's own early window: main 0..1 precedes A.
-        let wmain = DepTiming {
-            window_start_seq: 0,
-            acquire_seq: 1,
-        };
+        let wmain = window(0, 1);
         assert!(!hb.windows_may_overlap(&wmain, &wa));
         // Identical windows trivially may overlap.
         assert!(hb.windows_may_overlap(&wa, &wa));
@@ -313,5 +269,53 @@ mod tests {
         let hb = HbFilter::from_trace(&Trace::default());
         assert!(hb.is_empty());
         assert!(!hb.happens_before(0, 1));
+    }
+
+    fn clock(entries: &[u64]) -> VectorClock {
+        VectorClock {
+            entries: entries.to_vec(),
+        }
+    }
+
+    #[test]
+    fn clock_operations() {
+        let mut a = VectorClock::default();
+        a.tick(2);
+        assert_eq!(a, clock(&[0, 0, 1]));
+        a.join(&clock(&[3, 0, 0, 4]));
+        assert_eq!(a, clock(&[3, 0, 1, 4]));
+        assert_eq!(a.get(9), 0);
+        assert!(clock(&[1, 0]).leq(&clock(&[1])));
+        assert!(!clock(&[1, 2]).leq(&clock(&[1])));
+    }
+
+    #[test]
+    fn clocks_serialize_as_arrays() {
+        let json = serde_json::to_string(&clock(&[0, 2, 1])).unwrap();
+        assert_eq!(json, "[0,2,1]");
+        let back: VectorClock = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, clock(&[0, 2, 1]));
+    }
+
+    /// T1's window (seq 2..4) ends at epoch 3@T1; T2 starts after main
+    /// joined T1, so its window-start clock has seen T1 up to 4.
+    #[test]
+    fn ordered_windows_do_not_overlap() {
+        let a = DepTiming {
+            window_start_seq: 2,
+            acquire_seq: 4,
+            window_start_clock: clock(&[2, 2]),
+            acquire_epoch: Epoch { slot: 1, time: 3 },
+        };
+        let b = DepTiming {
+            window_start_seq: 9,
+            acquire_seq: 10,
+            window_start_clock: clock(&[5, 4, 2]),
+            acquire_epoch: Epoch { slot: 2, time: 3 },
+        };
+        assert!(a.ends_before(&b));
+        assert!(!b.ends_before(&a));
+        assert!(!a.may_overlap(&b));
+        assert!(a.may_overlap(&a), "a window overlaps itself");
     }
 }

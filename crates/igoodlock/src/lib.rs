@@ -70,12 +70,16 @@ pub use chains::{
 pub use cycle::{AbstractComponent, AbstractCycle, Cycle, CycleComponent};
 pub use dfs::{goodlock_dfs, GoodlockDfsStats};
 pub use feasibility::{CycleFeasibility, FeasibilityAnalysis, FeasibilityVerdict};
-pub use hb::{HbFilter, VectorClock};
+pub use hb::{Epoch, VectorClock};
+#[doc(hidden)]
+pub use oracle::HbFilter;
 pub use relation::{modes_conflict, DepTiming, LockDep, LockDependencyRelation};
 
-/// [`igoodlock_filtered`] under its former parallel name; `_jobs` is
-/// ignored. Kept only because the repository benchmark still calls it,
-/// and goes away once the benchmark calls [`igoodlock_filtered`].
+/// [`igoodlock_filtered`] under its former parallel name, pruning with
+/// the trace-based clocks of `hb` (the oracle of the relation's own);
+/// `_jobs` is ignored. Kept only because the repository benchmark still
+/// calls it, and goes away once the benchmark calls
+/// [`igoodlock_filtered`].
 #[doc(hidden)]
 pub fn igoodlock_parallel(
     relation: &LockDependencyRelation,
@@ -83,6 +87,8 @@ pub fn igoodlock_parallel(
     options: &IGoodlockOptions,
     _jobs: usize,
 ) -> (Vec<Cycle>, IGoodlockStats, ()) {
-    let (cycles, stats) = igoodlock_filtered(relation, hb, options);
+    let retimed = hb.map(|hb| hb.retime(relation));
+    let (cycles, stats) =
+        igoodlock_filtered(retimed.as_ref().unwrap_or(relation), hb.is_some(), options);
     (cycles, stats, ())
 }

@@ -1,23 +1,122 @@
-//! The brute-force Algorithm 1, kept as the oracle the indexed join in
-//! [`crate::igoodlock_filtered`] is tested against.
+//! The reference implementations the fast paths are tested against.
 //!
-//! Each open chain scans the whole relation for extensions and checks
-//! Definition 2 by linear scans over plain vectors — no interning, no
-//! bitsets, no buckets. It produces byte-identical cycles and identical
-//! `chains_built` / `chains_per_iteration` / `truncated`, so property
-//! tests, the equivalence suite and the join bench compare the two
-//! directly. The indexed join also runs it as its fast path for
-//! relations too small to amortize a join index. It is public only so
-//! that tests and benches in other crates can reach it, and is hidden
-//! from the documented API.
+//! * The brute-force Algorithm 1, the oracle of the indexed join in
+//!   [`crate::igoodlock_filtered`]. Each open chain scans the whole
+//!   relation for extensions and checks Definition 2 by linear scans
+//!   over plain vectors — no interning, no bitsets, no buckets. It
+//!   produces byte-identical cycles and identical `chains_built` /
+//!   `chains_per_iteration` / `truncated`, so property tests, the
+//!   equivalence suite and the join bench compare the two directly. The
+//!   indexed join also runs it as its fast path for relations too small
+//!   to amortize a join index.
+//! * [`HbFilter`], fork/join vector clocks of every event of a recorded
+//!   trace — the oracle of the window clocks and epochs the
+//!   [`RelationBuilder`] stores online.
+//!
+//! The module is public only so that tests and benches in other crates
+//! can reach it, and is hidden from the documented API.
 
 use std::collections::HashSet;
 
-use df_events::{AcquireMode, ObjId};
+use df_events::{AcquireMode, ObjId, Trace};
 
+use crate::builder::RelationBuilder;
 use crate::chains::{IGoodlockOptions, IGoodlockStats};
 use crate::cycle::{Cycle, CycleComponent};
-use crate::relation::{LockDep, LockDependencyRelation};
+use crate::hb::{Epoch, VectorClock};
+use crate::relation::{DepTiming, LockDep, LockDependencyRelation};
+
+/// Fork/join happens-before clocks for every event of a recorded trace:
+/// the [`RelationBuilder`]'s clock of each event's thread right after
+/// the event. Judging windows by these full per-event clocks is the
+/// reference for the window-start clocks and epochs the builder stores.
+///
+/// # Example
+///
+/// ```
+/// use df_events::Trace;
+/// use df_igoodlock::oracle::HbFilter;
+///
+/// let trace = Trace::default();
+/// let filter = HbFilter::from_trace(&trace);
+/// assert_eq!(filter.len(), 0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct HbFilter {
+    /// Clock of each event, indexed by event sequence number.
+    clocks: Vec<VectorClock>,
+}
+
+impl HbFilter {
+    /// Computes fork/join vector clocks for `trace`.
+    pub fn from_trace(trace: &Trace) -> Self {
+        let mut builder = RelationBuilder::new();
+        for (thread, obj) in trace.thread_objs() {
+            builder.bind_thread(thread, obj);
+        }
+        let clocks = trace
+            .events()
+            .iter()
+            .map(|event| {
+                builder.observe(event);
+                builder.clock(event.thread).clone()
+            })
+            .collect();
+        HbFilter { clocks }
+    }
+
+    /// Number of events covered.
+    pub fn len(&self) -> usize {
+        self.clocks.len()
+    }
+
+    /// Whether the filter covers no events.
+    pub fn is_empty(&self) -> bool {
+        self.clocks.is_empty()
+    }
+
+    /// Clock of event `seq`.
+    fn clock(&self, seq: u64) -> Option<&VectorClock> {
+        self.clocks.get(usize::try_from(seq).ok()?)
+    }
+
+    /// Whether event `a` happens-before event `b` under fork/join order
+    /// (strictly: `a`'s clock ≤ `b`'s and they are distinct events).
+    pub fn happens_before(&self, a: u64, b: u64) -> bool {
+        match (self.clock(a), self.clock(b)) {
+            (Some(ca), Some(cb)) => a != b && ca.leq(cb),
+            _ => false,
+        }
+    }
+
+    /// Whether two hold windows may overlap in *some* execution
+    /// consistent with fork/join order, judged by their sequence numbers
+    /// alone.
+    pub fn windows_may_overlap(&self, a: &DepTiming, b: &DepTiming) -> bool {
+        !(self.happens_before(a.acquire_seq, b.window_start_seq)
+            || self.happens_before(b.acquire_seq, a.window_start_seq))
+    }
+
+    /// `relation` with every tuple's clocks replaced by this filter's
+    /// per-event ones. A sequence number past the trace gets a timing
+    /// that is ordered with nothing, as [`Self::happens_before`] treats it.
+    pub fn retime(&self, relation: &LockDependencyRelation) -> LockDependencyRelation {
+        let retime = |t: &DepTiming| DepTiming {
+            window_start_clock: self.clock(t.window_start_seq).cloned().unwrap_or_default(),
+            acquire_epoch: Epoch {
+                time: self
+                    .clock(t.acquire_seq)
+                    .map_or(u64::MAX, |c| c.get(t.acquire_epoch.slot)),
+                ..t.acquire_epoch
+            },
+            ..t.clone()
+        };
+        LockDependencyRelation {
+            timings: relation.timings.iter().map(retime).collect(),
+            ..relation.clone()
+        }
+    }
+}
 
 /// An open (not yet cyclic) dependency chain of the naive join: indices
 /// into the relation plus memoized thread/lock vectors, compared by
@@ -152,14 +251,14 @@ pub fn naive_igoodlock_with_stats(
     relation: &LockDependencyRelation,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
-    naive_igoodlock_filtered(relation, None, options)
+    naive_igoodlock_filtered(relation, false, options)
 }
 
 /// [`naive_igoodlock`] with the optional happens-before filter — the
 /// brute-force counterpart of [`crate::igoodlock_filtered`].
 pub fn naive_igoodlock_filtered(
     relation: &LockDependencyRelation,
-    hb: Option<&crate::hb::HbFilter>,
+    hb: bool,
     options: &IGoodlockOptions,
 ) -> (Vec<Cycle>, IGoodlockStats) {
     let deps = relation.deps();
@@ -224,15 +323,9 @@ pub fn naive_igoodlock_filtered(
                                 .map(|&i| CycleComponent::from(&deps[i]))
                                 .collect(),
                         );
-                        if let Some(hb) = hb {
-                            let timings: Option<Vec<_>> =
-                                ext.deps.iter().map(|&i| relation.timing(i)).collect();
-                            if let Some(timings) = timings {
-                                if !hb.cycle_feasible(&cycle, &timings) {
-                                    stats.pruned_by_hb += 1;
-                                    continue;
-                                }
-                            }
+                        if hb && relation.hb_ordered(ext.deps.iter().copied()) {
+                            stats.pruned_by_hb += 1;
+                            continue;
                         }
                         cycles.push(cycle);
                         if cycles.len() >= options.max_cycles {

@@ -5,6 +5,8 @@ use std::collections::HashMap;
 use df_events::{AcquireMode, DenseInterner, Label, ObjId, ThreadId, Trace};
 use serde::{Deserialize, Serialize};
 
+use crate::hb::{Epoch, VectorClock};
+
 /// Whether an acquisition in mode `acquire` is blocked by a hold in mode
 /// `hold` of the same lock. Only read-read pairs coexist; every other
 /// combination blocks. This is the edge rule of the mode-aware join:
@@ -14,17 +16,22 @@ pub fn modes_conflict(acquire: AcquireMode, hold: AcquireMode) -> bool {
     !(acquire.is_shared() && hold.is_shared())
 }
 
-/// Trace positions of a dependency tuple's *hold window*: the span during
-/// which the thread holds its lockset while performing the acquisition.
-/// Used by the happens-before filter ([`crate::HbFilter`]) to prune
-/// cycles whose windows can never overlap.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+/// Where and when a dependency tuple's *hold window* lies: the span
+/// during which the thread holds its lockset while performing the
+/// acquisition. Used by the happens-before filter ([`DepTiming::may_overlap`])
+/// to prune cycles whose windows can never overlap, and by the
+/// feasibility scorer ([`crate::FeasibilityAnalysis`]).
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct DepTiming {
     /// Sequence number of the innermost held lock's acquisition (window
     /// start).
     pub window_start_seq: u64,
     /// Sequence number of the acquisition event itself (window end).
     pub acquire_seq: u64,
+    /// Fork/join vector clock at the window start.
+    pub window_start_clock: VectorClock,
+    /// Epoch of the acquisition (window end).
+    pub acquire_epoch: Epoch,
 }
 
 /// One tuple `(t, L, l, C)` of the lock dependency relation: in some state
@@ -169,6 +176,33 @@ impl<'de> Deserialize<'de> for LockDep {
     }
 }
 
+/// A tuple's fields, borrowed: the form a candidate tuple has while the
+/// builder checks whether it is new, so that a repeated acquisition is
+/// recognized without allocating.
+pub(crate) type DepKey<'a> = (
+    ThreadId,
+    ObjId,
+    &'a [ObjId],
+    ObjId,
+    &'a [Label],
+    AcquireMode,
+    &'a [AcquireMode],
+);
+
+impl LockDep {
+    fn key(&self) -> DepKey<'_> {
+        (
+            self.thread,
+            self.thread_obj,
+            &self.lockset,
+            self.lock,
+            &self.contexts,
+            self.mode,
+            &self.hold_modes,
+        )
+    }
+}
+
 /// Clone-free tuple dedup: candidates are bucketed by hash and compared
 /// exactly against the tuples already kept, so construction never clones
 /// a lockset or context vector just to probe a set. (A bare
@@ -180,7 +214,7 @@ pub(crate) struct DedupIndex {
 }
 
 impl DedupIndex {
-    fn hash_of(dep: &LockDep) -> u64 {
+    fn hash_of(dep: DepKey<'_>) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         dep.hash(&mut h);
@@ -188,10 +222,11 @@ impl DedupIndex {
     }
 
     /// Whether `dep` is absent from `kept`; records `kept.len()` as its
-    /// future index if so (the caller pushes it next).
-    pub(crate) fn is_new(&mut self, kept: &[LockDep], dep: &LockDep) -> bool {
+    /// future index if so (the caller pushes it next). Allocates only
+    /// for a new tuple.
+    pub(crate) fn is_new(&mut self, kept: &[LockDep], dep: DepKey<'_>) -> bool {
         let ids = self.buckets.entry(Self::hash_of(dep)).or_default();
-        if ids.iter().any(|&i| &kept[i as usize] == dep) {
+        if ids.iter().any(|&i| kept[i as usize].key() == dep) {
             return false;
         }
         ids.push(u32::try_from(kept.len()).expect("relation fits u32"));
@@ -203,13 +238,16 @@ impl DedupIndex {
 /// bookkeeping [`igoodlock`](crate::igoodlock) needs.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LockDependencyRelation {
-    deps: Vec<LockDep>,
+    pub(crate) deps: Vec<LockDep>,
     /// Hold-window positions of each (deduplicated) tuple's *first*
     /// occurrence, parallel to `deps`. Empty when the relation was built
     /// from bare tuples ([`Self::from_deps`]).
-    timings: Vec<DepTiming>,
+    pub(crate) timings: Vec<DepTiming>,
     /// Number of raw (non-deduplicated) dependency tuples observed.
     pub raw_count: usize,
+    /// Number of events the relation was built from (zero for bare
+    /// tuples).
+    pub(crate) events: u64,
 }
 
 impl LockDependencyRelation {
@@ -238,19 +276,6 @@ impl LockDependencyRelation {
         builder.finish()
     }
 
-    /// Assembles a relation from the builder's accumulated parts.
-    pub(crate) fn from_parts(
-        deps: Vec<LockDep>,
-        timings: Vec<DepTiming>,
-        raw_count: usize,
-    ) -> Self {
-        LockDependencyRelation {
-            deps,
-            timings,
-            raw_count,
-        }
-    }
-
     /// Builds a relation directly from tuples (used in tests and by the
     /// real-thread substrate).
     pub fn from_deps(deps: Vec<LockDep>) -> Self {
@@ -258,7 +283,7 @@ impl LockDependencyRelation {
         let mut seen = DedupIndex::default();
         let mut kept: Vec<LockDep> = Vec::with_capacity(deps.len());
         for d in deps {
-            if !d.lockset.is_empty() && seen.is_new(&kept, &d) {
+            if !d.lockset.is_empty() && seen.is_new(&kept, d.key()) {
                 kept.push(d);
             }
         }
@@ -266,6 +291,7 @@ impl LockDependencyRelation {
             deps: kept,
             timings: Vec::new(),
             raw_count,
+            events: 0,
         }
     }
 
@@ -275,8 +301,15 @@ impl LockDependencyRelation {
     }
 
     /// Hold-window timing of tuple `i`, if the relation came from a trace.
-    pub fn timing(&self, i: usize) -> Option<DepTiming> {
-        self.timings.get(i).copied()
+    pub fn timing(&self, i: usize) -> Option<&DepTiming> {
+        self.timings.get(i)
+    }
+
+    /// Number of events observed while building the relation — the
+    /// length of the execution's trace, which the feasibility scorer
+    /// normalizes window gaps by. Zero for [`Self::from_deps`].
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Number of deduplicated tuples.
@@ -325,8 +358,9 @@ impl LockDependencyRelation {
     /// order, while building only chains that can still close.
     ///
     /// Each kept tuple keeps its [`DepTiming`], so [`Self::timing`] of
-    /// the core still feeds the happens-before filter; `raw_count` is
-    /// the observed run's and is carried over unchanged.
+    /// the core still feeds the happens-before filter; `raw_count` and
+    /// [`Self::events`] are the observed run's and are carried over
+    /// unchanged.
     ///
     /// # Example
     ///
@@ -378,9 +412,10 @@ impl LockDependencyRelation {
             deps: keep.iter().map(|&i| self.deps[i].clone()).collect(),
             timings: keep
                 .iter()
-                .filter_map(|&i| self.timings.get(i).copied())
+                .filter_map(|&i| self.timings.get(i).cloned())
                 .collect(),
             raw_count: self.raw_count,
+            events: self.events,
         }
     }
 }

@@ -82,8 +82,8 @@ pub struct CounterSnapshot {
     /// stops, infeasible pruning, and total-budget caps all contribute).
     pub trials_saved: u64,
     /// Largest in-memory event-trace footprint (approximate bytes) any
-    /// single run materialized. A fully streamed observation keeps this
-    /// at zero — the assertion behind `dfz record --stream`. Unlike the
+    /// single run materialized. A fully streamed observation (Phase I,
+    /// `dfz record`) keeps this at zero. Unlike the
     /// other counters this is a high-water mark: merging shards takes
     /// the maximum, not the sum.
     pub peak_trace_bytes: u64,

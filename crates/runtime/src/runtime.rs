@@ -152,7 +152,8 @@ impl VirtualRuntime {
         counters.add_yields_taken(stats.yields);
         counters.add_faults_injected(u64::from(faults.total()));
         // High-water mark of the in-memory event vector: zero for fully
-        // streamed runs, which is the assertion behind `record --stream`.
+        // streamed runs, which is the assertion behind `dfz record`'s
+        // `peak trace bytes: 0`.
         counters.record_peak_trace_bytes(trace.approx_event_bytes());
         // Let streaming observers seal their output with the final object
         // table and thread bindings.

@@ -145,6 +145,9 @@ fn golden_trace_v3() -> Trace {
 const GOLDEN_TRACE_ARTIFACT: &str = include_str!("golden/trace.jsonl");
 const GOLDEN_TRACE_JSON: &str = include_str!("golden/trace.json");
 const GOLDEN_RELATION_ARTIFACT: &str = include_str!("golden/relation.json");
+/// The same relation as written by the version-1 writer, whose timings
+/// carried no clocks: frozen, never regenerated.
+const GOLDEN_RELATION_V1: &str = include_str!("golden/relation.v1.json");
 const GOLDEN_TRACE_V2: &[u8] = include_bytes!("golden/trace.v2.bin");
 const GOLDEN_TRACE_V3: &[u8] = include_bytes!("golden/trace.v3.bin");
 const GOLDEN_TRACE_V3_JSONL: &str = include_str!("golden/trace.v3.jsonl");
@@ -297,7 +300,8 @@ fn relation_artifact_bytes_are_pinned_and_round_trip() {
 ///
 /// `trace.v2.bin` is intentionally NOT regenerated: it is a frozen
 /// artifact of the retired version-2 writer, kept to pin read
-/// compatibility.
+/// compatibility. Neither is `relation.v1.json`, kept to pin its
+/// rejection.
 #[test]
 #[ignore = "writes tests/golden/; run explicitly after a format change"]
 fn regenerate_goldens() {
@@ -423,6 +427,16 @@ proptest! {
         let binary = write_binary_trace(Vec::new(), &trace).expect("binary write");
         let keep = cut % binary.len();
         prop_assert!(read_trace_bytes(&binary[..keep]).is_err());
+    }
+}
+
+#[test]
+fn relation_v1_golden_is_rejected_as_a_version_mismatch() {
+    match read_relation(GOLDEN_RELATION_V1.as_bytes()) {
+        Err(RelationArtifactError::VersionMismatch { found: 1, expected }) => {
+            assert_eq!(expected, RELATION_FORMAT_VERSION);
+        }
+        other => panic!("expected a version mismatch, got {other:?}"),
     }
 }
 

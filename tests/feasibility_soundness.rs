@@ -8,7 +8,14 @@
 //! edges (exactly what the partial-order check proves infeasible), while
 //! inversions within a stage stay live. Mixing both shapes exercises the
 //! `Infeasible` verdict against real executions.
+//!
+//! The staged generator forks and joins unconditionally, which is the
+//! verdict's precondition: fork/join structure must not depend on the
+//! schedule. [`flag_gated`] breaks it on purpose, and
+//! `schedule_dependent_fork_join_confirms_an_infeasible_cycle` checks in
+//! the resulting counterexample.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use deadlock_fuzzer::prelude::*;
@@ -72,6 +79,66 @@ fn build(spec: Spec) -> deadlock_fuzzer::ProgramRef {
             }
         }
     }))
+}
+
+/// A program whose fork/join structure depends on the schedule. The
+/// first worker nests `b` inside `a` and sets a flag inside that
+/// critical section. After `delay` work units, main looks at the flag:
+/// if it is set, main joins the first worker before spawning the second
+/// (which nests `a` inside `b`); if not, it spawns the second worker
+/// before joining the first, and the inversion is live.
+fn flag_gated(delay: u32) -> deadlock_fuzzer::ProgramRef {
+    Arc::new(Named::new("flag-gated", move |ctx: &TCtx| {
+        let a = ctx.new_lock(Label::new("gated.newLock:a"));
+        let b = ctx.new_lock(Label::new("gated.newLock:b"));
+        let flag = Arc::new(AtomicBool::new(false));
+        let set = Arc::clone(&flag);
+        let first = ctx.spawn(Label::new("gated.spawn:first"), "first", move |ctx| {
+            let ga = ctx.lock(&a, Label::new("gated.first:a"));
+            let gb = ctx.lock(&b, Label::new("gated.first:b"));
+            set.store(true, Ordering::SeqCst);
+            drop(gb);
+            drop(ga);
+        });
+        let second = move |ctx: &TCtx| {
+            let gb = ctx.lock(&b, Label::new("gated.second:b"));
+            let ga = ctx.lock(&a, Label::new("gated.second:a"));
+            drop(ga);
+            drop(gb);
+        };
+        ctx.work(delay);
+        if flag.load(Ordering::SeqCst) {
+            ctx.join(&first, Label::new("gated.join:first"));
+            let second = ctx.spawn(Label::new("gated.spawn:second"), "second", second);
+            ctx.join(&second, Label::new("gated.join:second"));
+        } else {
+            let second = ctx.spawn(Label::new("gated.spawn:second"), "second", second);
+            ctx.join(&first, Label::new("gated.join:first"));
+            ctx.join(&second, Label::new("gated.join:second"));
+        }
+    }))
+}
+
+/// Outside the precondition the `Infeasible` verdict is not sound: the
+/// observed run took the join-first branch, so Phase I scores the
+/// inversion `Infeasible`, yet under the active scheduler the first
+/// worker is paused inside its critical section before the flag is set,
+/// main takes the spawn-first branch, and a trial deadlocks on exactly
+/// that cycle.
+#[test]
+fn schedule_dependent_fork_join_confirms_an_infeasible_cycle() {
+    let fuzzer = DeadlockFuzzer::from_ref(flag_gated(8), Config::default().with_feasibility(true));
+    let p1 = fuzzer.phase1();
+    assert_eq!(p1.abstract_cycles.len(), 1, "{p1}");
+    assert_eq!(
+        p1.feasibility[0].verdict,
+        FeasibilityVerdict::Infeasible,
+        "{p1}"
+    );
+    let prob = fuzzer
+        .estimate_probability(&p1.abstract_cycles[0], 10)
+        .expect("trials > 0");
+    assert!(prob.matched > 0, "no trial confirmed the cycle: {prob}");
 }
 
 proptest! {

@@ -6,16 +6,15 @@
 //! byte-identical cycle reports (with and without the happens-before
 //! filter) and an identical join shape. The indexed join over each
 //! relation's cyclic core must match the oracle over the whole relation
-//! too, happens-before pruning included.
+//! too, happens-before pruning included — the oracle's with clocks
+//! recomputed event by event from the trace.
 
 use std::sync::Arc;
 
 use deadlock_fuzzer::events::Label;
 use deadlock_fuzzer::fuzzer::SimpleRandomChecker;
-use deadlock_fuzzer::igoodlock::oracle::naive_igoodlock_filtered;
-use deadlock_fuzzer::igoodlock::{
-    igoodlock_filtered, HbFilter, IGoodlockOptions, LockDependencyRelation,
-};
+use deadlock_fuzzer::igoodlock::oracle::{naive_igoodlock_filtered, HbFilter};
+use deadlock_fuzzer::igoodlock::{igoodlock_filtered, IGoodlockOptions, LockDependencyRelation};
 use deadlock_fuzzer::runtime::{LockRef, RunConfig, TCtx, VirtualRuntime};
 use deadlock_fuzzer::{Named, ProgramRef};
 
@@ -81,8 +80,7 @@ fn indexed_matches_naive_on_benchmark_traces() {
                     program.run(ctx)
                 });
             let relation = LockDependencyRelation::from_trace(&result.trace);
-            let hb = HbFilter::from_trace(&result.trace);
-            for hb_filter in [None, Some(&hb)] {
+            for hb_filter in [false, true] {
                 for options in [
                     IGoodlockOptions::default(),
                     IGoodlockOptions::length_two_only(),
@@ -94,7 +92,7 @@ fn indexed_matches_naive_on_benchmark_traces() {
                         serde_json::to_string(&nc).expect("serialize"),
                         "byte-identical cycle report for {} (seed {seed}, hb {}, {:?})",
                         bench_name,
-                        hb_filter.is_some(),
+                        hb_filter,
                         options
                     );
                     assert_eq!(is.chains_built, ns.chains_built, "{bench_name}");
@@ -137,13 +135,13 @@ fn core_join_matches_naive_over_full_relation_with_hb() {
                 });
             let relation = LockDependencyRelation::from_trace(&result.trace);
             let core = relation.cyclic_core();
-            let hb = HbFilter::from_trace(&result.trace);
+            let oracle = HbFilter::from_trace(&result.trace).retime(&relation);
             for options in [
                 IGoodlockOptions::default(),
                 IGoodlockOptions::length_two_only(),
             ] {
-                let (cc, cs) = igoodlock_filtered(&core, Some(&hb), &options);
-                let (nc, ns) = naive_igoodlock_filtered(&relation, Some(&hb), &options);
+                let (cc, cs) = igoodlock_filtered(&core, true, &options);
+                let (nc, ns) = naive_igoodlock_filtered(&oracle, true, &options);
                 assert_eq!(
                     serde_json::to_string(&cc).expect("serialize"),
                     serde_json::to_string(&nc).expect("serialize"),

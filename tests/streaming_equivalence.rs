@@ -7,12 +7,21 @@
 //! an event sink and recording disabled — and the two relations must be
 //! byte-identical, the cycle reports must match, and the streamed run
 //! must never have materialized an event.
+//!
+//! Phase I always streams, so its happens-before filter and feasibility
+//! scorer read the clocks the builder keeps online. The second test
+//! checks every filter combination against the trace-based oracle: the
+//! run recorded in full, the relation built from the trace, and the
+//! fork/join clocks recomputed event by event.
 
 use std::sync::{Arc, Mutex};
 
+use deadlock_fuzzer::abstraction::Abstractor;
+use deadlock_fuzzer::events::SinkHandle;
 use deadlock_fuzzer::fuzzer::SimpleRandomChecker;
 use deadlock_fuzzer::igoodlock::{
-    igoodlock, IGoodlockOptions, LockDependencyRelation, RelationBuilder,
+    igoodlock, igoodlock_parallel, FeasibilityAnalysis, HbFilter, IGoodlockOptions,
+    LockDependencyRelation, RelationBuilder,
 };
 use deadlock_fuzzer::runtime::{RunConfig, VirtualRuntime};
 use deadlock_fuzzer::{Config, DeadlockFuzzer};
@@ -91,45 +100,71 @@ fn streamed_relation_is_byte_identical_on_benchmark_traces() {
 }
 
 #[test]
-fn streamed_pipeline_report_matches_offline() {
+fn phase1_matches_the_trace_oracle_under_every_filter_combination() {
+    let mut pruned = 0;
+    let mut infeasible = 0;
     for bench in df_benchmarks::table1_suite() {
-        let offline = DeadlockFuzzer::from_ref(
-            bench.program.clone(),
-            Config::default().with_phase1_seed(11),
-        )
-        .phase1();
-        let streamed = DeadlockFuzzer::from_ref(
-            bench.program.clone(),
-            Config::default()
-                .with_phase1_seed(11)
-                .with_stream_phase1(true),
-        )
-        .phase1();
-        assert_eq!(
-            offline.cycles, streamed.cycles,
-            "{}: concrete cycles must match",
-            bench.name
-        );
-        assert_eq!(
-            serde_json::to_string(&offline.abstract_cycles).expect("serialize"),
-            serde_json::to_string(&streamed.abstract_cycles).expect("serialize"),
-            "{}: abstract cycles must be byte-identical",
-            bench.name
-        );
-        assert_eq!(
-            offline.relation_size, streamed.relation_size,
-            "{}",
-            bench.name
-        );
-        assert_eq!(
-            offline.acquires_observed, streamed.acquires_observed,
-            "{}",
-            bench.name
-        );
-        assert!(
-            streamed.trace.events().is_empty(),
-            "{}: streamed report must carry no events",
-            bench.name
-        );
+        for seed in [11u64, 29] {
+            for hb in [false, true] {
+                for feasibility in [false, true] {
+                    let config = Config::default()
+                        .with_phase1_seed(seed)
+                        .with_hb_filter(hb)
+                        .with_feasibility(feasibility);
+                    let fuzzer = DeadlockFuzzer::from_ref(bench.program.clone(), config.clone());
+                    let live = fuzzer.phase1();
+                    assert!(
+                        live.trace.events().is_empty(),
+                        "{}: Phase I must carry no events",
+                        bench.name
+                    );
+
+                    let recorded = fuzzer.observe(SinkHandle::none(), true).trace;
+                    let clocks = HbFilter::from_trace(&recorded);
+                    let relation = clocks.retime(&LockDependencyRelation::from_trace(&recorded));
+                    let (cycles, stats, ()) = igoodlock_parallel(
+                        &relation.cyclic_core(),
+                        hb.then_some(&clocks),
+                        &config.igoodlock,
+                        1,
+                    );
+                    let abstractor = Abstractor::new(config.mode);
+                    let abstract_cycles: Vec<_> = cycles
+                        .iter()
+                        .map(|c| c.abstract_with(recorded.objects(), &abstractor))
+                        .collect();
+                    let scores = if feasibility {
+                        FeasibilityAnalysis::from_relation(&relation).score_cycles(&cycles)
+                    } else {
+                        Vec::new()
+                    };
+
+                    let what = format!(
+                        "{} seed {seed} hb {hb} feasibility {feasibility}",
+                        bench.name
+                    );
+                    assert_eq!(live.cycles, cycles, "{what}: concrete cycles");
+                    assert_eq!(
+                        serde_json::to_string(&live.abstract_cycles).expect("serialize"),
+                        serde_json::to_string(&abstract_cycles).expect("serialize"),
+                        "{what}: abstract cycles"
+                    );
+                    assert_eq!(live.feasibility, scores, "{what}: verdicts and scores");
+                    assert_eq!(live.stats.pruned_by_hb, stats.pruned_by_hb, "{what}");
+                    pruned += stats.pruned_by_hb;
+                    infeasible += scores
+                        .iter()
+                        .filter(|s| {
+                            s.verdict == deadlock_fuzzer::igoodlock::FeasibilityVerdict::Infeasible
+                        })
+                        .count();
+                }
+            }
+        }
     }
+    assert!(pruned > 0, "the suite must exercise happens-before pruning");
+    assert!(
+        infeasible > 0,
+        "the suite must exercise Infeasible verdicts"
+    );
 }
