@@ -384,7 +384,11 @@ impl DeadlockFuzzer {
         obs: &df_obs::Obs,
     ) -> TrialRun {
         let shard = obs.fork_shard();
-        let runner = self.with_obs_shard(shard.clone());
+        let mut runner = self.with_obs_shard(shard.clone());
+        // A trial reads only the outcome, the witness and the strategy
+        // stats; abstracting the witness needs just the object table,
+        // which the runtime keeps without recording the events.
+        runner.config.run.record_trace = false;
         let base_seed = self.config.phase2_seed_base + u64::from(trial);
         let mut attempt = 0u32;
         let r = loop {

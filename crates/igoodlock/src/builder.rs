@@ -230,10 +230,20 @@ impl RelationBuilder {
                     state.stack.remove(pos);
                 }
             }
-            // Condvar waits release and reacquire their lock through
-            // ordinary Release/Acquire events emitted by the substrate;
-            // the CondWait/CondNotify events themselves only mark the
-            // communication edge and add nothing to Definition 1.
+            // A wait releases its lock and reacquires it silently: both
+            // substrates take it off their stack at the wait and push it
+            // back, innermost, when the wait returns. No event marks the
+            // reacquire, and the thread has no event in between, so the
+            // builder moves the entry at the wait, stamped with the wait
+            // event's seq and clock (DESIGN.md §7).
+            EventKind::Wait { lock, .. } | EventKind::CondWait { lock, .. } => {
+                if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
+                    state.stack.remove(pos);
+                }
+                state.push(*lock, event.seq, AcquireMode::Exclusive);
+            }
+            // Notifies only mark a communication edge and add nothing to
+            // Definition 1.
             _ => {}
         }
     }

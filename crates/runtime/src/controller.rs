@@ -3,11 +3,11 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use df_events::{AcquireMode, EventKind, Label, ObjId, ObjKind, ThreadId};
 use parking_lot::{Condvar, Mutex};
 
+use crate::carrier::{self, Tally};
 use crate::config::RunConfig;
 use crate::ctx::TCtx;
 use crate::fault::{FaultState, InjectedFault};
@@ -39,7 +39,6 @@ pub(crate) enum OpOutcome {
 pub(crate) struct Inner {
     pub(crate) g: Global,
     pub(crate) strategy: Option<Box<dyn Strategy>>,
-    pub(crate) handles: Vec<JoinHandle<()>>,
     /// Set when the run has fully terminated (normally or by abort).
     pub(crate) done: bool,
     /// Scratch buffer for the enabled set, refilled at every pick so the
@@ -57,6 +56,8 @@ pub(crate) struct Controller {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) done_cond: Condvar,
     pub(crate) config: RunConfig,
+    /// The run's virtual threads still on a carrier.
+    pub(crate) tally: Arc<Tally>,
 }
 
 /// Installs (once per process) a panic hook that suppresses the default
@@ -89,12 +90,12 @@ impl Controller {
             inner: Mutex::new(Inner {
                 g,
                 strategy: Some(strategy),
-                handles: Vec::new(),
                 done: false,
                 enabled: Vec::new(),
             }),
             done_cond: Condvar::new(),
             config,
+            tally: Arc::default(),
         })
     }
 
@@ -414,14 +415,14 @@ impl Controller {
     /// First schedule point of a thread. Unlike [`Self::op`], the thread
     /// does *not* hold the token here: it was registered as
     /// `Announced(Start)` by its spawner and may even have been picked
-    /// already (OS startup races the strategy's decision). Consume an
+    /// already (carrier startup races the strategy's decision). Consume an
     /// existing pick if there is one; otherwise wait for one. Kicking the
     /// scheduler is only needed for the main thread, which starts with a
     /// free token.
     ///
     /// The start schedule point is accounted to `steps`/`progress` at
     /// *registration* (by the spawn entry points and the main-thread
-    /// setup), not here: this function runs at OS-thread-startup time,
+    /// setup), not here: this function runs when the carrier gets to it,
     /// and bumping the counters here would let wall-clock timing shift
     /// the step numbering of an otherwise deterministic schedule.
     pub(crate) fn start_point(&self, me: ThreadId) -> Result<(), Aborted> {
@@ -773,7 +774,7 @@ impl Controller {
     }
 
     /// Spawn entry point: registers the child under the schedule point of
-    /// the parent and launches its OS thread.
+    /// the parent and hands it to a carrier.
     pub(crate) fn spawn<F>(
         self: &Arc<Self>,
         me: ThreadId,
@@ -814,14 +815,9 @@ impl Controller {
         inner.g.progress += 1;
         self.record(&mut inner, me, EventKind::Spawn { child, child_obj });
         // The child is now Announced(Start); the strategy may pick it at
-        // any later schedule point. Launch the OS thread that will carry
+        // any later schedule point. Hand it to the carrier that will run
         // it.
-        let ctl = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("vthread-{child}"))
-            .spawn(move || ctl.thread_main(child, f))
-            .expect("failed to spawn OS thread");
-        inner.handles.push(handle);
+        self.launch(child, f);
         // Fault injection: a program spawn may fan out one extra busy
         // thread the program never asked for (bounded by the plan's cap).
         if inner
@@ -865,22 +861,63 @@ impl Controller {
         inner.g.steps += 1;
         inner.g.progress += 1;
         self.record(inner, parent, EventKind::Spawn { child, child_obj });
-        let ctl = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("vthread-{child}"))
-            .spawn(move || {
-                ctl.thread_main(child, |ctx: &TCtx| {
-                    for _ in 0..16 {
-                        ctx.yield_now();
-                    }
-                })
-            })
-            .expect("failed to spawn OS thread");
-        inner.handles.push(handle);
+        self.launch(child, |ctx: &TCtx| {
+            for _ in 0..16 {
+                ctx.yield_now();
+            }
+        });
     }
 
-    /// Body of every virtual thread's OS thread.
-    pub(crate) fn thread_main<F>(self: Arc<Self>, me: ThreadId, f: F)
+    /// Runs virtual thread `me` on a carrier, counted in the run's tally.
+    fn launch<F>(self: &Arc<Self>, me: ThreadId, f: F)
+    where
+        F: FnOnce(&TCtx) + Send + 'static,
+    {
+        let ctl = Arc::clone(self);
+        carrier::launch(&self.tally, move || ctl.thread_main(me, f));
+    }
+
+    /// Runs the program's main thread on a carrier, which registers it
+    /// first. Registering there rather than on the caller's thread means
+    /// the run's thread and object tables are first allocated on a
+    /// carrier, so growing them never frees a buffer the caller
+    /// allocated: a parked carrier's allocator cache would keep it, and
+    /// a pool of them fragments the caller's heap.
+    pub(crate) fn launch_main<F>(self: &Arc<Self>, f: F)
+    where
+        F: FnOnce(&TCtx) + Send + 'static,
+    {
+        let ctl = Arc::clone(self);
+        let main = ThreadId::new(0);
+        carrier::launch(&self.tally, move || {
+            ctl.register_main(main);
+            ctl.thread_main(main, f)
+        });
+    }
+
+    /// Registers the main thread with its start schedule point, accounted
+    /// here so step numbering never depends on its start-up timing.
+    fn register_main(&self, main: ThreadId) {
+        let mut inner = self.inner.lock();
+        let main_obj = inner.g.trace.objects_mut().create_named(
+            ObjKind::Thread,
+            Label::new("<main>"),
+            None,
+            Vec::new(),
+            Some("main".to_string()),
+        );
+        inner
+            .g
+            .threads
+            .push(ThreadState::new(main, "main".to_string(), main_obj));
+        inner.g.trace.bind_thread(main, main_obj);
+        self.config.sink.thread_bound(main, main_obj);
+        inner.g.steps += 1;
+        inner.g.progress += 1;
+    }
+
+    /// Body of every virtual thread, run on its carrier.
+    fn thread_main<F>(self: Arc<Self>, me: ThreadId, f: F)
     where
         F: FnOnce(&TCtx),
     {
@@ -897,13 +934,20 @@ impl Controller {
             Ok(()) => {}
             Err(payload) => {
                 if payload.downcast_ref::<AbortToken>().is_none() {
-                    let msg = payload
-                        .downcast_ref::<InjectedFault>()
+                    let injected = payload.downcast_ref::<InjectedFault>();
+                    let msg = injected
                         .map(|f| f.0.clone())
                         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "opaque panic payload".to_string());
                     let mut inner = self.inner.lock();
+                    if injected.is_none() {
+                        // Every carrier is named `df-carrier`, so the panic
+                        // hook's report cannot say which virtual thread
+                        // panicked; this line does.
+                        let name = &inner.g.thread(me).name;
+                        eprintln!("virtual thread {me} ({name:?}) panicked: {msg}");
+                    }
                     self.abort(&mut inner, Outcome::ProgramPanic(msg));
                 }
             }

@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod carrier;
 mod config;
 mod controller;
 mod ctx;
@@ -56,6 +57,8 @@ pub mod strategy;
 mod view;
 mod waitfor;
 
+#[doc(hidden)]
+pub use carrier::carriers_started;
 pub use config::RunConfig;
 pub use ctx::{CondvarRef, LockGuard, LockRef, ObjRef, Shared, TCtx, ThreadRef};
 pub use fault::{FaultLog, FaultPlan};

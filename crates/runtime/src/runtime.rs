@@ -1,15 +1,13 @@
 //! Entry point: running a program under a strategy.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use df_events::{Label, ObjKind, ThreadId, Trace};
+use df_events::Trace;
 
 use crate::config::RunConfig;
 use crate::controller::Controller;
 use crate::ctx::TCtx;
 use crate::result::{Outcome, RunResult};
-use crate::state::ThreadState;
 use crate::strategy::Strategy;
 
 /// The virtual-thread runtime.
@@ -56,33 +54,7 @@ impl VirtualRuntime {
     {
         crate::controller::install_quiet_abort_hook();
         let ctl = Controller::new(self.config.clone(), strategy);
-        let main_id = ThreadId::new(0);
-        {
-            let mut inner = ctl.inner.lock();
-            let main_obj = inner.g.trace.objects_mut().create_named(
-                ObjKind::Thread,
-                Label::new("<main>"),
-                None,
-                Vec::new(),
-                Some("main".to_string()),
-            );
-            inner
-                .g
-                .threads
-                .push(ThreadState::new(main_id, "main".to_string(), main_obj));
-            inner.g.trace.bind_thread(main_id, main_obj);
-            self.config.sink.thread_bound(main_id, main_obj);
-            // The main thread's start schedule point, accounted here so
-            // step numbering never depends on OS thread-startup timing.
-            inner.g.steps += 1;
-            inner.g.progress += 1;
-            let c2 = Arc::clone(&ctl);
-            let handle = std::thread::Builder::new()
-                .name("vthread-main".to_string())
-                .spawn(move || c2.thread_main(main_id, main))
-                .expect("failed to spawn main OS thread");
-            inner.handles.push(handle);
-        }
+        ctl.launch_main(main);
 
         // Supervise: wait for completion, watching for hangs (program code
         // spinning without schedule points) and the hard wall-clock
@@ -125,22 +97,19 @@ impl VirtualRuntime {
             ctl.done_cond.wait_for(&mut inner, wait);
         };
 
-        // Collect results. On a hang we cannot join threads stuck in user
-        // code; detach them instead.
-        let (outcome, trace, steps, mut strategy, handles, faults) = {
+        // Collect results. On a hang we cannot wait for threads stuck in
+        // user code; their carriers are left to them.
+        let (outcome, trace, steps, mut strategy, faults) = {
             let mut inner = ctl.inner.lock();
             let outcome = inner.g.final_outcome.take().unwrap_or(Outcome::Completed);
             let trace = std::mem::replace(&mut inner.g.trace, Trace::new());
             let steps = inner.g.steps;
             let strategy = inner.strategy.take().expect("strategy present at end");
-            let handles = std::mem::take(&mut inner.handles);
             let faults = inner.g.fault_log();
-            (outcome, trace, steps, strategy, handles, faults)
+            (outcome, trace, steps, strategy, faults)
         };
         if !hung {
-            for h in handles {
-                let _ = h.join();
-            }
+            ctl.tally.wait_empty();
         }
         let stats = strategy.finish();
         // Roll the run's scheduling statistics and fault log into the
@@ -172,7 +141,7 @@ impl VirtualRuntime {
 mod tests {
     use super::*;
     use crate::strategy::{FifoStrategy, RoundRobinStrategy};
-    use df_events::{site, EventKind};
+    use df_events::{site, EventKind, ThreadId};
     use std::time::Duration;
 
     fn cfg() -> RunConfig {
