@@ -221,9 +221,18 @@ impl DeadlockFuzzer {
         }
     }
 
-    /// The trial pool sized by [`Config::jobs`].
-    fn pool(&self) -> TrialPool {
-        TrialPool::new(self.config.jobs)
+    /// Runs a batch of trials on a pool of [`Config::jobs`] workers (see
+    /// [`TrialPool::run_trials`]), then retires the carrier threads the
+    /// batch leaves parked, so their allocator caches do not outlive it.
+    fn run_trials<T, F, S>(&self, trials: u32, job: F, stop: S) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(u32) -> T + Sync,
+        S: Fn(&T) -> bool + Sync,
+    {
+        let results = TrialPool::new(self.config.jobs).run_trials(trials, job, stop);
+        df_runtime::retire_idle_carriers();
+        results
     }
 
     /// Phase I: observe one execution under the simple random scheduler
@@ -366,7 +375,7 @@ impl DeadlockFuzzer {
             ));
         }
         let obs = self.config.obs().clone();
-        let results = self.pool().run_trials(
+        let results = self.run_trials(
             trials,
             |i| self.run_confirmation_trial(cycle, i, &obs),
             |t| self.config.stop_on_first && t.matched,
@@ -505,7 +514,7 @@ impl DeadlockFuzzer {
                     };
                 }
                 let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.pool().run_trials(
+                    self.run_trials(
                         len,
                         |i| self.run_confirmation_trial(&cycles[slot], start + i, &obs),
                         |t| t.matched,
@@ -669,7 +678,7 @@ impl DeadlockFuzzer {
             ));
         }
         let obs = self.config.obs().clone();
-        let results = self.pool().run_trials(
+        let results = self.run_trials(
             trials,
             |i| {
                 let shard = obs.fork_shard();

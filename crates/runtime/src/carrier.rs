@@ -16,6 +16,11 @@
 //! have, and its next trial finds the carriers idle. A hung run does not
 //! wait: its stuck carriers never come back and the pool starts
 //! replacements.
+//!
+//! A parked carrier keeps the allocator's per-thread cache of the blocks
+//! its virtual threads freed, which only the thread's exit returns. A
+//! caller that has finished a batch of runs therefore calls
+//! [`retire_idle_carriers`], and the next batch starts fresh carriers.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,23 +34,34 @@ struct Work {
     tally: Arc<Tally>,
 }
 
+/// What a parked carrier is handed.
+enum Job {
+    Run(Work),
+    Retire,
+}
+
 /// A parked carrier's hand-off slot.
 #[derive(Default)]
 struct Slot {
-    work: Mutex<Option<Work>>,
+    job: Mutex<Option<Job>>,
     ready: Condvar,
 }
 
 impl Slot {
-    /// Parks until a launch fills the slot.
-    fn wait(&self) -> Work {
-        let mut work = self.work.lock();
+    /// Parks until the slot is filled.
+    fn wait(&self) -> Job {
+        let mut job = self.job.lock();
         loop {
-            if let Some(w) = work.take() {
-                return w;
+            if let Some(j) = job.take() {
+                return j;
             }
-            self.ready.wait(&mut work);
+            self.ready.wait(&mut job);
         }
+    }
+
+    fn hand(&self, job: Job) {
+        *self.job.lock() = Some(job);
+        self.ready.notify_one();
     }
 }
 
@@ -98,10 +114,7 @@ pub(crate) fn launch(tally: &Arc<Tally>, body: impl FnOnce() + Send + 'static) {
     };
     let idle = IDLE.lock().pop();
     match idle {
-        Some(slot) => {
-            *slot.work.lock() = Some(work);
-            slot.ready.notify_one();
-        }
+        Some(slot) => slot.hand(Job::Run(work)),
         None => {
             let started = std::thread::Builder::new()
                 .name("df-carrier".to_string())
@@ -117,8 +130,23 @@ pub(crate) fn launch(tally: &Arc<Tally>, body: impl FnOnce() + Send + 'static) {
     }
 }
 
+/// Lets every idle carrier exit, returning the memory its allocator
+/// cache holds. Runs started afterwards start new carriers; carriers busy
+/// with a virtual thread are not affected.
+///
+/// The pipeline calls this when a batch of trials ends: the batch reuses
+/// its carriers from trial to trial, and what follows it (the next
+/// cycle's batch, the next campaign's Phase I join) does not keep them
+/// and their caches parked.
+pub fn retire_idle_carriers() {
+    let idle = std::mem::take(&mut *IDLE.lock());
+    for slot in idle {
+        slot.hand(Job::Retire);
+    }
+}
+
 /// A carrier's loop: run the work, return to the idle list, leave the
-/// run's tally, park for the next work.
+/// run's tally, park until handed more work or retired.
 fn carry(slot: Arc<Slot>, mut work: Work) {
     loop {
         let Work { body, tally } = work;
@@ -129,7 +157,10 @@ fn carry(slot: Arc<Slot>, mut work: Work) {
         IDLE.lock().push(Arc::clone(&slot));
         tally.leave();
         drop(tally);
-        work = slot.wait();
+        match slot.wait() {
+            Job::Run(next) => work = next,
+            Job::Retire => return,
+        }
     }
 }
 

@@ -869,51 +869,12 @@ impl Controller {
     }
 
     /// Runs virtual thread `me` on a carrier, counted in the run's tally.
-    fn launch<F>(self: &Arc<Self>, me: ThreadId, f: F)
+    pub(crate) fn launch<F>(self: &Arc<Self>, me: ThreadId, f: F)
     where
         F: FnOnce(&TCtx) + Send + 'static,
     {
         let ctl = Arc::clone(self);
         carrier::launch(&self.tally, move || ctl.thread_main(me, f));
-    }
-
-    /// Runs the program's main thread on a carrier, which registers it
-    /// first. Registering there rather than on the caller's thread means
-    /// the run's thread and object tables are first allocated on a
-    /// carrier, so growing them never frees a buffer the caller
-    /// allocated: a parked carrier's allocator cache would keep it, and
-    /// a pool of them fragments the caller's heap.
-    pub(crate) fn launch_main<F>(self: &Arc<Self>, f: F)
-    where
-        F: FnOnce(&TCtx) + Send + 'static,
-    {
-        let ctl = Arc::clone(self);
-        let main = ThreadId::new(0);
-        carrier::launch(&self.tally, move || {
-            ctl.register_main(main);
-            ctl.thread_main(main, f)
-        });
-    }
-
-    /// Registers the main thread with its start schedule point, accounted
-    /// here so step numbering never depends on its start-up timing.
-    fn register_main(&self, main: ThreadId) {
-        let mut inner = self.inner.lock();
-        let main_obj = inner.g.trace.objects_mut().create_named(
-            ObjKind::Thread,
-            Label::new("<main>"),
-            None,
-            Vec::new(),
-            Some("main".to_string()),
-        );
-        inner
-            .g
-            .threads
-            .push(ThreadState::new(main, "main".to_string(), main_obj));
-        inner.g.trace.bind_thread(main, main_obj);
-        self.config.sink.thread_bound(main, main_obj);
-        inner.g.steps += 1;
-        inner.g.progress += 1;
     }
 
     /// Body of every virtual thread, run on its carrier.

@@ -59,6 +59,7 @@ mod waitfor;
 
 #[doc(hidden)]
 pub use carrier::carriers_started;
+pub use carrier::retire_idle_carriers;
 pub use config::RunConfig;
 pub use ctx::{CondvarRef, LockGuard, LockRef, ObjRef, Shared, TCtx, ThreadRef};
 pub use fault::{FaultLog, FaultPlan};

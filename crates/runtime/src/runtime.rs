@@ -2,12 +2,13 @@
 
 use std::time::Instant;
 
-use df_events::Trace;
+use df_events::{Label, ObjKind, ThreadId, Trace};
 
 use crate::config::RunConfig;
 use crate::controller::Controller;
 use crate::ctx::TCtx;
 use crate::result::{Outcome, RunResult};
+use crate::state::ThreadState;
 use crate::strategy::Strategy;
 
 /// The virtual-thread runtime.
@@ -54,7 +55,28 @@ impl VirtualRuntime {
     {
         crate::controller::install_quiet_abort_hook();
         let ctl = Controller::new(self.config.clone(), strategy);
-        ctl.launch_main(main);
+        let main_id = ThreadId::new(0);
+        {
+            let mut inner = ctl.inner.lock();
+            let main_obj = inner.g.trace.objects_mut().create_named(
+                ObjKind::Thread,
+                Label::new("<main>"),
+                None,
+                Vec::new(),
+                Some("main".to_string()),
+            );
+            inner
+                .g
+                .threads
+                .push(ThreadState::new(main_id, "main".to_string(), main_obj));
+            inner.g.trace.bind_thread(main_id, main_obj);
+            self.config.sink.thread_bound(main_id, main_obj);
+            // The main thread's start schedule point, accounted here so
+            // step numbering never depends on when its carrier starts it.
+            inner.g.steps += 1;
+            inner.g.progress += 1;
+        }
+        ctl.launch(main_id, main);
 
         // Supervise: wait for completion, watching for hangs (program code
         // spinning without schedule points) and the hard wall-clock
@@ -141,7 +163,7 @@ impl VirtualRuntime {
 mod tests {
     use super::*;
     use crate::strategy::{FifoStrategy, RoundRobinStrategy};
-    use df_events::{site, EventKind, ThreadId};
+    use df_events::{site, EventKind};
     use std::time::Duration;
 
     fn cfg() -> RunConfig {

@@ -1,6 +1,7 @@
 //! Carrier threads: virtual threads run on a process-wide pool of parked
-//! OS threads. A run must survive a hung or panicking predecessor, and a
-//! reused carrier must carry nothing of the virtual thread it ran before.
+//! OS threads. A run must survive a hung or panicking predecessor, a
+//! reused carrier must carry nothing of the virtual thread it ran before,
+//! and retired carriers are replaced by new ones.
 //!
 //! The pool is shared by the whole process, so every test here holds
 //! [`SERIAL`]: carrier counts are exact only while no other run starts.
@@ -12,8 +13,8 @@ use std::time::{Duration, Instant};
 use df_events::{site, Event, EventKind, ThreadId};
 use df_runtime::strategy::RoundRobinStrategy;
 use df_runtime::{
-    carriers_started, Directive, Outcome, RunConfig, RunResult, StateView, Strategy, TCtx,
-    VirtualRuntime,
+    carriers_started, retire_idle_carriers, Directive, Outcome, RunConfig, RunResult, StateView,
+    Strategy, TCtx, VirtualRuntime,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -173,4 +174,45 @@ fn reused_carriers_carry_nothing_of_their_previous_threads() {
     assert_eq!(carriers_started(), before, "the run reused idle carriers");
     assert_eq!(again.steps, reference.steps);
     assert_eq!(again.trace.events(), reference.trace.events());
+}
+
+#[test]
+fn retired_carriers_are_replaced_by_new_ones() {
+    let _serial = serial();
+    let reference = run(
+        Duration::from_secs(10),
+        Box::new(RoundRobinStrategy::new()),
+        fan_out(3),
+    );
+    assert!(reference.outcome.is_completed(), "{}", reference.outcome);
+    retire_idle_carriers();
+    let before = carriers_started();
+    let fresh = run(
+        Duration::from_secs(10),
+        Box::new(RoundRobinStrategy::new()),
+        fan_out(3),
+    );
+    assert!(fresh.outcome.is_completed(), "{}", fresh.outcome);
+    assert!(
+        carriers_started() > before,
+        "no carrier was left idle to reuse"
+    );
+    assert_eq!(fresh.steps, reference.steps);
+    assert_eq!(fresh.trace.events(), reference.trace.events());
+}
+
+#[test]
+fn a_run_stopped_at_once_has_registered_its_main_thread() {
+    let _serial = serial();
+    // The deadline passes before the supervisor's first look, usually
+    // before the main thread's carrier has started it.
+    let r = VirtualRuntime::new(RunConfig::default().with_deadline(Duration::ZERO))
+        .run(Box::new(RoundRobinStrategy::new()), |ctx| ctx.yield_now());
+    assert!(
+        matches!(r.outcome, Outcome::DeadlineExceeded | Outcome::Completed),
+        "{}",
+        r.outcome
+    );
+    assert!(r.trace.thread_obj(ThreadId::new(0)).is_some());
+    assert!(r.steps >= 1, "main's start point is counted");
 }

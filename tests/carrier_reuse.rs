@@ -3,7 +3,8 @@
 //! A Phase II campaign therefore starts at most as many carriers as its
 //! concurrent trials keep busy at once: the program's peak of live
 //! virtual threads per worker, plus one of slack, however many trials it
-//! runs. Counts, not timings, so this holds on any machine.
+//! runs, and it leaves none of them parked when it returns. Counts, not
+//! timings, so this holds on any machine.
 //!
 //! This file holds one test, so the process-wide carrier counter sees
 //! no other run.
@@ -36,7 +37,7 @@ fn a_thousand_trial_campaign_starts_at_most_peak_times_jobs_plus_one_carriers() 
     let program = df_benchmarks::figure1::program(false);
     let jobs = 2;
     let peak = peak_live(&program);
-    let fuzzer = DeadlockFuzzer::from_ref(program, Config::default().with_jobs(jobs));
+    let fuzzer = DeadlockFuzzer::from_ref(program.clone(), Config::default().with_jobs(jobs));
     let phase1 = fuzzer.phase1();
     let cycle = phase1.abstract_cycles.first().expect("figure1 has a cycle");
     let report = fuzzer.estimate_probability(cycle, 1000).unwrap();
@@ -49,4 +50,8 @@ fn a_thousand_trial_campaign_starts_at_most_peak_times_jobs_plus_one_carriers() 
         "{started} carriers started for a peak of {peak} live virtual threads at jobs = {jobs} \
          (bound {bound})"
     );
+    // The campaign retired its carriers, so the next run starts its own.
+    let after = carriers_started();
+    peak_live(&program);
+    assert!(carriers_started() > after, "a carrier was left parked");
 }
