@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use df_events::{AcquireMode, Event, EventKind, EventSink, ObjId, ThreadId};
+use df_events::{AcquireMode, Event, EventKind, EventSink, Label, ObjId, ThreadId};
 
 use crate::hb::{Epoch, VectorClock};
 use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
@@ -73,6 +73,7 @@ struct ThreadState {
 /// One entry of a thread's held-lock stack: a potential window start.
 struct Held {
     lock: ObjId,
+    site: Label,
     seq: u64,
     mode: AcquireMode,
     /// The thread's own clock component at the acquisition.
@@ -103,10 +104,11 @@ impl ThreadState {
         self.clock.join(other);
     }
 
-    fn push(&mut self, lock: ObjId, seq: u64, mode: AcquireMode) {
+    fn push(&mut self, lock: ObjId, site: Label, seq: u64, mode: AcquireMode) {
         let time = self.clock.get(self.slot);
         self.stack.push(Held {
             lock,
+            site,
             seq,
             mode,
             time,
@@ -158,10 +160,10 @@ impl RelationBuilder {
             }
             EventKind::Acquire {
                 lock,
+                site,
                 held,
                 context,
                 mode,
-                ..
             } => {
                 self.raw_count += 1;
                 if !held.is_empty() {
@@ -212,19 +214,23 @@ impl RelationBuilder {
                         });
                     }
                 }
-                state.push(*lock, event.seq, *mode);
+                state.push(*lock, *site, event.seq, *mode);
             }
             // A successful try joins the held stack — later nested
             // acquires include it in their lockset — but records no
             // dependency tuple itself: a try never blocks, so it can
-            // never be the blocked edge of a cycle. A failed try is a
-            // no-op.
+            // never be the blocked edge of a cycle. A re-entrant try
+            // (the virtual runtime reports one as a successful
+            // `TryAcquire`) leaves the stack as it is, like a
+            // `Reacquire`. A failed try is a no-op.
             EventKind::TryAcquire {
                 lock,
+                site,
                 acquired: true,
                 mode,
-                ..
-            } => state.push(*lock, event.seq, *mode),
+            } if !state.stack.iter().any(|h| h.lock == *lock) => {
+                state.push(*lock, *site, event.seq, *mode);
+            }
             EventKind::Release { lock, .. } => {
                 if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
                     state.stack.remove(pos);
@@ -236,16 +242,30 @@ impl RelationBuilder {
             // reacquire, and the thread has no event in between, so the
             // builder moves the entry at the wait, stamped with the wait
             // event's seq and clock (DESIGN.md §7).
-            EventKind::Wait { lock, .. } | EventKind::CondWait { lock, .. } => {
+            EventKind::Wait { lock, site } | EventKind::CondWait { lock, site, .. } => {
                 if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
                     state.stack.remove(pos);
                 }
-                state.push(*lock, event.seq, AcquireMode::Exclusive);
+                state.push(*lock, *site, event.seq, AcquireMode::Exclusive);
             }
             // Notifies only mark a communication edge and add nothing to
             // Definition 1.
             _ => {}
         }
+    }
+
+    /// The locks `thread` holds, outermost first, each with the site
+    /// that put it on the stack and its hold mode — the stack every
+    /// tuple's lockset, contexts and hold modes come from.
+    #[doc(hidden)]
+    pub fn held_stack(&self, thread: ThreadId) -> Vec<(ObjId, Label, AcquireMode)> {
+        self.threads.get(&thread).map_or_else(Vec::new, |state| {
+            state
+                .stack
+                .iter()
+                .map(|h| (h.lock, h.site, h.mode))
+                .collect()
+        })
     }
 
     /// The fork/join clock of `thread` after its latest event.

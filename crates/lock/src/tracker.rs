@@ -251,7 +251,8 @@ thread_local! {
 
 /// The `Acquire` of `hold` by a thread holding `held`, with the held set
 /// and the context ending at the acquisition site built in reused
-/// buffers.
+/// buffers. A re-entered lock is listed once, at its first hold, as the
+/// virtual runtime lists it.
 fn acquire_event(held: &[Hold], hold: Hold) -> EventKind {
     let (mut locks, mut context) = SPARE
         .try_with(|s| s.borrow_mut().pop())
@@ -259,9 +260,13 @@ fn acquire_event(held: &[Hold], hold: Hold) -> EventKind {
         .flatten()
         .unwrap_or_default();
     locks.clear();
-    locks.extend(held.iter().map(|h| h.lock));
     context.clear();
-    context.extend(held.iter().map(|h| h.site));
+    for (i, h) in held.iter().enumerate() {
+        if !held[..i].iter().any(|o| o.lock == h.lock) {
+            locks.push(h.lock);
+            context.push(h.site);
+        }
+    }
     context.push(hold.site);
     EventKind::acquire(hold.lock, hold.site, locks, context).with_mode(hold.mode)
 }

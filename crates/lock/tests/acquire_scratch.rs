@@ -112,9 +112,10 @@ fn check_acquires_against_replay(events: &[df_events::Event]) -> HashMap<&'stati
                 *seen.entry(shape).or_default() += 1;
                 stack.push((*lock, *site));
             }
-            EventKind::Reacquire { lock, site } => {
+            // A re-entry leaves the stack as it is: the lock is listed
+            // once, at its first hold.
+            EventKind::Reacquire { .. } => {
                 *seen.entry("reacquire").or_default() += 1;
-                stack.push((*lock, *site));
             }
             EventKind::TryAcquire {
                 lock,
@@ -129,7 +130,7 @@ fn check_acquires_against_replay(events: &[df_events::Event]) -> HashMap<&'stati
                     *seen.entry("try failed").or_default() += 1;
                 }
             }
-            EventKind::Release { lock, .. } | EventKind::Rerelease { lock, .. } => {
+            EventKind::Release { lock, .. } => {
                 let pos = stack.iter().rposition(|&(l, _)| l == *lock).expect("held");
                 stack.remove(pos);
             }
