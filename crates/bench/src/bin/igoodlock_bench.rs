@@ -2,8 +2,8 @@
 //! (the naive join, the indexed join, and the DFS lock-graph baseline on
 //! the same relations), Phase I's two observation paths (offline trace
 //! recording vs the streaming relation builder), and trace I/O
-//! throughput (JSONL v1 vs binary v2, offline vs ring-streamed), with
-//! output parity cross-checked per row.
+//! throughput (JSONL vs binary, offline vs streamed writes, and
+//! decoding), with output parity cross-checked per row.
 //!
 //! ```text
 //! cargo run --release -p df-bench --bin igoodlock_bench
@@ -186,15 +186,31 @@ fn print_streaming_rows(rows: &[StreamingBenchRow]) {
 
 fn print_trace_io_rows(rows: &[TraceIoBenchRow]) {
     println!();
-    println!("== Trace I/O: JSONL v1 vs binary v2, offline vs ring-streamed ==");
+    println!("== Trace I/O: JSONL vs binary, offline vs streamed writes, decode ==");
     println!(
-        "{:<20} {:<16} {:>10} | {:>10} {:>14} | {:>12} {:>8}",
-        "workload", "mode", "events", "wall(ms)", "events/sec", "bytes", "B/event"
+        "{:<20} {:<16} {:>10} | {:>10} {:>14} | {:>12} {:>8} | {:>10} {:>14}",
+        "workload",
+        "mode",
+        "events",
+        "wall(ms)",
+        "events/sec",
+        "bytes",
+        "B/event",
+        "decode(ms)",
+        "decode ev/s"
     );
     for r in rows {
         println!(
-            "{:<20} {:<16} {:>10} | {:>10.3} {:>14.0} | {:>12} {:>8.2}",
-            r.workload, r.mode, r.events, r.wall_ms, r.events_per_sec, r.bytes, r.bytes_per_event,
+            "{:<20} {:<16} {:>10} | {:>10.3} {:>14.0} | {:>12} {:>8.2} | {:>10.3} {:>14.0}",
+            r.workload,
+            r.mode,
+            r.events,
+            r.wall_ms,
+            r.events_per_sec,
+            r.bytes,
+            r.bytes_per_event,
+            r.decode_ms,
+            r.decode_events_per_sec,
         );
     }
     println!(

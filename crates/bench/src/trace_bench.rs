@@ -1,8 +1,9 @@
 //! Trace I/O throughput bench: events/sec and bytes/event for the two
-//! `df-trace` encodings (JSONL v1, binary v2) on the two write paths
+//! `df-trace` encodings (JSONL, binary) on the two write paths
 //! (offline — a materialized [`Trace`] serialized in one pass — and
 //! streamed — events fed one at a time through a [`SpillSink`], the
-//! way a live run spills). Before any numbers are taken the four
+//! way a live run spills) and on the read path (an artifact decoded
+//! back into a [`Trace`]). Before any numbers are taken the write
 //! paths are cross-checked on a small workload: streamed output must be
 //! byte-identical to offline output per format, and the binary artifact
 //! must decode back to the exact source trace.
@@ -36,6 +37,12 @@ pub struct TraceIoBenchRow {
     pub bytes: u64,
     /// Bytes per event (artifact size over event count).
     pub bytes_per_event: f64,
+    /// Best-of-reps wall time to decode the artifact back into a
+    /// [`Trace`], milliseconds (the same artifact for both write paths
+    /// of an encoding).
+    pub decode_ms: f64,
+    /// Events decoded per second at the best-of-reps decode time.
+    pub decode_events_per_sec: f64,
 }
 
 /// A `Write` target that counts and discards, so the bench measures
@@ -56,8 +63,8 @@ impl Write for CountingSink {
 /// Builds a deterministic synthetic trace of roughly `target_events`
 /// events: `threads` workers cycling through nested acquire/release
 /// pairs over `locks` locks, with a small set of interned sites — the
-/// shape that favors the v2 string table exactly as a real workload
-/// would.
+/// shape that favors the binary string table exactly as a real
+/// workload would.
 pub fn synthetic_trace(target_events: u64, threads: u32, locks: u32) -> Trace {
     let threads = threads.max(1);
     let locks = locks.max(2);
@@ -96,14 +103,8 @@ pub fn synthetic_trace(target_events: u64, threads: u32, locks: u32) -> Trace {
         let inner = lock_ids[((i + 1) % lock_ids.len() as u64) as usize];
         let outer_site = sites[(i % sites.len() as u64) as usize];
         let inner_site = sites[((i + 1) % sites.len() as u64) as usize];
-        trace.push(
-            thread,
-            EventKind::acquire(outer, outer_site, Vec::new(), vec![outer_site]),
-        );
-        trace.push(
-            thread,
-            EventKind::acquire(inner, inner_site, vec![outer], vec![outer_site, inner_site]),
-        );
+        trace.push(thread, EventKind::acquire(outer, outer_site));
+        trace.push(thread, EventKind::acquire(inner, inner_site));
         trace.push(thread, EventKind::release(inner, inner_site));
         trace.push(thread, EventKind::release(outer, outer_site));
     }
@@ -151,6 +152,23 @@ fn run_streamed(trace: &Trace, format: TraceFormat) -> Result<(f64, u64), String
     Ok((wall, bytes))
 }
 
+/// Read path: decodes `trace`'s artifact back into a [`Trace`], timing
+/// the decode only (the encoding and the drop stay outside). Returns
+/// the best-of-`reps` wall seconds.
+fn run_decode(trace: &Trace, format: TraceFormat, reps: u32) -> Result<f64, String> {
+    let bytes = write_trace_as(Vec::new(), trace, format).map_err(|e| e.to_string())?;
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let decoded = read_trace_bytes(&bytes).map_err(|e| e.to_string())?;
+        best = best.min(start.elapsed().as_secs_f64());
+        if decoded.events().len() != trace.events().len() {
+            return Err(format!("{format}: decoded event count diverges"));
+        }
+    }
+    Ok(best)
+}
+
 /// Cross-checks the four paths on `trace`: per format, streamed output
 /// must be byte-identical to offline output, and the binary artifact
 /// must decode back to the source trace.
@@ -193,7 +211,8 @@ fn parity_check(trace: &Trace) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures one synthetic workload across the four path×encoding modes.
+/// Measures one synthetic workload across the four path×encoding modes,
+/// and the decode of each encoding's artifact.
 ///
 /// # Errors
 ///
@@ -214,6 +233,15 @@ pub fn trace_io_bench_rows(target_events: u64, reps: u32) -> Result<Vec<TraceIoB
         ("streamed-jsonl", run_streamed, TraceFormat::Jsonl),
         ("streamed-binary", run_streamed, TraceFormat::Binary),
     ];
+    let jsonl_decode = run_decode(&trace, TraceFormat::Jsonl, reps)?;
+    let binary_decode = run_decode(&trace, TraceFormat::Binary, reps)?;
+    let per_sec = |wall: f64| {
+        if wall > 0.0 {
+            events as f64 / wall
+        } else {
+            0.0
+        }
+    };
     let mut rows = Vec::new();
     for (mode, run, format) in modes {
         let mut best = f64::INFINITY;
@@ -223,22 +251,24 @@ pub fn trace_io_bench_rows(target_events: u64, reps: u32) -> Result<Vec<TraceIoB
             best = best.min(wall);
             bytes = b;
         }
+        let decode = match format {
+            TraceFormat::Jsonl => jsonl_decode,
+            TraceFormat::Binary => binary_decode,
+        };
         rows.push(TraceIoBenchRow {
             workload: workload.clone(),
             mode: mode.to_string(),
             events,
             wall_ms: best * 1e3,
-            events_per_sec: if best > 0.0 {
-                events as f64 / best
-            } else {
-                0.0
-            },
+            events_per_sec: per_sec(best),
             bytes,
             bytes_per_event: if events > 0 {
                 bytes as f64 / events as f64
             } else {
                 0.0
             },
+            decode_ms: decode * 1e3,
+            decode_events_per_sec: per_sec(decode),
         });
     }
     Ok(rows)
@@ -265,6 +295,7 @@ mod tests {
             assert_eq!(row.events, 4_000, "{}", row.mode);
             assert!(row.bytes > 0, "{}", row.mode);
             assert!(row.events_per_sec > 0.0, "{}", row.mode);
+            assert!(row.decode_events_per_sec > 0.0, "{}", row.mode);
         }
         let bytes_of = |mode: &str| rows.iter().find(|r| r.mode == mode).unwrap().bytes;
         assert_eq!(bytes_of("offline-jsonl"), bytes_of("streamed-jsonl"));

@@ -3,7 +3,7 @@
 //! The writer stamps [`TRACE_BINARY_FORMAT_VERSION`]; the reader also
 //! accepts every version down to [`TRACE_BINARY_MIN_FORMAT_VERSION`].
 //!
-//! Carries exactly the same envelope as the JSONL v1 format in
+//! Carries exactly the same envelope as the JSONL format in
 //! [`crate::spill`] — a versioned header, one record per [`Event`] in
 //! sequence order, and a footer with the [`ObjectTable`] and
 //! thread→object bindings — but encoded as length-prefixed binary
@@ -24,8 +24,8 @@
 //! and lengths are LEB128 varints.
 //!
 //! The encoding is canonical: re-encoding a decoded trace reproduces the
-//! input bytes, and decoding then writing JSONL v1 is byte-identical to
-//! writing JSONL v1 directly (enforced by property tests). Frame numbers
+//! input bytes, and decoding then writing JSONL is byte-identical to
+//! writing JSONL directly (enforced by property tests). Frame numbers
 //! in errors are 1-based (the header is frame 1), mirroring the line
 //! numbers of the JSONL reader.
 
@@ -40,18 +40,19 @@ use crate::{
 
 /// Leading magic of a binary trace artifact. The first byte is not valid
 /// UTF-8, so format sniffing can never confuse a binary file with JSONL.
-/// The magic is shared by versions 2 and 3 — the header frame carries the
+/// The magic is shared by versions 2 to 4 — the header frame carries the
 /// authoritative version.
 pub const TRACE_BINARY_MAGIC: [u8; 4] = [0xDF, b'T', b'2', b'\n'];
 
 /// Version stamped into the binary header frame by the writer.
 ///
 /// Version 3 added the mode-aware vocabulary (shared acquire/release/
-/// blocked, `TryAcquire`, condvar wait/notify) as new event-kind tags;
-/// every tag of version 2 encodes byte-identically, so a trace that uses
-/// none of the new kinds differs from its v2 encoding only in this header
-/// byte.
-pub const TRACE_BINARY_FORMAT_VERSION: u32 = 3;
+/// blocked, `TryAcquire`, condvar wait/notify) as new event-kind tags.
+/// Version 4 dropped the held set and context from acquire frames: the
+/// analysis derives them from the stream. Every other frame encodes as
+/// in version 3, so a trace without acquisitions or v3 kinds differs
+/// from its v2 encoding only in this header byte.
+pub const TRACE_BINARY_FORMAT_VERSION: u32 = 4;
 
 /// Oldest header version [`read_binary_trace`] still accepts.
 pub const TRACE_BINARY_MIN_FORMAT_VERSION: u32 = 2;
@@ -205,29 +206,13 @@ impl BinaryEncoder {
         put_varint(&mut p, event.seq);
         put_varint(&mut p, u64::from(event.thread.as_u32()));
         match &event.kind {
-            EventKind::Acquire {
-                lock,
-                site,
-                held,
-                context,
-                mode,
-            } => {
-                // Shared acquisitions get their own tag so exclusive
-                // events stay byte-identical to the v2 encoding.
+            EventKind::Acquire { lock, site, mode } => {
                 p.push(match mode {
                     AcquireMode::Exclusive => kind::ACQUIRE,
                     AcquireMode::Shared => kind::ACQUIRE_SHARED,
                 });
                 put_varint(&mut p, u64::from(lock.as_u32()));
                 put_varint(&mut p, u64::from(self.label_id(*site, out)));
-                put_varint(&mut p, held.len() as u64);
-                for h in held {
-                    put_varint(&mut p, u64::from(h.as_u32()));
-                }
-                put_varint(&mut p, context.len() as u64);
-                for c in context {
-                    put_varint(&mut p, u64::from(self.label_id(*c, out)));
-                }
             }
             EventKind::Release { lock, site, mode } => {
                 p.push(match mode {
@@ -578,7 +563,7 @@ pub fn read_binary_trace(bytes: &[u8]) -> Result<Trace, SpillError> {
         let mut len = 0u64;
         let mut shift = 0u32;
         loop {
-            let b = *bytes.get(pos).ok_or(SpillError::MalformedFrame {
+            let b = *bytes.get(pos).ok_or_else(|| SpillError::MalformedFrame {
                 frame: frame_no,
                 detail: "truncated length prefix".to_string(),
             })?;
@@ -596,12 +581,13 @@ pub fn read_binary_trace(bytes: &[u8]) -> Result<Trace, SpillError> {
             shift += 7;
         }
         let len = usize::try_from(len).unwrap_or(usize::MAX);
-        let end = pos.checked_add(len).filter(|&e| e <= bytes.len()).ok_or(
-            SpillError::MalformedFrame {
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| SpillError::MalformedFrame {
                 frame: frame_no,
                 detail: format!("length prefix {len} runs past end of file"),
-            },
-        )?;
+            })?;
         let mut f = FrameReader {
             buf: &bytes[pos..end],
             pos: 0,
@@ -724,17 +710,17 @@ fn read_kind(
         kind::ACQUIRE | kind::ACQUIRE_SHARED => {
             let lock = f.obj_id()?;
             let site = f.str_ref(strings)?;
-            let held_len = f.varint()? as usize;
-            let mut held = Vec::with_capacity(held_len.min(1024));
-            for _ in 0..held_len {
-                held.push(f.obj_id()?);
+            if version < 4 {
+                // The held set and context of versions 2 and 3: read
+                // past, still checked as ids and string references.
+                for _ in 0..f.varint()? {
+                    f.obj_id()?;
+                }
+                for _ in 0..f.varint()? {
+                    f.str_ref(strings)?;
+                }
             }
-            let ctx_len = f.varint()? as usize;
-            let mut context = Vec::with_capacity(ctx_len.min(1024));
-            for _ in 0..ctx_len {
-                context.push(f.str_ref(strings)?);
-            }
-            let acq = EventKind::acquire(lock, site, held, context);
+            let acq = EventKind::acquire(lock, site);
             if tag == kind::ACQUIRE_SHARED {
                 acq.shared()
             } else {
@@ -919,24 +905,8 @@ mod tests {
             },
         );
         trace.push(t1, EventKind::ThreadStart);
-        trace.push(
-            t0,
-            EventKind::acquire(
-                a,
-                Label::new("main:10"),
-                vec![],
-                vec![Label::new("main:10")],
-            ),
-        );
-        trace.push(
-            t0,
-            EventKind::acquire(
-                b,
-                Label::new("main:11"),
-                vec![a],
-                vec![Label::new("main:10"), Label::new("main:11")],
-            ),
-        );
+        trace.push(t0, EventKind::acquire(a, Label::new("main:10")));
+        trace.push(t0, EventKind::acquire(b, Label::new("main:11")));
         trace.push(t1, EventKind::blocked(b));
         trace.push(t0, EventKind::release(b, Label::new("main:12")));
         trace.push(t1, EventKind::unblocked(b));
@@ -969,7 +939,8 @@ mod tests {
             EventKind::ThreadStart,
             EventKind::Call { site: l("k:3") },
             EventKind::New { obj: var },
-            EventKind::acquire(lk, l("k:4"), vec![outer], vec![l("k:17"), l("k:4")]),
+            EventKind::acquire(outer, l("k:17")),
+            EventKind::acquire(lk, l("k:4")),
             EventKind::reacquire(lk, l("k:5")),
             EventKind::rerelease(lk, l("k:6")),
             EventKind::wait(lk, l("k:8")),
@@ -990,7 +961,7 @@ mod tests {
             EventKind::Return,
             EventKind::ThreadExit,
             // Version-3 vocabulary.
-            EventKind::acquire(lk, l("k:12"), vec![], vec![l("k:12")]).shared(),
+            EventKind::acquire(lk, l("k:12")).shared(),
             EventKind::blocked(lk).shared(),
             EventKind::release(lk, l("k:13")).shared(),
             EventKind::try_acquire(lk, l("k:14"), true),
@@ -1092,12 +1063,26 @@ mod tests {
         ));
     }
 
+    /// `trace` without its acquisitions: the events every binary
+    /// version from 2 on encodes alike.
+    fn without_acquires(trace: &Trace) -> Trace {
+        let mut out = Trace::new();
+        *out.objects_mut() = trace.objects().clone();
+        for (thread, obj) in trace.thread_objs() {
+            out.bind_thread(thread, obj);
+        }
+        for e in trace.events().iter().filter(|e| !e.kind.is_acquire()) {
+            out.push(e.thread, e.kind.clone());
+        }
+        out
+    }
+
     #[test]
     fn accepts_a_version_2_header_for_exclusive_traces() {
-        // A v2 artifact is exactly today's encoding of a mode-free trace
-        // with the header byte dialed back — assert that equivalence and
-        // that the reader still takes it.
-        let trace = sample_trace();
+        // Without acquisitions, a v2 artifact is exactly today's encoding
+        // of a mode-free trace with the header byte dialed back — assert
+        // that equivalence and that the reader still takes it.
+        let trace = without_acquires(&sample_trace());
         let mut bytes = write_binary_trace(Vec::new(), &trace).unwrap();
         bytes[VERSION_OFFSET] = 2;
         let back = read_binary_trace(&bytes).unwrap();
@@ -1105,10 +1090,48 @@ mod tests {
     }
 
     #[test]
+    fn reads_past_the_held_set_and_context_of_version_3_acquires() {
+        // A v3 acquire frame: tag, lock 1, site "s" (string 0), held [0],
+        // context ["s", "s"]. The same frame without the last five bytes
+        // is its v4 encoding.
+        let frame = [tag::EVENT, 0, 0, kind::ACQUIRE, 1, 0, 1, 0, 2, 0, 0];
+        let artifact = |version: u8, frame: &[u8]| {
+            let mut bytes = TRACE_BINARY_MAGIC.to_vec();
+            let mut header = vec![tag::HEADER, TRACE_FORMAT.len() as u8];
+            header.extend_from_slice(TRACE_FORMAT.as_bytes());
+            header.push(version);
+            for payload in [
+                &header[..],
+                &[tag::STR_DEF, 0, 1, b's'],
+                frame,
+                &[tag::FOOTER, 0, 0],
+                &[tag::SEAL],
+            ] {
+                put_frame(&mut bytes, payload);
+            }
+            bytes
+        };
+        let v3 = read_binary_trace(&artifact(3, &frame)).unwrap();
+        let v4 = read_binary_trace(&artifact(4, &frame[..6])).unwrap();
+        assert_eq!(v3.events(), v4.events());
+        assert_eq!(
+            v4.events()[0].kind,
+            EventKind::acquire(ObjId::new(1), Label::new("s"))
+        );
+        // The skipped fields are still checked: an undefined string in
+        // the context is an error, and a v4 reader does not skip them.
+        let mut dangling = frame;
+        dangling[10] = 7;
+        assert!(read_binary_trace(&artifact(3, &dangling)).is_err());
+        assert!(read_binary_trace(&artifact(4, &frame)).is_err());
+    }
+
+    #[test]
     fn rejects_v3_event_tags_under_a_v2_header() {
         // all_kinds_trace contains shared/try/condvar events, whose tags
         // did not exist in version 2.
-        let mut bytes = write_binary_trace(Vec::new(), &all_kinds_trace()).unwrap();
+        let trace = without_acquires(&all_kinds_trace());
+        let mut bytes = write_binary_trace(Vec::new(), &trace).unwrap();
         assert_eq!(bytes[VERSION_OFFSET], TRACE_BINARY_FORMAT_VERSION as u8);
         bytes[VERSION_OFFSET] = 2;
         match read_binary_trace(&bytes) {
@@ -1125,7 +1148,8 @@ mod tests {
     #[test]
     fn mode_free_traces_differ_from_v2_only_in_the_header_byte() {
         // The compat contract behind `accepts_a_version_2_header`: no
-        // event of the old vocabulary changed its encoding.
+        // event of the old vocabulary but the acquisition changed its
+        // encoding.
         let bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
         let decoded = read_binary_trace(&bytes).unwrap();
         for e in decoded.events() {

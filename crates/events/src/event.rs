@@ -77,22 +77,17 @@ impl fmt::Display for AcquireMode {
 /// fill the mode defaults the serialized formats rely on.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EventKind {
-    /// `c: Acquire(l)` — the thread acquired lock `lock` at site `site`
-    /// while already holding `held` (innermost last). `context` are the
-    /// labels of the acquire statements for `held ∪ {lock}`, i.e. the
-    /// paper's `C` with `context.len() == held.len() + 1` and the current
-    /// site as the last element.
+    /// `c: Acquire(l)` — the thread acquired lock `lock` at site `site`.
     ///
-    /// Per §2.1 (footnote 2), only 0→1 acquisitions are recorded.
+    /// Per §2.1 (footnote 2), only 0→1 acquisitions are recorded. As in
+    /// the paper, the event carries no lock set: the analysis keeps each
+    /// thread's held locks and their sites (`LockSet[t]`, `Context[t]`
+    /// of Algorithm 2) itself, from the events it reads.
     Acquire {
         /// The acquired lock.
         lock: ObjId,
         /// Acquisition site.
         site: Label,
-        /// Locks already held, outermost first.
-        held: Vec<ObjId>,
-        /// Acquisition sites of `held` followed by `site`.
-        context: Vec<Label>,
         /// Exclusive (write) or shared (read) acquisition.
         mode: AcquireMode,
     },
@@ -230,12 +225,10 @@ impl EventKind {
 
     /// A first (0→1) exclusive acquisition; chain [`EventKind::shared`]
     /// for a read acquisition.
-    pub fn acquire(lock: ObjId, site: Label, held: Vec<ObjId>, context: Vec<Label>) -> Self {
+    pub fn acquire(lock: ObjId, site: Label) -> Self {
         EventKind::Acquire {
             lock,
             site,
-            held,
-            context,
             mode: AcquireMode::Exclusive,
         }
     }
@@ -414,23 +407,9 @@ impl Serialize for EventKind {
             }};
         }
         match self {
-            EventKind::Acquire {
-                lock,
-                site,
-                held,
-                context,
-                mode,
-            } => variant!(
-                0,
-                "Acquire",
-                Some(mode),
-                [
-                    ("lock", lock),
-                    ("site", site),
-                    ("held", held),
-                    ("context", context),
-                ]
-            ),
+            EventKind::Acquire { lock, site, mode } => {
+                variant!(0, "Acquire", Some(mode), [("lock", lock), ("site", site)])
+            }
             EventKind::Release { lock, site, mode } => {
                 variant!(1, "Release", Some(mode), [("lock", lock), ("site", site)])
             }
@@ -535,14 +514,14 @@ impl<'de> Deserialize<'de> for EventKind {
             }
             let (tag, content) = sp::enum_tag(value, "EventKind")?;
             match tag.as_str() {
+                // Version-1 lines also carry `held` and `context`; they
+                // are read past, never into the event.
                 "Acquire" => {
                     let content = sp::expect_content(content, "Acquire")?;
                     let mut entries = sp::expect_obj(content, "EventKind::Acquire")?;
                     Ok(EventKind::Acquire {
                         lock: sp::field(&mut entries, "lock")?,
                         site: sp::field(&mut entries, "site")?,
-                        held: sp::field(&mut entries, "held")?,
-                        context: sp::field(&mut entries, "context")?,
                         mode: opt_mode(&mut entries)?,
                     })
                 }
@@ -696,17 +675,11 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {} ", self.seq, self.thread)?;
         match &self.kind {
-            EventKind::Acquire {
-                lock,
-                site,
-                held,
-                mode,
-                ..
-            } => {
+            EventKind::Acquire { lock, site, mode } => {
                 if mode.is_shared() {
-                    write!(f, "read-acquire {lock} at {site} holding {held:?}")
+                    write!(f, "read-acquire {lock} at {site}")
                 } else {
-                    write!(f, "acquire {lock} at {site} holding {held:?}")
+                    write!(f, "acquire {lock} at {site}")
                 }
             }
             EventKind::Release { lock, site, mode } => {
@@ -783,7 +756,7 @@ mod tests {
     #[test]
     fn lock_accessor_covers_lock_ops() {
         let lk = ObjId::new(1);
-        let acq = EventKind::acquire(lk, l("a:1"), vec![], vec![l("a:1")]);
+        let acq = EventKind::acquire(lk, l("a:1"));
         assert_eq!(acq.lock(), Some(lk));
         assert!(acq.is_acquire());
         assert_eq!(EventKind::release(lk, l("a:2")).lock(), Some(lk));
@@ -805,9 +778,9 @@ mod tests {
     #[test]
     fn builders_default_exclusive_and_shared_flips_the_mode() {
         let lk = ObjId::new(4);
-        let acq = EventKind::acquire(lk, l("b:1"), vec![], vec![l("b:1")]);
+        let acq = EventKind::acquire(lk, l("b:1"));
         assert_eq!(acq.mode(), Some(AcquireMode::Exclusive));
-        let read = EventKind::acquire(lk, l("b:1"), vec![], vec![l("b:1")]).shared();
+        let read = EventKind::acquire(lk, l("b:1")).shared();
         assert_eq!(read.mode(), Some(AcquireMode::Shared));
         assert_eq!(
             EventKind::blocked(lk).shared().mode(),
@@ -851,14 +824,14 @@ mod tests {
         let e = Event::new(
             0,
             ThreadId::new(1),
-            EventKind::acquire(ObjId::new(3), l("m:1"), vec![], vec![l("m:1")]),
+            EventKind::acquire(ObjId::new(3), l("m:1")),
         );
         let json = serde_json::to_string(&e).unwrap();
         assert!(!json.contains("mode"), "{json}");
         let shared = Event::new(
             0,
             ThreadId::new(1),
-            EventKind::acquire(ObjId::new(3), l("m:1"), vec![], vec![l("m:1")]).shared(),
+            EventKind::acquire(ObjId::new(3), l("m:1")).shared(),
         );
         let json = serde_json::to_string(&shared).unwrap();
         assert!(json.contains("\"mode\":\"Shared\""), "{json}");
@@ -873,16 +846,17 @@ mod tests {
     }
 
     #[test]
+    fn version_1_acquire_lines_read_past_held_and_context() {
+        let json = r#"{"seq":4,"thread":1,"kind":{"Acquire":{"lock":3,"site":"m:4","held":[2],"context":["m:3","m:4"],"mode":"Shared"}}}"#;
+        let e: Event = serde_json::from_str(json).unwrap();
+        assert_eq!(e.kind, EventKind::acquire(ObjId::new(3), l("m:4")).shared());
+    }
+
+    #[test]
     fn mode_carrying_serde_round_trip() {
         let lk = ObjId::new(6);
         for kind in [
-            EventKind::acquire(
-                lk,
-                l("rt:1"),
-                vec![ObjId::new(1)],
-                vec![l("rt:0"), l("rt:1")],
-            )
-            .shared(),
+            EventKind::acquire(lk, l("rt:1")).shared(),
             EventKind::release(lk, l("rt:2")).shared(),
             EventKind::blocked(lk).shared(),
             EventKind::try_acquire(lk, l("rt:3"), true),
@@ -899,8 +873,8 @@ mod tests {
     fn display_is_nonempty_for_all_kinds() {
         let lk = ObjId::new(0);
         let kinds = vec![
-            EventKind::acquire(lk, l("d:1"), vec![], vec![l("d:1")]),
-            EventKind::acquire(lk, l("d:1"), vec![], vec![l("d:1")]).shared(),
+            EventKind::acquire(lk, l("d:1")),
+            EventKind::acquire(lk, l("d:1")).shared(),
             EventKind::release(lk, l("d:2")),
             EventKind::release(lk, l("d:2")).shared(),
             EventKind::reacquire(lk, l("d:3")),
@@ -941,12 +915,7 @@ mod tests {
         let e = Event::new(
             7,
             ThreadId::new(2),
-            EventKind::acquire(
-                ObjId::new(3),
-                l("sr:1"),
-                vec![ObjId::new(1)],
-                vec![l("sr:0"), l("sr:1")],
-            ),
+            EventKind::acquire(ObjId::new(3), l("sr:1")),
         );
         let json = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&json).unwrap();

@@ -53,6 +53,7 @@ pub use sink::{EventSink, SinkHandle};
 pub use spill::{
     read_trace, read_trace_bytes, write_trace, write_trace_as, SpillConfig, SpillError, SpillSink,
     TraceFooter, TraceFormat, TraceHeader, TraceWriter, TRACE_FORMAT, TRACE_FORMAT_VERSION,
+    TRACE_MIN_FORMAT_VERSION,
 };
 pub use trace::Trace;
 

@@ -1,8 +1,8 @@
-//! The versioned on-disk trace format (`df-trace` v1).
+//! The versioned on-disk trace format (`df-trace`, JSONL version 2).
 //!
 //! A recorded execution is a JSON-lines file:
 //!
-//! 1. a header line `{"Header":{"format":"df-trace","version":1}}`,
+//! 1. a header line `{"Header":{"format":"df-trace","version":2}}`,
 //! 2. one line per [`Event`], in sequence order,
 //! 3. a footer line carrying the final [`ObjectTable`] and the
 //!    thread→object bindings.
@@ -31,8 +31,16 @@ use crate::{Event, EventSink, ObjId, ObjectTable, ThreadId, Trace};
 /// Format name stamped into every trace artifact header.
 pub const TRACE_FORMAT: &str = "df-trace";
 
-/// Current version of the on-disk trace format.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+/// Version stamped into the JSONL header by the writer.
+///
+/// Version 2 dropped `held` and `context` from `Acquire` lines: the
+/// analysis derives them from the stream. Every other line is written as
+/// in version 1.
+pub const TRACE_FORMAT_VERSION: u32 = 2;
+
+/// Oldest JSONL header version [`read_trace`] still accepts; it reads
+/// past the `held` and `context` of version-1 `Acquire` lines.
+pub const TRACE_MIN_FORMAT_VERSION: u32 = 1;
 
 /// Which on-disk encoding of the `df-trace` envelope to write.
 ///
@@ -40,13 +48,13 @@ pub const TRACE_FORMAT_VERSION: u32 = 1;
 /// sniff the encoding from the first bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum TraceFormat {
-    /// Version 1: one JSON object per line. Self-describing and
-    /// diff-friendly; the choice for goldens and debugging.
+    /// One JSON object per line. Self-describing and diff-friendly; the
+    /// choice for goldens and debugging.
     #[default]
     Jsonl,
-    /// Version 2: length-prefixed binary frames with interned strings
-    /// and varint ids ([`crate::binary`]). The choice for
-    /// hardware-speed recording.
+    /// Length-prefixed binary frames with interned strings and varint
+    /// ids ([`crate::binary`]). The choice for hardware-speed
+    /// recording.
     Binary,
 }
 
@@ -138,7 +146,8 @@ pub enum SpillError {
     NotAnArtifact,
     /// The header names a different format.
     WrongFormat(String),
-    /// The header's version is not [`TRACE_FORMAT_VERSION`].
+    /// The header's version is outside the versions this reader
+    /// accepts.
     VersionMismatch {
         /// Version found in the header.
         found: u32,
@@ -297,9 +306,9 @@ impl<W: Write> TraceWriter<W> {
 /// A [`TraceWriter`] or [`BinaryTraceWriter`] behind one surface, so
 /// sinks can be format-generic.
 pub(crate) enum AnyTraceWriter<W: Write> {
-    /// JSONL v1.
+    /// JSONL.
     Jsonl(TraceWriter<W>),
-    /// Binary v2.
+    /// Binary.
     Binary(BinaryTraceWriter<W>),
 }
 
@@ -374,8 +383,8 @@ pub fn write_trace_as<W: Write>(
     w.finish(trace.objects(), trace.thread_objs().collect())
 }
 
-/// Reads a trace artifact in either encoding, sniffing binary v2 by its
-/// magic and falling back to JSONL v1 otherwise.
+/// Reads a trace artifact in either encoding, sniffing binary by its
+/// magic and falling back to JSONL otherwise.
 pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, SpillError> {
     if bytes.starts_with(&TRACE_BINARY_MAGIC) {
         read_binary_trace(bytes)
@@ -407,7 +416,7 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, SpillError> {
     if header.format != TRACE_FORMAT {
         return Err(SpillError::WrongFormat(header.format));
     }
-    if header.version != TRACE_FORMAT_VERSION {
+    if !(TRACE_MIN_FORMAT_VERSION..=TRACE_FORMAT_VERSION).contains(&header.version) {
         return Err(SpillError::VersionMismatch {
             found: header.version,
             expected: TRACE_FORMAT_VERSION,
@@ -491,7 +500,7 @@ pub struct SpillSink<W: Write + Send> {
 
 impl<W: Write + Send> SpillSink<W> {
     /// Starts spilling into `out` (writes the header immediately) in
-    /// JSONL v1.
+    /// JSONL.
     pub fn new(out: W) -> Result<Self, SpillError> {
         Self::with_format(out, TraceFormat::Jsonl)
     }
@@ -595,15 +604,7 @@ mod tests {
             .objects_mut()
             .create(ObjKind::Lock, Label::new("main:3"), None, vec![]);
         trace.push(t0, EventKind::ThreadStart);
-        trace.push(
-            t0,
-            EventKind::acquire(
-                lock,
-                Label::new("main:4"),
-                vec![],
-                vec![Label::new("main:4")],
-            ),
-        );
+        trace.push(t0, EventKind::acquire(lock, Label::new("main:4")));
         trace.push(t0, EventKind::release(lock, Label::new("main:5")));
         trace.push(t0, EventKind::ThreadExit);
         trace
@@ -622,9 +623,9 @@ mod tests {
         let trace = sample_trace();
         let bytes = write_trace(Vec::new(), &trace).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replacen("\"version\":1", "\"version\":2", 1);
+        let bumped = text.replacen("\"version\":2", "\"version\":3", 1);
         match read_trace(bumped.as_bytes()) {
-            Err(SpillError::VersionMismatch { found: 2, expected }) => {
+            Err(SpillError::VersionMismatch { found: 3, expected }) => {
                 assert_eq!(expected, TRACE_FORMAT_VERSION);
             }
             other => panic!("expected version mismatch, got {other:?}"),
@@ -772,7 +773,7 @@ mod tests {
             } else {
                 Label::new("r:2")
             };
-            trace.push(t0, EventKind::acquire(lock, site, vec![], vec![site]));
+            trace.push(t0, EventKind::acquire(lock, site));
             trace.push(t0, EventKind::release(lock, Label::new("r:3")));
         }
         trace

@@ -83,26 +83,11 @@ impl Trace {
         self.events.iter().filter(|e| e.kind.is_acquire()).count()
     }
 
-    /// Approximate resident size of the event sequence in bytes: the
-    /// inline size of every [`Event`] plus the heap behind acquire
-    /// locksets and contexts. This is the number the `peak_trace_bytes`
-    /// observability counter reports — a deterministic estimate (it
-    /// counts lengths, not allocator capacities), not an allocator
-    /// measurement.
+    /// Resident size of the event sequence in bytes: the inline size of
+    /// every [`Event`] (no event owns heap memory). This is the number
+    /// the `peak_trace_bytes` observability counter reports.
     pub fn approx_event_bytes(&self) -> u64 {
-        let inline = self.events.len() * std::mem::size_of::<Event>();
-        let heap: usize = self
-            .events
-            .iter()
-            .map(|e| match &e.kind {
-                EventKind::Acquire { held, context, .. } => {
-                    held.len() * std::mem::size_of::<ObjId>()
-                        + context.len() * std::mem::size_of::<crate::Label>()
-                }
-                _ => 0,
-            })
-            .sum();
-        (inline + heap) as u64
+        (self.events.len() * std::mem::size_of::<Event>()) as u64
     }
 
     /// Iterates over the distinct threads that appear in the trace, in id
@@ -155,10 +140,7 @@ mod tests {
         let lk = t
             .objects_mut()
             .create(ObjKind::Lock, Label::new("t:1"), None, vec![]);
-        t.push(
-            ThreadId::new(0),
-            EventKind::acquire(lk, Label::new("t:2"), vec![], vec![Label::new("t:2")]),
-        );
+        t.push(ThreadId::new(0), EventKind::acquire(lk, Label::new("t:2")));
         t.push(
             ThreadId::new(0),
             EventKind::Reacquire {

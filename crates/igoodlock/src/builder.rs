@@ -55,27 +55,29 @@ pub struct RelationBuilder {
     pending_start: HashMap<ThreadId, VectorClock>,
     /// Clock at each thread's exit, consumed by its joiners.
     at_exit: HashMap<ThreadId, VectorClock>,
-    /// Scratch for the hold modes of the tuple being probed.
-    hold_modes: Vec<AcquireMode>,
 }
 
 /// What the builder tracks per thread.
+#[derive(Default)]
 struct ThreadState {
     /// The thread's component in every clock (see [`VectorClock`]).
     slot: usize,
     /// Fork/join clock after the thread's latest event.
     clock: VectorClock,
-    /// Held locks, innermost last, mirroring the events' `held` (same
-    /// pushes, same rposition removals).
-    stack: Vec<Held>,
+    /// The held-lock stack, outermost first, as four parallel vectors:
+    /// the locks (the paper's `LockSet[t]`), their acquisition sites
+    /// (`Context[t]`), their hold modes and their window bookkeeping.
+    /// Kept apart so a candidate tuple is probed with slices of the
+    /// stack itself.
+    locks: Vec<ObjId>,
+    sites: Vec<Label>,
+    modes: Vec<AcquireMode>,
+    holds: Vec<Held>,
 }
 
-/// One entry of a thread's held-lock stack: a potential window start.
+/// Window bookkeeping of one held lock: a potential window start.
 struct Held {
-    lock: ObjId,
-    site: Label,
     seq: u64,
-    mode: AcquireMode,
     /// The thread's own clock component at the acquisition.
     time: u64,
     /// The whole clock at the acquisition, saved once a join moved the
@@ -96,24 +98,47 @@ impl ThreadState {
     /// Joins `other` into the thread's clock, first saving the current
     /// clock into every held entry that still relies on it.
     fn join(&mut self, other: &VectorClock) {
-        for i in 0..self.stack.len() {
-            if self.stack[i].clock.is_none() {
-                self.stack[i].clock = Some(self.clock_at(&self.stack[i]));
+        for i in 0..self.holds.len() {
+            if self.holds[i].clock.is_none() {
+                self.holds[i].clock = Some(self.clock_at(&self.holds[i]));
             }
         }
         self.clock.join(other);
     }
 
+    fn holds(&self, lock: ObjId) -> bool {
+        self.locks.contains(&lock)
+    }
+
     fn push(&mut self, lock: ObjId, site: Label, seq: u64, mode: AcquireMode) {
         let time = self.clock.get(self.slot);
-        self.stack.push(Held {
-            lock,
-            site,
+        self.locks.push(lock);
+        self.sites.push(site);
+        self.modes.push(mode);
+        self.holds.push(Held {
             seq,
-            mode,
             time,
             clock: None,
         });
+    }
+
+    /// Takes `lock` off the stack, if it is held. Most releases are of
+    /// the innermost hold, and popping it spares the four vectors a
+    /// `remove` each (which measurably slowed relation building).
+    fn remove(&mut self, lock: ObjId) {
+        if let Some(pos) = self.locks.iter().rposition(|&l| l == lock) {
+            if pos + 1 == self.locks.len() {
+                self.locks.pop();
+                self.sites.pop();
+                self.modes.pop();
+                self.holds.pop();
+            } else {
+                self.locks.remove(pos);
+                self.sites.remove(pos);
+                self.modes.remove(pos);
+                self.holds.remove(pos);
+            }
+        }
     }
 }
 
@@ -137,8 +162,7 @@ impl RelationBuilder {
         let slot = self.threads.len();
         let state = self.threads.entry(t).or_insert_with(|| ThreadState {
             slot,
-            clock: VectorClock::default(),
-            stack: Vec::new(),
+            ..ThreadState::default()
         });
         state.clock.tick(state.slot);
         match &event.kind {
@@ -158,46 +182,31 @@ impl RelationBuilder {
                     state.join(exit);
                 }
             }
-            EventKind::Acquire {
-                lock,
-                site,
-                held,
-                context,
-                mode,
-            } => {
+            // A first acquisition while holding locks is a tuple of
+            // Definition 1, read off the stack: the lockset, the contexts
+            // (the stack's sites plus this one) and the hold modes.
+            EventKind::Acquire { lock, site, mode } => {
                 self.raw_count += 1;
-                if !held.is_empty() {
-                    // Events replayed without matching stack state (bare
-                    // tuples) default to exclusive holds.
-                    self.hold_modes.clear();
-                    self.hold_modes.extend((0..held.len()).map(|i| {
-                        state
-                            .stack
-                            .get(i)
-                            .map_or(AcquireMode::Exclusive, |h| h.mode)
-                    }));
+                if let Some(innermost) = state.holds.last() {
                     let thread_obj = *self
                         .thread_objs
                         .get(&t)
                         .expect("trace binds every thread to its object");
+                    state.sites.push(*site);
                     let key = (
                         t,
                         thread_obj,
-                        &held[..],
+                        &state.locks[..],
                         *lock,
-                        &context[..],
+                        &state.sites[..],
                         *mode,
-                        &self.hold_modes[..],
+                        &state.modes[..],
                     );
                     if self.seen.is_new(&self.deps, key) {
-                        let (window_start_seq, window_start_clock) = match state.stack.last() {
-                            Some(h) => (h.seq, state.clock_at(h)),
-                            None => (event.seq, state.clock.clone()),
-                        };
                         self.timings.push(DepTiming {
-                            window_start_seq,
+                            window_start_seq: innermost.seq,
                             acquire_seq: event.seq,
-                            window_start_clock,
+                            window_start_clock: state.clock_at(innermost),
                             acquire_epoch: Epoch {
                                 slot: state.slot,
                                 time: state.clock.get(state.slot),
@@ -206,13 +215,14 @@ impl RelationBuilder {
                         self.deps.push(LockDep {
                             thread: t,
                             thread_obj,
-                            lockset: held.clone(),
+                            lockset: state.locks.clone(),
                             lock: *lock,
-                            contexts: context.clone(),
+                            contexts: state.sites.clone(),
                             mode: *mode,
-                            hold_modes: self.hold_modes.clone(),
+                            hold_modes: state.modes.clone(),
                         });
                     }
+                    state.sites.pop();
                 }
                 state.push(*lock, *site, event.seq, *mode);
             }
@@ -228,24 +238,18 @@ impl RelationBuilder {
                 site,
                 acquired: true,
                 mode,
-            } if !state.stack.iter().any(|h| h.lock == *lock) => {
+            } if !state.holds(*lock) => {
                 state.push(*lock, *site, event.seq, *mode);
             }
-            EventKind::Release { lock, .. } => {
-                if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
-                    state.stack.remove(pos);
-                }
-            }
+            EventKind::Release { lock, .. } => state.remove(*lock),
             // A wait releases its lock and reacquires it silently: both
             // substrates take it off their stack at the wait and push it
             // back, innermost, when the wait returns. No event marks the
             // reacquire, and the thread has no event in between, so the
             // builder moves the entry at the wait, stamped with the wait
-            // event's seq and clock (DESIGN.md §7).
+            // event's site, seq and clock (DESIGN.md §7).
             EventKind::Wait { lock, site } | EventKind::CondWait { lock, site, .. } => {
-                if let Some(pos) = state.stack.iter().rposition(|h| h.lock == *lock) {
-                    state.stack.remove(pos);
-                }
+                state.remove(*lock);
                 state.push(*lock, *site, event.seq, AcquireMode::Exclusive);
             }
             // Notifies only mark a communication edge and add nothing to
@@ -260,11 +264,8 @@ impl RelationBuilder {
     #[doc(hidden)]
     pub fn held_stack(&self, thread: ThreadId) -> Vec<(ObjId, Label, AcquireMode)> {
         self.threads.get(&thread).map_or_else(Vec::new, |state| {
-            state
-                .stack
-                .iter()
-                .map(|h| (h.lock, h.site, h.mode))
-                .collect()
+            let entries = state.locks.iter().zip(&state.sites).zip(&state.modes);
+            entries.map(|((&l, &s), &m)| (l, s, m)).collect()
         })
     }
 
@@ -345,19 +346,8 @@ mod tests {
             .objects_mut()
             .create(df_events::ObjKind::Lock, l("main:23"), None, vec![]);
         for (t, first, second) in [(t1, a, b), (t2, b, a)] {
-            trace.push(
-                t,
-                EventKind::acquire(first, l("run:15"), vec![], vec![l("run:15")]),
-            );
-            trace.push(
-                t,
-                EventKind::acquire(
-                    second,
-                    l("run:16"),
-                    vec![first],
-                    vec![l("run:15"), l("run:16")],
-                ),
-            );
+            trace.push(t, EventKind::acquire(first, l("run:15")));
+            trace.push(t, EventKind::acquire(second, l("run:16")));
             trace.push(t, EventKind::release(second, l("run:17")));
             trace.push(t, EventKind::release(first, l("run:18")));
         }
@@ -384,21 +374,10 @@ mod tests {
         let inner = trace
             .objects_mut()
             .create(df_events::ObjKind::Lock, l("main:3"), None, vec![]);
-        trace.push(
-            t1,
-            EventKind::acquire(rw, l("r:1"), vec![], vec![l("r:1")]).shared(),
-        );
+        trace.push(t1, EventKind::acquire(rw, l("r:1")).shared());
         trace.push(t1, EventKind::try_acquire(m, l("r:2"), true));
         trace.push(t1, EventKind::try_acquire(inner, l("r:2b"), false));
-        trace.push(
-            t1,
-            EventKind::acquire(
-                inner,
-                l("r:3"),
-                vec![rw, m],
-                vec![l("r:1"), l("r:2"), l("r:3")],
-            ),
-        );
+        trace.push(t1, EventKind::acquire(inner, l("r:3")));
         let rel = stream(&trace);
         // Only the nested Acquire records a tuple; the failed try added
         // nothing to the held stack.
@@ -463,15 +442,9 @@ mod tests {
         trace.push(main, EventKind::Spawn { child, child_obj });
         trace.push(child, EventKind::ThreadStart);
         trace.push(child, EventKind::ThreadExit);
-        trace.push(
-            main,
-            EventKind::acquire(a, l("m:a"), vec![], vec![l("m:a")]),
-        );
+        trace.push(main, EventKind::acquire(a, l("m:a")));
         trace.push(main, EventKind::Join { target: child });
-        trace.push(
-            main,
-            EventKind::acquire(b, l("m:b"), vec![a], vec![l("m:a"), l("m:b")]),
-        );
+        trace.push(main, EventKind::acquire(b, l("m:b")));
         let rel = stream(&trace);
         let timing = rel.timing(0).expect("a timed tuple");
         assert_eq!(timing.window_start_seq, 4);
@@ -503,11 +476,8 @@ mod tests {
         let b = trace
             .objects_mut()
             .create(df_events::ObjKind::Lock, l("m:2"), None, vec![]);
-        trace.push(far, EventKind::acquire(a, l("f:a"), vec![], vec![l("f:a")]));
-        trace.push(
-            far,
-            EventKind::acquire(b, l("f:b"), vec![a], vec![l("f:a"), l("f:b")]),
-        );
+        trace.push(far, EventKind::acquire(a, l("f:a")));
+        trace.push(far, EventKind::acquire(b, l("f:b")));
         let rel = stream(&trace);
         let timing = rel.timing(0).expect("a timed tuple");
         assert_eq!(timing.acquire_epoch.slot, 0);

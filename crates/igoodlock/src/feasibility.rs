@@ -272,24 +272,12 @@ mod tests {
         }
         trace.push(t1, EventKind::ThreadStart);
         trace.push(t2, EventKind::ThreadStart);
-        trace.push(
-            t1,
-            EventKind::acquire(a, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t1,
-            EventKind::acquire(b, l("run:16"), vec![a], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t1, EventKind::acquire(a, l("run:15")));
+        trace.push(t1, EventKind::acquire(b, l("run:16")));
         trace.push(t1, EventKind::release(b, l("run:17")));
         trace.push(t1, EventKind::release(a, l("run:18")));
-        trace.push(
-            t2,
-            EventKind::acquire(b, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t2,
-            EventKind::acquire(a, l("run:16"), vec![b], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t2, EventKind::acquire(b, l("run:15")));
+        trace.push(t2, EventKind::acquire(a, l("run:16")));
         trace
     }
 
@@ -322,14 +310,8 @@ mod tests {
             },
         );
         trace.push(t1, EventKind::ThreadStart);
-        trace.push(
-            t1,
-            EventKind::acquire(a, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t1,
-            EventKind::acquire(b, l("run:16"), vec![a], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t1, EventKind::acquire(a, l("run:15")));
+        trace.push(t1, EventKind::acquire(b, l("run:16")));
         trace.push(t1, EventKind::release(b, l("run:17")));
         trace.push(t1, EventKind::release(a, l("run:18")));
         trace.push(t1, EventKind::ThreadExit);
@@ -342,14 +324,8 @@ mod tests {
             },
         );
         trace.push(t2, EventKind::ThreadStart);
-        trace.push(
-            t2,
-            EventKind::acquire(b, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t2,
-            EventKind::acquire(a, l("run:16"), vec![b], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t2, EventKind::acquire(b, l("run:15")));
+        trace.push(t2, EventKind::acquire(a, l("run:16")));
         trace
     }
 

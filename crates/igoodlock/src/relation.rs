@@ -535,24 +535,14 @@ mod tests {
         let b = trace
             .objects_mut()
             .create(ObjKind::Lock, l("main:23"), None, vec![]);
-        trace.push(
-            t1,
-            EventKind::acquire(a, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t1,
-            EventKind::acquire(b, l("run:16"), vec![a], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t1, EventKind::acquire(a, l("run:15")));
+        trace.push(t1, EventKind::acquire(b, l("run:16")));
         trace.push(t1, EventKind::release(b, l("run:17")));
         trace.push(t1, EventKind::release(a, l("run:18")));
-        trace.push(
-            t2,
-            EventKind::acquire(b, l("run:15"), vec![], vec![l("run:15")]),
-        );
-        trace.push(
-            t2,
-            EventKind::acquire(a, l("run:16"), vec![b], vec![l("run:15"), l("run:16")]),
-        );
+        trace.push(t2, EventKind::acquire(b, l("run:15")));
+        trace.push(t2, EventKind::acquire(a, l("run:16")));
+        trace.push(t2, EventKind::release(a, l("run:17")));
+        trace.push(t2, EventKind::release(b, l("run:18")));
         trace
     }
 

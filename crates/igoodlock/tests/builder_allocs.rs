@@ -67,19 +67,14 @@ const MEASURED_ROUNDS: u64 = 10_000;
 fn round([a, b, rw, m]: [ObjId; 4]) -> Vec<EventKind> {
     let l = Label::new;
     vec![
-        EventKind::acquire(a, l("w:a"), vec![], vec![l("w:a")]),
-        EventKind::acquire(b, l("w:b"), vec![a], vec![l("w:a"), l("w:b")]),
+        EventKind::acquire(a, l("w:a")),
+        EventKind::acquire(b, l("w:b")),
         EventKind::release(b, l("w:rb")),
         EventKind::release(a, l("w:ra")),
-        EventKind::acquire(rw, l("w:rw"), vec![], vec![l("w:rw")]).shared(),
+        EventKind::acquire(rw, l("w:rw")).shared(),
         EventKind::try_acquire(m, l("w:m"), true),
         EventKind::try_acquire(b, l("w:tb"), false),
-        EventKind::acquire(
-            a,
-            l("w:a2"),
-            vec![rw, m],
-            vec![l("w:rw"), l("w:m"), l("w:a2")],
-        ),
+        EventKind::acquire(a, l("w:a2")),
         EventKind::release(a, l("w:ra2")),
         EventKind::release(m, l("w:rm")),
         EventKind::release(rw, l("w:rrw")),

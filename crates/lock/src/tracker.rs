@@ -3,12 +3,12 @@
 //! Every [`crate::TrackedMutex`] / [`crate::TrackedRwLock`] created
 //! under a tracker reports its lifecycle here. The tracker assigns
 //! [`ThreadId`]s to native threads (lazily, on first contact), emits the
-//! same event stream the virtual runtime would — `New`, `Acquire` with
-//! held-set and context, `Release`, `Blocked`/`Unblocked`, spawn and
-//! exit events — into the attached [`SinkHandle`], and maintains the
-//! live holds and waits the online wait-for-graph detector walks. Under
-//! a Phase II [`Policy`] the registry also carries the paused intents
-//! (see [`crate::session`]).
+//! same event stream the virtual runtime would — `New`, `Acquire`,
+//! `Release`, `Blocked`/`Unblocked`, spawn and exit events — into the
+//! attached [`SinkHandle`], and maintains the live holds and waits the
+//! online wait-for-graph detector walks. Under a Phase II [`Policy`]
+//! the registry also carries the paused intents (see
+//! [`crate::session`]).
 //!
 //! ## Where the bookkeeping lives
 //!
@@ -46,7 +46,6 @@
 //! cycles cannot form.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -237,49 +236,6 @@ impl State {
 
     pub(crate) fn set_wait(&mut self, t: ThreadId, wait: Option<Wait>) {
         self.waits[t.as_usize()] = wait;
-    }
-}
-
-/// `Acquire` buffer pairs a thread keeps for reuse.
-const SPARE_BUFFERS: usize = 64;
-
-thread_local! {
-    /// `held`/`context` buffers of `Acquire` events this thread handed
-    /// to the sinks, for the next `Acquire` it builds.
-    static SPARE: RefCell<Vec<(Vec<ObjId>, Vec<Label>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The `Acquire` of `hold` by a thread holding `held`, with the held set
-/// and the context ending at the acquisition site built in reused
-/// buffers. A re-entered lock is listed once, at its first hold, as the
-/// virtual runtime lists it.
-fn acquire_event(held: &[Hold], hold: Hold) -> EventKind {
-    let (mut locks, mut context) = SPARE
-        .try_with(|s| s.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    locks.clear();
-    context.clear();
-    for (i, h) in held.iter().enumerate() {
-        if !held[..i].iter().any(|o| o.lock == h.lock) {
-            locks.push(h.lock);
-            context.push(h.site);
-        }
-    }
-    context.push(hold.site);
-    EventKind::acquire(hold.lock, hold.site, locks, context).with_mode(hold.mode)
-}
-
-/// Keeps a delivered `Acquire`'s buffers for this thread's next one.
-fn recycle(event: Event) {
-    if let EventKind::Acquire { held, context, .. } = event.kind {
-        let _ = SPARE.try_with(|s| {
-            let mut spare = s.borrow_mut();
-            if spare.len() < SPARE_BUFFERS {
-                spare.push((held, context));
-            }
-        });
     }
 }
 
@@ -479,14 +435,11 @@ fn emit(inner: &TrackerInner, thread: ThreadId, kind: EventKind) {
     }
     if inner.sink.is_attached() {
         em.pending.push(event);
-    } else {
-        recycle(event);
     }
 }
 
 /// Hands the sinks, in sequence order, the rest of the current batch
-/// and then everything queued so far, and keeps the delivered `Acquire`
-/// buffers for this thread's next ones.
+/// and then everything queued so far.
 fn drain(inner: &TrackerInner, d: &mut Delivery) {
     hand_out(inner, d);
     std::mem::swap(&mut inner.emitter.lock().pending, &mut d.batch);
@@ -508,7 +461,7 @@ fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
         .obs
         .counters()
         .add_events_streamed((d.done - first) as u64);
-    d.batch.drain(..).for_each(recycle);
+    d.batch.clear();
     d.done = 0;
 }
 
@@ -685,8 +638,7 @@ pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: 
 
 /// Publishes a completed acquisition in the caller's slot and emits its
 /// event: `Reacquire` when the thread already holds the lock, otherwise
-/// the `Acquire` (carrying the held set and the context ending at the
-/// acquisition site) or, for a `try_*`, the successful `TryAcquire`.
+/// the `Acquire` or, for a `try_*`, the successful `TryAcquire`.
 /// Must be called with the native lock already held; delivery waits
 /// for a later call.
 fn record_acquire(
@@ -702,7 +654,7 @@ fn record_acquire(
     } else if tried {
         EventKind::try_acquire(hold.lock, hold.site, true).with_mode(hold.mode)
     } else {
-        acquire_event(&slot.held, hold)
+        EventKind::acquire(hold.lock, hold.site).with_mode(hold.mode)
     };
     emit(inner, me, kind);
     slot.held.push(hold);

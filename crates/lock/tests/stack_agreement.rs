@@ -14,19 +14,31 @@
 //! replaying the recorded trace through a [`RelationBuilder`]:
 //!
 //! * before each `Acquire`, the builder's stack (locks and modes) equals
-//!   the model's stack logged for it, and its locks and sites equal the
-//!   event's `held` and `context`;
+//!   the model's stack logged for it;
 //! * before each `Release`, the builder holds the lock in the mode the
 //!   substrate reports releasing.
+//!
+//! Acquire events once carried the held set and its sites as well, and
+//! the builder's stack was checked against them too. A corpus of such
+//! programs, recorded in that format with the reports they produced
+//! then, pins the sites: each artifact must still analyze to its report
+//! byte for byte.
+//!
+//! A contended stream of four threads taking ordered pairs of shared
+//! mutexes and rwlocks checks delivery: gapless sequence numbers, real
+//! per-lock order, and the same release modes.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use df_events::{AcquireMode, EventKind, Label, ObjId, Trace};
+use df_events::{
+    AcquireMode, Event, EventKind, EventSink, Label, ObjId, SinkHandle, ThreadId, Trace,
+};
 use df_igoodlock::RelationBuilder;
 use df_lock::{
-    TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedRwLock, TrackedRwLockReadGuard,
-    TrackedRwLockWriteGuard, Tracker, TrackerConfig,
+    DeadlockHandler, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedRwLock,
+    TrackedRwLockReadGuard, TrackedRwLockWriteGuard, Tracker, TrackerConfig,
 };
 use df_runtime::strategy::RoundRobinStrategy;
 use df_runtime::{LockRef, RunConfig, TCtx, VirtualRuntime};
@@ -128,33 +140,24 @@ fn log_acquire(log: &Log, ids: &[ObjId], lock: usize, stack: &Stack) {
 }
 
 /// Replays `trace` through a builder, checking its stack at every
-/// `Acquire` and `Release`.
-fn check(trace: &Trace, log: &[(ObjId, Vec<(ObjId, AcquireMode)>)]) {
+/// `Release` and, given the programs' log, at every `Acquire`.
+fn check(trace: &Trace, log: Option<&Logged>) {
     let mut builder = RelationBuilder::new();
     for (thread, obj) in trace.thread_objs() {
         builder.bind_thread(thread, obj);
     }
-    let mut expected = log.iter();
+    let mut expected = log.map(|log| log.iter());
     for event in trace.events() {
         let stack = builder.held_stack(event.thread);
         match &event.kind {
-            EventKind::Acquire {
-                lock,
-                site,
-                held,
-                context,
-                ..
-            } => {
-                let (want_lock, want_stack) = expected.next().expect("a logged acquisition");
-                assert_eq!(lock, want_lock, "event {}", event.seq);
-                let modes: Vec<(ObjId, AcquireMode)> =
-                    stack.iter().map(|&(l, _, m)| (l, m)).collect();
-                assert_eq!(&modes, want_stack, "stack at event {}", event.seq);
-                let locks: Vec<ObjId> = stack.iter().map(|h| h.0).collect();
-                assert_eq!(&locks, held, "held of event {}", event.seq);
-                let mut sites: Vec<Label> = stack.iter().map(|h| h.1).collect();
-                sites.push(*site);
-                assert_eq!(&sites, context, "context of event {}", event.seq);
+            EventKind::Acquire { lock, .. } => {
+                if let Some(expected) = &mut expected {
+                    let (want_lock, want_stack) = expected.next().expect("a logged acquisition");
+                    assert_eq!(lock, want_lock, "event {}", event.seq);
+                    let modes: Vec<(ObjId, AcquireMode)> =
+                        stack.iter().map(|&(l, _, m)| (l, m)).collect();
+                    assert_eq!(&modes, want_stack, "stack at event {}", event.seq);
+                }
             }
             EventKind::Release { lock, mode, .. } => {
                 let hold = stack.iter().rev().find(|h| h.0 == *lock);
@@ -169,7 +172,9 @@ fn check(trace: &Trace, log: &[(ObjId, Vec<(ObjId, AcquireMode)>)]) {
         }
         builder.observe(event);
     }
-    assert!(expected.next().is_none(), "every acquisition was recorded");
+    if let Some(mut expected) = expected {
+        assert!(expected.next().is_none(), "every acquisition was recorded");
+    }
 }
 
 fn program() -> impl Strategy<Value = Vec<Vec<Op>>> {
@@ -429,13 +434,13 @@ proptest! {
     #[test]
     fn builder_stack_matches_the_virtual_runtime(program in program()) {
         let (trace, log) = virtual_trace(&program);
-        check(&trace, &log);
+        check(&trace, Some(&log));
     }
 
     #[test]
     fn builder_stack_matches_df_lock(program in program()) {
         let (trace, log) = native_trace(&program);
-        check(&trace, &log);
+        check(&trace, Some(&log));
     }
 }
 
@@ -443,8 +448,10 @@ proptest! {
 // The recorded corpus.
 // ---------------------------------------------------------------------
 
-/// Frozen artifacts of generated programs, each next to the
-/// `dfz analyze --json` report it produced when it was recorded.
+/// Frozen binary v3 artifacts of generated programs (the first four on
+/// each substrate that report a cycle and wait on a condvar or re-enter
+/// a lock), each next to the `dfz analyze --json` report it produced
+/// when it was recorded.
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/stack_corpus")
 }
@@ -479,53 +486,158 @@ fn corpus_analyzes_as_recorded() {
     assert!(checked >= 8, "only {checked} corpus artifacts");
 }
 
-/// Programs for the corpus: three threads of twelve operations each,
-/// from a fixed-seed generator.
-fn corpus_program(seed: u64) -> Vec<Vec<Op>> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move |bound: u64| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        ((state >> 33) % bound) as u8
-    };
-    (0..3)
-        .map(|_| (0..12).map(|_| (next(6), next(16), next(2))).collect())
-        .collect()
+// ---------------------------------------------------------------------
+// A contended stream.
+// ---------------------------------------------------------------------
+
+/// Keeps every delivered event, in delivery order, and the thread
+/// bindings.
+#[derive(Default)]
+struct Collect(Trace);
+
+impl EventSink for Collect {
+    fn on_event(&mut self, event: &Event) {
+        let seq = self.0.push(event.thread, event.kind.clone());
+        assert_eq!(seq, event.seq, "sequence numbers are gapless");
+    }
+
+    fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
+        self.0.bind_thread(thread, obj);
+    }
 }
 
-/// Records the corpus: on each substrate, the first four programs that
-/// report a cycle and wait on a condvar or re-enter a lock, as binary
-/// artifacts next to their reports.
-#[test]
-#[ignore = "writes tests/golden/stack_corpus/; run explicitly to re-record"]
-fn record_corpus() {
-    std::fs::create_dir_all(corpus_dir()).expect("create corpus dir");
-    for (substrate, run) in [
-        ("virtual", virtual_trace as fn(&[Vec<Op>]) -> _),
-        ("native", native_trace),
-    ] {
-        let mut kept = 0;
-        for seed in 0.. {
-            let (trace, _) = run(&corpus_program(seed));
-            let artifact = df_events::write_binary_trace(Vec::new(), &trace).expect("encode");
-            let name = format!("{substrate}-{seed}");
-            let report = analyze_json(&artifact, &name);
-            let stack_moves = trace.events().iter().any(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::CondWait { .. } | EventKind::Reacquire { .. }
-                )
-            });
-            if report.trim() == "[]" || !stack_moves {
-                continue;
+/// One of the stress test's shared locks: even slots are mutexes, odd
+/// slots rwlocks.
+enum Shared {
+    Mutex(TrackedMutex<u64>),
+    RwLock(TrackedRwLock<u64>),
+}
+
+const STRESS_THREADS: u64 = 4;
+const STRESS_LOCKS: usize = 8;
+const STRESS_ROUNDS: u64 = 3;
+const STRESS_PAIRS: usize = 1_000;
+
+/// Takes `locks[lo]` then `locks[hi]` nested, reading an rwlock when
+/// `read`, and releases them in reverse.
+fn take_pair(locks: &[Shared], lo: usize, hi: usize, read: bool) {
+    let hold = |i: usize, then: &dyn Fn()| match &locks[i] {
+        Shared::Mutex(m) => {
+            let mut g = m.lock().unwrap();
+            *g += 1;
+            then();
+        }
+        Shared::RwLock(l) if read => {
+            let _g = l.read().unwrap();
+            then();
+        }
+        Shared::RwLock(l) => {
+            let mut g = l.write().unwrap();
+            *g += 1;
+            then();
+        }
+    };
+    hold(lo, &|| hold(hi, &|| {}));
+}
+
+/// Checks per-lock exclusion in the stream: replayed in sequence order,
+/// no lock is taken exclusively while another thread holds it, nor
+/// shared while another thread holds it exclusively.
+fn check_exclusion(events: &[Event]) {
+    let mut holders: HashMap<ObjId, Vec<(ThreadId, AcquireMode)>> = HashMap::new();
+    for event in events {
+        let taken = match &event.kind {
+            EventKind::Acquire { lock, mode, .. } => Some((*lock, *mode)),
+            EventKind::TryAcquire {
+                lock,
+                acquired: true,
+                mode,
+                ..
+            } => Some((*lock, *mode)),
+            EventKind::Release { lock, .. } | EventKind::Rerelease { lock, .. } => {
+                let held = holders.get_mut(lock).expect("released lock is held");
+                let pos = held
+                    .iter()
+                    .rposition(|&(t, _)| t == event.thread)
+                    .expect("releasing thread holds the lock");
+                held.remove(pos);
+                None
             }
-            std::fs::write(corpus_dir().join(format!("{name}.bin")), &artifact).unwrap();
-            std::fs::write(corpus_dir().join(format!("{name}.analyze.json")), report).unwrap();
-            kept += 1;
-            if kept == 4 {
-                break;
-            }
+            _ => None,
+        };
+        if let Some((lock, mode)) = taken {
+            let held = holders.entry(lock).or_default();
+            let conflict = held
+                .iter()
+                .find(|&&(t, m)| t != event.thread && (mode.is_exclusive() || m.is_exclusive()));
+            assert!(
+                conflict.is_none(),
+                "event {} takes {lock} {mode:?} while {:?} holds it",
+                event.seq,
+                conflict
+            );
+            held.push((event.thread, mode));
         }
     }
+}
+
+#[test]
+fn contended_stream_stays_gapless_and_in_lock_order() {
+    let collected = Arc::new(Mutex::new(Collect::default()));
+    let witnesses = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&witnesses);
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(SinkHandle::single(collected.clone()))
+            .with_handler(DeadlockHandler::Callback(Arc::new(move |w| {
+                seen.lock().unwrap().push(w.clone());
+            }))),
+    );
+    let locks: Arc<Vec<Shared>> = Arc::new(
+        (0..STRESS_LOCKS)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Shared::Mutex(TrackedMutex::with_tracker(&tracker, 0))
+                } else {
+                    Shared::RwLock(TrackedRwLock::with_tracker(&tracker, 0))
+                }
+            })
+            .collect(),
+    );
+    for round in 0..STRESS_ROUNDS {
+        let workers: Vec<_> = (0..STRESS_THREADS)
+            .map(|t| {
+                let locks = Arc::clone(&locks);
+                tracker.spawn(&format!("stress-{round}-{t}"), move || {
+                    let mut state =
+                        (round * STRESS_THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut next = move || {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (state >> 33) as usize
+                    };
+                    for _ in 0..STRESS_PAIRS {
+                        let (x, y) = (next() % STRESS_LOCKS, next() % STRESS_LOCKS);
+                        if x != y {
+                            take_pair(&locks, x.min(y), x.max(y), next() % 2 == 0);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+    tracker.seal();
+
+    assert!(
+        witnesses.lock().unwrap().is_empty(),
+        "ordered pairs never deadlock"
+    );
+    let trace = std::mem::take(&mut collected.lock().unwrap().0);
+    assert!(trace.acquire_count() > 0);
+    check_exclusion(trace.events());
+    check(&trace, None);
 }

@@ -507,12 +507,9 @@ impl Controller {
                             state.owner = Some(me);
                             state.count = 1;
                             let ts = inner.g.thread_mut(me);
-                            let held = ts.lock_stack.clone();
-                            let mut context = ts.context_stack.clone();
-                            context.push(site);
                             ts.lock_stack.push(lock);
                             ts.context_stack.push(site);
-                            self.record(inner, me, EventKind::acquire(lock, site, held, context));
+                            self.record(inner, me, EventKind::acquire(lock, site));
                             self.config.obs.counters().add_acquires_observed(1);
                         }
                     }
@@ -524,16 +521,9 @@ impl Controller {
                             self.record(inner, me, EventKind::reacquire(lock, site));
                         } else {
                             let ts = inner.g.thread_mut(me);
-                            let held = ts.lock_stack.clone();
-                            let mut context = ts.context_stack.clone();
-                            context.push(site);
                             ts.lock_stack.push(lock);
                             ts.context_stack.push(site);
-                            self.record(
-                                inner,
-                                me,
-                                EventKind::acquire(lock, site, held, context).shared(),
-                            );
+                            self.record(inner, me, EventKind::acquire(lock, site).shared());
                             self.config.obs.counters().add_acquires_observed(1);
                         }
                     }

@@ -28,18 +28,21 @@ fn non_lexical_release_order_is_supported() {
     });
     assert!(r.outcome.is_completed(), "{:?}", r.outcome);
     // The acquire of c sees only b held (a was released).
-    let acq_c = r
-        .trace
-        .events()
-        .iter()
-        .find_map(|e| match &e.kind {
-            EventKind::Acquire { site, held, .. } if site.as_str().contains("nl acq c") => {
-                Some(held.clone())
+    let mut held = Vec::new();
+    let mut held_at_c = None;
+    for e in r.trace.events() {
+        match &e.kind {
+            EventKind::Acquire { lock, site, .. } => {
+                if site.as_str().contains("nl acq c") {
+                    held_at_c = Some(held.clone());
+                }
+                held.push(*lock);
             }
-            _ => None,
-        })
-        .expect("acquire of c recorded");
-    assert_eq!(acq_c.len(), 1);
+            EventKind::Release { lock, .. } => held.retain(|l| l != lock),
+            _ => {}
+        }
+    }
+    assert_eq!(held_at_c.expect("acquire of c recorded").len(), 1);
 }
 
 #[test]

@@ -7,15 +7,24 @@
 //! version must keep rejecting, which the version-mismatch tests below
 //! pin too).
 //!
-//! Two binary fixtures are checked in:
+//! Regenerated via `regenerate_goldens` (the current writers' output):
 //!
-//! * `trace.v2.bin` — a **frozen** version-2 artifact from before the
-//!   mode-aware vocabulary landed. The current writer can no longer
-//!   produce it (headers now say 3); the reader must keep accepting it
-//!   forever, decoding to the exact same trace and JSONL bytes.
-//! * `trace.v3.bin` — the current writer's output for a trace using
-//!   the full mode-aware vocabulary (shared acquires, `TryAcquire`,
-//!   condvar events), regenerated via `regenerate_goldens`.
+//! * `trace.jsonl` — the two-lock trace in JSONL (version 2);
+//! * `trace.v4.bin` / `trace.v4.jsonl` — a trace using the full
+//!   mode-aware vocabulary (shared acquires, `TryAcquire`, condvar
+//!   events) in binary version 4 and JSONL version 2;
+//! * `relation.json` — the two-lock trace's relation artifact.
+//!
+//! **Frozen**, never regenerated: artifacts of retired writers, which
+//! the readers must keep accepting forever, decoding to the same traces.
+//! Their `held` and `context` acquire fields are read past.
+//!
+//! * `trace.v2.bin` — the two-lock trace in binary version 2, from
+//!   before the mode-aware vocabulary;
+//! * `trace.v3.bin` / `trace.v3.jsonl` — the mode-rich trace in binary
+//!   version 3 and JSONL version 1;
+//! * `trace.json` — the two-lock trace as plain `Trace` JSON;
+//! * `relation.v1.json` — kept to pin its rejection.
 
 use deadlock_fuzzer::events::{
     read_trace, read_trace_bytes, write_binary_trace, write_trace, EventKind, Label, ObjKind,
@@ -46,26 +55,15 @@ fn golden_trace() -> Trace {
         .objects_mut()
         .create(ObjKind::Lock, Label::new("main:4"), None, vec![]);
     trace.push(t0, EventKind::ThreadStart);
-    trace.push(
-        t0,
-        EventKind::acquire(a, Label::new("main:5"), vec![], vec![Label::new("main:5")]),
-    );
-    trace.push(
-        t0,
-        EventKind::acquire(
-            b,
-            Label::new("main:6"),
-            vec![a],
-            vec![Label::new("main:5"), Label::new("main:6")],
-        ),
-    );
+    trace.push(t0, EventKind::acquire(a, Label::new("main:5")));
+    trace.push(t0, EventKind::acquire(b, Label::new("main:6")));
     trace.push(t0, EventKind::release(b, Label::new("main:7")));
     trace.push(t0, EventKind::release(a, Label::new("main:8")));
     trace.push(t0, EventKind::ThreadExit);
     trace
 }
 
-/// The mode-rich trace behind the v3 fixtures: a reader and a writer on
+/// The mode-rich trace behind the v3 and v4 fixtures: a reader and a writer on
 /// an rwlock (shared acquire/release, a failed exclusive try, a
 /// successful shared try, a mode-tagged block) plus a condvar
 /// wait/notify pair — every event kind the version-3 vocabulary added.
@@ -96,16 +94,7 @@ fn golden_trace_v3() -> Trace {
         .create(ObjKind::Plain, Label::new("main:5"), None, vec![]);
     trace.push(t0, EventKind::ThreadStart);
     trace.push(t1, EventKind::ThreadStart);
-    trace.push(
-        t0,
-        EventKind::acquire(
-            rw,
-            Label::new("main:10"),
-            vec![],
-            vec![Label::new("main:10")],
-        )
-        .shared(),
-    );
+    trace.push(t0, EventKind::acquire(rw, Label::new("main:10")).shared());
     trace.push(t1, EventKind::try_acquire(rw, Label::new("main:20"), false));
     trace.push(
         t1,
@@ -115,25 +104,9 @@ fn golden_trace_v3() -> Trace {
     trace.push(t1, EventKind::blocked(rw));
     trace.push(t0, EventKind::release(rw, Label::new("main:11")).shared());
     trace.push(t1, EventKind::unblocked(rw));
-    trace.push(
-        t1,
-        EventKind::acquire(
-            rw,
-            Label::new("main:23"),
-            vec![],
-            vec![Label::new("main:23")],
-        ),
-    );
+    trace.push(t1, EventKind::acquire(rw, Label::new("main:23")));
     trace.push(t1, EventKind::release(rw, Label::new("main:24")));
-    trace.push(
-        t0,
-        EventKind::acquire(
-            m,
-            Label::new("main:12"),
-            vec![],
-            vec![Label::new("main:12")],
-        ),
-    );
+    trace.push(t0, EventKind::acquire(m, Label::new("main:12")));
     trace.push(t0, EventKind::cond_wait(cv, m, Label::new("main:13")));
     trace.push(t1, EventKind::cond_notify(cv, Label::new("main:25"), true));
     trace.push(t0, EventKind::release(m, Label::new("main:14")));
@@ -151,6 +124,8 @@ const GOLDEN_RELATION_V1: &str = include_str!("golden/relation.v1.json");
 const GOLDEN_TRACE_V2: &[u8] = include_bytes!("golden/trace.v2.bin");
 const GOLDEN_TRACE_V3: &[u8] = include_bytes!("golden/trace.v3.bin");
 const GOLDEN_TRACE_V3_JSONL: &str = include_str!("golden/trace.v3.jsonl");
+const GOLDEN_TRACE_V4: &[u8] = include_bytes!("golden/trace.v4.bin");
+const GOLDEN_TRACE_V4_JSONL: &str = include_str!("golden/trace.v4.jsonl");
 
 /// Byte 15 of the binary preamble is the header's version varint.
 const VERSION_OFFSET: usize = 15;
@@ -173,13 +148,22 @@ fn trace_artifact_golden_round_trips() {
 }
 
 #[test]
-fn binary_v3_artifact_bytes_are_pinned() {
+fn binary_v4_artifact_bytes_are_pinned() {
     let bytes = write_binary_trace(Vec::new(), &golden_trace_v3()).expect("write");
     assert_eq!(
-        bytes, GOLDEN_TRACE_V3,
-        "df-trace binary v3 artifact bytes drifted; bump \
-         TRACE_BINARY_FORMAT_VERSION and regenerate tests/golden/trace.v3.bin"
+        bytes, GOLDEN_TRACE_V4,
+        "df-trace binary v4 artifact bytes drifted; bump \
+         TRACE_BINARY_FORMAT_VERSION and regenerate tests/golden/trace.v4.bin"
     );
+}
+
+#[test]
+fn binary_v3_artifact_bytes_are_pinned() {
+    // The frozen version-3 artifact, whose acquire frames carry the held
+    // set and context, decodes to the mode-rich trace.
+    assert_eq!(u32::from(GOLDEN_TRACE_V3[VERSION_OFFSET]), 3);
+    let back = read_trace_bytes(GOLDEN_TRACE_V3).expect("read golden v3");
+    assert_eq!(back, golden_trace_v3());
 }
 
 #[test]
@@ -187,11 +171,13 @@ fn mode_rich_jsonl_bytes_are_pinned_and_round_trip() {
     let bytes = write_trace(Vec::new(), &golden_trace_v3()).expect("write");
     assert_eq!(
         String::from_utf8(bytes).expect("utf8"),
-        GOLDEN_TRACE_V3_JSONL,
-        "mode-rich JSONL bytes drifted; regenerate tests/golden/trace.v3.jsonl"
+        GOLDEN_TRACE_V4_JSONL,
+        "mode-rich JSONL bytes drifted; regenerate tests/golden/trace.v4.jsonl"
     );
-    let back = read_trace(GOLDEN_TRACE_V3_JSONL.as_bytes()).expect("read golden");
-    assert_eq!(back, golden_trace_v3());
+    for golden in [GOLDEN_TRACE_V4_JSONL, GOLDEN_TRACE_V3_JSONL] {
+        let back = read_trace(golden.as_bytes()).expect("read golden");
+        assert_eq!(back, golden_trace_v3());
+    }
 }
 
 #[test]
@@ -213,29 +199,8 @@ fn binary_v2_golden_still_reads_and_matches_jsonl() {
 }
 
 #[test]
-fn exclusive_traces_encode_as_v2_plus_version_byte() {
-    // The version-3 encoding is a strict superset: every v2 tag encodes
-    // byte-identically, so re-writing the v2 golden's trace differs
-    // from the frozen fixture in exactly one byte — the header version.
-    let bytes = write_binary_trace(Vec::new(), &golden_trace()).expect("write");
-    assert_eq!(bytes.len(), GOLDEN_TRACE_V2.len());
-    assert_eq!(
-        u32::from(bytes[VERSION_OFFSET]),
-        TRACE_BINARY_FORMAT_VERSION
-    );
-    let diffs: Vec<usize> = bytes
-        .iter()
-        .zip(GOLDEN_TRACE_V2)
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(diffs, vec![VERSION_OFFSET]);
-}
-
-#[test]
 fn version_bumped_binary_golden_is_rejected() {
-    let mut bumped = GOLDEN_TRACE_V3.to_vec();
+    let mut bumped = GOLDEN_TRACE_V4.to_vec();
     assert_eq!(
         u32::from(bumped[VERSION_OFFSET]),
         TRACE_BINARY_FORMAT_VERSION
@@ -266,14 +231,13 @@ fn v3_tags_under_a_v2_header_are_rejected() {
 
 #[test]
 fn plain_trace_json_is_pinned_and_round_trips() {
-    let json = serde_json::to_string_pretty(&golden_trace()).expect("serialize");
-    assert_eq!(
-        format!("{json}\n"),
-        GOLDEN_TRACE_JSON,
-        "plain Trace JSON drifted; regenerate tests/golden/trace.json"
-    );
+    // The frozen plain `Trace` JSON still decodes to the golden trace,
+    // and today's serialization round-trips.
     let back: Trace = serde_json::from_str(GOLDEN_TRACE_JSON).expect("parse golden");
     assert_eq!(back, golden_trace());
+    let json = serde_json::to_string_pretty(&golden_trace()).expect("serialize");
+    let again: Trace = serde_json::from_str(&json).expect("parse");
+    assert_eq!(again, golden_trace());
 }
 
 #[test]
@@ -298,10 +262,10 @@ fn relation_artifact_bytes_are_pinned_and_round_trip() {
 /// Regenerates the fixtures after a deliberate format change:
 /// `cargo test -p deadlock-fuzzer --test artifact_golden -- --ignored`.
 ///
-/// `trace.v2.bin` is intentionally NOT regenerated: it is a frozen
-/// artifact of the retired version-2 writer, kept to pin read
-/// compatibility. Neither is `relation.v1.json`, kept to pin its
-/// rejection.
+/// The frozen fixtures of retired writers (`trace.v2.bin`,
+/// `trace.v3.bin`, `trace.v3.jsonl`, `trace.json`, `relation.v1.json`)
+/// are intentionally NOT regenerated: they pin read compatibility (and,
+/// for the relation, rejection).
 #[test]
 #[ignore = "writes tests/golden/; run explicitly after a format change"]
 fn regenerate_goldens() {
@@ -309,23 +273,21 @@ fn regenerate_goldens() {
     std::fs::create_dir_all(&dir).expect("create golden dir");
     let bytes = write_trace(Vec::new(), &golden_trace()).expect("write");
     std::fs::write(dir.join("trace.jsonl"), bytes).expect("write trace.jsonl");
-    let json = serde_json::to_string_pretty(&golden_trace()).expect("serialize");
-    std::fs::write(dir.join("trace.json"), format!("{json}\n")).expect("write trace.json");
     let relation = LockDependencyRelation::from_trace(&golden_trace());
     let mut bytes = Vec::new();
     write_relation(&mut bytes, &relation).expect("write");
     std::fs::write(dir.join("relation.json"), bytes).expect("write relation.json");
     let bytes = write_binary_trace(Vec::new(), &golden_trace_v3()).expect("write");
-    std::fs::write(dir.join("trace.v3.bin"), bytes).expect("write trace.v3.bin");
+    std::fs::write(dir.join("trace.v4.bin"), bytes).expect("write trace.v4.bin");
     let bytes = write_trace(Vec::new(), &golden_trace_v3()).expect("write");
-    std::fs::write(dir.join("trace.v3.jsonl"), bytes).expect("write trace.v3.jsonl");
+    std::fs::write(dir.join("trace.v4.jsonl"), bytes).expect("write trace.v4.jsonl");
 }
 
 /// Builds a structurally plausible trace from a generated op list:
 /// two named threads, four locks, one condvar, a handful of interned
 /// sites — enough variety to exercise every interesting encoder path
-/// (string-table reuse, held/context vectors, shared modes, try
-/// outcomes, condvar edges, empty traces).
+/// (string-table reuse, shared modes, try outcomes, condvar edges,
+/// empty traces).
 fn trace_of_ops(ops: &[(u16, u16, u16)]) -> Trace {
     let mut trace = Trace::new();
     let spawn = Label::new("prop.spawn:1");
@@ -363,13 +325,13 @@ fn trace_of_ops(ops: &[(u16, u16, u16)]) -> Trace {
         let other = locks[usize::from(lock.wrapping_add(1)) % locks.len()];
         let site = sites[usize::from(site_pick) % sites.len()];
         let kind = match op % 10 {
-            0 => EventKind::acquire(lock_id, site, vec![], vec![site]),
-            1 => EventKind::acquire(lock_id, site, vec![other], vec![sites[0], site]),
+            0 => EventKind::acquire(lock_id, site),
+            1 => EventKind::acquire(other, sites[0]),
             2 => EventKind::release(lock_id, site),
             3 => EventKind::ThreadStart,
             4 => EventKind::Yield,
             5 => EventKind::blocked(lock_id),
-            6 => EventKind::acquire(lock_id, site, vec![], vec![site]).shared(),
+            6 => EventKind::acquire(lock_id, site).shared(),
             7 => EventKind::release(lock_id, site).shared(),
             8 => {
                 let kind = EventKind::try_acquire(lock_id, site, lock % 2 == 0);
