@@ -9,7 +9,7 @@
 //! same cycle set.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use df_events::{Label, ObjId, ThreadId};
 use df_igoodlock::oracle::naive_igoodlock_with_stats;
@@ -114,16 +114,46 @@ pub struct IGoodlockBenchRow {
     pub dfs_extensions: u64,
 }
 
+/// The shortest timed sample. A small ring's join takes a few
+/// microseconds, where one call's timing is mostly timer and scheduler
+/// noise; such joins are timed in batches that last at least this long.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
+/// Calls per batch for a batch to last [`MIN_SAMPLE`], given that `calls`
+/// calls took `elapsed`. A call counts as at least 1 ns, so a batch is
+/// at most 10^6 calls.
+fn batch_size(elapsed: Duration, calls: u32) -> u32 {
+    let per_call = (elapsed.as_nanos() / u128::from(calls.max(1))).max(1);
+    u32::try_from(MIN_SAMPLE.as_nanos().div_ceil(per_call)).expect("at most 10^6 calls")
+}
+
+/// Runs `f` in batches of calls and returns its last result with the
+/// best of `reps` samples, in milliseconds per call. Untimed calibration
+/// batches (which also warm up caches and the allocator) grow the batch
+/// until one lasts [`MIN_SAMPLE`].
 fn time_best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut batch = 1;
+    let mut out = f();
+    loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            out = f();
+        }
+        let next = batch_size(start.elapsed(), batch);
+        if next <= batch {
+            break;
+        }
+        batch = next;
+    }
     let mut best = f64::INFINITY;
-    let mut out = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let v = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(v);
+        for _ in 0..batch {
+            out = f();
+        }
+        best = best.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(batch));
     }
-    (out.expect("reps >= 1"), best)
+    (out, best)
 }
 
 fn cycle_set(cycles: &[df_igoodlock::Cycle]) -> BTreeSet<String> {
@@ -140,11 +170,6 @@ pub fn igoodlock_bench_row(
     reps: u32,
 ) -> Result<IGoodlockBenchRow, String> {
     let options = IGoodlockOptions::default();
-    // One untimed warmup of the first implementation measured: on
-    // microsecond-scale rows the process's first join call pays one-time
-    // allocator and code-path costs that would otherwise be billed to
-    // whichever implementation happens to run first.
-    let _ = igoodlock_with_stats(relation, &options);
     let ((indexed_cycles, indexed_stats), indexed_ms) =
         time_best_of(reps, || igoodlock_with_stats(relation, &options));
     let ((naive_cycles, naive_stats), naive_ms) =
@@ -304,6 +329,23 @@ mod tests {
             indexed_candidates_examined: 1,
             dfs_extensions: 1,
         }
+    }
+
+    #[test]
+    fn batches_are_sized_to_last_a_millisecond() {
+        // The 4 µs naive join of a small ring is timed 250 calls at a
+        // time, however many calls the calibration batch made.
+        assert_eq!(batch_size(Duration::from_micros(4), 1), 250);
+        assert_eq!(batch_size(Duration::from_micros(40), 10), 250);
+        // Rounded up: 334 calls of 3 µs last at least 1 ms.
+        assert_eq!(batch_size(Duration::from_micros(3), 1), 334);
+        // Calls of a millisecond or more are timed one at a time.
+        assert_eq!(batch_size(Duration::from_millis(1), 1), 1);
+        assert_eq!(batch_size(Duration::from_millis(80), 1), 1);
+        assert_eq!(batch_size(Duration::from_millis(4), 2), 1);
+        // A call the clock cannot see counts as 1 ns.
+        assert_eq!(batch_size(Duration::ZERO, 1), 1_000_000);
+        assert_eq!(batch_size(Duration::from_nanos(5), 8), 1_000_000);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 use std::collections::{HashMap, HashSet};
 
 use df_abstraction::{Abstraction, AbstractionMode, Abstractor};
-use df_events::{Event, EventKind, Label, ObjId, ThreadId};
+use df_events::{Event, EventKind, Label, ObjId, ObjectTable, ThreadId};
 use df_igoodlock::AbstractCycle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use df_runtime::{Directive, PendingOp, StateView, Strategy, StrategyStats, ThreadView};
+use df_runtime::{
+    Directive, PendingOp, StateView, Strategy, StrategyStats, ThreadView, WaitForGraph,
+};
 
 use crate::check::check_real_deadlock;
 
@@ -106,10 +108,15 @@ impl ActiveConfig {
 /// it un-pauses a uniformly random thread, which then proceeds *through*
 /// its pause point (as CalFuzzer's parked threads do — it is not re-caught
 /// at the same acquire).
+///
+/// A pick reuses the strategy's buffers — the wait-for graph of
+/// `checkRealDeadlock`, the candidate and deferred lists — and each
+/// object's abstraction is computed once, so a schedule point allocates
+/// nothing that grows with the program's thread count.
 #[derive(Debug)]
 pub struct ActiveStrategy {
     config: ActiveConfig,
-    abstractor: Abstractor,
+    abs: AbsMemo,
     rng: ChaCha8Rng,
     /// Paused threads → the pick count at which they were paused.
     paused: HashMap<ThreadId, u64>,
@@ -120,60 +127,85 @@ pub struct ActiveStrategy {
     yielded: HashMap<(ThreadId, Label), u32>,
     stats: StrategyStats,
     monitor_releases: u64,
+    /// `checkRealDeadlock`'s graph, refilled at every acquire pick.
+    graph: WaitForGraph,
+    /// Threads the current pick may choose from; refilled per round.
+    candidates: Vec<ThreadId>,
+    /// Threads the §4 yield gate deferred within the current pick.
+    deferred: Vec<ThreadId>,
+}
+
+/// `abs(o)` for each object of the run, computed on first use. An
+/// object's metadata (site, owner, execution index) is fixed when it is
+/// created, so its abstraction never changes.
+#[derive(Debug)]
+struct AbsMemo {
+    abstractor: Abstractor,
+    /// Indexed by object id (ids are dense per run).
+    by_obj: Vec<Option<Abstraction>>,
+}
+
+impl AbsMemo {
+    fn get(&mut self, objects: &ObjectTable, obj: ObjId) -> &Abstraction {
+        let i = obj.as_usize();
+        if self.by_obj.len() <= i {
+            self.by_obj.resize_with(i + 1, || None);
+        }
+        self.by_obj[i].get_or_insert_with(|| self.abstractor.abs(objects, obj))
+    }
+
+    /// `(abs(a), abs(b))`.
+    fn pair(&mut self, objects: &ObjectTable, a: ObjId, b: ObjId) -> (&Abstraction, &Abstraction) {
+        self.get(objects, a);
+        self.get(objects, b);
+        let known = |o: ObjId| self.by_obj[o.as_usize()].as_ref().expect("computed above");
+        (known(a), known(b))
+    }
 }
 
 impl ActiveStrategy {
     /// Creates the strategy.
     pub fn new(config: ActiveConfig) -> Self {
-        let abstractor = Abstractor::new(config.mode);
+        let abs = AbsMemo {
+            abstractor: Abstractor::new(config.mode),
+            by_obj: Vec::new(),
+        };
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         ActiveStrategy {
             config,
-            abstractor,
+            abs,
             rng,
             paused: HashMap::new(),
             released: HashSet::new(),
             yielded: HashMap::new(),
             stats: StrategyStats::default(),
             monitor_releases: 0,
+            graph: WaitForGraph::new(),
+            candidates: Vec::new(),
+            deferred: Vec::new(),
         }
     }
 
     /// The membership test of Algorithm 3 line 12:
-    /// `(abs(t), abs(l), Context[t]) ∈ Cycle`.
+    /// `(abs(t), abs(l), Context[t]) ∈ Cycle`, where `Context[t]` is the
+    /// thread's context stack with `site` pushed — compared in place.
     fn matches_component(
-        &self,
+        &mut self,
         view: &StateView<'_>,
         t: &ThreadView<'_>,
         lock: ObjId,
         site: Label,
     ) -> bool {
-        let thread_abs = self.abstractor.abs(view.objects(), t.obj);
-        let lock_abs = self.abstractor.abs(view.objects(), lock);
-        if self.config.use_context {
-            let mut context = t.context_stack.to_vec();
-            context.push(site);
-            self.config
-                .cycle
-                .find_component(&thread_abs, &lock_abs, &context)
-                .is_some()
-        } else {
-            self.config
-                .cycle
-                .components()
-                .iter()
-                .any(|c| c.thread == thread_abs && c.lock == lock_abs)
-        }
-    }
-
-    /// The §4 test: is `t` about to perform the *outermost* acquire of a
-    /// cycle component it belongs to (by thread abstraction)?
-    fn matches_yield_gate(&self, thread_abs: &Abstraction, site: Label) -> bool {
-        self.config
-            .cycle
-            .components()
-            .iter()
-            .any(|c| &c.thread == thread_abs && c.outermost_site() == site)
+        let (thread_abs, lock_abs) = self.abs.pair(view.objects(), t.obj, lock);
+        let use_context = self.config.use_context;
+        self.config.cycle.components().iter().any(|c| {
+            c.thread == *thread_abs
+                && c.lock == *lock_abs
+                && (!use_context
+                    || c.context
+                        .split_last()
+                        .is_some_and(|(&last, outer)| last == site && outer == t.context_stack))
+        })
     }
 
     /// Un-pauses threads that exceeded the pause budget (the livelock
@@ -198,6 +230,15 @@ impl ActiveStrategy {
     }
 }
 
+/// The §4 test: is a thread abstracted as `thread_abs` about to perform
+/// the *outermost* acquire of a cycle component it belongs to?
+fn matches_yield_gate(cycle: &AbstractCycle, thread_abs: &Abstraction, site: Label) -> bool {
+    cycle
+        .components()
+        .iter()
+        .any(|c| &c.thread == thread_abs && c.outermost_site() == site)
+}
+
 impl Strategy for ActiveStrategy {
     fn pick(&mut self, view: &StateView<'_>, enabled: &[ThreadId]) -> Directive {
         self.stats.picks += 1;
@@ -212,34 +253,34 @@ impl Strategy for ActiveStrategy {
         }
         // Per-call yield memory: a thread deferred by the §4 gate is only
         // skipped within this decision, not paused.
-        let mut deferred: HashSet<ThreadId> = HashSet::new();
+        self.deferred.clear();
         loop {
-            let candidates: Vec<ThreadId> = enabled
-                .iter()
-                .copied()
-                .filter(|t| !self.paused.contains_key(t) && !deferred.contains(t))
-                .collect();
-            if candidates.is_empty() {
-                if !deferred.is_empty() {
+            self.candidates.clear();
+            self.candidates.extend(
+                enabled
+                    .iter()
+                    .copied()
+                    .filter(|t| !self.paused.contains_key(t) && !self.deferred.contains(t)),
+            );
+            if self.candidates.is_empty() {
+                if !self.deferred.is_empty() {
                     // Only deferred threads remain: run one of them (the
                     // yield gave others their chance already).
-                    let ds: Vec<ThreadId> = enabled
-                        .iter()
-                        .copied()
-                        .filter(|t| deferred.contains(t))
-                        .collect();
+                    let ds = &mut self.candidates;
+                    ds.extend(
+                        enabled
+                            .iter()
+                            .copied()
+                            .filter(|t| self.deferred.contains(t)),
+                    );
                     let t = ds[self.rng.gen_range(0..ds.len())];
                     return Directive::Run(t);
                 }
                 // Thrashing (§2.3): every enabled thread is paused; remove
                 // a random one from Paused. It will run through its pause
                 // point.
-                let mut paused: Vec<ThreadId> = self
-                    .paused
-                    .keys()
-                    .copied()
-                    .filter(|t| enabled.contains(t))
-                    .collect();
+                let paused = &mut self.candidates;
+                paused.extend(self.paused.keys().copied().filter(|t| enabled.contains(t)));
                 paused.sort();
                 if paused.is_empty() {
                     // Defensive: enabled threads exist but none is paused,
@@ -260,7 +301,7 @@ impl Strategy for ActiveStrategy {
                 }
                 continue;
             }
-            let t_id = candidates[self.rng.gen_range(0..candidates.len())];
+            let t_id = self.candidates[self.rng.gen_range(0..self.candidates.len())];
             let t = view.thread(t_id);
             let (lock, site, mode) = match t.pending {
                 Some(PendingOp::Acquire { lock, site, mode }) => (*lock, *site, *mode),
@@ -268,7 +309,7 @@ impl Strategy for ActiveStrategy {
             };
             // Algorithm 3 line 11: checkRealDeadlock with the candidate's
             // lock pushed (in the candidate's acquisition mode).
-            let verdict = check_real_deadlock(view, t_id, lock, mode);
+            let verdict = check_real_deadlock(view, t_id, lock, mode, &mut self.graph);
             if self.config.obs.traces() {
                 self.config
                     .obs
@@ -289,8 +330,8 @@ impl Strategy for ActiveStrategy {
             // cycle component once, letting other threads pass the
             // prefix of the cycle first.
             if self.config.yield_optimization {
-                let thread_abs = self.abstractor.abs(view.objects(), t.obj);
-                if self.matches_yield_gate(&thread_abs, site) {
+                let thread_abs = self.abs.get(view.objects(), t.obj);
+                if matches_yield_gate(&self.config.cycle, thread_abs, site) {
                     let count = self.yielded.entry((t_id, site)).or_insert(0);
                     if *count < self.config.yield_budget {
                         *count += 1;
@@ -303,7 +344,7 @@ impl Strategy for ActiveStrategy {
                                 site: site.to_string(),
                             });
                         }
-                        deferred.insert(t_id);
+                        self.deferred.push(t_id);
                         continue;
                     }
                 }
@@ -318,7 +359,7 @@ impl Strategy for ActiveStrategy {
                         step: view.steps(),
                         thread: t_id,
                         name: t.name.to_string(),
-                        lock: self.abstractor.abs(view.objects(), lock).to_string(),
+                        lock: self.abs.get(view.objects(), lock).to_string(),
                         site: site.to_string(),
                     });
                 }

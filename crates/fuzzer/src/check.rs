@@ -29,21 +29,25 @@ use df_runtime::{DeadlockWitness, Detector, PendingOp, StateView, WaitForGraph, 
 /// probability 1.00, which is impossible if paused intents are invisible
 /// to the check).
 ///
+/// `graph` is the caller's scratch: it is cleared and refilled, so a
+/// caller that checks at every pick (as [`crate::ActiveStrategy`] does)
+/// keeps one graph and allocates only when a cycle is found.
+///
 /// Returns the witness if the acquire closes a cycle.
 pub fn check_real_deadlock(
     view: &StateView<'_>,
     candidate: ThreadId,
     candidate_lock: ObjId,
     candidate_mode: AcquireMode,
+    graph: &mut WaitForGraph,
 ) -> Option<DeadlockWitness> {
     let add_wait =
         |graph: &mut WaitForGraph, t: ThreadId, lock: ObjId, mode: AcquireMode| match mode {
             AcquireMode::Exclusive => graph.add_waits(t, lock),
             AcquireMode::Shared => graph.add_waits_shared(t, lock),
         };
-    let threads = view.threads();
-    let mut graph = WaitForGraph::new();
-    for t in &threads {
+    graph.clear();
+    for t in view.threads() {
         for &held in t.lock_stack {
             // A lock on the stack whose owner is someone else (or nobody)
             // is a shared hold: the runtime pushes read holds on the same
@@ -55,7 +59,7 @@ pub fn check_real_deadlock(
             }
         }
         if t.id == candidate {
-            add_wait(&mut graph, t.id, candidate_lock, candidate_mode);
+            add_wait(graph, t.id, candidate_lock, candidate_mode);
             continue;
         }
         // Any announced acquire whose lock is currently held by another
@@ -72,13 +76,11 @@ pub fn check_real_deadlock(
         if let Some((lock, mode)) = wanted {
             let writer_is_other = view.lock_owner(lock).map(|o| o != t.id).unwrap_or(false);
             let blocked = match mode {
-                AcquireMode::Exclusive => {
-                    writer_is_other || view.lock_readers(lock).iter().any(|&r| r != t.id)
-                }
+                AcquireMode::Exclusive => writer_is_other || view.read_held_by_other(lock, t.id),
                 AcquireMode::Shared => writer_is_other,
             };
             if blocked {
-                add_wait(&mut graph, t.id, lock, mode);
+                add_wait(graph, t.id, lock, mode);
             }
         }
     }
@@ -86,10 +88,7 @@ pub fn check_real_deadlock(
     let components = cycle
         .iter()
         .map(|&tid| {
-            let t = threads
-                .iter()
-                .find(|t| t.id == tid)
-                .expect("cycle thread exists");
+            let t = view.thread(tid);
             let waiting_for = graph
                 .waiting_for(tid)
                 .expect("cycle thread waits for a lock");

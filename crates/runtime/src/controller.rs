@@ -3,9 +3,10 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 
 use df_events::{AcquireMode, EventKind, Label, ObjId, ObjKind, ThreadId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::carrier::{self, Tally};
 use crate::config::RunConfig;
@@ -46,12 +47,22 @@ pub(crate) struct Inner {
     enabled: Vec<ThreadId>,
 }
 
+/// The carrier to unpark once the controller mutex is released: the
+/// thread a pick made `current`, if it is already on its carrier.
+type Wake = Option<Thread>;
+
 /// Shared controller for one run.
 ///
-/// Every virtual thread parks on its own condvar (`ThreadState::wake`)
-/// under the one `inner` mutex; a pick wakes only the thread it made
-/// `current`. The supervisor parks on `done_cond`, which is notified only
-/// when `inner.done` is set.
+/// A virtual thread waits for the token by parking its carrier
+/// (`Thread::park`) with the one `inner` mutex released. A pick only sets
+/// `current` under the mutex and names the picked thread's carrier; the
+/// giver unparks that carrier after it has let the mutex go, so the woken
+/// thread never wakes into a mutex its waker still holds. A woken thread
+/// re-checks `current` and `aborting` under the mutex before it runs and
+/// parks again if it was not picked, so a stale or spurious unpark (one
+/// meant for an earlier virtual thread of a reused carrier) costs one
+/// extra check. The supervisor parks on `done_cond`, which is notified
+/// only when `inner.done` is set.
 pub(crate) struct Controller {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) done_cond: Condvar,
@@ -126,23 +137,24 @@ impl Controller {
     }
 
     /// Ends the run with `outcome` (first writer wins) and wakes every
-    /// parked thread plus the supervisor.
+    /// registered carrier plus the supervisor.
     pub(crate) fn abort(&self, inner: &mut Inner, outcome: Outcome) {
         if inner.g.final_outcome.is_none() {
             inner.g.final_outcome = Some(outcome);
         }
         inner.g.aborting = true;
         inner.done = true;
-        for ts in &inner.g.threads {
-            ts.wake.notify_one();
+        for carrier in inner.g.threads.iter().filter_map(|ts| ts.carrier.as_ref()) {
+            carrier.unpark();
         }
         self.done_cond.notify_one();
     }
 
     /// Picks the next thread to run. Called whenever the token is free
-    /// (`current == None`). On success `current` is set and only the picked
-    /// thread is woken. Returns `Err(Aborted)` if the run ended instead.
-    fn reschedule(&self, inner: &mut Inner) -> Result<(), Aborted> {
+    /// (`current == None`). On success `current` is set and the picked
+    /// thread's carrier is returned for the caller to unpark once it has
+    /// released the mutex. Returns `Err(Aborted)` if the run ended instead.
+    fn reschedule(&self, inner: &mut Inner) -> Result<Wake, Aborted> {
         if inner.g.aborting {
             return Err(Aborted);
         }
@@ -171,11 +183,12 @@ impl Controller {
         match directive {
             Directive::Run(t) if enabled.contains(&t) => {
                 // `current` is only written under `inner`, and a waiter
-                // re-checks it under `inner` before parking, so this notify
-                // cannot be lost even if `t` has not parked yet.
+                // re-checks it under `inner` before parking; an unpark
+                // that lands before `t` parks makes its park return at
+                // once, and a `t` not yet registered finds the pick when
+                // it registers. So the wake-up cannot be lost.
                 g.current = Some(t);
-                g.thread(t).wake.notify_one();
-                Ok(())
+                Ok(g.thread(t).carrier.clone())
             }
             Directive::Run(t) => {
                 self.abort(
@@ -369,7 +382,7 @@ impl Controller {
     /// strategy picks `me` again.
     fn announce_and_wait(
         &self,
-        inner: &mut parking_lot::MutexGuard<'_, Inner>,
+        inner: &mut MutexGuard<'_, Inner>,
         me: ThreadId,
         op: PendingOp,
     ) -> Result<(), Aborted> {
@@ -388,15 +401,20 @@ impl Controller {
             "announcing thread holds the token"
         );
         inner.g.current = None;
-        self.reschedule(inner)?;
-        self.wait_until_picked(inner, me)
+        let wake = self.reschedule(inner)?;
+        self.wait_until_picked(inner, me, wake)
     }
 
     /// Blocks until the strategy makes `me` current, then marks it running.
+    /// `wake` is the carrier of the thread the caller's own pick made
+    /// current: it is unparked after the mutex is released, just before
+    /// `me` parks. An abort unparks every carrier, so a pending `wake` may
+    /// be dropped when the run is ending, or when the pick was `me`.
     fn wait_until_picked(
         &self,
-        inner: &mut parking_lot::MutexGuard<'_, Inner>,
+        inner: &mut MutexGuard<'_, Inner>,
         me: ThreadId,
+        mut wake: Wake,
     ) -> Result<(), Aborted> {
         loop {
             if inner.g.aborting {
@@ -405,8 +423,12 @@ impl Controller {
             if inner.g.current == Some(me) {
                 break;
             }
-            let wake = Arc::clone(&inner.g.thread(me).wake);
-            wake.wait(inner);
+            MutexGuard::unlocked(inner, || {
+                if let Some(carrier) = wake.take() {
+                    carrier.unpark();
+                }
+                thread::park();
+            });
         }
         inner.g.thread_mut(me).status = ThreadStatus::Running;
         Ok(())
@@ -425,12 +447,19 @@ impl Controller {
     /// setup), not here: this function runs when the carrier gets to it,
     /// and bumping the counters here would let wall-clock timing shift
     /// the step numbering of an otherwise deterministic schedule.
+    ///
+    /// Here the thread also registers its carrier, under the mutex and
+    /// before it first checks for a pick: a pick made before this point
+    /// had no carrier to unpark and is found by that check.
     pub(crate) fn start_point(&self, me: ThreadId) -> Result<(), Aborted> {
         let mut inner = self.inner.lock();
-        if inner.g.current.is_none() && !inner.g.aborting {
-            self.reschedule(&mut inner)?;
-        }
-        self.wait_until_picked(&mut inner, me)?;
+        inner.g.thread_mut(me).carrier = Some(thread::current());
+        let wake = if inner.g.current.is_none() && !inner.g.aborting {
+            self.reschedule(&mut inner)?
+        } else {
+            None
+        };
+        self.wait_until_picked(&mut inner, me, wake)?;
         self.record(&mut inner, me, EventKind::ThreadStart);
         Ok(())
     }
@@ -906,7 +935,9 @@ impl Controller {
         self.thread_exit(me);
     }
 
-    /// Marks `me` finished and hands the token onward.
+    /// Marks `me` finished and hands the token onward, waking the picked
+    /// thread after the mutex is released. The carrier is unregistered: it
+    /// goes back to the pool and may carry another run's thread next.
     fn thread_exit(&self, me: ThreadId) {
         let mut inner = self.inner.lock();
         if !matches!(inner.g.thread(me).status, ThreadStatus::Finished) {
@@ -914,11 +945,18 @@ impl Controller {
             inner.g.thread_mut(me).status = ThreadStatus::Finished;
             inner.g.progress += 1;
         }
+        inner.g.thread_mut(me).carrier = None;
         if inner.g.current == Some(me) {
             inner.g.current = None;
         }
-        if !inner.g.aborting {
-            let _ = self.reschedule(&mut inner);
+        let wake = if inner.g.aborting {
+            None
+        } else {
+            self.reschedule(&mut inner).ok().flatten()
+        };
+        drop(inner);
+        if let Some(carrier) = wake {
+            carrier.unpark();
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Internal mutable state of the controller.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::thread::Thread;
 
 use df_events::{AcquireMode, IndexFrame, Label, ObjId, ThreadId, Trace};
-use parking_lot::Condvar;
 
 use crate::fault::{FaultLog, FaultState};
 use crate::pending::PendingOp;
@@ -39,9 +38,12 @@ pub(crate) struct ThreadState {
     /// Stack of method receivers (`this`), aligned with call depth; used by
     /// k-object-sensitive abstraction.
     pub(crate) receiver_stack: Vec<Option<ObjId>>,
-    /// The thread's own parking spot: it waits here (with the controller
-    /// mutex) until it is picked or the run aborts.
-    pub(crate) wake: Arc<Condvar>,
+    /// The carrier running this thread, registered under the controller
+    /// mutex at its first schedule point and cleared when it exits. A pick
+    /// unparks it after the mutex is released; `None` means there is no
+    /// one to wake, since a thread not yet on its carrier finds its pick
+    /// when it registers.
+    pub(crate) carrier: Option<Thread>,
 }
 
 impl ThreadState {
@@ -56,7 +58,7 @@ impl ThreadState {
             call_stack: Vec::new(),
             counters: vec![HashMap::new()],
             receiver_stack: Vec::new(),
-            wake: Arc::new(Condvar::new()),
+            carrier: None,
         }
     }
 

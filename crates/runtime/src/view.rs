@@ -3,7 +3,7 @@
 use df_events::{Label, ObjId, ObjectTable, ThreadId, Trace};
 
 use crate::pending::PendingOp;
-use crate::state::{Global, ThreadStatus};
+use crate::state::{Global, ThreadState, ThreadStatus};
 
 /// A read-only snapshot view of the controller state, passed to
 /// [`crate::Strategy`] at every scheduling decision.
@@ -38,35 +38,8 @@ pub struct ThreadView<'a> {
     pub enabled: bool,
 }
 
-impl<'a> StateView<'a> {
-    /// All threads, in id order.
-    pub fn threads(&self) -> Vec<ThreadView<'a>> {
-        self.g
-            .threads
-            .iter()
-            .map(|ts| ThreadView {
-                id: ts.id,
-                obj: ts.obj,
-                name: &ts.name,
-                pending: match &ts.status {
-                    ThreadStatus::Announced(op) => Some(op),
-                    _ => None,
-                },
-                lock_stack: &ts.lock_stack,
-                context_stack: &ts.context_stack,
-                alive: ts.is_alive(),
-                enabled: self.g.is_enabled(ts.id),
-            })
-            .collect()
-    }
-
-    /// View of one thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not a thread of this execution.
-    pub fn thread(&self, t: ThreadId) -> ThreadView<'a> {
-        let ts = &self.g.threads[t.as_usize()];
+impl<'a> ThreadView<'a> {
+    fn new(g: &'a Global, ts: &'a ThreadState) -> Self {
         ThreadView {
             id: ts.id,
             obj: ts.obj,
@@ -78,8 +51,26 @@ impl<'a> StateView<'a> {
             lock_stack: &ts.lock_stack,
             context_stack: &ts.context_stack,
             alive: ts.is_alive(),
-            enabled: self.g.is_enabled(t),
+            enabled: g.is_enabled(ts.id),
         }
+    }
+}
+
+impl<'a> StateView<'a> {
+    /// All threads, in id order. The views are made as the iterator is
+    /// walked; nothing is collected.
+    pub fn threads(&self) -> impl ExactSizeIterator<Item = ThreadView<'a>> + 'a {
+        let g = self.g;
+        g.threads.iter().map(move |ts| ThreadView::new(g, ts))
+    }
+
+    /// View of one thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a thread of this execution.
+    pub fn thread(&self, t: ThreadId) -> ThreadView<'a> {
+        ThreadView::new(self.g, &self.g.threads[t.as_usize()])
     }
 
     /// The current owner of `lock`, if it is held.
@@ -92,17 +83,12 @@ impl<'a> StateView<'a> {
         self.g.lock_state(lock).map(|l| l.count).unwrap_or(0)
     }
 
-    /// Threads currently holding `lock` in shared (read) mode,
-    /// deduplicated, in id order.
-    pub fn lock_readers(&self, lock: ObjId) -> Vec<ThreadId> {
-        let mut rs = self
-            .g
+    /// Whether a thread other than `t` holds `lock` in shared (read)
+    /// mode.
+    pub fn read_held_by_other(&self, lock: ObjId, t: ThreadId) -> bool {
+        self.g
             .lock_state(lock)
-            .map(|l| l.readers.clone())
-            .unwrap_or_default();
-        rs.sort_unstable();
-        rs.dedup();
-        rs
+            .is_some_and(|l| l.readers.iter().any(|&r| r != t))
     }
 
     /// The object table of the execution so far (for computing

@@ -22,6 +22,12 @@ use df_events::{AcquireMode, ObjId, ThreadId};
 /// exclusive holder (read–read coexistence never blocks). Locks may have
 /// several simultaneous shared holders, so a wait edge can fan out.
 ///
+/// The graph is built to be refilled: [`WaitForGraph::clear`] keeps every
+/// buffer, holds are flat `(lock, thread)` lists sorted when a search
+/// starts, and the searches keep their path, position and successor
+/// scratch in the graph. Once a graph has held its largest state, a
+/// clear, a refill and a search that finds no cycle allocate nothing.
+///
 /// # Example
 ///
 /// ```
@@ -40,9 +46,36 @@ use df_events::{AcquireMode, ObjId, ThreadId};
 /// ```
 #[derive(Debug, Default)]
 pub struct WaitForGraph {
-    exclusive: HashMap<ObjId, Vec<ThreadId>>,
-    shared: HashMap<ObjId, Vec<ThreadId>>,
+    /// Exclusive holds as `(lock, holder)`.
+    exclusive: Vec<(ObjId, ThreadId)>,
+    /// Shared holds as `(lock, holder)`.
+    shared: Vec<(ObjId, ThreadId)>,
     waits: HashMap<ThreadId, (ObjId, AcquireMode)>,
+    scratch: Scratch,
+}
+
+/// Search state reused from one search to the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    starts: Vec<ThreadId>,
+    path: Vec<ThreadId>,
+    /// Index of each thread on `path`.
+    pos: HashMap<ThreadId, usize>,
+    /// Threads fully explored (`find_cycle`) or visited
+    /// (`find_cycle_from`).
+    done: HashSet<ThreadId>,
+    /// One segment of successors per thread on the search stack.
+    succ: Vec<ThreadId>,
+}
+
+impl Scratch {
+    fn reset(&mut self) {
+        self.starts.clear();
+        self.path.clear();
+        self.pos.clear();
+        self.done.clear();
+        self.succ.clear();
+    }
 }
 
 impl WaitForGraph {
@@ -61,12 +94,12 @@ impl WaitForGraph {
 
     /// Records that `t` holds `lock` exclusively.
     pub fn add_holds(&mut self, t: ThreadId, lock: ObjId) {
-        self.exclusive.entry(lock).or_default().push(t);
+        self.exclusive.push((lock, t));
     }
 
     /// Records that `t` holds `lock` in shared (read) mode.
     pub fn add_holds_shared(&mut self, t: ThreadId, lock: ObjId) {
-        self.shared.entry(lock).or_default().push(t);
+        self.shared.push((lock, t));
     }
 
     /// Records that `t` waits for (or intends to acquire) `lock`
@@ -88,15 +121,22 @@ impl WaitForGraph {
 
     /// The exclusive holder of `lock`, if recorded.
     pub fn holder_of(&self, lock: ObjId) -> Option<ThreadId> {
-        self.exclusive.get(&lock).and_then(|v| v.first()).copied()
+        self.exclusive
+            .iter()
+            .find(|&&(l, _)| l == lock)
+            .map(|&(_, t)| t)
     }
 
     /// Every recorded holder of `lock` (exclusive first, then shared),
     /// deduplicated, in id order within each group.
     pub fn holders_of(&self, lock: ObjId) -> Vec<ThreadId> {
         let mut out: Vec<ThreadId> = Vec::new();
-        for group in [self.exclusive.get(&lock), self.shared.get(&lock)] {
-            let mut g: Vec<ThreadId> = group.cloned().unwrap_or_default();
+        for group in [&self.exclusive, &self.shared] {
+            let mut g: Vec<ThreadId> = group
+                .iter()
+                .filter(|&&(l, _)| l == lock)
+                .map(|&(_, t)| t)
+                .collect();
             g.sort_unstable();
             g.dedup();
             for t in g {
@@ -108,27 +148,18 @@ impl WaitForGraph {
         out
     }
 
-    /// Threads that block `t`'s pending acquisition: holders of the
-    /// waited-for lock whose hold mode conflicts with the wait mode.
-    fn successors(&self, t: ThreadId) -> Vec<ThreadId> {
-        let Some(&(lock, mode)) = self.waits.get(&t) else {
-            return Vec::new();
+    /// Sorts the holds for lookup and splits the graph into its edges and
+    /// a reset search scratch.
+    fn prepare(&mut self) -> (Edges<'_>, &mut Scratch) {
+        self.exclusive.sort_unstable();
+        self.shared.sort_unstable();
+        self.scratch.reset();
+        let edges = Edges {
+            exclusive: &self.exclusive,
+            shared: &self.shared,
+            waits: &self.waits,
         };
-        let mut out: Vec<ThreadId> = self.exclusive.get(&lock).cloned().unwrap_or_default();
-        if mode.is_exclusive() {
-            out.extend(
-                self.shared
-                    .get(&lock)
-                    .iter()
-                    .flat_map(|v| v.iter().copied()),
-            );
-        }
-        // Self-edges (re-entrant or upgrade attempts) cannot form a
-        // multi-thread deadlock cycle.
-        out.retain(|&u| u != t);
-        out.sort_unstable();
-        out.dedup();
-        out
+        (edges, &mut self.scratch)
     }
 
     /// Finds a cycle of threads `t_1 → t_2 → … → t_m → t_1` where each
@@ -136,49 +167,22 @@ impl WaitForGraph {
     /// Returns the threads in cycle order, or `None` if the graph is
     /// acyclic. Deterministic: starts and successors are visited in id
     /// order.
-    pub fn find_cycle(&self) -> Option<Vec<ThreadId>> {
+    pub fn find_cycle(&mut self) -> Option<Vec<ThreadId>> {
         // Shared holds give nodes out-degree > 1, so this is a DFS with
         // an explicit path (not the single-successor pointer chase the
         // exclusive-only graph allowed).
-        let mut done: HashSet<ThreadId> = HashSet::new();
-        let mut starts: Vec<ThreadId> = self.waits.keys().copied().collect();
-        starts.sort();
-        for &start in &starts {
-            if done.contains(&start) {
+        let (edges, s) = self.prepare();
+        s.starts.extend(edges.waits.keys().copied());
+        s.starts.sort_unstable();
+        for i in 0..s.starts.len() {
+            let start = s.starts[i];
+            if s.done.contains(&start) {
                 continue;
             }
-            let mut path: Vec<ThreadId> = Vec::new();
-            let mut pos: HashMap<ThreadId, usize> = HashMap::new();
-            if let Some(cycle) = self.dfs(start, &mut path, &mut pos, &mut done) {
+            if let Some(cycle) = edges.dfs(start, s) {
                 return Some(cycle);
             }
         }
-        None
-    }
-
-    fn dfs(
-        &self,
-        cur: ThreadId,
-        path: &mut Vec<ThreadId>,
-        pos: &mut HashMap<ThreadId, usize>,
-        done: &mut HashSet<ThreadId>,
-    ) -> Option<Vec<ThreadId>> {
-        pos.insert(cur, path.len());
-        path.push(cur);
-        for next in self.successors(cur) {
-            if let Some(&i) = pos.get(&next) {
-                return Some(path[i..].to_vec());
-            }
-            if done.contains(&next) {
-                continue; // joins a previously explored acyclic region
-            }
-            if let Some(cycle) = self.dfs(next, path, pos, done) {
-                return Some(cycle);
-            }
-        }
-        path.pop();
-        pos.remove(&cur);
-        done.insert(cur);
         None
     }
 
@@ -191,35 +195,102 @@ impl WaitForGraph {
     ///
     /// This is the incremental check: the thread whose new wait edge may
     /// have closed a cycle asks only about cycles it belongs to.
-    pub fn find_cycle_from(&self, start: ThreadId) -> Option<Vec<ThreadId>> {
-        let mut path = vec![start];
-        let mut visited = HashSet::from([start]);
-        self.reaches(start, start, &mut path, &mut visited)
-            .then_some(path)
+    pub fn find_cycle_from(&mut self, start: ThreadId) -> Option<Vec<ThreadId>> {
+        let (edges, s) = self.prepare();
+        s.path.push(start);
+        s.done.insert(start);
+        edges.reaches(start, start, s).then(|| s.path.clone())
+    }
+}
+
+/// The edges of a [`WaitForGraph`] whose holds are sorted.
+struct Edges<'a> {
+    exclusive: &'a [(ObjId, ThreadId)],
+    shared: &'a [(ObjId, ThreadId)],
+    waits: &'a HashMap<ThreadId, (ObjId, AcquireMode)>,
+}
+
+/// The holders of `lock` in `holds`, sorted by `(lock, holder)`.
+fn holders(holds: &[(ObjId, ThreadId)], lock: ObjId) -> impl Iterator<Item = ThreadId> + '_ {
+    let first = holds.partition_point(|&(l, _)| l < lock);
+    holds[first..]
+        .iter()
+        .take_while(move |&&(l, _)| l == lock)
+        .map(|&(_, t)| t)
+}
+
+impl Edges<'_> {
+    /// Pushes the threads that block `t`'s pending acquisition onto
+    /// `out`: holders of the waited-for lock whose hold mode conflicts
+    /// with the wait mode, in id order, without duplicates. Returns the
+    /// index where they start.
+    fn push_successors(&self, t: ThreadId, out: &mut Vec<ThreadId>) -> usize {
+        let base = out.len();
+        let Some(&(lock, mode)) = self.waits.get(&t) else {
+            return base;
+        };
+        // Self-edges (re-entrant or upgrade attempts) cannot form a
+        // multi-thread deadlock cycle.
+        out.extend(holders(self.exclusive, lock).filter(|&u| u != t));
+        if mode.is_exclusive() {
+            out.extend(holders(self.shared, lock).filter(|&u| u != t));
+        }
+        out[base..].sort_unstable();
+        let mut kept = base;
+        for i in base..out.len() {
+            if kept == base || out[kept - 1] != out[i] {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+        base
+    }
+
+    fn dfs(&self, cur: ThreadId, s: &mut Scratch) -> Option<Vec<ThreadId>> {
+        s.pos.insert(cur, s.path.len());
+        s.path.push(cur);
+        let base = self.push_successors(cur, &mut s.succ);
+        // Deeper calls push and pop their own segments above this one.
+        for i in base..s.succ.len() {
+            let next = s.succ[i];
+            if let Some(&at) = s.pos.get(&next) {
+                return Some(s.path[at..].to_vec());
+            }
+            if s.done.contains(&next) {
+                continue; // joins a previously explored acyclic region
+            }
+            if let Some(cycle) = self.dfs(next, s) {
+                return Some(cycle);
+            }
+        }
+        s.succ.truncate(base);
+        s.path.pop();
+        s.pos.remove(&cur);
+        s.done.insert(cur);
+        None
     }
 
     /// Depth-first walk back to `start`. A thread that cannot reach
-    /// `start` cannot reach it along another branch either, so `visited`
-    /// is a sound memo and the walk is linear in threads.
-    fn reaches(
-        &self,
-        cur: ThreadId,
-        start: ThreadId,
-        path: &mut Vec<ThreadId>,
-        visited: &mut HashSet<ThreadId>,
-    ) -> bool {
-        for next in self.successors(cur) {
+    /// `start` cannot reach it along another branch either, so the
+    /// visited set (`done`) is a sound memo and the walk is linear in
+    /// threads.
+    fn reaches(&self, cur: ThreadId, start: ThreadId, s: &mut Scratch) -> bool {
+        let base = self.push_successors(cur, &mut s.succ);
+        for i in base..s.succ.len() {
+            let next = s.succ[i];
             if next == start {
                 return true;
             }
-            if visited.insert(next) {
-                path.push(next);
-                if self.reaches(next, start, path, visited) {
+            if s.done.insert(next) {
+                s.path.push(next);
+                if self.reaches(next, start, s) {
                     return true;
                 }
-                path.pop();
+                s.path.pop();
             }
         }
+        s.succ.truncate(base);
         false
     }
 }
@@ -327,6 +398,27 @@ mod tests {
         g.add_waits(t(1), o(2));
         assert_eq!(g.holder_of(o(2)), Some(t(2)));
         assert!(g.find_cycle_from(t(1)).is_none());
+    }
+
+    #[test]
+    fn searches_start_clean_after_a_found_cycle() {
+        // A search that finds a cycle returns mid-walk, leaving its
+        // scratch filled; the next search, on the same graph or a
+        // refilled one, must not see any of it.
+        let mut g = WaitForGraph::new();
+        for i in 1..=3 {
+            g.add_holds(t(i), o(i));
+            g.add_waits(t(i), o(i % 3 + 1));
+        }
+        let first = g.find_cycle();
+        assert_eq!(first.as_ref().map(Vec::len), Some(3));
+        assert_eq!(g.find_cycle(), first);
+        assert_eq!(g.find_cycle_from(t(2)), Some(vec![t(2), t(3), t(1)]));
+        g.clear();
+        g.add_holds(t(1), o(1));
+        g.add_waits(t(2), o(1));
+        assert!(g.find_cycle().is_none());
+        assert!(g.find_cycle_from(t(2)).is_none());
     }
 
     #[test]

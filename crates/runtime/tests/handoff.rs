@@ -1,15 +1,18 @@
 //! Wake-up regression tests for the controller's direct token handoff.
 //!
-//! Each virtual thread parks on its own condvar and a pick wakes only the
-//! picked thread, so every way a run can end must explicitly release every
-//! parked thread, and a pick that lands before the picked thread has
-//! parked must not be lost.
+//! A waiting virtual thread parks its carrier, and a pick unparks only the
+//! picked thread's carrier, after the controller mutex is released. So
+//! every way a run can end must explicitly release every parked thread, a
+//! pick that lands before the picked thread has parked (or reached its
+//! carrier) must not be lost, and an unpark that arrives late, at a
+//! carrier already running another virtual thread, must not let that
+//! thread run unpicked.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use df_events::{site, ThreadId};
+use df_events::{site, EventKind, ThreadId};
 use df_runtime::strategy::{FifoStrategy, RoundRobinStrategy};
 use df_runtime::{
     DeadlockWitness, Detector, Directive, Outcome, RunConfig, RunResult, StateView, Strategy, TCtx,
@@ -229,5 +232,97 @@ fn picks_that_beat_a_child_to_its_start_point_are_not_lost() {
             None => first = Some(bytes),
             Some(f) => assert!(*f == bytes, "rep {rep}: trace differs from rep 0"),
         }
+    }
+}
+
+/// Picks a pseudo-random enabled thread (xorshift, seeded per run), logs
+/// every pick, and stops the run with an abort after `abort_after` picks,
+/// if set, while the other threads are parked.
+struct LoggedRandom {
+    state: u64,
+    abort_after: Option<usize>,
+    log: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Strategy for LoggedRandom {
+    fn pick(&mut self, _view: &StateView<'_>, enabled: &[ThreadId]) -> Directive {
+        let mut log = self.log.lock().unwrap();
+        if self.abort_after == Some(log.len()) {
+            return Directive::Abort("cut short".to_string());
+        }
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let t = enabled[(self.state % enabled.len() as u64) as usize];
+        log.push(t);
+        Directive::Run(t)
+    }
+}
+
+/// Main spawns four children that take a shared lock and yield in turn,
+/// then joins them: every schedule point records exactly one event of the
+/// picked thread (a thread's exit records one more, without a pick).
+fn yielding_children(ctx: &TCtx) {
+    let lock = ctx.new_lock(site!("stale lock"));
+    let children: Vec<_> = (0..4)
+        .map(|i| {
+            ctx.spawn(site!("stale spawn"), &format!("yielder-{i}"), move |ctx| {
+                for _ in 0..3 {
+                    let _g = ctx.lock(&lock, site!("stale acquire"));
+                    ctx.yield_now();
+                }
+            })
+        })
+        .collect();
+    for child in &children {
+        ctx.join(child, site!("stale join"));
+    }
+}
+
+#[test]
+fn late_unparks_on_reused_carriers_never_run_an_unpicked_thread() {
+    // Two runners share the process-wide carrier pool, so a carrier is
+    // reused from run to run and between the runners, and an unpark
+    // meant for a thread of one run (an abort's wake-all, or a handoff
+    // whose giver was slow to unpark) can reach a thread of the next.
+    // Every event must still come from the thread the strategy picked
+    // for that schedule point, in pick order.
+    const RUNS_PER_RUNNER: u64 = 300;
+    let runners: Vec<_> = (0..2u64)
+        .map(|runner| {
+            std::thread::spawn(move || {
+                let rt = VirtualRuntime::new(
+                    RunConfig::default().with_hang_timeout(Duration::from_secs(10)),
+                );
+                for run in 0..RUNS_PER_RUNNER {
+                    let seed = runner * RUNS_PER_RUNNER + run;
+                    let log = Arc::new(Mutex::new(Vec::new()));
+                    let strategy = LoggedRandom {
+                        state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+                        // Every third run is cut short mid-run.
+                        abort_after: seed.is_multiple_of(3).then_some(5 + (seed % 40) as usize),
+                        log: Arc::clone(&log),
+                    };
+                    let r = rt.run(Box::new(strategy), yielding_children);
+                    assert!(
+                        matches!(r.outcome, Outcome::Completed | Outcome::StrategyAbort(_)),
+                        "run {seed}: {:?}",
+                        r.outcome
+                    );
+                    let ran: Vec<ThreadId> = r
+                        .trace
+                        .events()
+                        .iter()
+                        .filter(|e| !matches!(e.kind, EventKind::ThreadExit))
+                        .map(|e| e.thread)
+                        .collect();
+                    let picked = log.lock().unwrap().clone();
+                    assert_eq!(ran, picked, "run {seed}: events differ from the picks");
+                }
+            })
+        })
+        .collect();
+    for runner in runners {
+        runner.join().expect("runner passed");
     }
 }
