@@ -2,8 +2,9 @@
 //! (the naive join, the indexed join, and the DFS lock-graph baseline on
 //! the same relations), Phase I's two observation paths (offline trace
 //! recording vs the streaming relation builder), and trace I/O
-//! throughput (JSONL vs binary, offline vs streamed writes, and
-//! decoding), with output parity cross-checked per row.
+//! throughput (JSONL vs binary, offline vs streamed writes, decoding,
+//! and `dfz analyze`'s way from a binary artifact to the relation, with
+//! its peak heap), with output parity cross-checked per row.
 //!
 //! ```text
 //! cargo run --release -p df-bench --bin igoodlock_bench
@@ -23,11 +24,69 @@
 //! is broken — a correctness failure, which CI's perf-smoke step turns
 //! into a red build.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+
 use df_bench::{
     igoodlock_bench, precision_bench, streaming_bench, trace_io_bench_rows, IGoodlockBenchRow,
-    PrecisionRow, StreamingBenchRow, TraceIoBenchRow,
+    PrecisionRow, StreamingBenchRow, TraceIoBenchRow, ANALYZE_EVENTS,
 };
 use serde::Serialize;
+
+/// Counts heap bytes while [`peak_heap`] measures, so the analyze rows
+/// report the peak each path holds; otherwise it costs one relaxed load
+/// per call.
+struct PeakAlloc;
+
+static MEASURING: AtomicBool = AtomicBool::new(false);
+/// Bytes allocated minus bytes freed since the measurement started
+/// (negative when it frees older memory).
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn track(delta: i64) {
+    if MEASURING.load(Ordering::Relaxed) {
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; tracking touches
+// only static atomics, which never allocate.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as i64);
+        // SAFETY: the caller's contract is passed through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as i64 - layout.size() as i64);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns the most heap bytes it held at once beyond
+/// those live when it started. Single-threaded use only: it counts
+/// every thread's allocations.
+fn peak_heap(f: &mut dyn FnMut()) -> u64 {
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
+    MEASURING.store(true, Ordering::SeqCst);
+    f();
+    MEASURING.store(false, Ordering::SeqCst);
+    PEAK.load(Ordering::SeqCst).max(0) as u64
+}
 
 /// The envelope written to `BENCH_igoodlock.json`: the join comparison,
 /// the streaming memory/throughput
@@ -186,9 +245,9 @@ fn print_streaming_rows(rows: &[StreamingBenchRow]) {
 
 fn print_trace_io_rows(rows: &[TraceIoBenchRow]) {
     println!();
-    println!("== Trace I/O: JSONL vs binary, offline vs streamed writes, decode ==");
+    println!("== Trace I/O: JSONL vs binary, offline vs streamed writes, decode, analyze ==");
     println!(
-        "{:<20} {:<16} {:>10} | {:>10} {:>14} | {:>12} {:>8} | {:>10} {:>14}",
+        "{:<20} {:<21} {:>10} | {:>10} {:>14} | {:>12} {:>8} | {:>10} {:>14} | {:>12}",
         "workload",
         "mode",
         "events",
@@ -197,11 +256,13 @@ fn print_trace_io_rows(rows: &[TraceIoBenchRow]) {
         "bytes",
         "B/event",
         "decode(ms)",
-        "decode ev/s"
+        "decode ev/s",
+        "peak heap"
     );
     for r in rows {
+        let peak = r.peak_heap_bytes.map_or("-".to_string(), |b| b.to_string());
         println!(
-            "{:<20} {:<16} {:>10} | {:>10.3} {:>14.0} | {:>12} {:>8.2} | {:>10.3} {:>14.0}",
+            "{:<20} {:<21} {:>10} | {:>10.3} {:>14.0} | {:>12} {:>8.2} | {:>10.3} {:>14.0} | {:>12}",
             r.workload,
             r.mode,
             r.events,
@@ -211,11 +272,13 @@ fn print_trace_io_rows(rows: &[TraceIoBenchRow]) {
             r.bytes_per_event,
             r.decode_ms,
             r.decode_events_per_sec,
+            peak,
         );
     }
     println!(
         "(per workload: streamed output byte-identical to offline output per \
-         format, binary decodes back to the source trace; times are best of reps)"
+         format, binary decodes back to the source trace, both analyze paths \
+         build the same relation; times are best of reps)"
     );
 }
 
@@ -306,13 +369,14 @@ fn main() {
         }
     };
     print_streaming_rows(&streaming);
-    let trace_io = match trace_io_bench_rows(args.trace_events, args.reps) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("parity failure: {e}");
-            std::process::exit(1);
-        }
-    };
+    let trace_io =
+        match trace_io_bench_rows(args.trace_events, ANALYZE_EVENTS, args.reps, peak_heap) {
+            Ok(rows) => rows,
+            Err(e) => {
+                eprintln!("parity failure: {e}");
+                std::process::exit(1);
+            }
+        };
     print_trace_io_rows(&trace_io);
     let precision = precision_bench(args.precision_trials);
     print_precision_rows(&precision);

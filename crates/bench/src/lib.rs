@@ -22,7 +22,9 @@ pub use igoodlock_bench::{
 };
 pub use precision::{precision_bench, precision_row, PrecisionRow};
 pub use streaming_bench::{streaming_bench, streaming_bench_row, StreamingBenchRow};
-pub use trace_bench::{synthetic_trace, trace_io_bench_rows, TraceIoBenchRow};
+pub use trace_bench::{
+    synthetic_trace, trace_io_bench_rows, PeakHeap, TraceIoBenchRow, ANALYZE_EVENTS,
+};
 
 use std::time::Duration;
 

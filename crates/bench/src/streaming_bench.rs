@@ -82,7 +82,11 @@ pub fn streaming_bench_row(
                 .with_obs(obs.clone())
                 .with_event_sink(df_events::SinkHandle::single(builder.clone())),
         );
-        let relation = builder.lock().expect("builder sink").take();
+        let relation = builder
+            .lock()
+            .expect("builder sink")
+            .take()
+            .map_err(|e| format!("{workload}: {e}"))?;
         streamed_ms = streamed_ms.min(start.elapsed().as_secs_f64() * 1e3);
         if !result.trace.events().is_empty() {
             return Err(format!("{workload}: streaming path materialized events"));

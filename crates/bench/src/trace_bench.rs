@@ -7,6 +7,16 @@
 //! paths are cross-checked on a small workload: streamed output must be
 //! byte-identical to offline output per format, and the binary artifact
 //! must decode back to the exact source trace.
+//!
+//! Two more rows time `dfz analyze`'s way from a binary artifact to the
+//! lock dependency relation, on a native-spill-sized artifact
+//! ([`ANALYZE_EVENTS`] events), with the peak heap each path holds:
+//! `analyze-binary` decodes the artifact through a 64 KiB read buffer
+//! straight into a [`RelationBuilder`]; `analyze-binary-replay` is the
+//! path it replaced, which read the whole file into memory, decoded it
+//! into a [`Trace`] and replayed that through
+//! [`LockDependencyRelation::from_trace`]. The two relations must be
+//! identical.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,10 +24,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use df_events::{
-    read_trace_bytes, write_trace_as, EventKind, EventSink, Label, ObjId, ObjKind, SpillSink,
-    ThreadId, Trace, TraceFormat,
+    decode_trace, read_trace_bytes, write_trace_as, EventKind, EventSink, Label, ObjId, ObjKind,
+    SpillSink, ThreadId, Trace, TraceFormat,
 };
+use df_igoodlock::{LockDependencyRelation, RelationBuilder};
 use serde::Serialize;
+
+/// Events in the analyze rows' artifact: about what the native-spill
+/// workload of the repository benchmark records.
+pub const ANALYZE_EVENTS: u64 = 1_240_000;
+
+/// Runs its argument once and returns the most heap bytes held at once
+/// beyond those live when it started. The bench binary implements it
+/// with a counting global allocator; without one, pass a probe that
+/// returns 0.
+pub type PeakHeap = fn(&mut dyn FnMut()) -> u64;
 
 /// One `trace_io` row of `BENCH_igoodlock.json`.
 #[derive(Clone, Debug, Serialize)]
@@ -25,11 +46,13 @@ pub struct TraceIoBenchRow {
     /// Synthetic workload name (encodes the event count).
     pub workload: String,
     /// Write path × encoding: `offline-jsonl`, `offline-binary`,
-    /// `streamed-jsonl`, or `streamed-binary`.
+    /// `streamed-jsonl`, or `streamed-binary`; or an analyze path:
+    /// `analyze-binary` or `analyze-binary-replay`.
     pub mode: String,
-    /// Events written.
+    /// Events written (analyzed, for the analyze rows).
     pub events: u64,
-    /// Best-of-reps wall time, milliseconds.
+    /// Best-of-reps wall time, milliseconds: of the write, or of the
+    /// whole way from the file to the relation for the analyze rows.
     pub wall_ms: f64,
     /// Events per second at the best-of-reps time.
     pub events_per_sec: f64,
@@ -39,10 +62,13 @@ pub struct TraceIoBenchRow {
     pub bytes_per_event: f64,
     /// Best-of-reps wall time to decode the artifact back into a
     /// [`Trace`], milliseconds (the same artifact for both write paths
-    /// of an encoding).
+    /// of an encoding). For the analyze rows, where decoding is the
+    /// whole run, the same as `wall_ms`.
     pub decode_ms: f64,
     /// Events decoded per second at the best-of-reps decode time.
     pub decode_events_per_sec: f64,
+    /// Analyze rows only: the most heap bytes the path held at once.
+    pub peak_heap_bytes: Option<u64>,
 }
 
 /// A `Write` target that counts and discards, so the bench measures
@@ -114,9 +140,6 @@ pub fn synthetic_trace(target_events: u64, threads: u32, locks: u32) -> Trace {
 /// Streams `trace` event-by-event through `sink`, the way a live run
 /// feeds a spill sink, and seals it.
 fn feed<S: EventSink>(sink: &mut S, trace: &Trace) {
-    for (thread, obj) in trace.thread_objs() {
-        sink.on_thread_bound(thread, obj);
-    }
     for event in trace.events() {
         sink.on_event(event);
     }
@@ -169,6 +192,74 @@ fn run_decode(trace: &Trace, format: TraceFormat, reps: u32) -> Result<f64, Stri
     Ok(best)
 }
 
+/// `dfz analyze`'s path: the artifact through a 64 KiB read buffer,
+/// decoded straight into a relation builder.
+fn analyze_streamed(artifact: &[u8]) -> Result<LockDependencyRelation, String> {
+    let input = io::BufReader::with_capacity(64 * 1024, artifact);
+    let mut builder = RelationBuilder::new();
+    decode_trace(input, TraceFormat::Binary, &mut builder).map_err(|e| e.to_string())?;
+    builder.finish().map_err(|e| e.to_string())
+}
+
+/// The path `analyze_streamed` replaced: the whole artifact read into
+/// memory, decoded into a [`Trace`], then replayed through the builder.
+fn analyze_replayed(artifact: &[u8]) -> Result<LockDependencyRelation, String> {
+    let bytes = artifact.to_vec();
+    let trace = read_trace_bytes(&bytes).map_err(|e| e.to_string())?;
+    Ok(LockDependencyRelation::from_trace(&trace))
+}
+
+/// The two analyze rows over one binary artifact of `events` events:
+/// best-of-`reps` wall time, and the peak heap of one more run each.
+fn analyze_rows(
+    events: u64,
+    reps: u32,
+    peak_heap: PeakHeap,
+) -> Result<Vec<TraceIoBenchRow>, String> {
+    let artifact = write_trace_as(
+        Vec::new(),
+        &synthetic_trace(events, 4, 8),
+        TraceFormat::Binary,
+    )
+    .map_err(|e| e.to_string())?;
+    let bytes = artifact.len() as u64;
+    type Analyze = fn(&[u8]) -> Result<LockDependencyRelation, String>;
+    let paths: [(&str, Analyze); 2] = [
+        ("analyze-binary", analyze_streamed),
+        ("analyze-binary-replay", analyze_replayed),
+    ];
+    let mut relations = Vec::new();
+    let mut rows = Vec::new();
+    for (mode, analyze) in paths {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps.max(1) {
+            let start = Instant::now();
+            analyze(&artifact)?;
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        let mut result = None;
+        let peak = peak_heap(&mut || result = Some(analyze(&artifact)));
+        relations.push(result.expect("the probe runs its argument")?);
+        let per_sec = events as f64 / best;
+        rows.push(TraceIoBenchRow {
+            workload: format!("native-spill-{events}"),
+            mode: mode.to_string(),
+            events,
+            wall_ms: best * 1e3,
+            events_per_sec: per_sec,
+            bytes,
+            bytes_per_event: bytes as f64 / events as f64,
+            decode_ms: best * 1e3,
+            decode_events_per_sec: per_sec,
+            peak_heap_bytes: Some(peak),
+        });
+    }
+    if relations[0] != relations[1] {
+        return Err("analyze paths built different relations".to_string());
+    }
+    Ok(rows)
+}
+
 /// Cross-checks the four paths on `trace`: per format, streamed output
 /// must be byte-identical to offline output, and the binary artifact
 /// must decode back to the source trace.
@@ -212,13 +303,20 @@ fn parity_check(trace: &Trace) -> Result<(), String> {
 }
 
 /// Measures one synthetic workload across the four path×encoding modes,
-/// and the decode of each encoding's artifact.
+/// and the decode of each encoding's artifact; then the two analyze
+/// rows over an artifact of `analyze_events` events, their peak heap
+/// measured by `peak_heap`.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first parity failure — a
 /// correctness bug, which callers should turn into a non-zero exit.
-pub fn trace_io_bench_rows(target_events: u64, reps: u32) -> Result<Vec<TraceIoBenchRow>, String> {
+pub fn trace_io_bench_rows(
+    target_events: u64,
+    analyze_events: u64,
+    reps: u32,
+    peak_heap: PeakHeap,
+) -> Result<Vec<TraceIoBenchRow>, String> {
     // Parity on a bounded prefix-shaped workload, so even huge
     // requested sizes cross-check quickly.
     parity_check(&synthetic_trace(target_events.min(20_000), 4, 8))?;
@@ -269,8 +367,11 @@ pub fn trace_io_bench_rows(target_events: u64, reps: u32) -> Result<Vec<TraceIoB
             },
             decode_ms: decode * 1e3,
             decode_events_per_sec: per_sec(decode),
+            peak_heap_bytes: None,
         });
     }
+    drop(trace);
+    rows.extend(analyze_rows(analyze_events, reps, peak_heap)?);
     Ok(rows)
 }
 
@@ -289,9 +390,17 @@ mod tests {
 
     #[test]
     fn rows_cover_all_four_modes_and_binary_is_denser() {
-        let rows = trace_io_bench_rows(4_000, 1).expect("parity");
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
+        let rows = trace_io_bench_rows(4_000, 2_000, 1, |f| {
+            f();
+            7
+        })
+        .expect("parity");
+        assert_eq!(rows.len(), 6, "four write modes and two analyze paths");
+        for row in &rows[4..] {
+            assert_eq!(row.events, 2_000, "{}", row.mode);
+            assert_eq!(row.peak_heap_bytes, Some(7), "{}", row.mode);
+        }
+        for row in &rows[..4] {
             assert_eq!(row.events, 4_000, "{}", row.mode);
             assert!(row.bytes > 0, "{}", row.mode);
             assert!(row.events_per_sec > 0.0, "{}", row.mode);

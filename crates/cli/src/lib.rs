@@ -18,13 +18,11 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::io::BufRead;
 
-use deadlock_fuzzer::{Config, DeadlockFuzzer, ProgramRef, Report, Variant};
-use df_abstraction::Abstractor;
-#[cfg(test)]
-use df_events::TraceFormat;
-use df_events::{ObjectTable, SpillConfig, TRACE_BINARY_MAGIC};
-use df_igoodlock::{igoodlock_filtered, FeasibilityAnalysis, LockDependencyRelation};
+use deadlock_fuzzer::{analyze_relation, Config, DeadlockFuzzer, ProgramRef, Report, Variant};
+use df_events::{decode_trace, ObjectTable, SpillConfig, TraceFormat};
+use df_igoodlock::{LockDependencyRelation, RelationBuilder};
 
 /// Documented process exit codes for the verdict commands (`confirm`,
 /// `run`). See README "Failure taxonomy & exit codes".
@@ -225,15 +223,18 @@ pub struct CliOptions {
     pub trials: u32,
     /// Figure 2 variant.
     pub variant: Variant,
-    /// Enable the happens-before false-positive filter.
+    /// Enable the happens-before false-positive filter (it prunes under
+    /// the `Infeasible` verdict's precondition; see
+    /// [`Config::hb_filter`]).
     pub hb: bool,
     /// Score each predicted cycle's feasibility from the Phase I relation
     /// (the precision layer); verdicts ride the reports and
     /// `--metrics-out` gauges.
     pub feasibility: bool,
     /// Replace the uniform per-cycle campaign with the deterministic
-    /// adaptive trial allocator (prunes `Infeasible` cycles, probes
-    /// high-scoring ones first, stops each cycle at its first match).
+    /// adaptive trial allocator (probes high-scoring cycles first, defers
+    /// `Infeasible` ones until every other is done, stops each cycle at
+    /// its first match).
     pub adaptive: bool,
     /// Campaign-wide cap on adaptive Phase II trials (`None` =
     /// uncapped).
@@ -409,7 +410,7 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     };
     let builder = match &opts.relation_out {
         Some(_) => {
-            let b = Arc::new(Mutex::new(df_igoodlock::RelationBuilder::new()));
+            let b = Arc::new(Mutex::new(RelationBuilder::new()));
             handle = handle.with(b.clone());
             Some(b)
         }
@@ -446,7 +447,11 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
         let _ = writeln!(out, "  trace format: {format}");
     }
     if let (Some(b), Some(path)) = (builder, &opts.relation_out) {
-        let relation = b.lock().expect("relation builder sink").take();
+        let relation = b
+            .lock()
+            .expect("relation builder sink")
+            .take()
+            .map_err(|e| CliError::internal(format!("building {}: {e}", path.display())))?;
         let file = std::fs::File::create(path)
             .map_err(|e| CliError::internal(format!("cannot create {}: {e}", path.display())))?;
         df_igoodlock::write_relation(std::io::BufWriter::new(file), &relation)
@@ -463,37 +468,38 @@ pub fn cmd_record(name: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> 
     Ok(CmdOutput::ok(out))
 }
 
-/// Offline iGoodlock for [`cmd_analyze`] over the relation of a recorded
+/// Offline Phase I for [`cmd_analyze`] over the relation of a recorded
 /// artifact — built from a decoded trace or read from a `df-relation`
-/// envelope. Like Phase I, it joins only the relation's cyclic core, and
-/// `--hb` and `--feasibility` read the relation alone. `objects` is the
-/// trace's object table: with it the cycles are abstracted, and `--json`
-/// prints the same pretty-printed abstract-cycle array [`cmd_phase1`]
-/// prints, so a recorded run can be diffed byte-for-byte against a live
-/// one; a relation artifact has none, so its cycles are reported
-/// concretely. With `--metrics-out`, the join's wall-clock span
-/// (cyclic-core pass included) is recorded through
-/// [`df_obs::PhaseTimings`] and lands both as a `phase1_join` phase and
-/// as a `phase1_join_ms` extra gauge in the metrics document, next to
-/// the `igoodlock_core_size` gauge.
+/// envelope — through the same [`analyze_relation`] step as
+/// [`DeadlockFuzzer::phase1`], so `--hb` and `--feasibility` read the
+/// relation alone. `objects` is the trace's object table: with it the
+/// cycles are abstracted, and `--json` prints the same pretty-printed
+/// abstract-cycle array [`cmd_phase1`] prints, so a recorded run can be
+/// diffed byte-for-byte against a live one; a relation artifact has
+/// none, so its cycles are reported concretely. With `--metrics-out`,
+/// the analysis's wall-clock span (cyclic-core pass and join included)
+/// is recorded through [`df_obs::PhaseTimings`] and lands both as a
+/// `phase1_join` phase and as a `phase1_join_ms` extra gauge in the
+/// metrics document, next to the `igoodlock_core_size` gauge.
 fn analyze(
     relation: &LockDependencyRelation,
     objects: Option<&ObjectTable>,
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
     // The join bounds and abstraction Phase I uses for the variant.
-    let config = Config::default().with_variant(opts.variant);
+    let config = Config::default()
+        .with_variant(opts.variant)
+        .with_hb_filter(opts.hb)
+        .with_feasibility(opts.feasibility);
     let timings = df_obs::PhaseTimings::new();
-    let (core, (cycles, stats)) = timings.time("phase1_join", || {
-        let core = relation.cyclic_core();
-        let joined = igoodlock_filtered(&core, opts.hb, &config.igoodlock);
-        (core, joined)
+    let analysis = timings.time("phase1_join", || {
+        analyze_relation(relation, objects, &config)
     });
     let mut metrics = df_obs::Metrics::new("analyze-relation");
     metrics.counters.dependency_edges = relation.len() as u64;
-    metrics.counters.cycles_found = cycles.len() as u64;
-    metrics.counters.join_candidates_examined = stats.join_candidates_examined;
-    metrics.counters.join_chains_built = stats.chains_built;
+    metrics.counters.cycles_found = analysis.cycles.len() as u64;
+    metrics.counters.join_candidates_examined = analysis.stats.join_candidates_examined;
+    metrics.counters.join_chains_built = analysis.stats.chains_built;
     metrics.phases = timings.snapshot();
     if let Some(span) = metrics.phases.iter().find(|s| s.name == "phase1_join") {
         metrics
@@ -502,49 +508,42 @@ fn analyze(
     }
     metrics
         .extra
-        .insert("igoodlock_core_size".to_string(), core.len() as f64);
+        .insert("igoodlock_core_size".to_string(), analysis.core_size as f64);
     write_metrics(opts, &metrics)?;
     let (label, rendered): (&str, Vec<String>) = match objects {
-        Some(objects) => {
-            let abstractor = Abstractor::new(config.mode);
-            let abstract_cycles: Vec<df_igoodlock::AbstractCycle> = cycles
-                .iter()
-                .map(|c| c.abstract_with(objects, &abstractor))
-                .collect();
+        Some(_) => {
             if opts.json {
-                return json_output(serde_json::to_string_pretty(&abstract_cycles));
+                return json_output(serde_json::to_string_pretty(&analysis.abstract_cycles));
             }
-            let rendered = abstract_cycles.iter().map(ToString::to_string).collect();
-            ("offline analysis", rendered)
+            let rendered = analysis.abstract_cycles.iter().map(ToString::to_string);
+            ("offline analysis", rendered.collect())
         }
         None => {
             if opts.json {
-                return json_output(serde_json::to_string_pretty(&cycles));
+                return json_output(serde_json::to_string_pretty(&analysis.cycles));
             }
-            let rendered = cycles.iter().map(ToString::to_string).collect();
-            ("offline analysis (relation artifact)", rendered)
+            let rendered = analysis.cycles.iter().map(ToString::to_string);
+            ("offline analysis (relation artifact)", rendered.collect())
         }
-    };
-    let feasibility = if opts.feasibility {
-        FeasibilityAnalysis::from_relation(relation).score_cycles(&cycles)
-    } else {
-        Vec::new()
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{label}: {} dependency tuple(s), {} in the cyclic core, {} potential cycle(s){}",
         relation.len(),
-        core.len(),
-        cycles.len(),
-        if stats.pruned_by_hb > 0 {
-            format!(" ({} pruned by happens-before)", stats.pruned_by_hb)
+        analysis.core_size,
+        analysis.cycles.len(),
+        if analysis.stats.pruned_by_hb > 0 {
+            format!(
+                " ({} pruned by happens-before)",
+                analysis.stats.pruned_by_hb
+            )
         } else {
             String::new()
         }
     );
     for (i, c) in rendered.iter().enumerate() {
-        let _ = match feasibility.get(i) {
+        let _ = match analysis.feasibility.get(i) {
             Some(judgement) => writeln!(out, "  cycle {}: {c} — {judgement}", i + 1),
             None => writeln!(out, "  cycle {}: {c}", i + 1),
         };
@@ -553,52 +552,56 @@ fn analyze(
 }
 
 /// `dfz analyze <artifact>` — offline iGoodlock over a recorded
-/// artifact, sniffing its format from the first bytes: `df-trace`
-/// binary (from `dfz record --format binary`), `df-trace` JSONL (from
-/// `dfz record --out` or a sealed `df-lock` spill), or `df-relation`
-/// JSON (from `dfz record --relation-out`). Both trace encodings decode
-/// to the same [`df_events::Trace`], so `--json` output is byte-identical
-/// regardless of which one was recorded, and every input goes through
-/// the same relation analysis, so `--hb`, `--feasibility` and
+/// artifact, read from `input` and sniffed once from its first buffered
+/// bytes: `df-trace` binary (from `dfz record --format binary`),
+/// `df-trace` JSONL (from `dfz record --out` or a sealed `df-lock`
+/// spill), or `df-relation` JSON (from `dfz record --relation-out`). A
+/// trace decodes straight into a [`RelationBuilder`], keeping only the
+/// object table — never the file's bytes or its events — and both
+/// encodings build the same relation, so `--json` output is
+/// byte-identical regardless of which one was recorded. Every input goes
+/// through the same relation analysis, so `--hb`, `--feasibility` and
 /// `--metrics-out` work on all three. `source` is the artifact's path
 /// (or other provenance string), used verbatim in error messages.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError::Usage`] for a truncated, corrupt or
-/// other-version artifact — the message names `source` and, when the
+/// other-version artifact, or one whose footer leaves a thread that
+/// nests locks unbound — the message names `source` and, when the
 /// failure is tied to one line (JSONL) or frame (binary), its 1-based
-/// index. Returns a [`CliError::Internal`] naming `source` if the
+/// index. Returns a [`CliError::Internal`] naming `source` if the input
+/// cannot be read (a JSONL trace with invalid UTF-8 included) or its
 /// content matches none of the formats.
-pub fn cmd_analyze(content: &[u8], source: &str, opts: &CliOptions) -> Result<CmdOutput, CliError> {
-    let bad_trace =
-        |e: df_events::SpillError| CliError::usage(format!("bad trace artifact {source}: {e}"));
-    let trace = if content.starts_with(&TRACE_BINARY_MAGIC) {
-        df_events::read_trace_bytes(content).map_err(bad_trace)?
-    } else {
-        let content = std::str::from_utf8(content).map_err(|_| {
-            CliError::internal(format!(
-                "{source} is neither a df-trace binary artifact nor UTF-8 text"
-            ))
-        })?;
-        let head = content.trim_start();
-        if head.starts_with("{\"format\":\"df-relation\"") {
-            let relation = df_igoodlock::read_relation(content.as_bytes())
-                .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
-            return analyze(&relation, None, opts);
-        }
-        if !head.starts_with("{\"Header\"") {
-            return Err(CliError::internal(format!(
-                "{source} is not a df-trace or df-relation artifact"
-            )));
-        }
-        df_events::read_trace(content.as_bytes()).map_err(bad_trace)?
+pub fn cmd_analyze<R: BufRead>(
+    mut input: R,
+    source: &str,
+    opts: &CliOptions,
+) -> Result<CmdOutput, CliError> {
+    let unreadable = |e: std::io::Error| CliError::internal(format!("cannot read {source}: {e}"));
+    let head = input.fill_buf().map_err(unreadable)?;
+    let format = TraceFormat::sniff(head);
+    let text = head.trim_ascii_start();
+    if format == TraceFormat::Jsonl && text.starts_with(b"{\"format\":\"df-relation\"") {
+        let relation = df_igoodlock::read_relation(input)
+            .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
+        return analyze(&relation, None, opts);
+    }
+    if format == TraceFormat::Jsonl && !text.starts_with(b"{\"Header\"") {
+        return Err(CliError::internal(format!(
+            "{source} is not a df-trace or df-relation artifact"
+        )));
+    }
+    // A failed read (invalid UTF-8 in a JSONL line included) stays an
+    // internal error, as when the whole file was read up front.
+    let bad_trace = |e| match e {
+        df_events::SpillError::Io(e) => unreadable(e),
+        e => CliError::usage(format!("bad trace artifact {source}: {e}")),
     };
-    analyze(
-        &LockDependencyRelation::from_trace(&trace),
-        Some(trace.objects()),
-        opts,
-    )
+    let mut builder = RelationBuilder::new();
+    let footer = decode_trace(input, format, &mut builder).map_err(bad_trace)?;
+    let relation = builder.finish().map_err(bad_trace)?;
+    analyze(&relation, Some(footer.objects()), opts)
 }
 
 /// `dfz confirm <benchmark>` — Phase II confirmation of one or all cycles.
@@ -656,18 +659,15 @@ pub fn cmd_confirm(
             for c in fuzzer.confirm_all(&phase1) {
                 confirmed |= c.confirmed;
                 panicked |= c.probability.outcomes.panics > 0;
-                let pruned = c.error.is_none()
-                    && c.probability.trials == 0
-                    && matches!(
-                        c.feasibility.as_ref().map(|j| j.verdict),
-                        Some(df_igoodlock::FeasibilityVerdict::Infeasible)
-                    );
                 let _ = write!(out, "cycle {:>2}: ", c.cycle_index + 1);
                 if let Some(e) = &c.error {
                     failed = true;
                     let _ = write!(out, "FAILED — {e}");
-                } else if pruned {
-                    let _ = write!(out, "pruned — no trials spent");
+                } else if c.cut_while_deferred() {
+                    let _ = write!(
+                        out,
+                        "deferred, then cut by the trial budget — no trials spent"
+                    );
                 } else {
                     let _ = write!(
                         out,
@@ -778,15 +778,40 @@ mod tests {
 
     #[test]
     fn analyze_rejects_garbage() {
-        // Neither format's header, in UTF-8 text and in raw bytes: an
-        // internal error that names the source.
+        // Neither format's header, in UTF-8 text and in raw bytes, or a
+        // JSONL trace that is not UTF-8 after its header: an internal
+        // error that names the source.
         for (content, source) in [
             (&b"{not json"[..], "runs/garbage.json"),
             (&[0xff, 0xfe, 0x00][..], "runs/garbage.bin"),
+            (
+                &b"{\"Header\":{\"format\":\"df-trace\",\"version\":2}}\n\xff\n"[..],
+                "runs/latin1.jsonl",
+            ),
         ] {
             let err = cmd_analyze(content, source, &CliOptions::default()).unwrap_err();
             assert_eq!(err.exit_code(), exit_code::INTERNAL_ERROR, "{err}");
             assert!(err.message().contains(source), "{err}");
+        }
+    }
+
+    #[test]
+    fn analyze_names_the_thread_a_footer_leaves_unbound() {
+        // The figure1 goldens with T1's binding deleted from the footer.
+        for (content, source) in [
+            (
+                &include_bytes!("../../../tests/golden/unbound_thread.jsonl")[..],
+                "unbound_thread.jsonl",
+            ),
+            (
+                &include_bytes!("../../../tests/golden/unbound_thread.bin")[..],
+                "unbound_thread.bin",
+            ),
+        ] {
+            let err = cmd_analyze(content, source, &CliOptions::default()).unwrap_err();
+            assert_eq!(err.exit_code(), exit_code::USAGE, "{err}");
+            assert!(err.message().contains(source), "{err}");
+            assert!(err.message().contains("thread T1"), "{err}");
         }
     }
 
@@ -921,14 +946,14 @@ mod tests {
             };
             cmd_record("jigsaw", &record_opts).unwrap();
             let content = std::fs::read(&trace_path.0).unwrap();
-            let plain = cmd_analyze(&content, tag, &CliOptions::default())
+            let plain = cmd_analyze(&content[..], tag, &CliOptions::default())
                 .unwrap()
                 .text;
             let hb_opts = CliOptions {
                 hb: true,
                 ..CliOptions::default()
             };
-            let filtered = cmd_analyze(&content, tag, &hb_opts).unwrap().text;
+            let filtered = cmd_analyze(&content[..], tag, &hb_opts).unwrap().text;
             assert!(
                 filtered.contains("pruned by happens-before"),
                 "{tag}: {filtered}"
@@ -1010,11 +1035,11 @@ mod tests {
 
         let live = cmd_phase1("figure1", &opts).unwrap();
         let content = std::fs::read(&trace_path.0).unwrap();
-        let offline = cmd_analyze(&content, "trace.jsonl", &opts).unwrap();
+        let offline = cmd_analyze(&content[..], "trace.jsonl", &opts).unwrap();
         assert_eq!(offline.text, live.text, "recorded analysis must match live");
 
         let relation_content = std::fs::read(&relation_path.0).unwrap();
-        let from_relation = cmd_analyze(&relation_content, "relation.json", &opts).unwrap();
+        let from_relation = cmd_analyze(&relation_content[..], "relation.json", &opts).unwrap();
         let cycles: Vec<df_igoodlock::Cycle> = serde_json::from_str(&from_relation.text).unwrap();
         assert_eq!(cycles.len(), 1, "{}", from_relation.text);
     }
@@ -1032,7 +1057,7 @@ mod tests {
 
         // The streamed artifact still analyzes like a recorded one.
         let content = std::fs::read(&trace_path.0).unwrap();
-        let offline = cmd_analyze(&content, "streamed.jsonl", &CliOptions::default()).unwrap();
+        let offline = cmd_analyze(&content[..], "streamed.jsonl", &CliOptions::default()).unwrap();
         assert!(
             offline.text.contains("1 potential cycle"),
             "{}",
@@ -1062,7 +1087,7 @@ mod tests {
 
         let jsonl_bytes = std::fs::read(&jsonl_path.0).unwrap();
         let bin_bytes = std::fs::read(&bin_path.0).unwrap();
-        assert!(bin_bytes.starts_with(&TRACE_BINARY_MAGIC));
+        assert!(bin_bytes.starts_with(&df_events::TRACE_BINARY_MAGIC));
         assert!(
             bin_bytes.len() < jsonl_bytes.len(),
             "binary ({}) must be denser than JSONL ({})",
@@ -1072,8 +1097,8 @@ mod tests {
 
         // Same run, either encoding: the --json analysis must be
         // byte-identical.
-        let from_jsonl = cmd_analyze(&jsonl_bytes, "v1", &jsonl_opts).unwrap();
-        let from_bin = cmd_analyze(&bin_bytes, "v2", &bin_opts).unwrap();
+        let from_jsonl = cmd_analyze(&jsonl_bytes[..], "v1", &jsonl_opts).unwrap();
+        let from_bin = cmd_analyze(&bin_bytes[..], "v2", &bin_opts).unwrap();
         assert_eq!(from_jsonl.text, from_bin.text);
         assert_eq!(
             from_jsonl.text,
@@ -1108,7 +1133,7 @@ mod tests {
         let mut patched = bytes[..bytes.len() - 2].to_vec();
         patched.extend_from_slice(&[1, 99]);
         patched.extend_from_slice(&bytes[bytes.len() - 2..]);
-        let err = cmd_analyze(&patched, "runs/badtag.bin", &plain).unwrap_err();
+        let err = cmd_analyze(&patched[..], "runs/badtag.bin", &plain).unwrap_err();
         assert_eq!(err.exit_code(), exit_code::USAGE);
         assert!(err.message().contains("frame"), "{err}");
 
@@ -1148,8 +1173,8 @@ mod tests {
             hb: true,
             ..CliOptions::default()
         };
-        let from_trace = cmd_analyze(&trace, "hb-both.jsonl", &hb).unwrap().text;
-        let from_relation = cmd_analyze(&relation, "hb-both.relation.json", &hb)
+        let from_trace = cmd_analyze(&trace[..], "hb-both.jsonl", &hb).unwrap().text;
+        let from_relation = cmd_analyze(&relation[..], "hb-both.relation.json", &hb)
             .unwrap()
             .text;
         assert!(
@@ -1181,10 +1206,10 @@ mod tests {
                 .collect()
         };
         let live = cmd_phase1("jigsaw", &opts).unwrap().text;
-        let from_trace = cmd_analyze(&trace, "feasibility.jsonl", &opts)
+        let from_trace = cmd_analyze(&trace[..], "feasibility.jsonl", &opts)
             .unwrap()
             .text;
-        let from_relation = cmd_analyze(&relation, "feasibility.relation.json", &opts)
+        let from_relation = cmd_analyze(&relation[..], "feasibility.relation.json", &opts)
             .unwrap()
             .text;
         assert_eq!(cycle_lines(&from_trace), cycle_lines(&live));
@@ -1241,7 +1266,7 @@ mod tests {
             metrics_out: Some(metrics_path.0.clone()),
             ..CliOptions::default()
         };
-        let out = cmd_analyze(&content, "timed-relation.json", &opts).unwrap();
+        let out = cmd_analyze(&content[..], "timed-relation.json", &opts).unwrap();
         assert!(out.text.contains("1 potential cycle"), "{}", out.text);
         let metrics =
             df_obs::Metrics::from_json(&std::fs::read_to_string(&metrics_path.0).unwrap()).unwrap();

@@ -172,9 +172,12 @@ fn main() {
             None => usage(),
         },
         "analyze" => match positional.first() {
-            Some(path) => std::fs::read(path)
+            Some(path) => std::fs::File::open(path)
                 .map_err(|e| CliError::internal(format!("cannot read {path}: {e}")))
-                .and_then(|content| cmd_analyze(&content, path, &opts)),
+                // The artifact streams through this buffer into the
+                // relation builder and is never held whole.
+                .map(|file| std::io::BufReader::with_capacity(64 * 1024, file))
+                .and_then(|input| cmd_analyze(input, path, &opts)),
             None => usage(),
         },
         "confirm" => match positional.first() {

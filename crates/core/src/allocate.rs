@@ -7,9 +7,12 @@
 //! [`allocate_trials`] turns that prior into a successive-halving-style
 //! bandit loop:
 //!
-//! * `Infeasible`-scored cycles get **zero** trials — the verdict is
-//!   sound (fork/join order forbids the deadlock state in every
-//!   execution), so a trial could never confirm them.
+//! * `Infeasible`-scored cycles are **deferred**: they run only after
+//!   every other cycle is done, with the same per-cycle ceiling, and are
+//!   the first to go when the budget runs out. The verdict decides the
+//!   order of trials, never whether they run: it holds only when the
+//!   program's fork/join structure does not depend on the schedule, and
+//!   no check on the trace can establish that.
 //! * Rounds hand out doubling quanta of trials, highest-priority cycle
 //!   first. Priority is the feasibility score shrunk by failures,
 //!   `score / (1 + trials_run)` — the running `matched/ran` estimate of
@@ -28,8 +31,7 @@
 //! cycles run, how many trials each got, in what order — is byte-for-byte
 //! identical at any `jobs` value, and with no `total_budget` the set of
 //! confirmed cycles provably equals the uniform campaign's (both run the
-//! same seed prefix of every non-infeasible cycle until a match or the
-//! ceiling).
+//! same seed prefix of every cycle until a match or the ceiling).
 
 /// Per-cycle input to [`allocate_trials`]: the feasibility prior.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,8 +40,8 @@ pub struct CycleBudget {
     pub cycle_index: usize,
     /// Feasibility score in `[0, 1]` (use `0.5` when unscored).
     pub score: f64,
-    /// Whether the cycle was soundly judged infeasible; such cycles are
-    /// pruned without spending any trial.
+    /// Whether the cycle was judged infeasible; such cycles are deferred
+    /// until every other cycle is done.
     pub infeasible: bool,
 }
 
@@ -62,8 +64,9 @@ pub struct AllocationOutcome {
     pub trials_run: u32,
     /// Matching trials observed.
     pub matched: u32,
-    /// Whether the cycle was skipped as provably infeasible.
-    pub pruned_infeasible: bool,
+    /// Whether the cycle was deferred as infeasible (it may still have
+    /// run trials, unless the budget ran out first).
+    pub deferred_infeasible: bool,
     /// Whether at least one trial matched.
     pub confirmed: bool,
 }
@@ -96,16 +99,28 @@ where
             cycle_index: c.cycle_index,
             trials_run: 0,
             matched: 0,
-            pruned_infeasible: c.infeasible,
+            deferred_infeasible: c.infeasible,
             confirmed: false,
         })
         .collect();
-    let mut active: Vec<usize> = (0..cycles.len())
-        .filter(|&i| !cycles[i].infeasible)
-        .collect();
+    let slots = |infeasible: bool| {
+        (0..cycles.len())
+            .filter(|&i| cycles[i].infeasible == infeasible)
+            .collect::<Vec<_>>()
+    };
+    // Every other cycle first; the infeasible ones get what is left.
+    let mut active = slots(false);
+    let mut deferred = slots(true);
     let mut budget_left = total_budget;
     let mut quantum = INITIAL_QUANTUM;
-    while !active.is_empty() && budget_left != Some(0) {
+    while budget_left != Some(0) {
+        if active.is_empty() {
+            if deferred.is_empty() {
+                break;
+            }
+            active = std::mem::take(&mut deferred);
+            quantum = INITIAL_QUANTUM;
+        }
         // Highest priority first; ties break toward the earlier cycle so
         // the order is total and deterministic.
         active.sort_by(|&a, &b| {
@@ -125,8 +140,7 @@ where
             if len == 0 {
                 // Only a drained budget can zero the batch (active cycles
                 // always have headroom); the campaign is over.
-                active.clear();
-                break;
+                return outcomes;
             }
             let result = run_batch(slot, outcomes[slot].trials_run, len);
             debug_assert!(result.ran <= len, "executor ran more trials than asked");
@@ -189,28 +203,56 @@ mod tests {
         }
     }
 
+    fn infeasible(cycle_index: usize) -> CycleBudget {
+        CycleBudget {
+            cycle_index,
+            score: 0.0,
+            infeasible: true,
+        }
+    }
+
     #[test]
-    fn infeasible_cycles_get_zero_trials() {
-        let cycles = [
-            budget(0, 0.9),
-            CycleBudget {
-                cycle_index: 1,
-                score: 0.0,
-                infeasible: true,
-            },
-        ];
+    fn infeasible_cycles_run_last() {
+        let cycles = [infeasible(0), budget(1, 0.9)];
         let calls = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let out = allocate_trials(
             &cycles,
             4,
             None,
-            scripted(vec![None, Some(0)], calls.clone()),
+            scripted(vec![Some(2), None], calls.clone()),
         );
-        assert!(out[1].pruned_infeasible);
-        assert_eq!(out[1].trials_run, 0);
-        assert!(!out[1].confirmed);
-        assert!(calls.borrow().iter().all(|&(slot, _, _)| slot == 0));
-        assert_eq!(out[0].trials_run, 4, "feasible cycle still exhausts");
+        assert!(out[0].deferred_infeasible);
+        assert!(!out[1].deferred_infeasible);
+        assert_eq!(out[1].trials_run, 4, "feasible cycle still exhausts");
+        assert_eq!(out[0].trials_run, 3, "deferred, not skipped");
+        assert!(out[0].confirmed);
+        let calls = calls.borrow();
+        let first_deferred = calls.iter().position(|&(slot, _, _)| slot == 0).unwrap();
+        assert!(
+            calls[..first_deferred]
+                .iter()
+                .all(|&(slot, _, _)| slot == 1)
+                && calls[first_deferred..]
+                    .iter()
+                    .all(|&(slot, _, _)| slot == 0),
+            "the infeasible cycle ran before the other was done: {calls:?}"
+        );
+    }
+
+    #[test]
+    fn a_drained_budget_cuts_deferred_cycles_first() {
+        let cycles = [infeasible(0), budget(1, 0.1), infeasible(2)];
+        let calls = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let out = allocate_trials(
+            &cycles,
+            4,
+            Some(6),
+            scripted(vec![None, None, None], calls.clone()),
+        );
+        assert_eq!(out[1].trials_run, 4);
+        assert_eq!(out[0].trials_run + out[2].trials_run, 2);
+        assert_eq!(out[0].trials_run, 2, "ties go to the earlier cycle");
+        assert_eq!(trials_saved(&out, 4), 12 - 6);
     }
 
     #[test]

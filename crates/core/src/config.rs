@@ -102,11 +102,13 @@ pub struct Config {
     /// iGoodlock bounds.
     pub igoodlock: IGoodlockOptions,
     /// Prune Phase I cycles whose hold windows are ordered by fork/join
-    /// happens-before (they can never manifest — e.g. the paper's §5.4
-    /// Jigsaw false positives). Off by default: the paper's iGoodlock
-    /// deliberately ignores happens-before to keep its predictive power;
-    /// this is the extension explored by the generalized-Goodlock line of
-    /// work.
+    /// happens-before (e.g. the paper's §5.4 Jigsaw false positives).
+    /// Such a cycle can never manifest only if the fork/join structure
+    /// does not depend on the schedule — the precondition of the
+    /// `Infeasible` verdict, which no check on the trace can establish.
+    /// Off by default: the paper's iGoodlock deliberately ignores
+    /// happens-before to keep its predictive power; this is the
+    /// extension explored by the generalized-Goodlock line of work.
     pub hb_filter: bool,
     /// Virtual-runtime bounds for each execution.
     pub run: RunConfig,

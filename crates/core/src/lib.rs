@@ -70,7 +70,7 @@ mod report;
 pub use allocate::{allocate_trials, trials_saved, AllocationOutcome, BatchResult, CycleBudget};
 pub use config::{Config, Variant};
 pub use error::DfError;
-pub use pipeline::DeadlockFuzzer;
+pub use pipeline::{analyze_relation, DeadlockFuzzer, RelationAnalysis};
 pub use pool::TrialPool;
 pub use program::{Named, Program, ProgramRef};
 pub use report::{

@@ -5,9 +5,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use df_abstraction::Abstractor;
+use df_events::ObjectTable;
 use df_fuzzer::{ActiveConfig, ActiveStrategy, SimpleRandomChecker};
 use df_igoodlock::{
-    igoodlock_filtered, AbstractComponent, AbstractCycle, FeasibilityAnalysis, FeasibilityVerdict,
+    igoodlock_filtered, AbstractComponent, AbstractCycle, Cycle, CycleFeasibility,
+    FeasibilityAnalysis, FeasibilityVerdict, IGoodlockStats, LockDependencyRelation,
     RelationBuilder,
 };
 use df_runtime::{Outcome, RunResult, VirtualRuntime};
@@ -237,16 +239,12 @@ impl DeadlockFuzzer {
 
     /// Phase I: observe one execution under the simple random scheduler
     /// (Algorithm 2), computing the lock dependency relation as it runs,
-    /// and run iGoodlock (Algorithm 1) over the relation's cyclic core.
+    /// and analyze it with [`analyze_relation`].
     ///
     /// A [`RelationBuilder`] attached to the runtime as an event sink
     /// builds the relation and its fork/join clocks online, so the event
     /// vector is never materialized: the report's trace holds the object
     /// table and thread bindings the abstractions need, and no events.
-    /// [`Config::hb_filter`] and [`Config::feasibility`] read only the
-    /// relation. The core only drops tuples no cycle can contain, so the
-    /// cycles are those of the whole relation; feasibility scoring and
-    /// the relation-size figures still see the whole relation.
     pub fn phase1(&self) -> Phase1Report {
         let start = Instant::now();
         let obs = self.config.obs();
@@ -255,36 +253,30 @@ impl DeadlockFuzzer {
         });
         let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
         let result = self.observe(df_events::SinkHandle::single(builder.clone()), false);
-        let relation = builder.lock().expect("relation builder sink").take();
-        let core = relation.cyclic_core();
-        let (cycles, stats) =
-            igoodlock_filtered(&core, self.config.hb_filter, &self.config.igoodlock);
-        let abstractor = Abstractor::new(self.config.mode);
-        let abstract_cycles = cycles
-            .iter()
-            .map(|c| c.abstract_with(result.trace.objects(), &abstractor))
-            .collect();
-        let feasibility = if self.config.feasibility {
-            FeasibilityAnalysis::from_relation(&relation).score_cycles(&cycles)
-        } else {
-            Vec::new()
-        };
+        let relation = builder
+            .lock()
+            .expect("relation builder sink")
+            .take()
+            .expect("the runtime binds every thread it runs");
+        let analysis = analyze_relation(&relation, Some(result.trace.objects()), &self.config);
         obs.counters().add_dependency_edges(relation.len() as u64);
-        obs.counters().add_cycles_found(cycles.len() as u64);
         obs.counters()
-            .add_join_candidates_examined(stats.join_candidates_examined);
-        obs.counters().add_join_chains_built(stats.chains_built);
+            .add_cycles_found(analysis.cycles.len() as u64);
+        obs.counters()
+            .add_join_candidates_examined(analysis.stats.join_candidates_examined);
+        obs.counters()
+            .add_join_chains_built(analysis.stats.chains_built);
         obs.timings().record("phase1", start.elapsed());
         obs.emit(&df_obs::TraceEvent::PhaseEnd {
             phase: "phase1".to_string(),
         });
         Phase1Report {
-            cycles,
-            abstract_cycles,
-            feasibility,
-            stats,
+            cycles: analysis.cycles,
+            abstract_cycles: analysis.abstract_cycles,
+            feasibility: analysis.feasibility,
+            stats: analysis.stats,
             relation_size: relation.len(),
-            core_size: core.len(),
+            core_size: analysis.core_size,
             acquires_observed: relation.raw_count,
             duration: start.elapsed(),
             run_outcome: result.outcome,
@@ -452,13 +444,14 @@ impl DeadlockFuzzer {
     /// campaign of [`Config::confirm_trials`] trials. With it on, trials
     /// are handed out by the deterministic bandit loop of
     /// [`crate::allocate_trials`], seeded from the Phase I feasibility
-    /// scores: `Infeasible` cycles are pruned outright, hot cycles are
-    /// probed first and retired at their first match, and an optional
-    /// [`Config::trial_budget`] caps the campaign-wide spend. Either way
-    /// the trial at index `i` of a cycle uses seed
-    /// `phase2_seed_base + i`, so adaptive campaigns confirm exactly the
-    /// cycles a uniform (uncapped) campaign would, and the allocation is
-    /// identical at any [`Config::jobs`] value.
+    /// scores: hot cycles are probed first and retired at their first
+    /// match, `Infeasible` cycles run only after every other one, and an
+    /// optional [`Config::trial_budget`] caps the campaign-wide spend,
+    /// cutting the deferred cycles first. Either way the trial at index
+    /// `i` of a cycle uses seed `phase2_seed_base + i`, so uncapped
+    /// adaptive campaigns confirm exactly the cycles a uniform campaign
+    /// would, and the allocation is identical at any [`Config::jobs`]
+    /// value.
     pub fn confirm_all(&self, phase1: &Phase1Report) -> Vec<CycleConfirmation> {
         if self.config.adaptive_trials {
             self.confirm_all_adaptive(phase1)
@@ -489,7 +482,7 @@ impl DeadlockFuzzer {
                     infeasible: judgement.verdict == FeasibilityVerdict::Infeasible,
                 },
                 // Unscored (feasibility off): a flat uninformative prior,
-                // never pruned.
+                // never deferred.
                 None => CycleBudget {
                     cycle_index: i,
                     score: 0.5,
@@ -550,8 +543,11 @@ impl DeadlockFuzzer {
         for (i, (outcome, trial_runs)) in outcomes.iter().zip(runs).enumerate() {
             let feasibility = phase1.feasibility.get(i).cloned();
             let cycle = cycles[i].clone();
-            if outcome.pruned_infeasible {
-                obs.counters().add_cycles_pruned_infeasible(1);
+            if outcome.deferred_infeasible {
+                obs.counters().add_cycles_deferred_infeasible(1);
+            }
+            if outcome.deferred_infeasible && outcome.trials_run == 0 {
+                // Cut by the budget before its turn: not a failure.
                 confirmations.push(CycleConfirmation {
                     cycle_index: i,
                     cycle,
@@ -714,6 +710,64 @@ impl DeadlockFuzzer {
     }
 }
 
+/// What Phase I derives from a lock dependency relation (see
+/// [`analyze_relation`]).
+#[derive(Clone, Debug)]
+pub struct RelationAnalysis {
+    /// Size of the relation's cyclic core — the tuples the join ran
+    /// over.
+    pub core_size: usize,
+    /// Potential deadlock cycles with concrete ids.
+    pub cycles: Vec<Cycle>,
+    /// iGoodlock search statistics.
+    pub stats: IGoodlockStats,
+    /// The cycles abstracted over the object table; empty without one.
+    pub abstract_cycles: Vec<AbstractCycle>,
+    /// Feasibility judgement of each cycle when [`Config::feasibility`]
+    /// is on (empty otherwise).
+    pub feasibility: Vec<CycleFeasibility>,
+}
+
+/// Phase I's analysis step, shared by [`DeadlockFuzzer::phase1`] and
+/// `dfz analyze`: iGoodlock (Algorithm 1) over the relation's cyclic
+/// core, pruned by happens-before under [`Config::hb_filter`]; the
+/// cycles abstracted over `objects` under [`Config::mode`]; and, under
+/// [`Config::feasibility`], each cycle scored from the whole relation.
+/// The core only drops tuples no cycle can contain, so the cycles are
+/// those of the whole relation. A relation read without its execution's
+/// object table (a `df-relation` artifact) passes `None` and gets no
+/// abstract cycles.
+pub fn analyze_relation(
+    relation: &LockDependencyRelation,
+    objects: Option<&ObjectTable>,
+    config: &Config,
+) -> RelationAnalysis {
+    let core = relation.cyclic_core();
+    let (cycles, stats) = igoodlock_filtered(&core, config.hb_filter, &config.igoodlock);
+    let abstract_cycles = match objects {
+        Some(objects) => {
+            let abstractor = Abstractor::new(config.mode);
+            cycles
+                .iter()
+                .map(|c| c.abstract_with(objects, &abstractor))
+                .collect()
+        }
+        None => Vec::new(),
+    };
+    let feasibility = if config.feasibility {
+        FeasibilityAnalysis::from_relation(relation).score_cycles(&cycles)
+    } else {
+        Vec::new()
+    };
+    RelationAnalysis {
+        core_size: core.len(),
+        cycles,
+        stats,
+        abstract_cycles,
+        feasibility,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,7 +914,7 @@ mod tests {
         let builder = Arc::new(std::sync::Mutex::new(RelationBuilder::new()));
         let result = fuzzer.observe(df_events::SinkHandle::single(builder.clone()), false);
         assert!(result.trace.events().is_empty());
-        let relation = builder.lock().expect("sink").take();
+        let relation = builder.lock().expect("sink").take().unwrap();
         let offline = fuzzer.phase1();
         assert_eq!(relation.len(), offline.relation_size);
     }
@@ -1151,7 +1205,7 @@ mod tests {
     }
 
     #[test]
-    fn provably_infeasible_cycles_are_pruned_without_trials() {
+    fn infeasible_cycles_are_deferred_not_skipped() {
         let obs = df_obs::Obs::default();
         let fuzzer = DeadlockFuzzer::with_config(
             ordered_pair(),
@@ -1173,14 +1227,43 @@ mod tests {
             df_igoodlock::FeasibilityVerdict::Infeasible
         );
         assert!(!conf.confirmed);
-        assert!(conf.error.is_none(), "pruning is not a failure: {conf:?}");
-        assert_eq!(conf.probability.trials, 0);
+        assert!(conf.error.is_none(), "{conf:?}");
+        let ceiling = Config::default().confirm_trials;
+        assert_eq!(conf.probability.trials, ceiling, "deferred, then run");
         let snap = obs.counters().snapshot();
-        assert_eq!(snap.cycles_pruned_infeasible, 1);
-        assert_eq!(
-            snap.trials_saved,
-            u64::from(Config::default().confirm_trials),
-            "the whole uniform budget of the pruned cycle is saved"
+        assert_eq!(snap.cycles_deferred_infeasible, 1);
+        assert_eq!(snap.trials_saved, 0);
+    }
+
+    #[test]
+    fn a_drained_budget_cuts_the_deferred_cycle() {
+        // The live inversion of figure1, then the ordered pair: one
+        // budgeted trial goes to the live cycle, none is left for the
+        // deferred one.
+        let program = Named::new("live_then_ordered", |ctx: &TCtx| {
+            figure1().run(ctx);
+            ordered_pair().run(ctx);
+        });
+        let report = DeadlockFuzzer::with_config(
+            program,
+            Config::default()
+                .with_feasibility(true)
+                .with_adaptive_trials(true)
+                .with_trial_budget(Some(1)),
+        )
+        .run();
+        let cut: Vec<_> = report
+            .confirmations
+            .iter()
+            .filter(|c| c.cut_while_deferred())
+            .collect();
+        assert_eq!(cut.len(), 1, "{report}");
+        assert!(cut[0].error.is_none());
+        assert!(
+            report
+                .to_string()
+                .contains("deferred, then cut by the trial budget"),
+            "{report}"
         );
     }
 

@@ -368,6 +368,20 @@ pub struct CycleConfirmation {
     pub error: Option<String>,
 }
 
+impl CycleConfirmation {
+    /// Whether the cycle was deferred as `Infeasible` and the trial
+    /// budget ran out before its turn: no trial ran, and that is not a
+    /// failure.
+    pub fn cut_while_deferred(&self) -> bool {
+        self.error.is_none()
+            && self.probability.trials == 0
+            && matches!(
+                self.feasibility.as_ref().map(|j| j.verdict),
+                Some(df_igoodlock::FeasibilityVerdict::Infeasible)
+            )
+    }
+}
+
 /// Result of the full two-phase pipeline on one program.
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -489,13 +503,12 @@ impl fmt::Display for Report {
                     c.cycle_index + 1
                 )?,
                 None => {
-                    let pruned = c.probability.trials == 0
-                        && matches!(
-                            c.feasibility.as_ref().map(|j| j.verdict),
-                            Some(df_igoodlock::FeasibilityVerdict::Infeasible)
-                        );
-                    if pruned {
-                        write!(f, "  cycle {}: pruned — no trials spent", c.cycle_index + 1)?;
+                    if c.cut_while_deferred() {
+                        write!(
+                            f,
+                            "  cycle {}: deferred, then cut by the trial budget — no trials spent",
+                            c.cycle_index + 1
+                        )?;
                     } else {
                         write!(
                             f,

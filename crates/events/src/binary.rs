@@ -31,11 +31,12 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, BufRead, Read};
 
-use crate::spill::{SpillError, TRACE_FORMAT};
+use crate::spill::{SpillError, TraceFooter, TRACE_FORMAT};
 use crate::{
-    AcquireMode, Event, EventKind, IndexFrame, Label, ObjId, ObjKind, ObjectTable, ThreadId, Trace,
+    AcquireMode, Event, EventKind, EventSink, IndexFrame, Label, ObjId, ObjKind, ObjectTable,
+    ThreadId,
 };
 
 /// Leading magic of a binary trace artifact. The first byte is not valid
@@ -54,7 +55,7 @@ pub const TRACE_BINARY_MAGIC: [u8; 4] = [0xDF, b'T', b'2', b'\n'];
 /// from its v2 encoding only in this header byte.
 pub const TRACE_BINARY_FORMAT_VERSION: u32 = 4;
 
-/// Oldest header version [`read_binary_trace`] still accepts.
+/// Oldest header version the binary decoder still accepts.
 pub const TRACE_BINARY_MIN_FORMAT_VERSION: u32 = 2;
 
 /// Frame tags (first payload byte of every frame).
@@ -124,7 +125,7 @@ const NO_STR: u32 = u32::MAX;
 
 /// Streaming encoder for the binary format: turns events and the footer
 /// into frame bytes, maintaining the per-file string table. Pure — it
-/// never touches I/O; [`crate::BinaryTraceWriter`] does the writing.
+/// never touches I/O; the spill module's trace writer does the writing.
 pub(crate) struct BinaryEncoder {
     /// String id of each label defined so far, indexed by
     /// [`Label::index`]; [`NO_STR`] where none is defined yet.
@@ -362,89 +363,6 @@ impl BinaryEncoder {
     }
 }
 
-/// Streams one execution into the binary trace format — the binary
-/// counterpart of [`crate::TraceWriter`], with the same surface.
-/// Dropping without [`BinaryTraceWriter::finish`] leaves a truncated
-/// artifact that [`read_binary_trace`] rejects.
-pub struct BinaryTraceWriter<W: Write> {
-    out: W,
-    encoder: BinaryEncoder,
-    scratch: Vec<u8>,
-    events: u64,
-    bytes: u64,
-}
-
-impl<W: Write> BinaryTraceWriter<W> {
-    /// Starts an artifact by writing the magic and header frame.
-    pub fn new(mut out: W) -> Result<Self, SpillError> {
-        let (encoder, preamble) = BinaryEncoder::new();
-        out.write_all(&preamble)?;
-        Ok(BinaryTraceWriter {
-            out,
-            encoder,
-            scratch: Vec::with_capacity(64),
-            events: 0,
-            bytes: preamble.len() as u64,
-        })
-    }
-
-    /// Appends one event frame (plus any new string definitions).
-    pub fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
-        self.scratch.clear();
-        self.encoder.encode_event(event, &mut self.scratch);
-        self.out.write_all(&self.scratch)?;
-        self.events += 1;
-        self.bytes += self.scratch.len() as u64;
-        Ok(())
-    }
-
-    /// Number of event frames written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
-    /// Bytes written so far (magic + header + events + string table).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Seals the artifact with the footer and seal frames and returns
-    /// the writer.
-    pub fn finish(
-        mut self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-    ) -> Result<W, SpillError> {
-        self.seal(objects, thread_objs)?;
-        Ok(self.out)
-    }
-
-    /// Writes and flushes the footer and seal frames, counting their
-    /// bytes.
-    pub(crate) fn seal(
-        &mut self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-    ) -> Result<(), SpillError> {
-        self.scratch.clear();
-        self.encoder
-            .encode_finish(objects, thread_objs, &mut self.scratch);
-        self.out.write_all(&self.scratch)?;
-        self.bytes += self.scratch.len() as u64;
-        self.out.flush()?;
-        Ok(())
-    }
-}
-
-/// Writes a complete in-memory trace as one binary artifact.
-pub fn write_binary_trace<W: Write>(out: W, trace: &Trace) -> Result<W, SpillError> {
-    let mut w = BinaryTraceWriter::new(out)?;
-    for event in trace.events() {
-        w.write_event(event)?;
-    }
-    w.finish(trace.objects(), trace.thread_objs().collect())
-}
-
 /// Cursor over one frame's payload; every decoding failure carries the
 /// frame's 1-based number, mirroring the JSONL reader's line numbers.
 struct FrameReader<'a> {
@@ -529,85 +447,87 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// Reads a binary artifact back into an in-memory [`Trace`].
-///
-/// # Errors
-///
-/// Rejects inputs without the magic ([`SpillError::NotAnArtifact`]), with
-/// a foreign format name ([`SpillError::WrongFormat`]) or version
-/// ([`SpillError::VersionMismatch`]), truncated before the footer
-/// ([`SpillError::MissingFooter`]) or between footer and seal
-/// ([`SpillError::MissingSeal`]), with frames after the seal
-/// ([`SpillError::TrailingData`]), or with any corrupt frame
-/// ([`SpillError::MalformedFrame`], carrying the 1-based frame number) —
-/// and never panics, whatever the bytes.
-pub fn read_binary_trace(bytes: &[u8]) -> Result<Trace, SpillError> {
-    if bytes.len() < TRACE_BINARY_MAGIC.len() || bytes[..4] != TRACE_BINARY_MAGIC {
-        return Err(SpillError::NotAnArtifact);
-    }
-    let mut pos = TRACE_BINARY_MAGIC.len();
-    let mut frame_no = 0u64;
-    let mut strings: Vec<Label> = Vec::new();
-    let mut trace = Trace::new();
-    let mut footer_seen = false;
-    let mut sealed = false;
-    let mut header_version = TRACE_BINARY_FORMAT_VERSION;
-
-    while pos < bytes.len() {
-        frame_no += 1;
-        if sealed {
-            return Err(SpillError::TrailingData);
-        }
-        // Length prefix (decoded by hand: the frame body is not yet
-        // delimited, so FrameReader cannot be used here).
-        let mut len = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = *bytes.get(pos).ok_or_else(|| SpillError::MalformedFrame {
-                frame: frame_no,
-                detail: "truncated length prefix".to_string(),
-            })?;
-            pos += 1;
-            if shift >= 63 && b > 1 {
-                return Err(SpillError::MalformedFrame {
-                    frame: frame_no,
-                    detail: "length prefix overflows u64".to_string(),
-                });
-            }
-            len |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        let len = usize::try_from(len).unwrap_or(usize::MAX);
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| SpillError::MalformedFrame {
-                frame: frame_no,
-                detail: format!("length prefix {len} runs past end of file"),
-            })?;
-        let mut f = FrameReader {
-            buf: &bytes[pos..end],
-            pos: 0,
-            frame: frame_no,
-        };
-        pos = end;
-
-        let tag = f.byte().map_err(|_| SpillError::MalformedFrame {
-            frame: frame_no,
-            detail: "empty frame (no tag byte)".to_string(),
+/// Reads one frame's length prefix byte by byte (the frame body is not
+/// yet delimited, so [`FrameReader`] cannot be used here).
+fn read_len<R: BufRead>(input: &mut R, frame: u64) -> Result<u64, SpillError> {
+    let bad = |detail: &str| SpillError::MalformedFrame {
+        frame,
+        detail: detail.to_string(),
+    };
+    let mut len = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let mut b = [0u8];
+        input.read_exact(&mut b).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => bad("truncated length prefix"),
+            _ => e.into(),
         })?;
-        if frame_no == 1 && tag != tag::HEADER {
-            return Err(SpillError::MalformedFrame {
-                frame: 1,
-                detail: "first frame is not a header".to_string(),
-            });
+        if shift >= 63 && b[0] > 1 {
+            return Err(bad("length prefix overflows u64"));
+        }
+        len |= u64::from(b[0] & 0x7f) << shift;
+        if b[0] & 0x80 == 0 {
+            return Ok(len);
+        }
+        shift += 7;
+    }
+}
+
+/// The length prefix of the frame at the start of `buf` and the
+/// prefix's size, if `buf` holds the whole frame; `None` sends the
+/// frame, or the error it carries, down the byte-by-byte path.
+fn buffered_frame(buf: &[u8]) -> Option<(usize, usize)> {
+    let mut len = 0u64;
+    let mut shift = 0u32;
+    for (i, &b) in buf.iter().enumerate() {
+        if shift >= 63 && b > 1 {
+            return None;
+        }
+        len |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            let len = usize::try_from(len).ok()?;
+            return (buf.len() - (i + 1) >= len).then_some((i + 1, len));
+        }
+        shift += 7;
+    }
+    None
+}
+
+/// What the binary decoder carries from one frame to the next.
+struct BinaryDecoder {
+    strings: Vec<Label>,
+    next_seq: u64,
+    version: u32,
+    footer: Option<TraceFooter>,
+    sealed: bool,
+}
+
+impl BinaryDecoder {
+    /// Decodes frame number `frame` from its payload, handing an event
+    /// frame's event to `sink`. Inlined into the decode loop: without
+    /// it, decoding a million events took a third longer.
+    #[inline(always)]
+    fn frame<S: EventSink + ?Sized>(
+        &mut self,
+        payload: &[u8],
+        frame: u64,
+        sink: &mut S,
+    ) -> Result<(), SpillError> {
+        let mut f = FrameReader {
+            buf: payload,
+            pos: 0,
+            frame,
+        };
+        let tag = f.byte().map_err(|_| f.bad("empty frame (no tag byte)"))?;
+        if frame == 1 && tag != tag::HEADER {
+            return Err(f.bad("first frame is not a header"));
+        }
+        if self.footer.is_some() && matches!(tag, tag::STR_DEF | tag::EVENT | tag::FOOTER) {
+            return Err(SpillError::TrailingData);
         }
         match tag {
             tag::HEADER => {
-                if frame_no != 1 {
+                if frame != 1 {
                     return Err(f.bad("duplicate header"));
                 }
                 let name_len = f.varint()? as usize;
@@ -627,72 +547,137 @@ pub fn read_binary_trace(bytes: &[u8]) -> Result<Trace, SpillError> {
                         expected: TRACE_BINARY_FORMAT_VERSION,
                     });
                 }
-                header_version = version;
+                self.version = version;
             }
             tag::STR_DEF => {
-                if footer_seen {
-                    return Err(SpillError::TrailingData);
-                }
                 let id = f.varint_u32()? as usize;
-                if id != strings.len() {
+                if id != self.strings.len() {
                     return Err(f.bad(format!(
                         "string id {id} out of order (expected {})",
-                        strings.len()
+                        self.strings.len()
                     )));
                 }
                 let len = f.varint()? as usize;
                 let text = std::str::from_utf8(f.take(len)?)
                     .map_err(|_| f.bad(format!("string {id} is not UTF-8")))?;
-                strings.push(Label::new(text));
+                self.strings.push(Label::new(text));
                 f.done()?;
             }
             tag::EVENT => {
-                if footer_seen {
-                    return Err(SpillError::TrailingData);
-                }
                 let seq = f.varint()?;
                 let thread = f.thread_id()?;
-                let kind = read_kind(&mut f, &strings, header_version)?;
+                let kind = read_kind(&mut f, &self.strings, self.version)?;
                 f.done()?;
-                let assigned = trace.push(thread, kind);
-                if assigned != seq {
-                    return Err(SpillError::MalformedFrame {
-                        frame: frame_no,
-                        detail: format!("event seq {seq} out of order (expected {assigned})"),
-                    });
+                if seq != self.next_seq {
+                    return Err(f.bad(format!(
+                        "event seq {seq} out of order (expected {})",
+                        self.next_seq
+                    )));
                 }
+                sink.on_event(&Event { seq, thread, kind });
+                self.next_seq += 1;
             }
             tag::FOOTER => {
-                if footer_seen {
-                    return Err(SpillError::TrailingData);
-                }
-                read_footer(&mut f, &strings, &mut trace)?;
+                self.footer = Some(read_footer(&mut f, &self.strings)?);
                 f.done()?;
-                footer_seen = true;
             }
             tag::SEAL => {
-                if !footer_seen {
+                if self.footer.is_none() {
                     return Err(f.bad("seal frame before footer"));
                 }
                 f.done()?;
-                sealed = true;
+                self.sealed = true;
             }
-            other => {
-                return Err(f.bad(format!("unknown frame tag {other}")));
-            }
+            other => return Err(f.bad(format!("unknown frame tag {other}"))),
         }
+        Ok(())
     }
-    if frame_no == 0 {
+}
+
+/// Decodes a binary artifact into `sink`: each event through
+/// [`EventSink::on_event`] as its frame is read (a frame the input's
+/// buffer holds whole is read in place, any other through one reused
+/// payload buffer; an [`Event`] owns no heap memory, so each is built on
+/// the stack). Returns the footer once the seal is verified.
+///
+/// # Errors
+///
+/// Rejects inputs without the magic ([`SpillError::NotAnArtifact`]), with
+/// a foreign format name ([`SpillError::WrongFormat`]) or version
+/// ([`SpillError::VersionMismatch`]), truncated before the footer
+/// ([`SpillError::MissingFooter`]) or between footer and seal
+/// ([`SpillError::MissingSeal`]), with frames after the seal
+/// ([`SpillError::TrailingData`]), or with any corrupt frame
+/// ([`SpillError::MalformedFrame`], carrying the 1-based frame number) —
+/// and never panics, whatever the bytes.
+pub(crate) fn decode_binary<R: BufRead, S: EventSink + ?Sized>(
+    mut input: R,
+    sink: &mut S,
+) -> Result<TraceFooter, SpillError> {
+    let mut magic = [0u8; TRACE_BINARY_MAGIC.len()];
+    match input.read_exact(&mut magic) {
+        Ok(()) if magic == TRACE_BINARY_MAGIC => {}
+        Ok(()) => return Err(SpillError::NotAnArtifact),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Err(SpillError::NotAnArtifact)
+        }
+        Err(e) => return Err(e.into()),
+    }
+    let mut decoder = BinaryDecoder {
+        strings: Vec::new(),
+        next_seq: 0,
+        version: TRACE_BINARY_FORMAT_VERSION,
+        footer: None,
+        sealed: false,
+    };
+    let mut payload = Vec::new();
+    let mut frame = 0u64;
+    loop {
+        // Every frame the buffer holds whole is decoded in place.
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            break;
+        }
+        let mut used = 0;
+        while let Some((start, len)) = buffered_frame(&buf[used..]) {
+            frame += 1;
+            if decoder.sealed {
+                return Err(SpillError::TrailingData);
+            }
+            let body = used + start;
+            decoder.frame(&buf[body..body + len], frame, sink)?;
+            used = body + len;
+        }
+        if used > 0 {
+            input.consume(used);
+            continue;
+        }
+        // A frame that straddles the buffer's end, or a corrupt prefix.
+        // The payload buffer grows only as bytes arrive, so a corrupt
+        // length cannot allocate more than the input holds.
+        frame += 1;
+        if decoder.sealed {
+            return Err(SpillError::TrailingData);
+        }
+        let len = read_len(&mut input, frame)?;
+        payload.clear();
+        if input.by_ref().take(len).read_to_end(&mut payload)? as u64 != len {
+            return Err(SpillError::MalformedFrame {
+                frame,
+                detail: format!("length prefix {len} runs past end of file"),
+            });
+        }
+        decoder.frame(&payload, frame, sink)?;
+    }
+    if frame == 0 {
         // Magic only, no frames at all: not even a header.
         return Err(SpillError::NotAnArtifact);
     }
-    if !footer_seen {
-        return Err(SpillError::MissingFooter);
-    }
-    if !sealed {
+    let footer = decoder.footer.ok_or(SpillError::MissingFooter)?;
+    if !decoder.sealed {
         return Err(SpillError::MissingSeal);
     }
-    Ok(trace)
+    Ok(footer)
 }
 
 fn read_kind(
@@ -807,13 +792,9 @@ fn read_kind(
     })
 }
 
-fn read_footer(
-    f: &mut FrameReader<'_>,
-    strings: &[Label],
-    trace: &mut Trace,
-) -> Result<(), SpillError> {
-    let objects = f.varint()? as usize;
-    for _ in 0..objects {
+fn read_footer(f: &mut FrameReader<'_>, strings: &[Label]) -> Result<TraceFooter, SpillError> {
+    let mut objects = ObjectTable::new();
+    for _ in 0..f.varint()? {
         let id = f.obj_id()?;
         let kind = match f.byte()? {
             0 => ObjKind::Lock,
@@ -843,10 +824,8 @@ fn read_footer(
                 Some(label.as_str().to_string())
             }
         };
-        let assigned = trace
-            .objects_mut()
-            .create_named(kind, site, owner, index, name);
-        if assigned != id || trace.objects().get(assigned).seq != seq {
+        let assigned = objects.create_named(kind, site, owner, index, name);
+        if assigned != id || objects.get(assigned).seq != seq {
             return Err(f.bad(format!(
                 "object {} out of order (expected {})",
                 id.as_u32(),
@@ -854,20 +833,28 @@ fn read_footer(
             )));
         }
     }
-    let bindings = f.varint()? as usize;
-    for _ in 0..bindings {
+    let mut thread_objs = BTreeMap::new();
+    for _ in 0..f.varint()? {
         let thread = f.thread_id()?;
         let obj = f.obj_id()?;
-        trace.bind_thread(thread, obj);
+        thread_objs.insert(thread, obj);
     }
-    Ok(())
+    Ok(TraceFooter {
+        objects,
+        thread_objs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spill::{read_trace, write_trace};
+    use crate::spill::{read_trace, read_trace_bytes, write_trace, write_trace_as};
+    use crate::{Trace, TraceFormat};
     use proptest::prelude::*;
+
+    fn write_binary_trace(out: Vec<u8>, trace: &Trace) -> Result<Vec<u8>, SpillError> {
+        write_trace_as(out, trace, TraceFormat::Binary)
+    }
 
     fn sample_trace() -> Trace {
         let mut trace = Trace::new();
@@ -979,7 +966,7 @@ mod tests {
     fn round_trips_a_trace() {
         for trace in [sample_trace(), all_kinds_trace(), Trace::new()] {
             let bytes = write_binary_trace(Vec::new(), &trace).unwrap();
-            let back = read_binary_trace(&bytes).unwrap();
+            let back = read_trace_bytes(&bytes).unwrap();
             assert_eq!(trace, back);
         }
     }
@@ -988,7 +975,7 @@ mod tests {
     fn binary_is_canonical_reencoding_reproduces_bytes() {
         let trace = sample_trace();
         let bytes = write_binary_trace(Vec::new(), &trace).unwrap();
-        let back = read_binary_trace(&bytes).unwrap();
+        let back = read_trace_bytes(&bytes).unwrap();
         let again = write_binary_trace(Vec::new(), &back).unwrap();
         assert_eq!(bytes, again);
     }
@@ -998,11 +985,11 @@ mod tests {
         for trace in [sample_trace(), all_kinds_trace()] {
             let direct = write_trace(Vec::new(), &trace).unwrap();
             let bin = write_binary_trace(Vec::new(), &trace).unwrap();
-            let via_binary = write_trace(Vec::new(), &read_binary_trace(&bin).unwrap()).unwrap();
+            let via_binary = write_trace(Vec::new(), &read_trace_bytes(&bin).unwrap()).unwrap();
             assert_eq!(direct, via_binary);
             assert_eq!(
                 read_trace(&direct[..]).unwrap(),
-                read_binary_trace(&bin).unwrap()
+                read_trace_bytes(&bin).unwrap()
             );
         }
     }
@@ -1023,15 +1010,15 @@ mod tests {
     #[test]
     fn rejects_non_artifacts() {
         assert!(matches!(
-            read_binary_trace(b"{\"Header\":{}}"),
+            read_trace_bytes(b"{\"Header\":{}}"),
             Err(SpillError::NotAnArtifact)
         ));
         assert!(matches!(
-            read_binary_trace(b""),
+            read_trace_bytes(b""),
             Err(SpillError::NotAnArtifact)
         ));
         assert!(matches!(
-            read_binary_trace(&TRACE_BINARY_MAGIC),
+            read_trace_bytes(&TRACE_BINARY_MAGIC),
             Err(SpillError::NotAnArtifact)
         ));
     }
@@ -1047,7 +1034,7 @@ mod tests {
         let mut bumped = bytes.clone();
         assert_eq!(bumped[VERSION_OFFSET], TRACE_BINARY_FORMAT_VERSION as u8);
         bumped[VERSION_OFFSET] = TRACE_BINARY_FORMAT_VERSION as u8 + 1;
-        match read_binary_trace(&bumped) {
+        match read_trace_bytes(&bumped) {
             Err(SpillError::VersionMismatch { found, expected }) => {
                 assert_eq!(found, TRACE_BINARY_FORMAT_VERSION + 1);
                 assert_eq!(expected, TRACE_BINARY_FORMAT_VERSION);
@@ -1058,7 +1045,7 @@ mod tests {
         let mut ancient = bytes;
         ancient[VERSION_OFFSET] = TRACE_BINARY_MIN_FORMAT_VERSION as u8 - 1;
         assert!(matches!(
-            read_binary_trace(&ancient),
+            read_trace_bytes(&ancient),
             Err(SpillError::VersionMismatch { found: 1, .. })
         ));
     }
@@ -1085,7 +1072,7 @@ mod tests {
         let trace = without_acquires(&sample_trace());
         let mut bytes = write_binary_trace(Vec::new(), &trace).unwrap();
         bytes[VERSION_OFFSET] = 2;
-        let back = read_binary_trace(&bytes).unwrap();
+        let back = read_trace_bytes(&bytes).unwrap();
         assert_eq!(trace, back);
     }
 
@@ -1111,8 +1098,8 @@ mod tests {
             }
             bytes
         };
-        let v3 = read_binary_trace(&artifact(3, &frame)).unwrap();
-        let v4 = read_binary_trace(&artifact(4, &frame[..6])).unwrap();
+        let v3 = read_trace_bytes(&artifact(3, &frame)).unwrap();
+        let v4 = read_trace_bytes(&artifact(4, &frame[..6])).unwrap();
         assert_eq!(v3.events(), v4.events());
         assert_eq!(
             v4.events()[0].kind,
@@ -1122,8 +1109,8 @@ mod tests {
         // the context is an error, and a v4 reader does not skip them.
         let mut dangling = frame;
         dangling[10] = 7;
-        assert!(read_binary_trace(&artifact(3, &dangling)).is_err());
-        assert!(read_binary_trace(&artifact(4, &frame)).is_err());
+        assert!(read_trace_bytes(&artifact(3, &dangling)).is_err());
+        assert!(read_trace_bytes(&artifact(4, &frame)).is_err());
     }
 
     #[test]
@@ -1134,7 +1121,7 @@ mod tests {
         let mut bytes = write_binary_trace(Vec::new(), &trace).unwrap();
         assert_eq!(bytes[VERSION_OFFSET], TRACE_BINARY_FORMAT_VERSION as u8);
         bytes[VERSION_OFFSET] = 2;
-        match read_binary_trace(&bytes) {
+        match read_trace_bytes(&bytes) {
             Err(SpillError::MalformedFrame { detail, .. }) => {
                 assert!(
                     detail.contains("requires format version 3"),
@@ -1151,7 +1138,7 @@ mod tests {
         // event of the old vocabulary but the acquisition changed its
         // encoding.
         let bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
-        let decoded = read_binary_trace(&bytes).unwrap();
+        let decoded = read_trace_bytes(&bytes).unwrap();
         for e in decoded.events() {
             assert_ne!(e.kind.mode(), Some(AcquireMode::Shared));
         }
@@ -1164,7 +1151,7 @@ mod tests {
         // "df-trace" starts at offset 7; flip it to "df-other".
         renamed[7..15].copy_from_slice(b"df-other");
         assert!(matches!(
-            read_binary_trace(&renamed),
+            read_trace_bytes(&renamed),
             Err(SpillError::WrongFormat(f)) if f == "df-other"
         ));
     }
@@ -1174,7 +1161,7 @@ mod tests {
         let bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
         // Chop one byte: the final (seal) frame's payload goes missing.
         let cut = &bytes[..bytes.len() - 1];
-        match read_binary_trace(cut) {
+        match read_trace_bytes(cut) {
             Err(e @ SpillError::MalformedFrame { .. }) => {
                 assert!(e.frame().is_some());
                 assert!(e.to_string().contains("malformed frame"), "message: {e}");
@@ -1190,7 +1177,7 @@ mod tests {
         // Replace the seal with a length prefix that never terminates.
         let mut cut = bytes[..bytes.len() - 2].to_vec();
         cut.extend_from_slice(&[0x80; 12]);
-        match read_binary_trace(&cut) {
+        match read_trace_bytes(&cut) {
             Err(SpillError::MalformedFrame { detail, .. }) => {
                 assert!(detail.contains("length prefix"), "detail: {detail}");
             }
@@ -1199,7 +1186,7 @@ mod tests {
         // And one that points past end of file.
         let mut overlong = bytes[..bytes.len() - 2].to_vec();
         overlong.push(100);
-        match read_binary_trace(&overlong) {
+        match read_trace_bytes(&overlong) {
             Err(SpillError::MalformedFrame { detail, .. }) => {
                 assert!(detail.contains("runs past end"), "detail: {detail}");
             }
@@ -1215,7 +1202,7 @@ mod tests {
         let mut crafted = bytes[..bytes.len() - 2].to_vec();
         crafted.extend_from_slice(&[1, 99]);
         crafted.extend_from_slice(&bytes[bytes.len() - 2..]);
-        match read_binary_trace(&crafted) {
+        match read_trace_bytes(&crafted) {
             Err(SpillError::MalformedFrame { detail, .. }) => {
                 assert!(detail.contains("unknown frame tag 99"), "detail: {detail}");
             }
@@ -1228,7 +1215,7 @@ mod tests {
         let bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
         // Drop exactly the 2-byte seal frame: footer intact, seal gone.
         assert!(matches!(
-            read_binary_trace(&bytes[..bytes.len() - 2]),
+            read_trace_bytes(&bytes[..bytes.len() - 2]),
             Err(SpillError::MissingSeal)
         ));
         // Scan back to the start of the footer frame and cut there.
@@ -1254,7 +1241,7 @@ mod tests {
         }
         let footer_start = footer_start.expect("artifact has a footer frame");
         assert!(matches!(
-            read_binary_trace(&bytes[..footer_start]),
+            read_trace_bytes(&bytes[..footer_start]),
             Err(SpillError::MissingFooter)
         ));
     }
@@ -1264,7 +1251,7 @@ mod tests {
         let mut bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
         bytes.extend_from_slice(&[1, 14]);
         assert!(matches!(
-            read_binary_trace(&bytes),
+            read_trace_bytes(&bytes),
             Err(SpillError::TrailingData)
         ));
     }
@@ -1276,7 +1263,7 @@ mod tests {
         let mut doubled = bytes[..bytes.len() - 2].to_vec();
         doubled.extend_from_slice(&bytes[4..16]);
         doubled.extend_from_slice(&bytes[bytes.len() - 2..]);
-        match read_binary_trace(&doubled) {
+        match read_trace_bytes(&doubled) {
             Err(SpillError::MalformedFrame { detail, .. }) => {
                 assert!(detail.contains("duplicate header"), "detail: {detail}");
             }
@@ -1293,7 +1280,7 @@ mod tests {
         fn any_truncation_is_rejected(cut in 0usize..1000) {
             let bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
             let cut = cut % bytes.len();
-            prop_assert!(read_binary_trace(&bytes[..cut]).is_err());
+            prop_assert!(read_trace_bytes(&bytes[..cut]).is_err());
         }
 
         /// Fuzz-ish corruption: flipping any single byte never panics
@@ -1304,7 +1291,7 @@ mod tests {
             let mut bytes = write_binary_trace(Vec::new(), &sample_trace()).unwrap();
             let pos = pos % bytes.len();
             bytes[pos] ^= 1 << bit;
-            let _ = read_binary_trace(&bytes);
+            let _ = read_trace_bytes(&bytes);
         }
     }
 }

@@ -69,7 +69,7 @@ pub struct ObjId(u32);
 
 impl ObjId {
     /// Creates an object id from its index.
-    pub fn new(index: u32) -> Self {
+    pub const fn new(index: u32) -> Self {
         ObjId(index)
     }
 

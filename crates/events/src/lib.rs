@@ -41,8 +41,7 @@ mod spill;
 mod trace;
 
 pub use binary::{
-    read_binary_trace, write_binary_trace, BinaryTraceWriter, TRACE_BINARY_FORMAT_VERSION,
-    TRACE_BINARY_MAGIC, TRACE_BINARY_MIN_FORMAT_VERSION,
+    TRACE_BINARY_FORMAT_VERSION, TRACE_BINARY_MAGIC, TRACE_BINARY_MIN_FORMAT_VERSION,
 };
 pub use event::{AcquireMode, Event, EventKind};
 pub use ids::{ObjId, ObjKind, ThreadId};
@@ -51,9 +50,9 @@ pub use label::{caller_site, Label};
 pub use object::{IndexFrame, ObjectMeta, ObjectTable};
 pub use sink::{EventSink, SinkHandle};
 pub use spill::{
-    read_trace, read_trace_bytes, write_trace, write_trace_as, SpillConfig, SpillError, SpillSink,
-    TraceFooter, TraceFormat, TraceHeader, TraceWriter, TRACE_FORMAT, TRACE_FORMAT_VERSION,
-    TRACE_MIN_FORMAT_VERSION,
+    decode_trace, read_trace, read_trace_bytes, write_trace, write_trace_as, SpillConfig,
+    SpillError, SpillSink, TraceFooter, TraceFormat, TraceHeader, TRACE_FORMAT,
+    TRACE_FORMAT_VERSION, TRACE_MIN_FORMAT_VERSION,
 };
 pub use trace::Trace;
 

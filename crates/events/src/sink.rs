@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::{Event, ObjId, ThreadId, Trace};
+use crate::{Event, Trace};
 
 /// An online observer of one execution's event stream.
 ///
@@ -21,15 +21,10 @@ pub trait EventSink: Send {
     /// Called once per recorded event, in execution (sequence) order.
     fn on_event(&mut self, event: &Event);
 
-    /// Called when `thread` is bound to the object representing it —
-    /// always before any event of `thread` is delivered.
-    fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
-        let _ = (thread, obj);
-    }
-
     /// Called once when the execution ends. `trace` carries the final
     /// object table and thread bindings; its event vector is empty when
-    /// the substrate ran without trace recording.
+    /// the substrate ran without trace recording, and always when a
+    /// decoder replays an artifact's footer.
     fn on_finish(&mut self, trace: &Trace) {
         let _ = trace;
     }
@@ -82,15 +77,6 @@ impl SinkHandle {
         }
     }
 
-    /// Announces a thread→object binding to every attached sink.
-    pub fn thread_bound(&self, thread: ThreadId, obj: ObjId) {
-        for sink in &self.sinks {
-            sink.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .on_thread_bound(thread, obj);
-        }
-    }
-
     /// Announces the end of the execution to every attached sink.
     pub fn finish(&self, trace: &Trace) {
         for sink in &self.sinks {
@@ -112,22 +98,17 @@ impl std::fmt::Debug for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use crate::{EventKind, ThreadId};
 
     #[derive(Default)]
     struct CountingSink {
         events: u64,
-        bindings: u64,
         finished: bool,
     }
 
     impl EventSink for CountingSink {
         fn on_event(&mut self, _event: &Event) {
             self.events += 1;
-        }
-
-        fn on_thread_bound(&mut self, _thread: ThreadId, _obj: ObjId) {
-            self.bindings += 1;
         }
 
         fn on_finish(&mut self, _trace: &Trace) {
@@ -158,12 +139,10 @@ mod tests {
         }
         assert!(sink.is_poisoned());
         let h = SinkHandle::single(sink.clone() as Arc<Mutex<dyn EventSink>>);
-        h.thread_bound(ThreadId::new(0), ObjId::new(0));
         h.emit(&Event::new(0, ThreadId::new(0), EventKind::Yield));
         h.finish(&Trace::new());
         let s = sink.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(s.events, 1);
-        assert_eq!(s.bindings, 1);
         assert!(s.finished);
     }
 
@@ -174,14 +153,12 @@ mod tests {
         let h = SinkHandle::single(a.clone() as Arc<Mutex<dyn EventSink>>)
             .with(b.clone() as Arc<Mutex<dyn EventSink>>);
         assert!(h.is_attached());
-        h.thread_bound(ThreadId::new(0), ObjId::new(0));
         h.emit(&Event::new(0, ThreadId::new(0), EventKind::Yield));
         h.emit(&Event::new(1, ThreadId::new(0), EventKind::Yield));
         h.finish(&Trace::new());
         for sink in [a, b] {
             let s = sink.lock().unwrap();
             assert_eq!(s.events, 2);
-            assert_eq!(s.bindings, 1);
             assert!(s.finished);
         }
     }

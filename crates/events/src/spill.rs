@@ -8,15 +8,16 @@
 //!    thread→object bindings.
 //!
 //! The format exists so observation and analysis can live in different
-//! processes (`dfz record` → `dfz analyze`): a [`TraceWriter`] appends
-//! events as they happen and never needs the full event vector, and
-//! [`read_trace`] reconstructs an in-memory [`Trace`] byte-equivalent to
-//! what a one-shot run would have recorded. Readers reject unknown
-//! format names and versions instead of guessing — the version gate is
-//! what lets the layout evolve without silently misreading old files.
-//!
-//! [`SpillSink`] adapts a [`TraceWriter`] to the [`EventSink`] interface
-//! so a substrate can spill its stream to disk online.
+//! processes (`dfz record` → `dfz analyze`): a [`SpillSink`] appends
+//! events as a substrate emits them and never needs the full event
+//! vector, and [`decode_trace`] replays an artifact into any
+//! [`EventSink`] — a relation builder, say — while [`read_trace`]
+//! reconstructs the in-memory [`Trace`], byte-equivalent to what a
+//! one-shot run would have recorded. One writer serves both encodings
+//! (this one and the binary one of [`crate::TRACE_BINARY_MAGIC`]), and
+//! one decoder each reads them. Readers reject unknown format names and
+//! versions instead of guessing — the version gate is what lets the
+//! layout evolve without silently misreading old files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,7 +26,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::binary::{read_binary_trace, BinaryTraceWriter, TRACE_BINARY_MAGIC};
+use crate::binary::{decode_binary, BinaryEncoder, TRACE_BINARY_MAGIC};
 use crate::{Event, EventSink, ObjId, ObjectTable, ThreadId, Trace};
 
 /// Format name stamped into every trace artifact header.
@@ -44,8 +45,7 @@ pub const TRACE_MIN_FORMAT_VERSION: u32 = 1;
 
 /// Which on-disk encoding of the `df-trace` envelope to write.
 ///
-/// Readers never need this — [`read_trace_bytes`] and `dfz analyze`
-/// sniff the encoding from the first bytes.
+/// Readers sniff it from the first bytes ([`TraceFormat::sniff`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum TraceFormat {
     /// One JSON object per line. Self-describing and diff-friendly; the
@@ -64,6 +64,17 @@ impl TraceFormat {
         match self {
             TraceFormat::Jsonl => "jsonl",
             TraceFormat::Binary => "binary",
+        }
+    }
+
+    /// The encoding of an artifact whose leading bytes are `head` (at
+    /// least the magic's four, when there are that many): binary if they
+    /// carry [`TRACE_BINARY_MAGIC`], JSONL otherwise.
+    pub fn sniff(head: &[u8]) -> Self {
+        if head.starts_with(&TRACE_BINARY_MAGIC) {
+            TraceFormat::Binary
+        } else {
+            TraceFormat::Jsonl
         }
     }
 }
@@ -161,6 +172,9 @@ pub enum SpillError {
     MissingSeal,
     /// A line appeared after the footer, or events after EOF markers.
     TrailingData,
+    /// A thread took nested locks, but nothing binds it to the object
+    /// that represents it: an artifact whose footer omits the thread.
+    UnboundThread(ThreadId),
 }
 
 impl fmt::Display for SpillError {
@@ -192,6 +206,12 @@ impl fmt::Display for SpillError {
             }
             SpillError::TrailingData => {
                 write!(f, "artifact has data after the footer line")
+            }
+            SpillError::UnboundThread(thread) => {
+                write!(
+                    f,
+                    "thread {thread} takes nested locks but is bound to no object"
+                )
             }
         }
     }
@@ -230,142 +250,89 @@ fn jsonl_line(line: &TraceLine) -> Result<String, SpillError> {
     Ok(text)
 }
 
-/// Streams one execution into the on-disk trace format.
-///
-/// Events are appended one line at a time — the writer holds no event
-/// backlog — and [`TraceWriter::finish`] seals the artifact with the
-/// footer. Dropping a writer without finishing leaves a truncated file
-/// that [`read_trace`] rejects with [`SpillError::MissingFooter`].
-pub struct TraceWriter<W: Write> {
+/// Streams one execution into an artifact of either encoding: the
+/// header when created, one line or frame (with any new string
+/// definitions) per event, the footer when sealed. It holds no event
+/// backlog; an unsealed artifact is truncated, and readers reject it.
+pub(crate) struct TraceWriter<W: Write> {
     out: W,
+    /// The binary encoding's string table and payload buffer; `None`
+    /// writes JSONL.
+    binary: Option<BinaryEncoder>,
+    /// The bytes of the record being written, reused across records.
+    scratch: Vec<u8>,
     events: u64,
     bytes: u64,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts an artifact by writing the header line.
-    pub fn new(mut out: W) -> Result<Self, SpillError> {
-        let line = jsonl_line(&TraceLine::Header(TraceHeader {
-            format: TRACE_FORMAT.to_string(),
-            version: TRACE_FORMAT_VERSION,
-        }))?;
-        out.write_all(line.as_bytes())?;
+    /// Starts an artifact by writing its header.
+    pub(crate) fn new(mut out: W, format: TraceFormat) -> Result<Self, SpillError> {
+        let (binary, header) = match format {
+            TraceFormat::Jsonl => {
+                let header = TraceLine::Header(TraceHeader {
+                    format: TRACE_FORMAT.to_string(),
+                    version: TRACE_FORMAT_VERSION,
+                });
+                (None, jsonl_line(&header)?.into_bytes())
+            }
+            TraceFormat::Binary => {
+                let (encoder, preamble) = BinaryEncoder::new();
+                (Some(encoder), preamble)
+            }
+        };
+        out.write_all(&header)?;
         Ok(TraceWriter {
             out,
+            binary,
+            scratch: Vec::with_capacity(64),
             events: 0,
-            bytes: line.len() as u64,
+            bytes: header.len() as u64,
         })
     }
 
-    /// Appends one event line.
-    pub fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
-        let line = jsonl_line(&TraceLine::Event(event.clone()))?;
-        self.out.write_all(line.as_bytes())?;
+    /// Appends one event.
+    pub(crate) fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
+        self.scratch.clear();
+        match &mut self.binary {
+            Some(encoder) => encoder.encode_event(event, &mut self.scratch),
+            None => {
+                let line = jsonl_line(&TraceLine::Event(event.clone()))?;
+                self.scratch.extend_from_slice(line.as_bytes());
+            }
+        }
+        self.out.write_all(&self.scratch)?;
         self.events += 1;
-        self.bytes += line.len() as u64;
+        self.bytes += self.scratch.len() as u64;
         Ok(())
     }
 
-    /// Number of event lines written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
-    /// Bytes written so far (header + events).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Seals the artifact with the footer line and returns the writer.
-    pub fn finish(
-        mut self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-    ) -> Result<W, SpillError> {
-        self.seal(objects, thread_objs)?;
-        Ok(self.out)
-    }
-
-    /// Writes and flushes the footer line, counting its bytes.
+    /// Writes and flushes the footer (and a binary artifact's seal).
     pub(crate) fn seal(
         &mut self,
         objects: &ObjectTable,
         thread_objs: BTreeMap<ThreadId, ObjId>,
     ) -> Result<(), SpillError> {
-        let line = jsonl_line(&TraceLine::Footer(TraceFooter {
-            objects: objects.clone(),
-            thread_objs,
-        }))?;
-        self.out.write_all(line.as_bytes())?;
-        self.bytes += line.len() as u64;
+        self.scratch.clear();
+        match &mut self.binary {
+            Some(encoder) => encoder.encode_finish(objects, thread_objs, &mut self.scratch),
+            None => {
+                let footer = TraceLine::Footer(TraceFooter {
+                    objects: objects.clone(),
+                    thread_objs,
+                });
+                self.scratch
+                    .extend_from_slice(jsonl_line(&footer)?.as_bytes());
+            }
+        }
+        self.out.write_all(&self.scratch)?;
+        self.bytes += self.scratch.len() as u64;
         self.out.flush()?;
         Ok(())
     }
 }
 
-/// A [`TraceWriter`] or [`BinaryTraceWriter`] behind one surface, so
-/// sinks can be format-generic.
-pub(crate) enum AnyTraceWriter<W: Write> {
-    /// JSONL.
-    Jsonl(TraceWriter<W>),
-    /// Binary.
-    Binary(BinaryTraceWriter<W>),
-}
-
-impl<W: Write> AnyTraceWriter<W> {
-    pub(crate) fn new(out: W, format: TraceFormat) -> Result<Self, SpillError> {
-        Ok(match format {
-            TraceFormat::Jsonl => AnyTraceWriter::Jsonl(TraceWriter::new(out)?),
-            TraceFormat::Binary => AnyTraceWriter::Binary(BinaryTraceWriter::new(out)?),
-        })
-    }
-
-    pub(crate) fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
-        match self {
-            AnyTraceWriter::Jsonl(w) => w.write_event(event),
-            AnyTraceWriter::Binary(w) => w.write_event(event),
-        }
-    }
-
-    pub(crate) fn events_written(&self) -> u64 {
-        match self {
-            AnyTraceWriter::Jsonl(w) => w.events_written(),
-            AnyTraceWriter::Binary(w) => w.events_written(),
-        }
-    }
-
-    pub(crate) fn bytes_written(&self) -> u64 {
-        match self {
-            AnyTraceWriter::Jsonl(w) => w.bytes_written(),
-            AnyTraceWriter::Binary(w) => w.bytes_written(),
-        }
-    }
-
-    pub(crate) fn finish(
-        self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-    ) -> Result<W, SpillError> {
-        match self {
-            AnyTraceWriter::Jsonl(w) => w.finish(objects, thread_objs),
-            AnyTraceWriter::Binary(w) => w.finish(objects, thread_objs),
-        }
-    }
-
-    pub(crate) fn seal(
-        &mut self,
-        objects: &ObjectTable,
-        thread_objs: BTreeMap<ThreadId, ObjId>,
-    ) -> Result<(), SpillError> {
-        match self {
-            AnyTraceWriter::Jsonl(w) => w.seal(objects, thread_objs),
-            AnyTraceWriter::Binary(w) => w.seal(objects, thread_objs),
-        }
-    }
-}
-
-/// Writes a complete in-memory trace as one artifact (the non-streaming
-/// `dfz record` path).
+/// Writes a complete in-memory trace as one JSONL artifact.
 pub fn write_trace<W: Write>(out: W, trace: &Trace) -> Result<W, SpillError> {
     write_trace_as(out, trace, TraceFormat::Jsonl)
 }
@@ -376,40 +343,98 @@ pub fn write_trace_as<W: Write>(
     trace: &Trace,
     format: TraceFormat,
 ) -> Result<W, SpillError> {
-    let mut w = AnyTraceWriter::new(out, format)?;
+    let mut w = TraceWriter::new(out, format)?;
     for event in trace.events() {
         w.write_event(event)?;
     }
-    w.finish(trace.objects(), trace.thread_objs().collect())
+    w.seal(trace.objects(), trace.thread_objs().collect())?;
+    Ok(w.out)
 }
 
-/// Reads a trace artifact in either encoding, sniffing binary by its
-/// magic and falling back to JSONL otherwise.
-pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, SpillError> {
-    if bytes.starts_with(&TRACE_BINARY_MAGIC) {
-        read_binary_trace(bytes)
-    } else {
-        read_trace(bytes)
-    }
-}
-
-/// Reads an artifact back into an in-memory [`Trace`].
+/// Decodes a trace artifact of the given encoding into `sink`: the one
+/// decoder of each encoding, behind [`read_trace`] and `dfz analyze`.
+/// Every event reaches [`EventSink::on_event`] as it is read, in
+/// sequence order; once the whole artifact is verified,
+/// [`EventSink::on_finish`] gets its footer — the object table and
+/// thread bindings — as an event-less trace, which is also returned.
 ///
 /// # Errors
 ///
 /// Rejects files without a valid header ([`SpillError::NotAnArtifact`],
 /// [`SpillError::WrongFormat`]), with an unsupported version
 /// ([`SpillError::VersionMismatch`]), truncated before the footer
-/// ([`SpillError::MissingFooter`]), with data after the footer
-/// ([`SpillError::TrailingData`]), or with a corrupt line
-/// ([`SpillError::MalformedLine`], carrying the 1-based line number).
-pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, SpillError> {
-    let mut lines = input.lines();
-    let first = match lines.next() {
-        Some(line) => line?,
-        None => return Err(SpillError::NotAnArtifact),
-    };
-    let header = match serde_json::from_str::<TraceLine>(&first) {
+/// ([`SpillError::MissingFooter`], or [`SpillError::MissingSeal`] for a
+/// binary artifact), with data after the footer
+/// ([`SpillError::TrailingData`]), or with a corrupt record
+/// ([`SpillError::MalformedLine`] or [`SpillError::MalformedFrame`],
+/// carrying its 1-based index). Events already delivered stay delivered.
+pub fn decode_trace<R: BufRead, S: EventSink + ?Sized>(
+    input: R,
+    format: TraceFormat,
+    sink: &mut S,
+) -> Result<Trace, SpillError> {
+    let skeleton = Trace::from_parts(Vec::new(), decode_events(input, format, sink)?);
+    sink.on_finish(&skeleton);
+    Ok(skeleton)
+}
+
+/// Hands every event to `sink` and returns the footer.
+fn decode_events<R: BufRead, S: EventSink + ?Sized>(
+    input: R,
+    format: TraceFormat,
+    sink: &mut S,
+) -> Result<TraceFooter, SpillError> {
+    match format {
+        TraceFormat::Jsonl => decode_jsonl(input, sink),
+        TraceFormat::Binary => decode_binary(input, sink),
+    }
+}
+
+/// Collects a decoded stream's events.
+struct Events(Vec<Event>);
+
+impl EventSink for Events {
+    fn on_event(&mut self, event: &Event) {
+        self.0.push(event.clone());
+    }
+}
+
+/// Reads a trace artifact in either encoding back into an in-memory
+/// [`Trace`], sniffing the encoding from the first buffered bytes.
+///
+/// # Errors
+///
+/// As [`decode_trace`].
+pub fn read_trace<R: BufRead>(mut input: R) -> Result<Trace, SpillError> {
+    let format = TraceFormat::sniff(input.fill_buf()?);
+    let mut events = Events(Vec::new());
+    let footer = decode_events(input, format, &mut events)?;
+    Ok(Trace::from_parts(events.0, footer))
+}
+
+/// [`read_trace`] over an artifact already in memory.
+pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, SpillError> {
+    read_trace(bytes)
+}
+
+/// A line as `BufRead::read_line` leaves it, without its line ending
+/// (as `BufRead::lines` yields it), so parse errors report its columns.
+fn content(buf: &str) -> &str {
+    let line = buf.strip_suffix('\n').unwrap_or(buf);
+    line.strip_suffix('\r').unwrap_or(line)
+}
+
+/// The JSONL decoder behind [`decode_trace`], returning the footer.
+/// Reuses one line buffer.
+fn decode_jsonl<R: BufRead, S: EventSink + ?Sized>(
+    mut input: R,
+    sink: &mut S,
+) -> Result<TraceFooter, SpillError> {
+    let mut buf = String::new();
+    if input.read_line(&mut buf)? == 0 {
+        return Err(SpillError::NotAnArtifact);
+    }
+    let header = match serde_json::from_str::<TraceLine>(content(&buf)) {
         Ok(TraceLine::Header(h)) => h,
         _ => return Err(SpillError::NotAnArtifact),
     };
@@ -422,40 +447,41 @@ pub fn read_trace<R: BufRead>(input: R) -> Result<Trace, SpillError> {
             expected: TRACE_FORMAT_VERSION,
         });
     }
-    let mut trace = Trace::new();
     let mut footer: Option<TraceFooter> = None;
-    // The header was line 1; the enumeration below continues from line 2.
-    for (line_no, line) in (2u64..).zip(lines) {
-        let line = line?;
+    let mut next_seq = 0u64;
+    // The header was line 1; the loop below continues from line 2.
+    for line_no in 2u64.. {
+        buf.clear();
+        if input.read_line(&mut buf)? == 0 {
+            break;
+        }
+        let line = content(&buf);
         if line.trim().is_empty() {
             continue;
         }
         if footer.is_some() {
             return Err(SpillError::TrailingData);
         }
-        match serde_json::from_str::<TraceLine>(&line).map_err(|e| SpillError::MalformedLine {
+        let malformed = |detail: String| SpillError::MalformedLine {
             line: line_no,
-            detail: e.to_string(),
-        })? {
+            detail,
+        };
+        match serde_json::from_str::<TraceLine>(line).map_err(|e| malformed(e.to_string()))? {
             TraceLine::Event(event) => {
-                let seq = trace.push(event.thread, event.kind);
-                debug_assert_eq!(seq, event.seq, "artifact events are in sequence order");
+                if event.seq != next_seq {
+                    return Err(malformed(format!(
+                        "event seq {} out of order (expected {next_seq})",
+                        event.seq
+                    )));
+                }
+                sink.on_event(&event);
+                next_seq += 1;
             }
             TraceLine::Footer(f) => footer = Some(f),
-            TraceLine::Header(_) => {
-                return Err(SpillError::MalformedLine {
-                    line: line_no,
-                    detail: "duplicate header".to_string(),
-                })
-            }
+            TraceLine::Header(_) => return Err(malformed("duplicate header".to_string())),
         }
     }
-    let footer = footer.ok_or(SpillError::MissingFooter)?;
-    *trace.objects_mut() = footer.objects;
-    for (thread, obj) in footer.thread_objs {
-        trace.bind_thread(thread, obj);
-    }
-    Ok(trace)
+    footer.ok_or(SpillError::MissingFooter)
 }
 
 /// How a spill sink encodes its artifact.
@@ -481,8 +507,8 @@ impl SpillConfig {
     }
 }
 
-/// An [`EventSink`] that spills the event stream straight to a
-/// [`TraceWriter`] or [`BinaryTraceWriter`], sealing the artifact when
+/// An [`EventSink`] that spills the event stream straight into an
+/// artifact of either encoding on the emitting thread, sealing it when
 /// the execution finishes.
 ///
 /// I/O errors are latched rather than panicking the instrumented program;
@@ -491,10 +517,10 @@ impl SpillConfig {
 /// empty footer, so a panicking trial still leaves an analyzable file
 /// behind.
 pub struct SpillSink<W: Write + Send> {
-    writer: Option<AnyTraceWriter<W>>,
+    /// `None` once a write failed: nothing more is written, not even on
+    /// drop.
+    writer: Option<TraceWriter<W>>,
     error: Option<SpillError>,
-    events: u64,
-    bytes: u64,
     sealed: bool,
 }
 
@@ -507,11 +533,8 @@ impl<W: Write + Send> SpillSink<W> {
 
     /// Starts spilling into `out` in the chosen encoding.
     pub fn with_format(out: W, format: TraceFormat) -> Result<Self, SpillError> {
-        let writer = AnyTraceWriter::new(out, format)?;
         Ok(SpillSink {
-            events: 0,
-            bytes: writer.bytes_written(),
-            writer: Some(writer),
+            writer: Some(TraceWriter::new(out, format)?),
             error: None,
             sealed: false,
         })
@@ -536,10 +559,10 @@ impl<W: Write + Send> SpillSink<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        if !self.sealed {
-            return Err(SpillError::MissingFooter);
+        match &self.writer {
+            Some(w) if self.sealed => Ok((w.events, w.bytes)),
+            _ => Err(SpillError::MissingFooter),
         }
-        Ok((self.events, self.bytes))
     }
 
     /// Latches `e` and gives up the writer, so nothing more is written
@@ -552,24 +575,17 @@ impl<W: Write + Send> SpillSink<W> {
 
 impl<W: Write + Send> EventSink for SpillSink<W> {
     fn on_event(&mut self, event: &Event) {
-        if let Some(w) = self.writer.as_mut() {
-            match w.write_event(event) {
-                Ok(()) => {
-                    self.events = w.events_written();
-                    self.bytes = w.bytes_written();
-                }
-                Err(e) => self.fail(e),
+        if let Some(w) = self.writer.as_mut().filter(|_| !self.sealed) {
+            if let Err(e) = w.write_event(event) {
+                self.fail(e);
             }
         }
     }
 
     fn on_finish(&mut self, trace: &Trace) {
-        if let Some(mut w) = self.writer.take() {
+        if let Some(w) = self.writer.as_mut().filter(|_| !self.sealed) {
             match w.seal(trace.objects(), trace.thread_objs().collect()) {
-                Ok(()) => {
-                    self.bytes = w.bytes_written();
-                    self.sealed = true;
-                }
+                Ok(()) => self.sealed = true,
                 Err(e) => self.fail(e),
             }
         }
@@ -582,7 +598,7 @@ impl<W: Write + Send> Drop for SpillSink<W> {
         // anyway, so the artifact on disk is structurally valid and
         // analyzable. The events are what was saved; the footer's
         // object table is empty.
-        if let Some(mut w) = self.writer.take() {
+        if let Some(w) = self.writer.as_mut().filter(|_| !self.sealed) {
             let _ = w.seal(&ObjectTable::new(), BTreeMap::new());
         }
     }
@@ -791,6 +807,20 @@ mod tests {
             skeleton.bind_thread(t, o);
         }
         sink.on_finish(&skeleton);
+    }
+
+    #[test]
+    fn decodes_through_a_small_read_buffer() {
+        // Frames and lines straddle the buffer's end, and the long labels
+        // outgrow it.
+        let trace = long_label_trace();
+        for format in [TraceFormat::Jsonl, TraceFormat::Binary] {
+            let bytes = write_trace_as(Vec::new(), &trace, format).unwrap();
+            for capacity in [5, 7, 64] {
+                let input = io::BufReader::with_capacity(capacity, &bytes[..]);
+                assert_eq!(read_trace(input).unwrap(), trace, "{format} at {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Event, EventKind, ObjId, ObjectTable, ThreadId};
+use crate::{Event, EventKind, ObjId, ObjectTable, ThreadId, TraceFooter};
 
 /// Everything observed during one execution: the event sequence, the object
 /// table, and the mapping from threads to their thread objects.
@@ -37,6 +37,16 @@ impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A trace of `events` (in sequence order) with an artifact
+    /// footer's object table and bindings.
+    pub(crate) fn from_parts(events: Vec<Event>, footer: TraceFooter) -> Self {
+        Trace {
+            events,
+            objects: footer.objects,
+            thread_objs: footer.thread_objs,
+        }
     }
 
     /// Appends an event executed by `thread`, assigning the next sequence

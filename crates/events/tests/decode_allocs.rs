@@ -10,7 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use df_events::{read_trace_bytes, write_binary_trace, EventKind, Label, ObjKind, ThreadId, Trace};
+use df_events::{
+    read_trace_bytes, write_trace_as, EventKind, Label, ObjKind, ThreadId, Trace, TraceFormat,
+};
 
 /// Counts the allocations of the calling thread only, so tests running
 /// in parallel in this binary do not see each other's.
@@ -108,7 +110,7 @@ fn artifact() -> Vec<u8> {
         trace.push(t, EventKind::release(outer, site));
         i += 1;
     }
-    write_binary_trace(Vec::new(), &trace).expect("encode")
+    write_trace_as(Vec::new(), &trace, TraceFormat::Binary).expect("encode")
 }
 
 #[test]

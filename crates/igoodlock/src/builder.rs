@@ -13,21 +13,24 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use df_events::{AcquireMode, Event, EventKind, EventSink, Label, ObjId, ThreadId};
+use df_events::{
+    AcquireMode, Event, EventKind, EventSink, Label, ObjId, SpillError, ThreadId, Trace,
+};
 
 use crate::hb::{Epoch, VectorClock};
 use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
 
 /// Builds a [`LockDependencyRelation`] one event at a time.
 ///
-/// Feed it thread bindings ([`RelationBuilder::bind_thread`]) and events
-/// ([`RelationBuilder::observe`]) in execution order — or attach it to a
-/// substrate as an [`EventSink`] — then call
-/// [`RelationBuilder::finish`]. Memory is proportional to the
-/// *deduplicated relation* plus the live lock stacks and one clock per
-/// thread, never to the length of the execution. Once its thread is
-/// known, an event that adds no tuple allocates nothing unless it is a
-/// spawn, start, join or exit.
+/// Feed it events ([`RelationBuilder::observe`]) in execution order and
+/// thread bindings ([`RelationBuilder::bind_thread`]) at any point —
+/// or attach it to a substrate or a trace decoder as an [`EventSink`] —
+/// then call [`RelationBuilder::finish`], which resolves each tuple's
+/// thread object. Memory is proportional to the *deduplicated relation*
+/// plus the live lock stacks and one clock per thread, never to the
+/// length of the execution. Once its thread is known, an event that
+/// adds no tuple allocates nothing unless it is a spawn, start, join or
+/// exit.
 ///
 /// # Example
 ///
@@ -40,7 +43,8 @@ use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
 /// for event in trace.events() {
 ///     builder.observe(event);
 /// }
-/// assert_eq!(builder.finish(), LockDependencyRelation::from_trace(&trace));
+/// assert_eq!(builder.finish()?, LockDependencyRelation::from_trace(&trace));
+/// # Ok::<(), df_events::SpillError>(())
 /// ```
 #[derive(Default)]
 pub struct RelationBuilder {
@@ -56,6 +60,10 @@ pub struct RelationBuilder {
     /// Clock at each thread's exit, consumed by its joiners.
     at_exit: HashMap<ThreadId, VectorClock>,
 }
+
+/// The thread object of a tuple until [`RelationBuilder::finish`]
+/// resolves it.
+const UNBOUND: ObjId = ObjId::new(u32::MAX);
 
 /// What the builder tracks per thread.
 #[derive(Default)]
@@ -148,9 +156,10 @@ impl RelationBuilder {
         Self::default()
     }
 
-    /// Registers the object representing `thread`. Substrates announce
-    /// the binding before the thread's first event; the offline path
-    /// replays a trace's binding table up front.
+    /// Registers the object representing `thread`, at any point before
+    /// [`Self::finish`] (as a sink, from the finished execution's
+    /// bindings: substrates know them as threads start, artifacts carry
+    /// them in their footer).
     pub fn bind_thread(&mut self, thread: ThreadId, obj: ObjId) {
         self.thread_objs.insert(thread, obj);
     }
@@ -184,18 +193,14 @@ impl RelationBuilder {
             }
             // A first acquisition while holding locks is a tuple of
             // Definition 1, read off the stack: the lockset, the contexts
-            // (the stack's sites plus this one) and the hold modes.
+            // (the stack's sites plus this one) and the hold modes. Its
+            // thread object is filled in by `finish`.
             EventKind::Acquire { lock, site, mode } => {
                 self.raw_count += 1;
                 if let Some(innermost) = state.holds.last() {
-                    let thread_obj = *self
-                        .thread_objs
-                        .get(&t)
-                        .expect("trace binds every thread to its object");
                     state.sites.push(*site);
                     let key = (
                         t,
-                        thread_obj,
                         &state.locks[..],
                         *lock,
                         &state.sites[..],
@@ -214,7 +219,7 @@ impl RelationBuilder {
                         });
                         self.deps.push(LockDep {
                             thread: t,
-                            thread_obj,
+                            thread_obj: UNBOUND,
                             lockset: state.locks.clone(),
                             lock: *lock,
                             contexts: state.sites.clone(),
@@ -289,38 +294,58 @@ impl RelationBuilder {
         self.raw_count
     }
 
-    /// Seals the builder into the finished relation.
-    pub fn finish(self) -> LockDependencyRelation {
-        LockDependencyRelation {
+    /// Seals the builder into the finished relation, giving each tuple
+    /// the object its thread is bound to.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError::UnboundThread`] names the first tuple's thread that
+    /// no binding covers.
+    pub fn finish(mut self) -> Result<LockDependencyRelation, SpillError> {
+        for dep in &mut self.deps {
+            dep.thread_obj = *self
+                .thread_objs
+                .get(&dep.thread)
+                .ok_or(SpillError::UnboundThread(dep.thread))?;
+        }
+        Ok(LockDependencyRelation {
             deps: self.deps,
             timings: self.timings,
             raw_count: self.raw_count,
             events: self.events,
-        }
+        })
     }
 
     /// Takes the finished relation out of the builder, resetting it —
     /// the form needed when the builder is shared behind a sink handle
     /// and cannot be consumed by value.
-    pub fn take(&mut self) -> LockDependencyRelation {
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::finish`].
+    pub fn take(&mut self) -> Result<LockDependencyRelation, SpillError> {
         std::mem::take(self).finish()
     }
 }
 
+/// As a sink, the builder takes the thread bindings from the finished
+/// execution.
 impl EventSink for RelationBuilder {
     fn on_event(&mut self, event: &Event) {
         self.observe(event);
     }
 
-    fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
-        self.bind_thread(thread, obj);
+    fn on_finish(&mut self, trace: &Trace) {
+        for (thread, obj) in trace.thread_objs() {
+            self.bind_thread(thread, obj);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_events::{Label, Trace};
+    use df_events::Label;
 
     fn l(s: &str) -> Label {
         Label::new(s)
@@ -402,7 +427,7 @@ mod tests {
         for event in trace.events() {
             b.observe(event);
         }
-        b.finish()
+        b.finish().unwrap()
     }
 
     #[test]
@@ -500,7 +525,7 @@ mod tests {
         }
         assert_eq!(b.len(), 2);
         assert_eq!(b.raw_count(), 4);
-        let rel = b.finish();
+        let rel = b.finish().unwrap();
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.raw_count, 4);
     }
@@ -515,7 +540,7 @@ mod tests {
         for event in trace.events() {
             b.observe(event);
         }
-        let rel = b.take();
+        let rel = b.take().unwrap();
         assert_eq!(rel.len(), 2);
         assert!(b.is_empty());
         assert_eq!(b.raw_count(), 0);
@@ -527,14 +552,14 @@ mod tests {
         let mut b = RelationBuilder::new();
         {
             let sink: &mut dyn EventSink = &mut b;
-            for (t, o) in trace.thread_objs() {
-                sink.on_thread_bound(t, o);
-            }
             for event in trace.events() {
                 sink.on_event(event);
             }
-            sink.on_finish(&Trace::new());
+            sink.on_finish(&trace);
         }
-        assert_eq!(b.take(), LockDependencyRelation::from_trace(&trace));
+        assert_eq!(
+            b.take().unwrap(),
+            LockDependencyRelation::from_trace(&trace)
+        );
     }
 }

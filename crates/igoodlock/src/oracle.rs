@@ -51,9 +51,6 @@ impl HbFilter {
     /// Computes fork/join vector clocks for `trace`.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut builder = RelationBuilder::new();
-        for (thread, obj) in trace.thread_objs() {
-            builder.bind_thread(thread, obj);
-        }
         let clocks = trace
             .events()
             .iter()

@@ -178,10 +178,11 @@ impl<'de> Deserialize<'de> for LockDep {
 
 /// A tuple's fields, borrowed: the form a candidate tuple has while the
 /// builder checks whether it is new, so that a repeated acquisition is
-/// recognized without allocating.
+/// recognized without allocating. The thread object is left out: a
+/// thread is bound to exactly one object, which the builder resolves
+/// only when it finishes.
 pub(crate) type DepKey<'a> = (
     ThreadId,
-    ObjId,
     &'a [ObjId],
     ObjId,
     &'a [Label],
@@ -193,7 +194,6 @@ impl LockDep {
     fn key(&self) -> DepKey<'_> {
         (
             self.thread,
-            self.thread_obj,
             &self.lockset,
             self.lock,
             &self.contexts,
@@ -262,18 +262,25 @@ impl LockDependencyRelation {
     /// with `L = ∅` can participate in no cycle.
     ///
     /// This is the offline entry point of [`crate::RelationBuilder`]:
-    /// the trace's thread bindings are replayed, then every event is fed
-    /// through the same incremental algorithm the streaming path uses,
-    /// so the two paths cannot diverge.
+    /// every event is fed through the same incremental algorithm the
+    /// streaming path uses, so the two paths cannot diverge.
+    ///
+    /// # Panics
+    ///
+    /// If a thread that nests locks has no binding in `trace` — which
+    /// no substrate records; decode artifacts into a builder instead to
+    /// get that as an error.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut builder = crate::RelationBuilder::new();
-        for (thread, obj) in trace.thread_objs() {
-            builder.bind_thread(thread, obj);
-        }
         for event in trace.events() {
             builder.observe(event);
         }
-        builder.finish()
+        for (thread, obj) in trace.thread_objs() {
+            builder.bind_thread(thread, obj);
+        }
+        builder
+            .finish()
+            .expect("trace binds every thread that nests locks")
     }
 
     /// Builds a relation directly from tuples (used in tests and by the

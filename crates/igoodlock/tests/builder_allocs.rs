@@ -146,7 +146,7 @@ fn repeated_events_allocate_nothing() {
         allocs, 0,
         "{allocs} allocations over {MEASURED_ROUNDS} rounds"
     );
-    let relation = builder.finish();
+    let relation = builder.finish().expect("every thread is bound");
     assert_eq!(relation.len(), 2, "no round adds a tuple");
     assert_eq!(relation.events(), (warm_up.len() + measured.len()) as u64);
 }

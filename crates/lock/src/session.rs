@@ -790,11 +790,8 @@ mod tests {
             self.events.push(event.clone());
         }
 
-        fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
-            self.bindings.push((thread, obj));
-        }
-
-        fn on_finish(&mut self, _trace: &Trace) {
+        fn on_finish(&mut self, trace: &Trace) {
+            self.bindings = trace.thread_objs().collect();
             self.finished = true;
         }
     }

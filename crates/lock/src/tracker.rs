@@ -519,15 +519,15 @@ fn alloc_index(st: &mut State, by: ThreadId, site: Label) -> Vec<IndexFrame> {
 }
 
 /// Registers a thread: assigns an id, creates its thread object and
-/// slot, binds it in the trace and announces the binding to sinks
-/// (always before any event of the thread can be emitted).
+/// slot, and binds it in the trace (sinks get the binding with the
+/// trace at `on_finish`).
 pub(crate) fn register_thread(
     inner: &Arc<TrackerInner>,
     name: String,
     site: Label,
     spawner: Option<ThreadId>,
 ) -> (ThreadId, SharedSlot) {
-    let (id, obj, slot) = {
+    let (id, slot) = {
         let mut st = inner.state.lock();
         let id = ThreadId::new(st.threads.len() as u32);
         let index = match spawner {
@@ -562,10 +562,9 @@ pub(crate) fn register_thread(
                 },
             );
         }
-        (id, obj, slot)
+        (id, slot)
     };
     let _delivery = flush(inner);
-    inner.sink.thread_bound(id, obj);
     (id, slot)
 }
 

@@ -107,8 +107,8 @@ fn binary_spill_matches_jsonl_spill_semantically() {
         json: true,
         ..df_cli::CliOptions::default()
     };
-    let from_bin = df_cli::cmd_analyze(&bin_bytes, "trace.bin", &opts).unwrap();
-    let from_jsonl = df_cli::cmd_analyze(&jsonl_bytes, "trace.jsonl", &opts).unwrap();
+    let from_bin = df_cli::cmd_analyze(&bin_bytes[..], "trace.bin", &opts).unwrap();
+    let from_jsonl = df_cli::cmd_analyze(&jsonl_bytes[..], "trace.jsonl", &opts).unwrap();
     assert_eq!(from_bin.text, from_jsonl.text);
     assert_ne!(
         from_bin.text.trim(),

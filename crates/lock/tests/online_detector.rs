@@ -601,6 +601,8 @@ fn run_contended(specs: &[(usize, usize)]) -> (Vec<DeadlockWitness>, RelationBui
         h.join().unwrap();
     }
 
+    // Sealing delivers the thread bindings to the builder.
+    tracker.seal();
     let collected = witnesses.lock().unwrap().clone();
     let relation_builder = std::mem::take(&mut *builder.lock().unwrap());
     (collected, relation_builder)
@@ -623,7 +625,7 @@ proptest! {
         )
     ) {
         let (witnesses, builder) = run_contended(&specs);
-        let relation = builder.finish();
+        let relation = builder.finish().expect("the tracker binds every thread");
         let cycles = igoodlock(&relation, &IGoodlockOptions::default());
         let cycle_lock_sets: Vec<Vec<ObjId>> = cycles
             .iter()

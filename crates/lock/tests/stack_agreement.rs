@@ -501,8 +501,10 @@ impl EventSink for Collect {
         assert_eq!(seq, event.seq, "sequence numbers are gapless");
     }
 
-    fn on_thread_bound(&mut self, thread: ThreadId, obj: ObjId) {
-        self.0.bind_thread(thread, obj);
+    fn on_finish(&mut self, trace: &Trace) {
+        for (thread, obj) in trace.thread_objs() {
+            self.0.bind_thread(thread, obj);
+        }
     }
 }
 

@@ -30,7 +30,7 @@ pub struct Counters {
     wfg_cycles_detected: AtomicU64,
     lock_timeouts: AtomicU64,
     poisoned_recovered: AtomicU64,
-    cycles_pruned_infeasible: AtomicU64,
+    cycles_deferred_infeasible: AtomicU64,
     trials_saved: AtomicU64,
     peak_trace_bytes: AtomicU64,
 }
@@ -75,11 +75,14 @@ pub struct CounterSnapshot {
     /// `PoisonError::into_inner` (release events still emitted).
     pub poisoned_recovered: u64,
     /// Cycles the feasibility layer scored `Infeasible` and the adaptive
-    /// allocator therefore skipped without spending a single trial.
-    pub cycles_pruned_infeasible: u64,
+    /// allocator therefore deferred until every other cycle was done
+    /// (the first to be cut when the trial budget runs out). Read under
+    /// its former name `cycles_pruned_infeasible` from older documents.
+    #[serde(alias = "cycles_pruned_infeasible")]
+    pub cycles_deferred_infeasible: u64,
     /// Phase II trials the adaptive allocator did not run compared to a
     /// uniform `confirm_trials`-per-cycle campaign (early confirmation
-    /// stops, infeasible pruning, and total-budget caps all contribute).
+    /// stops and total-budget caps contribute).
     pub trials_saved: u64,
     /// Largest in-memory event-trace footprint (approximate bytes) any
     /// single run materialized. A fully streamed observation (Phase I,
@@ -166,8 +169,8 @@ impl Counters {
             lock_timeouts => add_lock_timeouts;
             /// Counts `n` poisoned locks recovered.
             poisoned_recovered => add_poisoned_recovered;
-            /// Counts `n` cycles pruned as infeasible before any trial.
-            cycles_pruned_infeasible => add_cycles_pruned_infeasible;
+            /// Counts `n` cycles deferred as infeasible.
+            cycles_deferred_infeasible => add_cycles_deferred_infeasible;
             /// Counts `n` trials saved relative to uniform allocation.
             trials_saved => add_trials_saved;
         }
@@ -263,14 +266,14 @@ mod tests {
     #[test]
     fn precision_counters_accumulate_and_merge() {
         let a = Counters::new();
-        a.add_cycles_pruned_infeasible(1);
+        a.add_cycles_deferred_infeasible(1);
         a.add_trials_saved(20);
         let b = Counters::new();
-        b.add_cycles_pruned_infeasible(2);
+        b.add_cycles_deferred_infeasible(2);
         b.add_trials_saved(15);
         a.merge(&b.snapshot());
         let s = a.snapshot();
-        assert_eq!(s.cycles_pruned_infeasible, 3);
+        assert_eq!(s.cycles_deferred_infeasible, 3);
         assert_eq!(s.trials_saved, 35);
     }
 
@@ -294,6 +297,18 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let old = json.replacen('{', "{\"retired_counter\":3,", 1);
         let back: CounterSnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(s, back);
+    }
+
+    #[test]
+    fn the_deferred_count_reads_under_its_former_name() {
+        let c = Counters::new();
+        c.add_cycles_deferred_infeasible(2);
+        let s = c.snapshot();
+        let json = serde_json::to_string(&s).unwrap();
+        let old = json.replace("cycles_deferred_infeasible", "cycles_pruned_infeasible");
+        let back: CounterSnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.cycles_deferred_infeasible, 2);
         assert_eq!(s, back);
     }
 }

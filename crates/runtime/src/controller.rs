@@ -826,7 +826,6 @@ impl Controller {
             .threads
             .push(ThreadState::new(child, name, child_obj));
         inner.g.trace.bind_thread(child, child_obj);
-        self.config.sink.thread_bound(child, child_obj);
         // Account the child's start schedule point now, while we hold the
         // parent's critical section — not when the OS gets around to
         // starting the thread (see `start_point`).
@@ -876,7 +875,6 @@ impl Controller {
             .threads
             .push(ThreadState::new(child, name, child_obj));
         inner.g.trace.bind_thread(child, child_obj);
-        self.config.sink.thread_bound(child, child_obj);
         inner.g.steps += 1;
         inner.g.progress += 1;
         self.record(inner, parent, EventKind::Spawn { child, child_obj });

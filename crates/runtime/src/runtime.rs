@@ -70,7 +70,6 @@ impl VirtualRuntime {
                 .threads
                 .push(ThreadState::new(main_id, "main".to_string(), main_obj));
             inner.g.trace.bind_thread(main_id, main_obj);
-            self.config.sink.thread_bound(main_id, main_obj);
             // The main thread's start schedule point, accounted here so
             // step numbering never depends on when its carrier starts it.
             inner.g.steps += 1;
@@ -750,11 +749,8 @@ mod tests {
             self.events.push(event.clone());
         }
 
-        fn on_thread_bound(&mut self, thread: ThreadId, obj: df_events::ObjId) {
-            self.bindings.push((thread, obj));
-        }
-
-        fn on_finish(&mut self, _trace: &Trace) {
+        fn on_finish(&mut self, trace: &Trace) {
+            self.bindings = trace.thread_objs().collect();
             self.finished = true;
         }
     }
@@ -787,7 +783,7 @@ mod tests {
         let s = sink.lock().unwrap();
         assert!(s.finished);
         assert_eq!(s.events.as_slice(), r.trace.events());
-        // Every traced thread binding was announced to the sink.
+        // Every traced thread binding reached the sink.
         for (thread, obj) in r.trace.thread_objs() {
             assert!(s.bindings.contains(&(thread, obj)), "missing {thread:?}");
         }

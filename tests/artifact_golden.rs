@@ -27,8 +27,8 @@
 //! * `relation.v1.json` — kept to pin its rejection.
 
 use deadlock_fuzzer::events::{
-    read_trace, read_trace_bytes, write_binary_trace, write_trace, EventKind, Label, ObjKind,
-    SpillError, ThreadId, Trace, TRACE_BINARY_FORMAT_VERSION, TRACE_BINARY_MAGIC,
+    read_trace, read_trace_bytes, write_trace, write_trace_as, EventKind, Label, ObjKind,
+    SpillError, ThreadId, Trace, TraceFormat, TRACE_BINARY_FORMAT_VERSION, TRACE_BINARY_MAGIC,
     TRACE_BINARY_MIN_FORMAT_VERSION, TRACE_FORMAT_VERSION,
 };
 use deadlock_fuzzer::igoodlock::{
@@ -149,7 +149,7 @@ fn trace_artifact_golden_round_trips() {
 
 #[test]
 fn binary_v4_artifact_bytes_are_pinned() {
-    let bytes = write_binary_trace(Vec::new(), &golden_trace_v3()).expect("write");
+    let bytes = write_trace_as(Vec::new(), &golden_trace_v3(), TraceFormat::Binary).expect("write");
     assert_eq!(
         bytes, GOLDEN_TRACE_V4,
         "df-trace binary v4 artifact bytes drifted; bump \
@@ -277,7 +277,7 @@ fn regenerate_goldens() {
     let mut bytes = Vec::new();
     write_relation(&mut bytes, &relation).expect("write");
     std::fs::write(dir.join("relation.json"), bytes).expect("write relation.json");
-    let bytes = write_binary_trace(Vec::new(), &golden_trace_v3()).expect("write");
+    let bytes = write_trace_as(Vec::new(), &golden_trace_v3(), TraceFormat::Binary).expect("write");
     std::fs::write(dir.join("trace.v4.bin"), bytes).expect("write trace.v4.bin");
     let bytes = write_trace(Vec::new(), &golden_trace_v3()).expect("write");
     std::fs::write(dir.join("trace.v4.jsonl"), bytes).expect("write trace.v4.jsonl");
@@ -367,7 +367,7 @@ proptest! {
     ) {
         let trace = trace_of_ops(&ops);
         let jsonl = write_trace(Vec::new(), &trace).expect("jsonl write");
-        let binary = write_binary_trace(Vec::new(), &trace).expect("binary write");
+        let binary = write_trace_as(Vec::new(), &trace, TraceFormat::Binary).expect("binary write");
 
         let from_binary = read_trace_bytes(&binary).expect("binary read");
         prop_assert_eq!(&from_binary, &trace);
@@ -386,7 +386,7 @@ proptest! {
         cut in 0usize..4096
     ) {
         let trace = trace_of_ops(&ops);
-        let binary = write_binary_trace(Vec::new(), &trace).expect("binary write");
+        let binary = write_trace_as(Vec::new(), &trace, TraceFormat::Binary).expect("binary write");
         let keep = cut % binary.len();
         prop_assert!(read_trace_bytes(&binary[..keep]).is_err());
     }

@@ -141,6 +141,36 @@ fn schedule_dependent_fork_join_confirms_an_infeasible_cycle() {
     assert!(prob.matched > 0, "no trial confirmed the cycle: {prob}");
 }
 
+/// `Infeasible` decides the order of trials, never whether they run: an
+/// uncapped adaptive campaign confirms the counterexample's cycle with
+/// the tallies of a uniform campaign that stops at its first match (both
+/// run the cycle's trials in seed order).
+#[test]
+fn uncapped_adaptive_campaign_confirms_the_flag_gated_cycle() {
+    let config = Config::default()
+        .with_feasibility(true)
+        .with_confirm_trials(10);
+    let uniform =
+        DeadlockFuzzer::from_ref(flag_gated(8), config.clone().with_stop_on_first(true)).run();
+    let adaptive = DeadlockFuzzer::from_ref(flag_gated(8), config.with_adaptive_trials(true)).run();
+    let tallies = |r: &deadlock_fuzzer::Report| {
+        r.confirmations
+            .iter()
+            .map(|c| {
+                let p = &c.probability;
+                (c.cycle_index, c.confirmed, p.trials, p.matched, p.deadlocks)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(tallies(&uniform), tallies(&adaptive));
+    let conf = &adaptive.confirmations[0];
+    assert_eq!(
+        conf.feasibility.as_ref().map(|j| j.verdict),
+        Some(FeasibilityVerdict::Infeasible)
+    );
+    assert!(conf.confirmed, "{adaptive}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -174,9 +204,10 @@ proptest! {
         }
     }
 
-    /// The adaptive allocator inherits that soundness operationally: it
-    /// spends zero trials on `Infeasible` cycles and still reaches the
-    /// same confirmed set as the uniform campaign on the same seeds.
+    /// The adaptive allocator defers `Infeasible` cycles behind every
+    /// other one and, uncapped, still reaches the same confirmed set as
+    /// the uniform campaign on the same seeds; under the verdict's
+    /// precondition no deferred cycle is confirmed.
     #[test]
     fn adaptive_pruning_preserves_the_confirmed_set(spec in arb_spec()) {
         let program = build(spec);
@@ -202,7 +233,7 @@ proptest! {
                 Some(FeasibilityVerdict::Infeasible)
             );
             if infeasible {
-                prop_assert!(c.probability.trials == 0, "pruned cycles spend nothing");
+                prop_assert!(c.probability.trials <= 4, "deferred cycles keep the ceiling");
                 prop_assert!(!c.confirmed);
             }
         }

@@ -202,7 +202,7 @@ fn adaptive_allocation_is_jobs_invariant() {
                 })
                 .collect();
             let snap = obs.counters().snapshot();
-            (cycles, snap.trials_saved, snap.cycles_pruned_infeasible)
+            (cycles, snap.trials_saved, snap.cycles_deferred_infeasible)
         };
         assert_eq!(
             campaign(1),

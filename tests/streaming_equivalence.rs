@@ -53,7 +53,7 @@ fn streamed_relation_is_byte_identical_on_benchmark_traces() {
             .run(Box::new(SimpleRandomChecker::with_seed(seed)), move |ctx| {
                 program.run(ctx)
             });
-            let streamed = builder.lock().expect("builder sink").take();
+            let streamed = builder.lock().expect("builder sink").take().expect("bound");
 
             assert_eq!(
                 serde_json::to_string(&offline).expect("serialize"),
