@@ -4,7 +4,9 @@
 //! recording vs the streaming relation builder), and trace I/O
 //! throughput (JSONL vs binary, offline vs streamed writes, decoding,
 //! and `dfz analyze`'s way from a binary artifact to the relation, with
-//! its peak heap), with output parity cross-checked per row.
+//! its peak heap), with output parity cross-checked per row, and the
+//! cost of a tracked native lock operation (`lock_record`: plain mutex,
+//! tracker, counting sink, binary spill; on one and two OS threads).
 //!
 //! ```text
 //! cargo run --release -p df-bench --bin igoodlock_bench
@@ -28,8 +30,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 use df_bench::{
-    igoodlock_bench, precision_bench, streaming_bench, trace_io_bench_rows, IGoodlockBenchRow,
-    PrecisionRow, StreamingBenchRow, TraceIoBenchRow, ANALYZE_EVENTS,
+    igoodlock_bench, lock_record_bench, precision_bench, streaming_bench, trace_io_bench_rows,
+    IGoodlockBenchRow, LockRecordRow, PrecisionRow, StreamingBenchRow, TraceIoBenchRow,
+    ANALYZE_EVENTS, LOCK_RECORD_PAIRS,
 };
 use serde::Serialize;
 
@@ -90,14 +93,16 @@ fn peak_heap(f: &mut dyn FnMut()) -> u64 {
 
 /// The envelope written to `BENCH_igoodlock.json`: the join comparison,
 /// the streaming memory/throughput
-/// comparison, the trace I/O throughput comparison, and the precision
-/// envelope (predicted-vs-confirmed rates per Table 1 benchmark) — one
-/// file so CI uploads a single artifact.
+/// comparison, the trace I/O throughput comparison, the tracked native
+/// lock operation's cost, and the precision envelope
+/// (predicted-vs-confirmed rates per Table 1 benchmark) — one file so
+/// CI uploads a single artifact.
 #[derive(Serialize)]
 struct BenchArtifact {
     join: Vec<IGoodlockBenchRow>,
     streaming: Vec<StreamingBenchRow>,
     trace_io: Vec<TraceIoBenchRow>,
+    lock_record: Vec<LockRecordRow>,
     precision: Vec<PrecisionRow>,
 }
 
@@ -282,6 +287,26 @@ fn print_trace_io_rows(rows: &[TraceIoBenchRow]) {
     );
 }
 
+fn print_lock_record_rows(rows: &[LockRecordRow]) {
+    println!();
+    println!("== Lock record: native-spill's lock-pair loop, per tracked lock operation ==");
+    println!(
+        "{:<14} {:>7} {:>10} | {:>10} {:>10} | {:>10}",
+        "recorder", "threads", "ops", "wall(ms)", "ns/op", "events"
+    );
+    for r in rows {
+        let events = r.events.map_or("-".to_string(), |n| n.to_string());
+        println!(
+            "{:<14} {:>7} {:>10} | {:>10.3} {:>10.1} | {:>10}",
+            r.recorder, r.threads, r.ops, r.wall_ms, r.ns_per_op, events
+        );
+    }
+    println!(
+        "(the same pairs split over the threads; times are best of reps; \
+         a sink that missed an operation fails the bench)"
+    );
+}
+
 fn print_precision_rows(rows: &[PrecisionRow]) {
     println!();
     println!("== Precision: feasibility verdicts vs Phase II confirmation ==");
@@ -378,6 +403,14 @@ fn main() {
             }
         };
     print_trace_io_rows(&trace_io);
+    let lock_record = match lock_record_bench(LOCK_RECORD_PAIRS, args.reps) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("lock record failure: {e}");
+            std::process::exit(1);
+        }
+    };
+    print_lock_record_rows(&lock_record);
     let precision = precision_bench(args.precision_trials);
     print_precision_rows(&precision);
     enforce_precision(&precision);
@@ -385,6 +418,7 @@ fn main() {
         join,
         streaming,
         trace_io,
+        lock_record,
         precision,
     };
     let json = serde_json::to_string_pretty(&artifact).expect("serialize");

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 mod igoodlock_bench;
+mod lock_record_bench;
 mod precision;
 mod streaming_bench;
 mod trace_bench;
@@ -20,6 +21,7 @@ pub use igoodlock_bench::{
     igoodlock_bench, igoodlock_bench_row, philosophers_ring_relation, synthetic_join_relation,
     IGoodlockBenchRow,
 };
+pub use lock_record_bench::{lock_record_bench, LockRecordRow, LOCK_RECORD_PAIRS};
 pub use precision::{precision_bench, precision_row, PrecisionRow};
 pub use streaming_bench::{streaming_bench, streaming_bench_row, StreamingBenchRow};
 pub use trace_bench::{

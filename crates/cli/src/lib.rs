@@ -816,6 +816,27 @@ mod tests {
     }
 
     #[test]
+    fn analyze_names_an_object_the_footer_lacks() {
+        // The figure1 goldens with the footer's object table emptied, as
+        // an unsealed spill writes it.
+        for (content, source) in [
+            (
+                &include_bytes!("../../../tests/golden/empty_objects.jsonl")[..],
+                "empty_objects.jsonl",
+            ),
+            (
+                &include_bytes!("../../../tests/golden/empty_objects.bin")[..],
+                "empty_objects.bin",
+            ),
+        ] {
+            let err = cmd_analyze(content, source, &CliOptions::default()).unwrap_err();
+            assert_eq!(err.exit_code(), exit_code::USAGE, "{err}");
+            assert!(err.message().contains(source), "{err}");
+            assert!(err.message().contains("object O2"), "{err}");
+        }
+    }
+
+    #[test]
     fn confirm_reports_verdicts() {
         let opts = CliOptions {
             trials: 4,

@@ -59,6 +59,9 @@ pub struct RelationBuilder {
     pending_start: HashMap<ThreadId, VectorClock>,
     /// Clock at each thread's exit, consumed by its joiners.
     at_exit: HashMap<ThreadId, VectorClock>,
+    /// Size of the finished execution's object table, once `on_finish`
+    /// delivered it: every object a tuple names must lie below it.
+    objects: Option<usize>,
 }
 
 /// The thread object of a tuple until [`RelationBuilder::finish`]
@@ -300,13 +303,21 @@ impl RelationBuilder {
     /// # Errors
     ///
     /// [`SpillError::UnboundThread`] names the first tuple's thread that
-    /// no binding covers.
+    /// no binding covers. Once a sink's `on_finish` delivered the object
+    /// table, [`SpillError::UnknownObject`] names the first lock or
+    /// thread object of a tuple that the table lacks.
     pub fn finish(mut self) -> Result<LockDependencyRelation, SpillError> {
         for dep in &mut self.deps {
             dep.thread_obj = *self
                 .thread_objs
                 .get(&dep.thread)
                 .ok_or(SpillError::UnboundThread(dep.thread))?;
+            if let Some(len) = self.objects {
+                let mut named = dep.lockset.iter().chain([&dep.lock, &dep.thread_obj]);
+                if let Some(&obj) = named.find(|o| o.as_usize() >= len) {
+                    return Err(SpillError::UnknownObject(obj));
+                }
+            }
         }
         Ok(LockDependencyRelation {
             deps: self.deps,
@@ -328,8 +339,8 @@ impl RelationBuilder {
     }
 }
 
-/// As a sink, the builder takes the thread bindings from the finished
-/// execution.
+/// As a sink, the builder takes the thread bindings and the size of the
+/// object table from the finished execution.
 impl EventSink for RelationBuilder {
     fn on_event(&mut self, event: &Event) {
         self.observe(event);
@@ -339,6 +350,7 @@ impl EventSink for RelationBuilder {
         for (thread, obj) in trace.thread_objs() {
             self.bind_thread(thread, obj);
         }
+        self.objects = Some(trace.objects().len());
     }
 }
 
@@ -528,6 +540,47 @@ mod tests {
         let rel = b.finish().unwrap();
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.raw_count, 4);
+    }
+
+    /// A tuple's lock or thread object outside the object table that
+    /// `on_finish` delivered is an error naming it, not a later panic.
+    #[test]
+    fn finish_names_an_object_the_table_lacks() {
+        let trace = opposite_order_trace();
+        let mut full = Trace::new();
+        let mut short = Trace::new();
+        for (t, o) in trace.thread_objs() {
+            full.bind_thread(t, o);
+            short.bind_thread(t, o);
+        }
+        for meta in trace.objects() {
+            full.objects_mut()
+                .create(meta.kind, meta.site, meta.owner, meta.index.clone());
+        }
+        // Threads o0 and o1 stay; lock o2, which the first tuple holds,
+        // goes with o3.
+        for meta in trace.objects().into_iter().take(2) {
+            short
+                .objects_mut()
+                .create(meta.kind, meta.site, meta.owner, meta.index.clone());
+        }
+        for (table, want) in [(&full, None), (&short, Some(ObjId::new(2)))] {
+            let mut b = RelationBuilder::new();
+            for event in trace.events() {
+                b.on_event(event);
+            }
+            b.on_finish(table);
+            match b.finish() {
+                Ok(rel) => assert_eq!((rel.len(), want), (2, None)),
+                Err(e) => {
+                    assert!(
+                        matches!(e, SpillError::UnknownObject(o) if Some(o) == want),
+                        "{e}"
+                    );
+                    assert!(e.to_string().contains("O2"), "{e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -253,9 +253,9 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // Unpublish the hold strictly before the native unlock: a slot
         // must never claim a hold another thread could already have
         // re-acquired.
-        tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker);
+        tracker::deliver(&self.lock.tracker, me);
     }
 }
 

@@ -273,9 +273,9 @@ impl<T> std::ops::Deref for TrackedRwLockReadGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker);
+        tracker::deliver(&self.lock.tracker, me);
     }
 }
 
@@ -301,8 +301,8 @@ impl<T> std::ops::DerefMut for TrackedRwLockWriteGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker);
+        tracker::deliver(&self.lock.tracker, me);
     }
 }

@@ -64,7 +64,7 @@ where
         .name(name)
         .spawn(move || {
             crate::tls::bind(&inner_for_child, child, slot);
-            tracker::thread_started(&inner_for_child, child);
+            tracker::thread_started(&inner_for_child);
             let _exit = ExitGuard {
                 inner: Arc::clone(&inner_for_child),
                 id: child,
@@ -103,8 +103,7 @@ impl<T> TrackedJoinHandle<T> {
     /// tells an abort from a program panic.
     pub fn join(self) -> std::thread::Result<T> {
         let result = self.handle.join();
-        let joiner = tracker::current_thread(&self.inner);
-        tracker::thread_joined(&self.inner, joiner, self.target);
+        tracker::thread_joined(&self.inner, self.target);
         result
     }
 

@@ -13,19 +13,27 @@
 //! ## Where the bookkeeping lives
 //!
 //! * Each tracked thread owns a [`ThreadSlot`] behind a mutex of its own:
-//!   the locks it holds, as `(lock, site, mode)`. No per-lock holder map
+//!   the locks it holds, as `(lock, site, mode)`, and its sequenced
+//!   events not yet collected for the sinks. No per-lock holder map
 //!   exists; a lock's holders are the threads whose slots list it.
-//! * Events pass through one short emit section ([`Emitter`]), which
-//!   assigns sequence numbers, records them when asked and queues them.
-//!   A delivery section ([`Delivery`]) hands the queue to the sinks in
-//!   sequence order, outside the native critical sections.
+//! * Events are sequenced by one atomic counter, taken under the
+//!   emitting thread's slot mutex: an acquisition takes its number after
+//!   the native acquire and a release before the native unlock, so
+//!   per-lock sequence order is the real order. The event goes into the
+//!   slot's own buffer; no section is shared between emitting threads.
+//! * A delivery section ([`Delivery`]) collects slot buffers and hands
+//!   their events to the sinks in strict sequence order, outside the
+//!   native critical sections. After an unlock it collects only the
+//!   caller's slot and stops at the first number another thread has not
+//!   handed over yet; a flush (before a thread blocks, at a tracked
+//!   thread's exit, at registration and at the seal) collects every slot.
 //! * The registry mutex ([`State`]) guards the rest: registration, wait
 //!   edges, condvar waits, the Phase II session and the seal.
 //!
 //! An uncontended acquire, a release and a `try_*` take only their own
-//! slot, the emit section and, off the native lock, the delivery
-//! section. Lock order: registry → slot → delivery → emit section →
-//! sink.
+//! slot and, off the native lock, the delivery section. Lock order:
+//! registry → delivery → slot, with sinks called under the delivery
+//! section; nothing holds a slot while it takes the delivery section.
 //!
 //! ## Why detection cannot miss and cannot lie
 //!
@@ -46,8 +54,9 @@
 //! cycles cannot form.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -160,14 +169,17 @@ pub(crate) struct Hold {
     pub(crate) mode: Access,
 }
 
-/// A tracked thread's own bookkeeping. Only its thread changes it; the
-/// detector, witnesses and the Phase II gate read it under the registry
-/// lock.
+/// A tracked thread's own bookkeeping. Only its thread changes `held`;
+/// the detector, witnesses and the Phase II gate read it under the
+/// registry lock. The delivery section empties `pending`.
 #[derive(Debug, Default)]
 pub(crate) struct ThreadSlot {
     /// Locks held, outermost first (repeats on re-entrant reads and
     /// tries).
     pub(crate) held: Vec<Hold>,
+    /// Sequenced events not yet collected by the delivery section, in
+    /// sequence order.
+    pending: Vec<Event>,
 }
 
 impl ThreadSlot {
@@ -239,39 +251,62 @@ impl State {
     }
 }
 
-/// The emit section: every event is sequenced here. An acquisition
-/// passes through it after the native acquire and a release before the
-/// native unlock, so per-lock sequence order is the real order.
-#[derive(Default)]
-struct Emitter {
-    /// Sequence number of the next event; also the progress clock of the
-    /// Phase II watchdog.
-    next_seq: u64,
-    /// The emitted events, when [`TrackerConfig::record_events`] is set.
-    events: Vec<Event>,
-    /// Sequenced events the sinks have not been handed yet.
-    pending: Vec<Event>,
-}
-
-/// The delivery section: the one thread holding it hands sequenced
-/// events to the sinks, in sequence order.
+/// The delivery section: the one thread holding it collects slot
+/// buffers and hands their events to the sinks in sequence order.
 #[derive(Default)]
 struct Delivery {
-    /// Events taken from [`Emitter::pending`] in one swap.
-    batch: Vec<Event>,
-    /// How many of `batch` the sinks have been handed.
-    done: usize,
+    /// Sequence number of the next event to hand out.
+    next: u64,
+    /// Indexed by [`ThreadId`]: each registered thread's slot and the
+    /// events collected from it but not handed out yet.
+    threads: Vec<Carry>,
+    /// The handed-out events, when [`TrackerConfig::record_events`] is
+    /// set.
+    events: Vec<Event>,
+}
+
+/// How many events a thread leaves waiting for the sinks, in its slot or
+/// collected behind another thread's number, before its delivery waits
+/// for the delivery section or collects every slot. While one thread
+/// hands out a batch, the others run their lock operations unhindered
+/// and fill their buffers faster than a batch drains; without the
+/// bound, the buffers grew to a hundred thousand events.
+const BACKLOG_BOUND: usize = 1024;
+
+/// One thread's events between its slot and the sinks.
+struct Carry {
+    slot: SharedSlot,
+    /// Collected, in sequence order, waiting behind a number another
+    /// thread has not handed over.
+    batch: VecDeque<Event>,
+}
+
+/// Keeps a field every emitting thread writes off the cache lines of
+/// the fields they only read.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 /// Shared guts of a [`Tracker`]; lock types hold an `Arc` to this.
 pub struct TrackerInner {
     pub(crate) state: Mutex<State>,
-    emitter: Mutex<Emitter>,
-    delivery: Mutex<Delivery>,
+    /// Sequence number of the next event; also the progress clock of the
+    /// Phase II watchdog.
+    next_seq: Padded<AtomicU64>,
+    delivery: Padded<Mutex<Delivery>>,
     sink: SinkHandle,
     pub(crate) obs: Obs,
     handler: DeadlockHandler,
     record_events: bool,
+    /// Events are kept for the sinks or the recording: `record_events`
+    /// or an attached sink.
+    buffered: bool,
     /// The Phase II session, when a fuzz or noise policy is set.
     pub(crate) session: Option<Session>,
 }
@@ -315,8 +350,9 @@ impl Tracker {
         };
         let inner = Arc::new(TrackerInner {
             state: Mutex::new(state),
-            emitter: Mutex::default(),
-            delivery: Mutex::default(),
+            next_seq: Padded(AtomicU64::new(0)),
+            delivery: Padded(Mutex::default()),
+            buffered: config.record_events || config.sink.is_attached(),
             sink: config.sink,
             obs: config.obs,
             handler: config.handler,
@@ -367,11 +403,12 @@ impl Tracker {
 
     /// A copy of the trace so far: the object table and thread bindings,
     /// plus the events when [`TrackerConfig::record_events`] is set —
-    /// the input of Phase I.
+    /// the input of Phase I. The recorded events are the delivered
+    /// ones, so it first delivers everything sequenced so far.
     pub fn trace(&self) -> Trace {
         let st = self.inner.state.lock();
-        let em = self.inner.emitter.lock();
-        full_trace(&st, &em).into_owned()
+        let d = flush(&self.inner);
+        full_trace(&st, &d.events).into_owned()
     }
 
     /// Classifies the run and stops the Phase II watchdog. Call after
@@ -424,82 +461,121 @@ impl std::fmt::Debug for Tracker {
     }
 }
 
-/// Sequences one event in the emit section: assigns the next sequence
-/// number, records the event and queues it for the sinks.
-fn emit(inner: &TrackerInner, thread: ThreadId, kind: EventKind) {
-    let mut em = inner.emitter.lock();
-    let event = Event::new(em.next_seq, thread, kind);
-    em.next_seq += 1;
-    if inner.record_events {
-        em.events.push(event.clone());
+/// Sequences one event into `slot`, which the caller holds: takes the
+/// next sequence number and buffers the event for delivery. `Relaxed`
+/// suffices: the counter publishes no data (the event travels under the
+/// slot mutex), and a release's number, taken before the native unlock,
+/// precedes the next acquirer's, taken after the native lock, by
+/// coherence on the one counter.
+fn emit(inner: &TrackerInner, slot: &mut ThreadSlot, thread: ThreadId, kind: EventKind) {
+    let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
+    if inner.buffered {
+        slot.pending.push(Event::new(seq, thread, kind));
+    }
+}
+
+/// Emits `kind` as the calling thread's event, registering the thread
+/// on first contact, and returns its id.
+fn emit_own(inner: &Arc<TrackerInner>, kind: EventKind) -> ThreadId {
+    with_own_slot(inner, |me, slot| {
+        emit(inner, &mut slot.lock(), me, kind);
+        me
+    })
+}
+
+/// Moves the events `carry`'s slot has buffered into the carry.
+fn collect(carry: &mut Carry) {
+    carry.batch.extend(carry.slot.lock().pending.drain(..));
+}
+
+/// Hands the sinks collected events in sequence order, starting with
+/// thread `from`'s, until the next number is not collected yet.
+fn hand_out(inner: &TrackerInner, d: &mut Delivery, from: usize) {
+    let first = d.next;
+    let mut cur = from;
+    loop {
+        let next = d.next;
+        let continues = |c: &Carry| c.batch.front().is_some_and(|e| e.seq == next);
+        if !d.threads.get(cur).is_some_and(continues) {
+            match d.threads.iter().position(continues) {
+                Some(i) => cur = i,
+                None => break,
+            }
+        }
+        // Taken and counted first: an event whose sink panics is not
+        // handed out twice.
+        let event = d.threads[cur].batch.pop_front().expect("front checked");
+        d.next += 1;
+        if inner.record_events {
+            d.events.push(event);
+            inner.sink.emit(d.events.last().expect("just recorded"));
+        } else {
+            inner.sink.emit(&event);
+        }
     }
     if inner.sink.is_attached() {
-        em.pending.push(event);
+        inner.obs.counters().add_events_streamed(d.next - first);
     }
 }
 
-/// Hands the sinks, in sequence order, the rest of the current batch
-/// and then everything queued so far.
-fn drain(inner: &TrackerInner, d: &mut Delivery) {
-    hand_out(inner, d);
-    std::mem::swap(&mut inner.emitter.lock().pending, &mut d.batch);
-    hand_out(inner, d);
-}
-
-fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
-    if d.batch.is_empty() {
+/// Delivers the caller's buffered events, and any others they unblock.
+/// Guards call this after the native unlock and no acquisition calls
+/// it, so sink work stays out of the critical section of the lock being
+/// taken or given up. Only the caller's slot is collected: the events
+/// of the other threads go out with their own deliveries or the next
+/// flush. While another thread delivers, the caller moves on, unless
+/// its own backlog is past [`BACKLOG_BOUND`]: then it waits its turn.
+pub(crate) fn deliver(inner: &Arc<TrackerInner>, me: ThreadId) {
+    if !inner.buffered {
         return;
     }
-    let first = d.done;
-    while d.done < d.batch.len() {
-        // Counted first: an event whose sink panics is not handed out
-        // twice.
-        d.done += 1;
-        inner.sink.emit(&d.batch[d.done - 1]);
+    let mut d = match inner.delivery.try_lock() {
+        Some(d) => d,
+        None if with_own_slot(inner, |_, slot| slot.lock().pending.len()) > BACKLOG_BOUND => {
+            inner.delivery.lock()
+        }
+        None => return,
+    };
+    let own = me.as_usize();
+    collect(&mut d.threads[own]);
+    hand_out(inner, &mut d, own);
+    if d.threads[own].batch.len() > BACKLOG_BOUND {
+        collect_all(inner, &mut d);
     }
-    inner
-        .obs
-        .counters()
-        .add_events_streamed((d.done - first) as u64);
-    d.batch.clear();
-    d.done = 0;
 }
 
-/// Delivers queued events unless another thread is delivering. Guards
-/// call this after the native unlock and no acquisition calls it, so
-/// sink work stays out of the critical section of the lock being taken
-/// or given up.
-pub(crate) fn deliver(inner: &TrackerInner) {
-    if !inner.sink.is_attached() {
-        return;
-    }
-    if let Some(mut d) = inner.delivery.try_lock() {
-        drain(inner, &mut d);
-    }
+/// Collects every slot and hands out what that unblocks.
+fn collect_all(inner: &TrackerInner, d: &mut Delivery) {
+    d.threads.iter_mut().for_each(collect);
+    hand_out(inner, d, 0);
 }
 
 /// Delivers every event sequenced before the call, waiting for the
 /// delivering thread if there is one, and keeps the delivery section so
-/// the caller can tell the sinks more in order.
+/// the caller can tell the sinks more in order. Gapless: each number
+/// taken before the call was taken under some slot's mutex, which the
+/// flush takes afterwards.
 fn flush(inner: &TrackerInner) -> MutexGuard<'_, Delivery> {
     let mut d = inner.delivery.lock();
-    drain(inner, &mut d);
+    if inner.buffered {
+        collect_all(inner, &mut d);
+    }
     d
 }
 
 /// The sequence number the next event will get.
 pub(crate) fn event_seq(inner: &TrackerInner) -> u64 {
-    inner.emitter.lock().next_seq
+    inner.next_seq.load(Ordering::Relaxed)
 }
 
 /// The registry's object table and thread bindings with the recorded
 /// events, if any.
-fn full_trace<'a>(st: &'a State, em: &Emitter) -> Cow<'a, Trace> {
-    if em.events.is_empty() {
+fn full_trace<'a>(st: &'a State, events: &[Event]) -> Cow<'a, Trace> {
+    if events.is_empty() {
         return Cow::Borrowed(&st.trace);
     }
     let mut trace = st.trace.clone();
-    for event in &em.events {
+    for event in events {
         trace.push(event.thread, event.kind.clone());
     }
     Cow::Owned(trace)
@@ -543,6 +619,10 @@ pub(crate) fn register_thread(
         );
         st.trace.bind_thread(id, obj);
         let slot = SharedSlot::default();
+        inner.delivery.lock().threads.push(Carry {
+            slot: Arc::clone(&slot),
+            batch: VecDeque::new(),
+        });
         st.threads.push(ThreadState {
             obj,
             name,
@@ -553,14 +633,11 @@ pub(crate) fn register_thread(
         });
         st.waits.push(None);
         if let Some(parent) = spawner {
-            emit(
-                inner,
-                parent,
-                EventKind::Spawn {
-                    child: id,
-                    child_obj: obj,
-                },
-            );
+            let kind = EventKind::Spawn {
+                child: id,
+                child_obj: obj,
+            };
+            emit(inner, &mut st.thread(parent).slot.lock(), parent, kind);
         }
         (id, slot)
     };
@@ -611,10 +688,15 @@ fn register_object(inner: &Arc<TrackerInner>, kind: ObjKind, site: Label) -> Obj
         let mut st = inner.state.lock();
         let index = alloc_index(&mut st, me, site);
         let obj = st.trace.objects_mut().create(kind, site, None, index);
-        emit(inner, me, EventKind::New { obj });
+        emit(
+            inner,
+            &mut st.thread(me).slot.lock(),
+            me,
+            EventKind::New { obj },
+        );
         obj
     };
-    deliver(inner);
+    deliver(inner, me);
     obj
 }
 
@@ -655,7 +737,7 @@ fn record_acquire(
     } else {
         EventKind::acquire(hold.lock, hold.site).with_mode(hold.mode)
     };
-    emit(inner, me, kind);
+    emit(inner, slot, me, kind);
     slot.held.push(hold);
     if !re_entrant {
         inner.obs.counters().add_acquires_observed(1);
@@ -675,16 +757,18 @@ pub(crate) fn try_acquired(
     acquired: bool,
 ) {
     unwind_if_aborting(inner);
-    with_own_slot(inner, |me, slot| {
+    let me = with_own_slot(inner, |me, slot| {
+        let mut slot = slot.lock();
         if acquired {
-            record_acquire(inner, &mut slot.lock(), me, Hold { lock, site, mode }, true);
+            record_acquire(inner, &mut slot, me, Hold { lock, site, mode }, true);
         } else {
             let kind = EventKind::try_acquire(lock, site, false).with_mode(mode);
-            emit(inner, me, kind);
+            emit(inner, &mut slot, me, kind);
         }
+        me
     });
     if !acquired {
-        deliver(inner);
+        deliver(inner, me);
     }
 }
 
@@ -719,7 +803,8 @@ pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, ac
     let mut st = inner.state.lock();
     st.set_wait(me, Some((lock, site, access)));
     inner.obs.counters().add_wfg_edges(1);
-    emit(inner, me, EventKind::blocked(lock).with_mode(access));
+    let blocked = EventKind::blocked(lock).with_mode(access);
+    emit(inner, &mut st.thread(me).slot.lock(), me, blocked);
     if let Some(witness) = detect(&mut st, me, Detector::WaitForGraph) {
         report(inner, st, me, witness);
     } else {
@@ -742,9 +827,9 @@ pub(crate) fn acquired_contended(
     let mut st = inner.state.lock();
     st.set_wait(me, None);
     unwind_if_aborting(inner);
-    emit(inner, me, EventKind::unblocked(lock));
-    let hold = Hold { lock, site, mode };
-    record_acquire(inner, &mut st.thread(me).slot.lock(), me, hold, false);
+    let mut slot = st.thread(me).slot.lock();
+    emit(inner, &mut slot, me, EventKind::unblocked(lock));
+    record_acquire(inner, &mut slot, me, Hold { lock, site, mode }, false);
 }
 
 /// A timed acquisition gave up: clears the wait edge and counts the
@@ -757,9 +842,10 @@ pub(crate) fn wait_timed_out(inner: &Arc<TrackerInner>, _lock: ObjId) {
 
 /// Release bookkeeping, called by guard drops *before* the native
 /// unlock so no slot claims a hold the thread gave up; the guard
-/// delivers after the unlock. Emitted even during a panic unwind, which
-/// keeps the relation balanced after poisoning.
-pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
+/// delivers after the unlock, for the returned thread. Emitted even
+/// during a panic unwind, which keeps the relation balanced after
+/// poisoning.
+pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> ThreadId {
     with_own_slot(inner, |me, slot| {
         let mut slot = slot.lock();
         // The guard doesn't know its own mode; the slot does.
@@ -772,8 +858,9 @@ pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
         } else {
             EventKind::release(lock, site).with_mode(mode)
         };
-        emit(inner, me, kind);
-    });
+        emit(inner, &mut slot, me, kind);
+        me
+    })
 }
 
 /// The release half of a condvar wait, run *before* the native
@@ -806,8 +893,13 @@ pub(crate) fn cond_wait_begin(
         if let Some(pos) = slot.held.iter().rposition(|h| h.lock == lock) {
             slot.held.remove(pos);
         }
+        emit(
+            inner,
+            &mut slot,
+            me,
+            EventKind::cond_wait(condvar, lock, site),
+        );
     }
-    emit(inner, me, EventKind::cond_wait(condvar, lock, site));
     st.set_wait(me, Some((lock, site, Access::Exclusive)));
     inner.obs.counters().add_wfg_edges(1);
     if inner.session.is_some() {
@@ -837,9 +929,8 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label)
 /// Emits the `CondNotify` communication event. Rust `Condvar` semantics:
 /// the notifier need not hold any lock.
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
-    let me = current_thread(inner);
-    emit(inner, me, EventKind::cond_notify(condvar, site, all));
-    deliver(inner);
+    let me = emit_own(inner, EventKind::cond_notify(condvar, site, all));
+    deliver(inner, me);
 }
 
 /// Counts a poisoned-lock recovery (`PoisonError::into_inner`).
@@ -847,10 +938,11 @@ pub(crate) fn note_poison_recovered(inner: &Arc<TrackerInner>) {
     inner.obs.counters().add_poisoned_recovered(1);
 }
 
-/// Emits `ThreadStart` for a freshly spawned tracked thread.
-pub(crate) fn thread_started(inner: &Arc<TrackerInner>, id: ThreadId) {
-    emit(inner, id, EventKind::ThreadStart);
-    deliver(inner);
+/// Emits `ThreadStart` for a freshly spawned tracked thread, on that
+/// thread.
+pub(crate) fn thread_started(inner: &Arc<TrackerInner>) {
+    let me = emit_own(inner, EventKind::ThreadStart);
+    deliver(inner, me);
 }
 
 /// Records a tracked thread's panic for [`Tracker::finish`] (the abort
@@ -867,16 +959,16 @@ pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
     if let Some(ts) = st.threads.get_mut(id.as_usize()) {
         ts.exited = true;
+        emit(inner, &mut ts.slot.lock(), id, EventKind::ThreadExit);
     }
-    emit(inner, id, EventKind::ThreadExit);
     drop(st);
     drop(flush(inner));
 }
 
-/// Emits `Join` after a tracked join completes.
-pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, joiner: ThreadId, target: ThreadId) {
-    emit(inner, joiner, EventKind::Join { target });
-    deliver(inner);
+/// Emits `Join` on the joining thread after a tracked join completes.
+pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, target: ThreadId) {
+    let me = emit_own(inner, EventKind::Join { target });
+    deliver(inner, me);
 }
 
 /// Whether `me`'s registered wait is on its own conflicting hold — a
@@ -1078,17 +1170,16 @@ fn dispatch(inner: &Arc<TrackerInner>, witness: &DeadlockWitness, rendered: &str
 
 /// Seals the run (idempotent): delivers every sequenced event, records
 /// the peak-trace-bytes high-water mark, then hands `on_finish` the
-/// trace skeleton. The delivery and emit sections stay held through
-/// `on_finish`, so no event lands after the seal.
+/// trace skeleton. The delivery section stays held through `on_finish`,
+/// so no delivery interleaves with the footer.
 pub(crate) fn seal(inner: &Arc<TrackerInner>) {
     let mut st = inner.state.lock();
     if st.sealed {
         return;
     }
     st.sealed = true;
-    let _delivery = flush(inner);
-    let em = inner.emitter.lock();
-    let trace = full_trace(&st, &em);
+    let d = flush(inner);
+    let trace = full_trace(&st, &d.events);
     inner
         .obs
         .counters()

@@ -26,7 +26,10 @@
 //!
 //! A contended stream of four threads taking ordered pairs of shared
 //! mutexes and rwlocks checks delivery: gapless sequence numbers, real
-//! per-lock order, and the same release modes.
+//! per-lock order, and the same release modes. Eight threads mixing
+//! pairs, tries and condvar waits check that a sink gets the recorded
+//! trace, and a thread whose events wait behind another thread's
+//! undelivered acquire checks when they must go out anyway.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -544,10 +547,32 @@ fn take_pair(locks: &[Shared], lo: usize, hi: usize, read: bool) {
 
 /// Checks per-lock exclusion in the stream: replayed in sequence order,
 /// no lock is taken exclusively while another thread holds it, nor
-/// shared while another thread holds it exclusively.
+/// shared while another thread holds it exclusively. A condvar wait
+/// gives its lock up at the `CondWait` and takes it back, silently,
+/// before its thread's next event.
 fn check_exclusion(events: &[Event]) {
     let mut holders: HashMap<ObjId, Vec<(ThreadId, AcquireMode)>> = HashMap::new();
+    let mut waiting: HashMap<ThreadId, ObjId> = HashMap::new();
+    let take = |holders: &mut HashMap<ObjId, Vec<(ThreadId, AcquireMode)>>,
+                event: &Event,
+                lock: ObjId,
+                mode: AcquireMode| {
+        let held = holders.entry(lock).or_default();
+        let conflict = held
+            .iter()
+            .find(|&&(t, m)| t != event.thread && (mode.is_exclusive() || m.is_exclusive()));
+        assert!(
+            conflict.is_none(),
+            "event {} takes {lock} {mode:?} while {:?} holds it",
+            event.seq,
+            conflict
+        );
+        held.push((event.thread, mode));
+    };
     for event in events {
+        if let Some(lock) = waiting.remove(&event.thread) {
+            take(&mut holders, event, lock, AcquireMode::Exclusive);
+        }
         let taken = match &event.kind {
             EventKind::Acquire { lock, mode, .. } => Some((*lock, *mode)),
             EventKind::TryAcquire {
@@ -565,20 +590,20 @@ fn check_exclusion(events: &[Event]) {
                 held.remove(pos);
                 None
             }
+            EventKind::CondWait { lock, .. } => {
+                let held = holders.get_mut(lock).expect("waited lock is held");
+                let pos = held
+                    .iter()
+                    .rposition(|&(t, _)| t == event.thread)
+                    .expect("waiting thread holds the lock");
+                held.remove(pos);
+                waiting.insert(event.thread, *lock);
+                None
+            }
             _ => None,
         };
         if let Some((lock, mode)) = taken {
-            let held = holders.entry(lock).or_default();
-            let conflict = held
-                .iter()
-                .find(|&&(t, m)| t != event.thread && (mode.is_exclusive() || m.is_exclusive()));
-            assert!(
-                conflict.is_none(),
-                "event {} takes {lock} {mode:?} while {:?} holds it",
-                event.seq,
-                conflict
-            );
-            held.push((event.thread, mode));
+            take(&mut holders, event, lock, mode);
         }
     }
 }
@@ -642,4 +667,243 @@ fn contended_stream_stays_gapless_and_in_lock_order() {
     assert!(trace.acquire_count() > 0);
     check_exclusion(trace.events());
     check(&trace, None);
+}
+
+const MIXED_THREADS: usize = 8;
+const MIXED_ROUNDS: usize = 4;
+const MIXED_OPS: usize = 1_000;
+
+/// Eight threads mix nested pairs, every `try_*` and a condvar barrier
+/// per round, with the recording and a sink on at once: the sink gets
+/// the recorded trace, gapless from 0, in an order that keeps every
+/// lock's exclusion.
+#[test]
+fn mixed_operations_reach_the_sink_as_recorded() {
+    let collected = Arc::new(Mutex::new(Collect::default()));
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(SinkHandle::single(collected.clone()))
+            .with_record_events(true),
+    );
+    let locks: Arc<Vec<Shared>> = Arc::new(
+        (0..STRESS_LOCKS)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Shared::Mutex(TrackedMutex::with_tracker(&tracker, 0))
+                } else {
+                    Shared::RwLock(TrackedRwLock::with_tracker(&tracker, 0))
+                }
+            })
+            .collect(),
+    );
+    let barrier = Arc::new((
+        TrackedMutex::with_tracker(&tracker, 0usize),
+        TrackedCondvar::with_tracker(&tracker),
+    ));
+    let workers: Vec<_> = (0..MIXED_THREADS)
+        .map(|t| {
+            let (locks, barrier) = (Arc::clone(&locks), Arc::clone(&barrier));
+            tracker.spawn(&format!("mixed-{t}"), move || {
+                let mut state = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = move || {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 33) as usize
+                };
+                for round in 0..MIXED_ROUNDS {
+                    for _ in 0..MIXED_OPS {
+                        let (x, y) = (next() % STRESS_LOCKS, next() % STRESS_LOCKS);
+                        match next() % 3 {
+                            0 if x != y => take_pair(&locks, x.min(y), x.max(y), next() % 2 == 0),
+                            // Tries never block, so any lock will do; a
+                            // second try of a lock the first one got
+                            // fails.
+                            _ => match &locks[x] {
+                                Shared::Mutex(m) => {
+                                    let first = m.try_lock();
+                                    drop(m.try_lock());
+                                    drop(first);
+                                }
+                                Shared::RwLock(l) => {
+                                    let first = l.try_read();
+                                    drop(l.try_write());
+                                    drop(first);
+                                }
+                            },
+                        }
+                    }
+                    let (count, cv) = &*barrier;
+                    let mut arrived = count.lock().unwrap();
+                    *arrived += 1;
+                    let all = (round + 1) * MIXED_THREADS;
+                    if *arrived == all {
+                        cv.notify_all();
+                    }
+                    drop(cv.wait_while(arrived, |n| *n < all).unwrap());
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    tracker.seal();
+
+    let delivered = std::mem::take(&mut collected.lock().unwrap().0);
+    let recorded = tracker.trace();
+    assert_eq!(delivered.events(), recorded.events());
+    let kinds =
+        |pick: fn(&EventKind) -> bool| delivered.events().iter().filter(|e| pick(&e.kind)).count();
+    assert!(kinds(|k| matches!(k, EventKind::CondWait { .. })) > 0);
+    assert!(
+        kinds(|k| matches!(
+            k,
+            EventKind::TryAcquire {
+                acquired: false,
+                ..
+            }
+        )) > 0
+    );
+    assert!(kinds(|k| matches!(k, EventKind::Acquire { mode, .. } if mode.is_shared())) > 0);
+    check_exclusion(delivered.events());
+    check(&delivered, None);
+}
+
+/// Whether the sink has been handed an event of `thread` matching
+/// `pick`.
+fn delivered(sink: &Mutex<Collect>, thread: ThreadId, pick: fn(&EventKind) -> bool) -> bool {
+    let sink = sink.lock().unwrap();
+    sink.0
+        .events()
+        .iter()
+        .any(|e| e.thread == thread && pick(&e.kind))
+}
+
+/// A thread that holds `lock` from its acquisition, which is not
+/// delivered before its release, until `release` fires.
+fn holder(
+    tracker: &Tracker,
+    lock: &Arc<TrackedMutex<u64>>,
+) -> (df_lock::TrackedJoinHandle<()>, std::sync::mpsc::Sender<()>) {
+    let (held, wait_for_held) = std::sync::mpsc::channel();
+    let (release, wait_for_release) = std::sync::mpsc::channel::<()>();
+    let lock = Arc::clone(lock);
+    let handle = tracker.spawn("holder", move || {
+        let _guard = lock.lock().unwrap();
+        held.send(()).unwrap();
+        wait_for_release.recv().unwrap();
+    });
+    wait_for_held.recv().unwrap();
+    (handle, release)
+}
+
+/// Polls until `cond` holds; fails after 30 s.
+fn eventually(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !cond() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never delivered: {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+fn takes(kind: &EventKind) -> bool {
+    matches!(kind, EventKind::Acquire { .. })
+}
+
+/// A release delivers only up to the first number another thread has
+/// not handed over. Events stuck behind a holder's undelivered acquire
+/// still reach the sink before their thread blocks, when it exits and
+/// at the seal.
+#[test]
+fn events_behind_another_threads_number_are_delivered() {
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let tracker =
+        Tracker::new(TrackerConfig::default().with_sink(SinkHandle::single(sink.clone())));
+    let held = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+    let other = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+
+    // Before it blocks: the waiter runs once the holder holds `held`, so
+    // its pair on `other` sits behind the holder's acquire until it
+    // blocks on `held`.
+    let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
+    let (paired, wait_for_pair) = std::sync::mpsc::channel::<()>();
+    let (block, wait_for_block) = std::sync::mpsc::channel::<()>();
+    let (h, o) = (Arc::clone(&held), Arc::clone(&other));
+    let waiter = tracker.spawn("waiter", move || {
+        wait_for_go.recv().unwrap();
+        *o.lock().unwrap() += 1;
+        paired.send(()).unwrap();
+        wait_for_block.recv().unwrap();
+        *h.lock().unwrap() += 1;
+    });
+    let (holding, release) = holder(&tracker, &held);
+    let w = waiter.thread_id();
+    go.send(()).unwrap();
+    wait_for_pair.recv().unwrap();
+    assert!(
+        !delivered(&sink, w, takes),
+        "the pair waits behind the holder"
+    );
+    block.send(()).unwrap();
+    eventually("the waiter's pair before it blocks", || {
+        delivered(&sink, w, |k| matches!(k, EventKind::Blocked { .. }))
+    });
+    assert!(delivered(&sink, w, takes));
+    release.send(()).unwrap();
+    holding.join().unwrap();
+    waiter.join().unwrap();
+
+    // When it exits: the exiting thread's pair sits behind the holder's
+    // acquire until its exit.
+    let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
+    let (paired, wait_for_pair) = std::sync::mpsc::channel::<()>();
+    let (exit, wait_for_exit) = std::sync::mpsc::channel::<()>();
+    let o = Arc::clone(&other);
+    let exiting = tracker.spawn("exiting", move || {
+        wait_for_go.recv().unwrap();
+        *o.lock().unwrap() += 1;
+        paired.send(()).unwrap();
+        wait_for_exit.recv().unwrap();
+    });
+    let (holding, release) = holder(&tracker, &held);
+    let x = exiting.thread_id();
+    go.send(()).unwrap();
+    wait_for_pair.recv().unwrap();
+    assert!(
+        !delivered(&sink, x, takes),
+        "the pair waits behind the holder"
+    );
+    exit.send(()).unwrap();
+    exiting.join().unwrap();
+    assert!(delivered(&sink, x, |k| matches!(k, EventKind::ThreadExit)));
+    assert!(delivered(&sink, x, takes));
+    release.send(()).unwrap();
+    holding.join().unwrap();
+
+    // At the seal: this thread's pair sits behind a holder that has not
+    // released yet.
+    let (holding, release) = holder(&tracker, &held);
+    *other.lock().unwrap() += 1;
+    let me = {
+        let sink = sink.lock().unwrap();
+        let created = sink
+            .0
+            .events()
+            .iter()
+            .find(|e| matches!(e.kind, EventKind::New { obj } if obj == held.id()));
+        created.expect("this thread created the locks").thread
+    };
+    let released = |k: &EventKind| matches!(k, EventKind::Release { .. });
+    assert!(
+        !delivered(&sink, me, released),
+        "the pair waits behind the holder"
+    );
+    tracker.seal();
+    assert!(delivered(&sink, me, released));
+    release.send(()).unwrap();
+    holding.join().unwrap();
 }
