@@ -3,7 +3,7 @@
 //! Algorithm 2 of the paper computes the lock dependency relation *during*
 //! execution; an [`EventSink`] is the hook that makes that possible here.
 //! Execution substrates (the virtual runtime and the real-thread sessions)
-//! call into an attached sink at every recorded event, in trace order, so
+//! hand an attached sink every recorded event, in trace order, so
 //! observers — an incremental relation builder, an on-disk spill writer —
 //! can consume the event stream online instead of requiring the full
 //! in-memory `Vec<Event>` after the fact.
@@ -21,6 +21,16 @@ pub trait EventSink: Send {
     /// Called once per recorded event, in execution (sequence) order.
     fn on_event(&mut self, event: &Event);
 
+    /// Called with a run of consecutive events, in sequence order — the
+    /// form substrates deliver in. The default hands each to
+    /// [`EventSink::on_event`]; a sink with a per-call cost (a lock, a
+    /// write) overrides it to pay that cost once per run.
+    fn on_events(&mut self, events: &[Event]) {
+        for event in events {
+            self.on_event(event);
+        }
+    }
+
     /// Called once when the execution ends. `trace` carries the final
     /// object table and thread bindings; its event vector is empty when
     /// the substrate ran without trace recording, and always when a
@@ -34,7 +44,7 @@ pub trait EventSink: Send {
 ///
 /// This is the form substrates carry in their run configuration: cheap to
 /// clone, `None`-like when empty (the common non-streaming case costs one
-/// `is_empty` check per event), and shareable so the caller can keep a
+/// `is_empty` check per delivery), and shareable so the caller can keep a
 /// typed handle to the same sink and harvest its state after the run.
 #[derive(Clone, Default)]
 pub struct SinkHandle {
@@ -63,17 +73,21 @@ impl SinkHandle {
         !self.sinks.is_empty()
     }
 
-    /// Delivers one event to every attached sink.
+    /// Delivers a run of consecutive events to every attached sink, in
+    /// attachment order, locking each sink once for the whole run
+    /// ([`EventSink::on_events`]). A substrate with one event passes
+    /// `std::slice::from_ref(&event)`.
     ///
-    /// A sink whose callback panicked earlier leaves its mutex poisoned;
-    /// the handle recovers the guard instead of propagating the panic, so
-    /// later events — and the end-of-run seal — still reach the sink and a
-    /// panicking trial still produces an analyzable trace.
-    pub fn emit(&self, event: &Event) {
+    /// A sink whose callback panics unwinds the caller: the sinks after
+    /// it miss the rest of that run. Its mutex is left poisoned, and the
+    /// handle recovers the guard instead of propagating the panic, so
+    /// later runs — and the end-of-run seal — still reach every sink and
+    /// a panicking trial still produces an analyzable trace.
+    pub fn emit(&self, events: &[Event]) {
         for sink in &self.sinks {
             sink.lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .on_event(event);
+                .on_events(events);
         }
     }
 
@@ -120,7 +134,7 @@ mod tests {
     fn empty_handle_is_detached_and_inert() {
         let h = SinkHandle::none();
         assert!(!h.is_attached());
-        h.emit(&Event::new(0, ThreadId::new(0), EventKind::Yield));
+        h.emit(&[Event::new(0, ThreadId::new(0), EventKind::Yield)]);
         h.finish(&Trace::new());
     }
 
@@ -139,7 +153,7 @@ mod tests {
         }
         assert!(sink.is_poisoned());
         let h = SinkHandle::single(sink.clone() as Arc<Mutex<dyn EventSink>>);
-        h.emit(&Event::new(0, ThreadId::new(0), EventKind::Yield));
+        h.emit(&[Event::new(0, ThreadId::new(0), EventKind::Yield)]);
         h.finish(&Trace::new());
         let s = sink.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(s.events, 1);
@@ -153,12 +167,15 @@ mod tests {
         let h = SinkHandle::single(a.clone() as Arc<Mutex<dyn EventSink>>)
             .with(b.clone() as Arc<Mutex<dyn EventSink>>);
         assert!(h.is_attached());
-        h.emit(&Event::new(0, ThreadId::new(0), EventKind::Yield));
-        h.emit(&Event::new(1, ThreadId::new(0), EventKind::Yield));
+        h.emit(&[Event::new(0, ThreadId::new(0), EventKind::Yield)]);
+        h.emit(&[
+            Event::new(1, ThreadId::new(0), EventKind::Yield),
+            Event::new(2, ThreadId::new(0), EventKind::Yield),
+        ]);
         h.finish(&Trace::new());
         for sink in [a, b] {
             let s = sink.lock().unwrap();
-            assert_eq!(s.events, 2);
+            assert_eq!(s.events, 3);
             assert!(s.finished);
         }
     }

@@ -300,18 +300,21 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Appends one event.
-    pub(crate) fn write_event(&mut self, event: &Event) -> Result<(), SpillError> {
+    /// Appends a run of events: encodes them all into the scratch
+    /// buffer, then writes it in one call.
+    pub(crate) fn write_events(&mut self, events: &[Event]) -> Result<(), SpillError> {
         self.scratch.clear();
-        match &mut self.binary {
-            Some(encoder) => encoder.encode_event(event, &mut self.scratch),
-            None => {
-                let line = jsonl_line(&TraceLine::Event(event.clone()))?;
-                self.scratch.extend_from_slice(line.as_bytes());
+        for event in events {
+            match &mut self.binary {
+                Some(encoder) => encoder.encode_event(event, &mut self.scratch),
+                None => {
+                    let line = jsonl_line(&TraceLine::Event(event.clone()))?;
+                    self.scratch.extend_from_slice(line.as_bytes());
+                }
             }
         }
         self.out.write_all(&self.scratch)?;
-        self.events += 1;
+        self.events += events.len() as u64;
         self.bytes += self.scratch.len() as u64;
         Ok(())
     }
@@ -341,6 +344,10 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
+/// Events [`write_trace_as`] encodes per write, which bounds its scratch
+/// buffer.
+const WRITE_CHUNK: usize = 1024;
+
 /// Writes a complete in-memory trace as one JSONL artifact.
 pub fn write_trace<W: Write>(out: W, trace: &Trace) -> Result<W, SpillError> {
     write_trace_as(out, trace, TraceFormat::Jsonl)
@@ -353,8 +360,8 @@ pub fn write_trace_as<W: Write>(
     format: TraceFormat,
 ) -> Result<W, SpillError> {
     let mut w = TraceWriter::new(out, format)?;
-    for event in trace.events() {
-        w.write_event(event)?;
+    for run in trace.events().chunks(WRITE_CHUNK) {
+        w.write_events(run)?;
     }
     w.seal(trace.objects(), trace.thread_objs().collect())?;
     Ok(w.out)
@@ -617,8 +624,13 @@ impl<W: Write + Send> SpillSink<W> {
 
 impl<W: Write + Send> EventSink for SpillSink<W> {
     fn on_event(&mut self, event: &Event) {
+        self.on_events(std::slice::from_ref(event));
+    }
+
+    /// Writes the whole run with one `write_all`.
+    fn on_events(&mut self, events: &[Event]) {
         if let Some(w) = self.writer.as_mut().filter(|_| !self.sealed) {
-            if let Err(e) = w.write_event(event) {
+            if let Err(e) = w.write_events(events) {
                 self.fail(e);
             }
         }

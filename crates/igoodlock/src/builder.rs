@@ -18,7 +18,7 @@ use df_events::{
 };
 
 use crate::hb::{Epoch, VectorClock};
-use crate::relation::{DedupIndex, DepTiming, LockDep, LockDependencyRelation};
+use crate::relation::{DedupIndex, DepTiming, FxBuildHasher, LockDep, LockDependencyRelation};
 
 /// Builds a [`LockDependencyRelation`] one event at a time.
 ///
@@ -53,7 +53,7 @@ pub struct RelationBuilder {
     timings: Vec<DepTiming>,
     raw_count: usize,
     events: u64,
-    threads: HashMap<ThreadId, ThreadState>,
+    threads: HashMap<ThreadId, ThreadState, FxBuildHasher>,
     thread_objs: BTreeMap<ThreadId, ObjId>,
     /// Clock of each spawn, handed to the child's start.
     pending_start: HashMap<ThreadId, VectorClock>,

@@ -1,6 +1,7 @@
 //! The lock dependency relation (Definition 1).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use df_events::{AcquireMode, DenseInterner, Label, ObjId, ThreadId, Trace};
 use serde::{Deserialize, Serialize};
@@ -203,6 +204,58 @@ impl LockDep {
     }
 }
 
+/// A multiplicative hasher in the style of rustc's Fx hash, for the
+/// relation builder's per-event maps: their keys are small integers and
+/// slices of them, and SipHash's cost showed in relation building.
+/// Nothing iterates a map hashed with it, so no output order depends on
+/// it. Keys come from a recorded trace; one crafted to collide could
+/// only slow the dedup, whose exact compare keeps its result right.
+#[derive(Default)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        for &byte in chunks.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// Rotated so the well-mixed high bits land where `HashMap` picks
+    /// its bucket.
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// Builds [`FxHasher`]s for a `HashMap`.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
 /// Clone-free tuple dedup: candidates are bucketed by hash and compared
 /// exactly against the tuples already kept, so construction never clones
 /// a lockset or context vector just to probe a set. (A bare
@@ -210,13 +263,12 @@ impl LockDep {
 /// the exact compare makes collisions merely a second probe.)
 #[derive(Default)]
 pub(crate) struct DedupIndex {
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: HashMap<u64, Vec<u32>, FxBuildHasher>,
 }
 
 impl DedupIndex {
     fn hash_of(dep: DepKey<'_>) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FxHasher::default();
         dep.hash(&mut h);
         h.finish()
     }

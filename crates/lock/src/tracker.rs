@@ -23,10 +23,12 @@
 //!   slot's own buffer; no section is shared between emitting threads.
 //! * A delivery section ([`Delivery`]) collects slot buffers and hands
 //!   their events to the sinks in strict sequence order, outside the
-//!   native critical sections. After an unlock it collects only the
-//!   caller's slot and stops at the first number another thread has not
-//!   handed over yet; a flush (before a thread blocks, at a tracked
-//!   thread's exit, at registration and at the seal) collects every slot.
+//!   native critical sections. Each hand-out merges what it can deliver
+//!   into one run and calls the sinks once with it. After an unlock it
+//!   collects only the caller's slot and stops at the first number
+//!   another thread has not handed over yet; a flush (before a thread
+//!   blocks, at a tracked thread's exit, at registration and at the
+//!   seal) collects every slot.
 //! * The registry mutex ([`State`]) guards the rest: registration, wait
 //!   edges, condvar waits, the Phase II session and the seal.
 //!
@@ -82,7 +84,8 @@ pub struct TrackerConfig {
     /// Streaming observers of the emitted event stream (a spill writer,
     /// a relation builder, …). Sinks run on program threads and must
     /// not acquire tracked locks. They see every event in sequence
-    /// order, in batches handed over by whichever thread delivers. An
+    /// order, in runs handed over by whichever thread delivers, one
+    /// [`df_events::EventSink::on_events`] call per run. An
     /// event goes out with a later delivery: at the latest before its
     /// thread blocks on a lock or condvar, when a thread the tracker
     /// spawned exits, or at [`Tracker::seal`].
@@ -260,6 +263,9 @@ struct Delivery {
     /// Indexed by [`ThreadId`]: each registered thread's slot and the
     /// events collected from it but not handed out yet.
     threads: Vec<Carry>,
+    /// The run being handed out, merged from the carries in sequence
+    /// order; reused across hand-outs.
+    run: Vec<Event>,
     /// The handed-out events, when [`TrackerConfig::record_events`] is
     /// set.
     events: Vec<Event>,
@@ -489,33 +495,48 @@ fn collect(carry: &mut Carry) {
 }
 
 /// Hands the sinks collected events in sequence order, starting with
-/// thread `from`'s, until the next number is not collected yet.
+/// thread `from`'s, until the next number is not collected yet: merges
+/// them into one run and calls the sinks once.
 fn hand_out(inner: &TrackerInner, d: &mut Delivery, from: usize) {
-    let first = d.next;
+    let Delivery {
+        next,
+        threads,
+        run,
+        events,
+    } = d;
+    // A sink that panicked mid-run left its run behind.
+    run.clear();
     let mut cur = from;
     loop {
-        let next = d.next;
-        let continues = |c: &Carry| c.batch.front().is_some_and(|e| e.seq == next);
-        if !d.threads.get(cur).is_some_and(continues) {
-            match d.threads.iter().position(continues) {
+        let continues = |c: &Carry| c.batch.front().is_some_and(|e| e.seq == *next);
+        if !threads.get(cur).is_some_and(continues) {
+            match threads.iter().position(continues) {
                 Some(i) => cur = i,
                 None => break,
             }
         }
-        // Taken and counted first: an event whose sink panics is not
-        // handed out twice.
-        let event = d.threads[cur].batch.pop_front().expect("front checked");
-        d.next += 1;
-        if inner.record_events {
-            d.events.push(event);
-            inner.sink.emit(d.events.last().expect("just recorded"));
-        } else {
-            inner.sink.emit(&event);
+        let batch = &mut threads[cur].batch;
+        while let Some(event) = batch.pop_front_if(|e| e.seq == *next) {
+            run.push(event);
+            *next += 1;
         }
     }
-    if inner.sink.is_attached() {
-        inner.obs.counters().add_events_streamed(d.next - first);
+    if run.is_empty() {
+        return;
     }
+    // Taken, counted and recorded before any sink runs: a sink that
+    // panics neither gets the run twice nor loses it from the trace.
+    if inner.sink.is_attached() {
+        inner.obs.counters().add_events_streamed(run.len() as u64);
+    }
+    let run: &[Event] = if inner.record_events {
+        let start = events.len();
+        events.append(run);
+        &events[start..]
+    } else {
+        run
+    };
+    inner.sink.emit(run);
 }
 
 /// Delivers the caller's buffered events, and any others they unblock.

@@ -29,7 +29,10 @@
 //! per-lock order, and the same release modes. Eight threads mixing
 //! pairs, tries and condvar waits check that a sink gets the recorded
 //! trace, and a thread whose events wait behind another thread's
-//! undelivered acquire checks when they must go out anyway.
+//! undelivered acquire checks when they must go out anyway. Sinks get
+//! the stream in runs, one call per run, and a sink that panics mid-run
+//! loses nothing from the recorded trace; the `acquires_observed`
+//! counter counts every non-re-entrant acquisition.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -906,4 +909,206 @@ fn events_behind_another_threads_number_are_delivered() {
     assert!(delivered(&sink, me, released));
     release.send(()).unwrap();
     holding.join().unwrap();
+}
+
+/// Keeps every run a sink is handed, as handed.
+#[derive(Default)]
+struct Runs(Vec<Vec<Event>>);
+
+impl EventSink for Runs {
+    fn on_event(&mut self, event: &Event) {
+        self.on_events(std::slice::from_ref(event));
+    }
+
+    fn on_events(&mut self, events: &[Event]) {
+        self.0.push(events.to_vec());
+    }
+}
+
+thread_local! {
+    /// Set while a worker of [`run_pairs`] releases a pair, where a
+    /// panicking sink can only unwind a delivery after a native unlock,
+    /// never an acquisition.
+    static RELEASING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Panics once: in the first run it is handed while a pair is released.
+#[derive(Default)]
+struct ExplodingSink {
+    exploded: bool,
+}
+
+impl EventSink for ExplodingSink {
+    fn on_event(&mut self, _event: &Event) {}
+
+    fn on_events(&mut self, _events: &[Event]) {
+        if !self.exploded && RELEASING.with(std::cell::Cell::get) {
+            self.exploded = true;
+            panic!("sink exploded mid-run");
+        }
+    }
+}
+
+const RUN_THREADS: usize = 4;
+const RUN_PAIRS: usize = 500;
+
+/// Four threads take `RUN_PAIRS` nested pairs each of eight shared
+/// mutexes, recording the trace, with a [`Runs`] sink first and `second`
+/// after it. A release a sink panics in is caught, and poisoned mutexes
+/// are taken anyway, so every pair takes and gives up both of its locks.
+/// Returns the runs and the recorded trace.
+fn run_pairs(second: Option<Arc<Mutex<dyn EventSink>>>) -> (Vec<Vec<Event>>, Trace) {
+    let runs = Arc::new(Mutex::new(Runs::default()));
+    let mut sinks = SinkHandle::single(runs.clone());
+    if let Some(second) = second {
+        sinks = sinks.with(second);
+    }
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(sinks)
+            .with_record_events(true),
+    );
+    let locks: Arc<Vec<TrackedMutex<u64>>> = Arc::new(
+        (0..STRESS_LOCKS)
+            .map(|_| TrackedMutex::with_tracker(&tracker, 0))
+            .collect(),
+    );
+    let workers: Vec<_> = (0..RUN_THREADS)
+        .map(|t| {
+            let locks = Arc::clone(&locks);
+            tracker.spawn(&format!("runs-{t}"), move || {
+                let take = |i: usize| {
+                    locks[i]
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                };
+                for p in 0..RUN_PAIRS {
+                    // Two distinct locks, taken in index order.
+                    let x = (t + p) % STRESS_LOCKS;
+                    let y = (x + 1 + 3 * p % (STRESS_LOCKS - 1)) % STRESS_LOCKS;
+                    let (lo, hi) = (x.min(y), x.max(y));
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let (mut a, mut b) = (take(lo), take(hi));
+                        *a += 1;
+                        *b += 1;
+                        RELEASING.with(|f| f.set(true));
+                        drop(b);
+                        drop(a);
+                    }));
+                    RELEASING.with(|f| f.set(false));
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    tracker.seal();
+    let runs = std::mem::take(&mut runs.lock().unwrap().0);
+    (runs, tracker.trace())
+}
+
+/// Sinks get the stream in runs, one call each: the runs, concatenated,
+/// are the recorded trace, gapless from 0, and a run carries more than
+/// one event. A sink that panics mid-run costs the sinks after it that
+/// run, but neither the sinks before it nor the recorded trace.
+#[test]
+fn sinks_get_the_recorded_trace_in_runs() {
+    let exploding = Arc::new(Mutex::new(ExplodingSink::default()));
+    for second in [None, Some(exploding.clone() as Arc<Mutex<dyn EventSink>>)] {
+        let panicking = second.is_some();
+        let (runs, recorded) = run_pairs(second);
+        let delivered: Vec<Event> = runs.iter().flatten().cloned().collect();
+        assert_eq!(delivered, recorded.events(), "panicking: {panicking}");
+        for (i, event) in recorded.events().iter().enumerate() {
+            assert_eq!(event.seq, i as u64, "gapless from 0");
+        }
+        assert!(
+            runs.iter().any(|run| run.len() > 1),
+            "some run carries more than one event"
+        );
+        // Every pair is in the recorded trace, the one the sink blew up
+        // in included.
+        for t in 0..RUN_THREADS {
+            let thread = ThreadId::new(t as u32 + 1);
+            let count = |pick: fn(&EventKind) -> bool| {
+                recorded
+                    .events()
+                    .iter()
+                    .filter(|e| e.thread == thread && pick(&e.kind))
+                    .count()
+            };
+            assert_eq!(count(takes), 2 * RUN_PAIRS, "T{t} acquires");
+            let released = |k: &EventKind| matches!(k, EventKind::Release { .. });
+            assert_eq!(count(released), 2 * RUN_PAIRS, "T{t} releases");
+            assert_eq!(count(|k| matches!(k, EventKind::ThreadExit)), 1);
+        }
+    }
+    assert!(exploding.is_poisoned(), "the second sink did panic");
+}
+
+const COUNT_THREADS: usize = 4;
+const COUNT_ROUNDS: usize = 300;
+
+/// `acquires_observed` counts every non-re-entrant acquisition,
+/// successful tries included and failing ones not: once the threads
+/// have exited and at the seal, with a spill and with no sink.
+#[test]
+fn acquires_observed_is_exact_once_threads_exit() {
+    for spill in [true, false] {
+        let obs = df_obs::Obs::default();
+        let mut config = TrackerConfig::default().with_obs(obs.clone());
+        let mut spilled = None;
+        if spill {
+            let format = df_events::SpillConfig::with_format(df_events::TraceFormat::Binary);
+            let (with_spill, sink) = config.with_spill(Vec::new(), &format).unwrap();
+            config = with_spill;
+            spilled = Some(sink);
+        }
+        let tracker = Tracker::new(config);
+        let locks: Arc<Vec<TrackedMutex<u64>>> = Arc::new(
+            (0..STRESS_LOCKS)
+                .map(|_| TrackedMutex::with_tracker(&tracker, 0))
+                .collect(),
+        );
+        let shared = Arc::new(TrackedRwLock::with_tracker(&tracker, 0u64));
+        let workers: Vec<_> = (0..COUNT_THREADS)
+            .map(|t| {
+                let (locks, shared) = (Arc::clone(&locks), Arc::clone(&shared));
+                let own = TrackedMutex::with_tracker(&tracker, 0u64);
+                tracker.spawn(&format!("count-{t}"), move || {
+                    for round in 0..COUNT_ROUNDS {
+                        // A nested pair: two acquisitions.
+                        let lo = (t + round) % (STRESS_LOCKS - 1);
+                        let mut a = locks[lo].lock().unwrap();
+                        *locks[lo + 1].lock().unwrap() += 1;
+                        *a += 1;
+                        drop(a);
+                        // A re-entrant read: one.
+                        let outer = shared.read().unwrap();
+                        let inner = shared.read().unwrap();
+                        assert_eq!(*outer + *inner, 0);
+                        drop(inner);
+                        drop(outer);
+                        // A successful try: one; a failing one: none.
+                        let held = own.try_lock().unwrap();
+                        assert!(own.try_lock().is_err());
+                        drop(held);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let expected = (COUNT_THREADS * COUNT_ROUNDS * 4) as u64;
+        let observed = || obs.counters().snapshot().acquires_observed;
+        assert_eq!(observed(), expected, "spill: {spill}, threads exited");
+        tracker.seal();
+        assert_eq!(observed(), expected, "spill: {spill}, sealed");
+        if let Some(sink) = spilled {
+            let (events, _) = sink.lock().unwrap().close().unwrap();
+            assert!(events > expected);
+        }
+    }
 }

@@ -127,7 +127,7 @@ impl Controller {
         }
         let event = df_events::Event::new(seq, thread, kind);
         if self.config.sink.is_attached() {
-            self.config.sink.emit(&event);
+            self.config.sink.emit(std::slice::from_ref(&event));
             self.config.obs.counters().add_events_streamed(1);
         }
         if let Some(mut strat) = inner.strategy.take() {
