@@ -127,11 +127,10 @@ fn batch_size(elapsed: Duration, calls: u32) -> u32 {
     u32::try_from(MIN_SAMPLE.as_nanos().div_ceil(per_call)).expect("at most 10^6 calls")
 }
 
-/// Runs `f` in batches of calls and returns its last result with the
-/// best of `reps` samples, in milliseconds per call. Untimed calibration
-/// batches (which also warm up caches and the allocator) grow the batch
-/// until one lasts [`MIN_SAMPLE`].
-fn time_best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
+/// Grows a batch of calls to `f` until one lasts [`MIN_SAMPLE`], in
+/// untimed calibration batches (which also warm up caches and the
+/// allocator). Returns `f`'s last result and the batch size.
+fn calibrate<T>(f: &mut impl FnMut() -> T) -> (T, u32) {
     let mut batch = 1;
     let mut out = f();
     loop {
@@ -141,19 +140,48 @@ fn time_best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
         }
         let next = batch_size(start.elapsed(), batch);
         if next <= batch {
-            break;
+            return (out, batch);
         }
         batch = next;
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        for _ in 0..batch {
-            out = f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(batch));
+}
+
+/// Times one batch of `batch` calls to `f`, keeping the last result in
+/// `out`, and returns milliseconds per call.
+fn time_batch<T>(f: &mut impl FnMut() -> T, batch: u32, out: &mut T) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        *out = f();
     }
+    start.elapsed().as_secs_f64() * 1e3 / f64::from(batch)
+}
+
+/// Runs `f` in batches of calls and returns its last result with the
+/// best of `reps` samples, in milliseconds per call.
+fn time_best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, f64) {
+    let (mut out, batch) = calibrate(&mut f);
+    let best = (0..reps.max(1))
+        .map(|_| time_batch(&mut f, batch, &mut out))
+        .fold(f64::INFINITY, f64::min);
     (out, best)
+}
+
+/// [`time_best_of`] for two functions whose times are compared: their
+/// timed batches alternate, so a slow spell of the machine falls on
+/// samples of both rather than on all the samples of one.
+fn time_alternating_best_of<A, B>(
+    reps: u32,
+    mut f: impl FnMut() -> A,
+    mut g: impl FnMut() -> B,
+) -> ((A, f64), (B, f64)) {
+    let (mut a, a_batch) = calibrate(&mut f);
+    let (mut b, b_batch) = calibrate(&mut g);
+    let (mut a_best, mut b_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        a_best = a_best.min(time_batch(&mut f, a_batch, &mut a));
+        b_best = b_best.min(time_batch(&mut g, b_batch, &mut b));
+    }
+    ((a, a_best), (b, b_best))
 }
 
 fn cycle_set(cycles: &[df_igoodlock::Cycle]) -> BTreeSet<String> {
@@ -170,10 +198,12 @@ pub fn igoodlock_bench_row(
     reps: u32,
 ) -> Result<IGoodlockBenchRow, String> {
     let options = IGoodlockOptions::default();
-    let ((indexed_cycles, indexed_stats), indexed_ms) =
-        time_best_of(reps, || igoodlock_with_stats(relation, &options));
-    let ((naive_cycles, naive_stats), naive_ms) =
-        time_best_of(reps, || naive_igoodlock_with_stats(relation, &options));
+    let (((naive_cycles, naive_stats), naive_ms), ((indexed_cycles, indexed_stats), indexed_ms)) =
+        time_alternating_best_of(
+            reps,
+            || naive_igoodlock_with_stats(relation, &options),
+            || igoodlock_with_stats(relation, &options),
+        );
     let ((dfs_cycles, dfs_stats), dfs_ms) = time_best_of(reps, || goodlock_dfs(relation, &options));
     if indexed_cycles != naive_cycles {
         return Err(format!(

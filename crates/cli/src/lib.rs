@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 use deadlock_fuzzer::{analyze_relation, Config, DeadlockFuzzer, ProgramRef, Report, Variant};
 use df_events::{decode_trace, ObjectTable, SpillConfig, TraceFormat};
@@ -579,10 +579,11 @@ pub fn cmd_analyze<R: BufRead>(
     opts: &CliOptions,
 ) -> Result<CmdOutput, CliError> {
     let unreadable = |e: std::io::Error| CliError::internal(format!("cannot read {source}: {e}"));
-    let head = input.fill_buf().map_err(unreadable)?;
-    let format = TraceFormat::sniff(head);
+    let head = read_head(&mut input, RELATION_PREFIX.len()).map_err(unreadable)?;
+    let format = TraceFormat::sniff(&head);
     let text = head.trim_ascii_start();
-    if format == TraceFormat::Jsonl && text.starts_with(b"{\"format\":\"df-relation\"") {
+    let input = head.as_slice().chain(input);
+    if format == TraceFormat::Jsonl && text.starts_with(RELATION_PREFIX) {
         let relation = df_igoodlock::read_relation(input)
             .map_err(|e| CliError::usage(format!("bad relation artifact {source}: {e}")))?;
         return analyze(&relation, None, opts);
@@ -602,6 +603,30 @@ pub fn cmd_analyze<R: BufRead>(
     let footer = decode_trace(input, format, &mut builder).map_err(bad_trace)?;
     let relation = builder.finish().map_err(bad_trace)?;
     analyze(&relation, Some(footer.objects()), opts)
+}
+
+/// How a df-relation artifact starts, after any leading whitespace: the
+/// longest prefix [`cmd_analyze`] tells formats apart by.
+const RELATION_PREFIX: &[u8] = b"{\"format\":\"df-relation\"";
+
+/// Reads from `input` until the bytes read hold `len` bytes after their
+/// leading ASCII whitespace, or to its end. A reader's first fill may be
+/// shorter than that, so a format cannot be sniffed from it alone.
+fn read_head<R: BufRead>(input: &mut R, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut head = Vec::with_capacity(len);
+    loop {
+        let short = len.saturating_sub(head.trim_ascii_start().len());
+        if short == 0 {
+            return Ok(head);
+        }
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(head);
+        }
+        let take = short.min(buf.len());
+        head.extend_from_slice(&buf[..take]);
+        input.consume(take);
+    }
 }
 
 /// `dfz confirm <benchmark>` — Phase II confirmation of one or all cycles.

@@ -27,11 +27,9 @@ const SEED: u64 = 0xDF_2027;
 const FLIPS: usize = 48;
 /// Mutants per structural mutation per golden.
 const STRUCTURAL: usize = 8;
-/// The small read buffer: the shortest whose first fill still holds a
-/// JSONL trace's `{"Header"` prefix, so the format is told apart as with
-/// a full buffer, while most frames and lines straddle its end. A
-/// relation artifact is told apart by its first 23 bytes, so only trace
-/// mutants are read through it.
+/// The small read buffer: most frames and lines straddle its end.
+/// (`tests/analyze_small_reads.rs` checks that any buffer tells the
+/// formats apart as a full one does.)
 const SMALL_BUFFER: usize = 9;
 
 /// SplitMix64: a seeded, dependency-free source of mutation choices.

@@ -78,6 +78,24 @@ pub fn carriers_started() -> u64 {
     STARTED.load(Ordering::Relaxed)
 }
 
+/// Parks of a waiting virtual thread's carrier since the process began.
+static PARKS: AtomicU64 = AtomicU64::new(0);
+
+/// The number of times a virtual thread waiting for its pick has parked
+/// its carrier in this process — how tests check that a handoff between
+/// two threads mostly finds the waiter awake instead of waking it.
+#[doc(hidden)]
+pub fn carrier_parks() -> u64 {
+    PARKS.load(Ordering::Relaxed)
+}
+
+/// Parks the calling carrier until it is unparked, counted in
+/// [`carrier_parks`].
+pub(crate) fn park() {
+    PARKS.fetch_add(1, Ordering::Relaxed);
+    std::thread::park();
+}
+
 /// The virtual threads of one run that are still on a carrier.
 #[derive(Default)]
 pub(crate) struct Tally {

@@ -2,6 +2,7 @@
 //! the strategy at every schedule point.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
 
@@ -51,6 +52,21 @@ pub(crate) struct Inner {
 /// thread a pick made `current`, if it is already on its carrier.
 type Wake = Option<Thread>;
 
+/// How many times a waiter likely to be picked next yields its carrier,
+/// watching [`Controller::picked`], before it parks. Parking and being
+/// woken cost two futex calls and a trip through the OS scheduler; a
+/// yield that finds the pick already made costs neither. The gain
+/// levels off from about 20 yields on the Table 1 campaign; past the
+/// bound the waiter parks as if it had not yielded.
+const HANDOFF_YIELDS: u32 = 50;
+
+/// [`Controller::picked`] while no thread holds the token.
+const NO_THREAD: u32 = u32::MAX;
+
+/// [`Controller::picked`] once the run is aborting: it ends every yield
+/// loop, and no later write replaces it.
+const ABORTING: u32 = u32::MAX - 1;
+
 /// Shared controller for one run.
 ///
 /// A virtual thread waits for the token by parking its carrier
@@ -63,12 +79,30 @@ type Wake = Option<Thread>;
 /// meant for an earlier virtual thread of a reused carrier) costs one
 /// extra check. The supervisor parks on `done_cond`, which is notified
 /// only when `inner.done` is set.
+///
+/// Most Phase II picks leave the token where it is, and when it moves
+/// there are often only two threads to move between. So a waiter that
+/// was in the last pick's enabled set, and that set held at most two
+/// threads, first yields its carrier up to [`HANDOFF_YIELDS`] times,
+/// watching `picked`, a lock-free copy of `current`. If the copy names
+/// it (or the run aborts) within the bound, it goes straight to the same
+/// re-check under the mutex without having slept, and the giver's
+/// unpark finds no parked thread to wake. Any other waiter parks at
+/// once: with more threads able to run, yielding ones would crowd out
+/// the one that holds the token.
 pub(crate) struct Controller {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) done_cond: Condvar,
     pub(crate) config: RunConfig,
     /// The run's virtual threads still on a carrier.
     pub(crate) tally: Arc<Tally>,
+    /// `inner.g.current` as a thread index, [`NO_THREAD`] or
+    /// [`ABORTING`], written under `inner` with every change of it. Only
+    /// yielding waiters read it, without the mutex; a value read there
+    /// is a hint to re-check `current` under the mutex, never a pick.
+    /// Stores are `Release` and loads `Acquire`, but the mutex the
+    /// re-check takes, not this pairing, orders the run's state.
+    picked: AtomicU32,
 }
 
 /// Installs (once per process) a panic hook that suppresses the default
@@ -107,7 +141,18 @@ impl Controller {
             done_cond: Condvar::new(),
             config,
             tally: Arc::default(),
+            picked: AtomicU32::new(NO_THREAD),
         })
+    }
+
+    /// Hands the token to `t` (or frees it) and mirrors that in
+    /// `picked`, unless the run is aborting, whose mark stays.
+    fn set_current(&self, g: &mut Global, t: Option<ThreadId>) {
+        g.current = t;
+        if !g.aborting {
+            let picked = t.map_or(NO_THREAD, |t| t.as_u32());
+            self.picked.store(picked, Ordering::Release);
+        }
     }
 
     /// Records an event: appends to the trace (if recording), streams it
@@ -144,6 +189,7 @@ impl Controller {
         }
         inner.g.aborting = true;
         inner.done = true;
+        self.picked.store(ABORTING, Ordering::Release);
         for carrier in inner.g.threads.iter().filter_map(|ts| ts.carrier.as_ref()) {
             carrier.unpark();
         }
@@ -187,7 +233,7 @@ impl Controller {
                 // that lands before `t` parks makes its park return at
                 // once, and a `t` not yet registered finds the pick when
                 // it registers. So the wake-up cannot be lost.
-                g.current = Some(t);
+                self.set_current(g, Some(t));
                 Ok(g.thread(t).carrier.clone())
             }
             Directive::Run(t) => {
@@ -400,7 +446,7 @@ impl Controller {
             Some(me),
             "announcing thread holds the token"
         );
-        inner.g.current = None;
+        self.set_current(&mut inner.g, None);
         let wake = self.reschedule(inner)?;
         self.wait_until_picked(inner, me, wake)
     }
@@ -408,8 +454,13 @@ impl Controller {
     /// Blocks until the strategy makes `me` current, then marks it running.
     /// `wake` is the carrier of the thread the caller's own pick made
     /// current: it is unparked after the mutex is released, just before
-    /// `me` parks. An abort unparks every carrier, so a pending `wake` may
+    /// `me` waits. An abort unparks every carrier, so a pending `wake` may
     /// be dropped when the run is ending, or when the pick was `me`.
+    ///
+    /// `me` waits by parking, after a bounded yield loop if it was one of
+    /// at most two threads the last pick could choose (see
+    /// [`Controller`]). Either way it runs only once the re-check under
+    /// the mutex finds it picked.
     fn wait_until_picked(
         &self,
         inner: &mut MutexGuard<'_, Inner>,
@@ -423,15 +474,28 @@ impl Controller {
             if inner.g.current == Some(me) {
                 break;
             }
+            let yield_first = inner.enabled.len() <= 2 && inner.enabled.contains(&me);
             MutexGuard::unlocked(inner, || {
                 if let Some(carrier) = wake.take() {
                     carrier.unpark();
                 }
-                thread::park();
+                if !(yield_first && self.yield_until_picked(me)) {
+                    carrier::park();
+                }
             });
         }
         inner.g.thread_mut(me).status = ThreadStatus::Running;
         Ok(())
+    }
+
+    /// Yields the carrier up to [`HANDOFF_YIELDS`] times and returns
+    /// whether `picked` named `me` or the abort mark after one of them.
+    fn yield_until_picked(&self, me: ThreadId) -> bool {
+        (0..HANDOFF_YIELDS).any(|_| {
+            thread::yield_now();
+            let picked = self.picked.load(Ordering::Acquire);
+            picked == me.as_u32() || picked == ABORTING
+        })
     }
 
     /// First schedule point of a thread. Unlike [`Self::op`], the thread
@@ -945,7 +1009,7 @@ impl Controller {
         }
         inner.g.thread_mut(me).carrier = None;
         if inner.g.current == Some(me) {
-            inner.g.current = None;
+            self.set_current(&mut inner.g, None);
         }
         let wake = if inner.g.aborting {
             None

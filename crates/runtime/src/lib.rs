@@ -57,9 +57,9 @@ pub mod strategy;
 mod view;
 mod waitfor;
 
-#[doc(hidden)]
-pub use carrier::carriers_started;
 pub use carrier::retire_idle_carriers;
+#[doc(hidden)]
+pub use carrier::{carrier_parks, carriers_started};
 pub use config::RunConfig;
 pub use ctx::{CondvarRef, LockGuard, LockRef, ObjRef, Shared, TCtx, ThreadRef};
 pub use fault::{FaultLog, FaultPlan};

@@ -1,12 +1,13 @@
 //! Wake-up regression tests for the controller's direct token handoff.
 //!
-//! A waiting virtual thread parks its carrier, and a pick unparks only the
-//! picked thread's carrier, after the controller mutex is released. So
-//! every way a run can end must explicitly release every parked thread, a
-//! pick that lands before the picked thread has parked (or reached its
-//! carrier) must not be lost, and an unpark that arrives late, at a
-//! carrier already running another virtual thread, must not let that
-//! thread run unpicked.
+//! A waiting virtual thread parks its carrier (after a bounded yield loop
+//! when it is one of at most two threads a pick can choose), and a pick
+//! unparks only the picked thread's carrier, after the controller mutex
+//! is released. So every way a run can end must explicitly release every
+//! parked or yielding thread, a pick that lands before the picked thread
+//! has parked (or reached its carrier) must not be lost, and an unpark
+//! that arrives late, at a carrier already running another virtual
+//! thread, must not let that thread run unpicked.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -324,5 +325,123 @@ fn late_unparks_on_reused_carriers_never_run_an_unpicked_thread() {
         .collect();
     for runner in runners {
         runner.join().expect("runner passed");
+    }
+}
+
+/// Yields each thread of [`ping_pong`] makes.
+const PING_PONG_ROUNDS: usize = 20;
+
+/// Main spawns one child and both yield [`PING_PONG_ROUNDS`] times,
+/// appending their id to `ran` each time a yield returns; then main
+/// joins the child. With two threads, every pick's enabled set holds at
+/// most two, so a waiter yields its carrier before it parks.
+fn ping_pong(ran: &Arc<Mutex<Vec<ThreadId>>>) -> impl FnOnce(&TCtx) + Send + 'static {
+    let rounds = |ran: Arc<Mutex<Vec<ThreadId>>>| {
+        move |ctx: &TCtx| {
+            for _ in 0..PING_PONG_ROUNDS {
+                ctx.yield_now();
+                ran.lock().unwrap().push(ctx.id());
+            }
+        }
+    };
+    let child = rounds(Arc::clone(ran));
+    let main = rounds(Arc::clone(ran));
+    move |ctx: &TCtx| {
+        let child = ctx.spawn(site!("ping-pong spawn"), "pong", child);
+        main(ctx);
+        ctx.join(&child, site!("ping-pong join"));
+    }
+}
+
+#[test]
+fn a_two_thread_ping_pong_on_the_yield_path_runs_only_picked_threads() {
+    // As above, two runners share the carrier pool. A waiter that leaves
+    // its yield loop must still find itself picked under the controller
+    // mutex before it runs: every event, and every return from a yield
+    // the program sees, must come from the thread the strategy picked,
+    // in pick order, in whole runs and in runs aborted mid-way alike.
+    const RUNS_PER_RUNNER: u64 = 300;
+    let runners: Vec<_> = (0..2u64)
+        .map(|runner| {
+            std::thread::spawn(move || {
+                let rt = VirtualRuntime::new(
+                    RunConfig::default().with_hang_timeout(Duration::from_secs(10)),
+                );
+                for run in 0..RUNS_PER_RUNNER {
+                    let seed = runner * RUNS_PER_RUNNER + run;
+                    let log = Arc::new(Mutex::new(Vec::new()));
+                    let ran = Arc::new(Mutex::new(Vec::new()));
+                    let strategy = LoggedRandom {
+                        state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+                        // Every third run is cut short mid-run.
+                        abort_after: seed.is_multiple_of(3).then_some(3 + (seed % 40) as usize),
+                        log: Arc::clone(&log),
+                    };
+                    let r = rt.run(Box::new(strategy), ping_pong(&ran));
+                    assert!(
+                        matches!(r.outcome, Outcome::Completed | Outcome::StrategyAbort(_)),
+                        "run {seed}: {:?}",
+                        r.outcome
+                    );
+                    let events = r.trace.events();
+                    let picked_events: Vec<ThreadId> = events
+                        .iter()
+                        .filter(|e| !matches!(e.kind, EventKind::ThreadExit))
+                        .map(|e| e.thread)
+                        .collect();
+                    let picked = log.lock().unwrap().clone();
+                    assert_eq!(
+                        picked_events, picked,
+                        "run {seed}: events differ from the picks"
+                    );
+                    let yields: Vec<ThreadId> = events
+                        .iter()
+                        .filter(|e| matches!(e.kind, EventKind::Yield))
+                        .map(|e| e.thread)
+                        .collect();
+                    let ran = ran.lock().unwrap().clone();
+                    assert_eq!(
+                        ran, yields,
+                        "run {seed}: a yield returned to an unpicked thread"
+                    );
+                }
+            })
+        })
+        .collect();
+    for runner in runners {
+        runner.join().expect("runner passed");
+    }
+}
+
+#[test]
+fn a_strategy_abort_while_a_waiter_yields_releases_both_threads() {
+    // Two threads alternate, so the one that just gave the token away
+    // is in its yield loop when the other's next pick aborts the run.
+    for picks in 2..102u32 {
+        let released = Arc::new(AtomicUsize::new(0));
+        let child_guard = ReleaseGuard(Arc::clone(&released));
+        let main_guard = ReleaseGuard(Arc::clone(&released));
+        // `StopAfter` aborts after its 2,000th pick; counting from
+        // `picks` short of that aborts this run after `picks` picks.
+        let mut strategy = StopAfter::new(|| Directive::Abort("mid-yield".to_string()));
+        strategy.picks = 2_000 - picks;
+        let r = run_bounded(config(), Box::new(strategy), move |ctx| {
+            let _guard = main_guard;
+            ctx.spawn(site!("yield abort spawn"), "yielder", move |ctx| {
+                let _guard = child_guard;
+                yield_forever(ctx);
+            });
+            yield_forever(ctx);
+        });
+        assert_eq!(
+            r.outcome,
+            Outcome::StrategyAbort("mid-yield".to_string()),
+            "abort after {picks} picks"
+        );
+        assert_eq!(
+            released.load(Ordering::SeqCst),
+            2,
+            "abort after {picks} picks: a thread was never released"
+        );
     }
 }
