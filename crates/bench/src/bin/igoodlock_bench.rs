@@ -291,19 +291,27 @@ fn print_lock_record_rows(rows: &[LockRecordRow]) {
     println!();
     println!("== Lock record: native-spill's lock-pair loop, per tracked lock operation ==");
     println!(
-        "{:<14} {:>7} {:>10} | {:>10} {:>10} | {:>10}",
-        "recorder", "threads", "ops", "wall(ms)", "ns/op", "events"
+        "{:<14} {:>7} {:>10} | {:>10} {:>10} {:>10} | {:>9} {:>10}",
+        "recorder", "threads", "ops", "wall(ms)", "ns/op", "med ns/op", "contended", "events"
     );
+    let or_dash = |n: Option<u64>| n.map_or("-".to_string(), |n| n.to_string());
     for r in rows {
-        let events = r.events.map_or("-".to_string(), |n| n.to_string());
         println!(
-            "{:<14} {:>7} {:>10} | {:>10.3} {:>10.1} | {:>10}",
-            r.recorder, r.threads, r.ops, r.wall_ms, r.ns_per_op, events
+            "{:<14} {:>7} {:>10} | {:>10.3} {:>10.1} {:>10.1} | {:>9} {:>10}",
+            r.recorder,
+            r.threads,
+            r.ops,
+            r.wall_ms,
+            r.ns_per_op,
+            r.median_ns_per_op,
+            or_dash(r.contended),
+            or_dash(r.events)
         );
     }
     println!(
-        "(the same pairs split over the threads; times are best of reps; \
-         a sink that missed an operation fails the bench)"
+        "(the same pairs split over the threads; wall and ns/op are best of \
+         reps, med ns/op and contended (acquisitions that registered a \
+         wait) their medians; a sink that missed an operation fails the bench)"
     );
 }
 

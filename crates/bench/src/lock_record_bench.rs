@@ -6,6 +6,11 @@
 //! binary spill into memory — each on one OS thread and on two that
 //! split the same pairs between them. The differences between rows are
 //! the costs of tracking, of delivering to a sink and of encoding.
+//!
+//! The two-thread rows vary from rep to rep with how often the threads
+//! collide, so each row reports the median of its reps beside the best,
+//! and its contended acquisitions (the tracker's `wfg_edges`: those
+//! that outlasted the acquisition's spin).
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -19,6 +24,10 @@ use serde::Serialize;
 pub const LOCK_RECORD_PAIRS: usize = 300_000;
 
 const LOCKS: usize = 16;
+
+/// Reps a row takes at least, whatever the caller asks for, so that its
+/// median is one rep's time rather than the mean of two.
+const MIN_REPS: u32 = 5;
 
 /// What a timed run records its lock operations through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,9 +74,32 @@ pub struct LockRecordRow {
     pub wall_ms: f64,
     /// Nanoseconds per lock operation at the best-of-reps time.
     pub ns_per_op: f64,
+    /// Median-of-reps wall time of the loop, milliseconds.
+    pub median_wall_ms: f64,
+    /// Nanoseconds per lock operation at the median time.
+    pub median_ns_per_op: f64,
+    /// Median over the reps of the acquisitions that registered a wait
+    /// (the tracker's `wfg_edges`; tracked rows only).
+    pub contended: Option<u64>,
     /// Events the sink received (the counting sink and the spill only):
     /// checked against the operations the loop performed.
     pub events: Option<u64>,
+}
+
+/// One timed run of the loop.
+struct Rep {
+    seconds: f64,
+    /// Contended acquisitions, under a tracker.
+    contended: Option<u64>,
+    /// Events a sink received.
+    events: Option<u64>,
+}
+
+/// The middle of `values`, sorted in place (the lower middle of an even
+/// count).
+fn median<T: Copy + PartialOrd>(values: &mut [T]) -> T {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    values[(values.len() - 1) / 2]
 }
 
 /// Counts the events it is handed.
@@ -104,12 +136,9 @@ fn generate_pairs(threads: usize, pairs: usize, seed: u64) -> Vec<Vec<(u8, u8)>>
         .collect()
 }
 
-/// Runs the loop once and returns the wall time in seconds, and the
-/// event count of a sink.
-fn run_once(
-    recorder: Recorder,
-    work: &Arc<Vec<Vec<(u8, u8)>>>,
-) -> Result<(f64, Option<u64>), String> {
+/// Runs the loop once: its wall time, and the tracker's contended
+/// acquisitions and a sink's event count.
+fn run_once(recorder: Recorder, work: &Arc<Vec<Vec<(u8, u8)>>>) -> Result<Rep, String> {
     if recorder == Recorder::Plain {
         let locks: Vec<Mutex<u64>> = (0..LOCKS).map(|_| Mutex::new(0)).collect();
         let start = Instant::now();
@@ -125,7 +154,11 @@ fn run_once(
                 });
             }
         });
-        return Ok((start.elapsed().as_secs_f64(), None));
+        return Ok(Rep {
+            seconds: start.elapsed().as_secs_f64(),
+            contended: None,
+            events: None,
+        });
     }
     let counter = Arc::new(Mutex::new(CountingSink::default()));
     let (config, spill) = match recorder {
@@ -178,25 +211,26 @@ fn run_once(
         }
         _ => None,
     };
-    Ok((seconds, events))
+    Ok(Rep {
+        seconds,
+        contended: Some(tracker.obs().counters().snapshot().wfg_edges),
+        events,
+    })
 }
 
 /// Times the loop for every recorder on 1 and 2 threads, `pairs` pairs
-/// in total, best of `reps`. Errors if a sink missed an operation.
+/// in total, over `reps` reps (at least [`MIN_REPS`]): the best and the
+/// median. Errors if a sink missed an operation.
 pub fn lock_record_bench(pairs: usize, reps: u32) -> Result<Vec<LockRecordRow>, String> {
     let mut rows = Vec::new();
     for threads in [1, 2] {
         let work = Arc::new(generate_pairs(threads, pairs / threads, 0));
         let ops = 4 * (pairs / threads * threads) as u64;
         for recorder in Recorder::ALL {
-            let mut best = f64::INFINITY;
-            let mut events = None;
-            for _ in 0..reps.max(1) {
-                let (seconds, count) = run_once(recorder, &work)?;
-                best = best.min(seconds);
-                events = count;
-            }
-            if let Some(n) = events {
+            let reps = (0..reps.max(MIN_REPS))
+                .map(|_| run_once(recorder, &work))
+                .collect::<Result<Vec<Rep>, String>>()?;
+            for n in reps.iter().filter_map(|r| r.events) {
                 if n < ops {
                     return Err(format!(
                         "{} on {threads} thread(s) delivered {n} events for {ops} lock operations",
@@ -204,13 +238,20 @@ pub fn lock_record_bench(pairs: usize, reps: u32) -> Result<Vec<LockRecordRow>, 
                     ));
                 }
             }
+            let mut seconds: Vec<f64> = reps.iter().map(|r| r.seconds).collect();
+            let mut contended: Vec<u64> = reps.iter().filter_map(|r| r.contended).collect();
+            let best = seconds.iter().copied().fold(f64::INFINITY, f64::min);
+            let mid = median(&mut seconds);
             rows.push(LockRecordRow {
                 recorder: recorder.name().to_string(),
                 threads,
                 ops,
                 wall_ms: best * 1e3,
                 ns_per_op: best * 1e9 / ops as f64,
-                events,
+                median_wall_ms: mid * 1e3,
+                median_ns_per_op: mid * 1e9 / ops as f64,
+                contended: (!contended.is_empty()).then(|| median(&mut contended)),
+                events: reps.last().and_then(|r| r.events),
             });
         }
     }
@@ -228,8 +269,13 @@ mod tests {
         for r in &rows {
             assert_eq!(r.ops, 8_000);
             assert!(r.ns_per_op > 0.0);
+            assert!(r.median_ns_per_op >= r.ns_per_op);
             let sinks = r.recorder == "counting-sink" || r.recorder == "binary-spill";
             assert_eq!(r.events.is_some(), sinks, "{}", r.recorder);
+            assert_eq!(r.contended.is_some(), r.recorder != "std-mutex");
+            if r.threads == 1 {
+                assert_eq!(r.contended.unwrap_or(0), 0, "a lone thread never waits");
+            }
         }
     }
 }

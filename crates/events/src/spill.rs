@@ -555,6 +555,11 @@ impl SpillConfig {
     }
 }
 
+/// Encoding-buffer bytes [`SpillSink::reserve_events`] sets aside per
+/// event: a binary event frame (length, tag, sequence number, thread,
+/// kind and up to three ids and a mode, each id a varint) fits.
+const RESERVED_BYTES_PER_EVENT: usize = 32;
+
 /// An [`EventSink`] that spills the event stream straight into an
 /// artifact of either encoding on the emitting thread, sealing it when
 /// the execution finishes.
@@ -587,6 +592,15 @@ impl<W: Write + Send> SpillSink<W> {
             error: None,
             sealed: false,
         })
+    }
+
+    /// Sets the encoding buffer aside for runs of up to `events` events
+    /// up front, so a producer that hands over runs no longer than that
+    /// writes binary events without growing it.
+    pub fn reserve_events(&mut self, events: usize) {
+        if let Some(w) = &mut self.writer {
+            w.scratch.reserve(events * RESERVED_BYTES_PER_EVENT);
+        }
     }
 
     /// Whether the footer has been written.

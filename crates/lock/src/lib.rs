@@ -73,6 +73,9 @@ pub use mutex::{TrackedMutex, TrackedMutexGuard};
 pub use rwlock::{TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard};
 pub use session::{FuzzConfig, FuzzOutcome, FuzzStats, NoiseConfig, Policy};
 pub use thread::{TrackedJoinHandle, TrackedThread};
+/// Events a thread buffers before a release hands them to the sinks.
+#[doc(hidden)]
+pub use tracker::DELIVERY_RUN;
 pub use tracker::{Tracker, TrackerConfig};
 
 // Witness types callers receive from handlers (and the mode vocabulary

@@ -65,12 +65,13 @@ impl<T> TrackedMutex<T> {
 
     /// Acquires the mutex, blocking like `std::sync::Mutex::lock`.
     ///
-    /// A contended acquisition registers a wait edge in the wait-for
-    /// graph first; if that edge closes a cycle the configured
-    /// [`crate::DeadlockHandler`] fires *before* this thread parks. A
-    /// poisoned mutex is reported as `Err` exactly like `std`, with the
-    /// guard recoverable via [`PoisonError::into_inner`] (the recovery
-    /// is counted and release events still flow).
+    /// An acquisition still contended after a brief spin registers a
+    /// wait edge in the wait-for graph first; if that edge closes a
+    /// cycle the configured [`crate::DeadlockHandler`] fires *before*
+    /// this thread parks. A poisoned mutex is reported as `Err` exactly
+    /// like `std`, with the guard recoverable via
+    /// [`PoisonError::into_inner`] (the recovery is counted and release
+    /// events still flow).
     ///
     /// Under a fuzz policy the acquisition may first pause (see
     /// [`crate::Policy`]); once the tracker's run has aborted it unwinds
@@ -79,7 +80,7 @@ impl<T> TrackedMutex<T> {
     pub fn lock(&self) -> LockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
         tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
-        match self.data.try_lock() {
+        match tracker::spin(|| self.data.try_lock()) {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
                 Ok(self.guard(g, site))
@@ -142,7 +143,7 @@ impl<T> TrackedMutex<T> {
     pub fn try_lock_for(&self, timeout: Duration) -> TryLockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
         tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
-        match self.data.try_lock() {
+        match tracker::spin(|| self.data.try_lock()) {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
                 return Ok(self.guard(g, site));
@@ -253,9 +254,11 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // Unpublish the hold strictly before the native unlock: a slot
         // must never claim a hold another thread could already have
         // re-acquired.
-        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker, me);
+        if let Some(me) = due {
+            tracker::deliver(&self.lock.tracker, me);
+        }
     }
 }
 

@@ -66,7 +66,7 @@ impl<T> TrackedRwLock<T> {
     pub fn read(&self) -> LockResult<TrackedRwLockReadGuard<'_, T>> {
         let site = caller_site();
         tracker::gate(&self.tracker, self.id, site, Access::Shared);
-        match self.data.try_read() {
+        match tracker::spin(|| self.data.try_read()) {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Shared);
                 Ok(self.read_guard(g, site))
@@ -98,7 +98,7 @@ impl<T> TrackedRwLock<T> {
     pub fn write(&self) -> LockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
         tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
-        match self.data.try_write() {
+        match tracker::spin(|| self.data.try_write()) {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
                 Ok(self.write_guard(g, site))
@@ -183,7 +183,7 @@ impl<T> TrackedRwLock<T> {
     ) -> TryLockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
         tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
-        match self.data.try_write() {
+        match tracker::spin(|| self.data.try_write()) {
             Ok(g) => {
                 tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
                 return Ok(self.write_guard(g, site));
@@ -273,9 +273,11 @@ impl<T> std::ops::Deref for TrackedRwLockReadGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker, me);
+        if let Some(me) = due {
+            tracker::deliver(&self.lock.tracker, me);
+        }
     }
 }
 
@@ -301,8 +303,10 @@ impl<T> std::ops::DerefMut for TrackedRwLockWriteGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        let me = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
         self.data.take();
-        tracker::deliver(&self.lock.tracker, me);
+        if let Some(me) = due {
+            tracker::deliver(&self.lock.tracker, me);
+        }
     }
 }

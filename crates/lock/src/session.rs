@@ -892,7 +892,15 @@ mod tests {
             let handle = df_events::SinkHandle::single(spill.clone()).with(exploder);
             let tracker = Tracker::new(TrackerConfig::default().with_sink(handle));
             let trial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_locking_program(&tracker);
+                let a = TrackedMutex::with_tracker(&tracker, 0u8);
+                let b = TrackedMutex::with_tracker(&tracker, 0u8);
+                let ga = a.lock().expect("fresh lock");
+                let gb = b.lock().expect("fresh lock");
+                drop(gb);
+                // A release waits for a full run; a flush hands the
+                // inner one out here, while `ga` is still held.
+                drop(tracker.trace());
+                drop(ga);
             }));
             assert!(trial.is_err(), "the exploding sink panicked the trial");
 

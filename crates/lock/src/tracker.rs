@@ -25,17 +25,24 @@
 //!   their events to the sinks in strict sequence order, outside the
 //!   native critical sections. Each hand-out merges what it can deliver
 //!   into one run and calls the sinks once with it. After an unlock it
-//!   collects only the caller's slot and stops at the first number
-//!   another thread has not handed over yet; a flush (before a thread
-//!   blocks, at a tracked thread's exit, at registration and at the
-//!   seal) collects every slot.
+//!   runs only once the caller's slot holds a full run
+//!   ([`DELIVERY_RUN`] events), collects only that slot and stops at
+//!   the first number another thread has not handed over yet; a flush
+//!   (before a thread blocks, at a tracked thread's exit, at
+//!   registration, at [`Tracker::trace`] and at the seal) collects every
+//!   slot.
+//! * A blocking acquisition retries the native `try_*` up to
+//!   [`SPIN_TRIES`] times before it registers a wait edge (see
+//!   [`spin`]), so a brief overlap costs neither the registry nor a
+//!   flush.
 //! * The registry mutex ([`State`]) guards the rest: registration, wait
 //!   edges, condvar waits, the Phase II session and the seal.
 //!
 //! An uncontended acquire, a release and a `try_*` take only their own
-//! slot and, off the native lock, the delivery section. Lock order:
-//! registry → delivery → slot, with sinks called under the delivery
-//! section; nothing holds a slot while it takes the delivery section.
+//! slot and, off the native lock and once a run is due, the delivery
+//! section. Lock order: registry → delivery → slot, with sinks called
+//! under the delivery section; nothing holds a slot while it takes the
+//! delivery section.
 //!
 //! ## Why detection cannot miss and cannot lie
 //!
@@ -59,7 +66,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, TryLockError, TryLockResult};
 use std::time::Instant;
 
 use df_events::{
@@ -85,10 +92,12 @@ pub struct TrackerConfig {
     /// a relation builder, …). Sinks run on program threads and must
     /// not acquire tracked locks. They see every event in sequence
     /// order, in runs handed over by whichever thread delivers, one
-    /// [`df_events::EventSink::on_events`] call per run. An
-    /// event goes out with a later delivery: at the latest before its
-    /// thread blocks on a lock or condvar, when a thread the tracker
-    /// spawned exits, or at [`Tracker::seal`].
+    /// [`df_events::EventSink::on_events`] call per run. An event goes
+    /// out with a later delivery: once its thread has buffered a full
+    /// run, and at the latest before its thread blocks on a lock or
+    /// condvar, when a thread the tracker spawned exits, or at
+    /// [`Tracker::trace`] or [`Tracker::seal`]. A sink read while the
+    /// program runs may therefore lag it; flush first.
     pub sink: SinkHandle,
     /// Observability handle for the `wfg_*`/`lock_timeouts`/
     /// `poisoned_recovered` counters, the Phase II pause/thrash counters
@@ -150,10 +159,9 @@ impl TrackerConfig {
         out: W,
         config: &df_events::SpillConfig,
     ) -> Result<(Self, Arc<std::sync::Mutex<df_events::SpillSink<W>>>), df_events::SpillError> {
-        let sink = Arc::new(std::sync::Mutex::new(df_events::SpillSink::with_format(
-            out,
-            config.format,
-        )?));
+        let mut spill = df_events::SpillSink::with_format(out, config.format)?;
+        spill.reserve_events(RESERVED_EVENTS);
+        let sink = Arc::new(std::sync::Mutex::new(spill));
         self.sink = self.sink.with(sink.clone());
         Ok((self, sink))
     }
@@ -201,6 +209,11 @@ impl ThreadSlot {
 
 /// A thread slot, shared by its thread's binding and the registry.
 pub(crate) type SharedSlot = Arc<Mutex<ThreadSlot>>;
+
+/// Events a buffer of the delivery path is reserved for up front: two
+/// full runs, so a run that fills between two releases fits, and a
+/// thread's steady state allocates nothing.
+const RESERVED_EVENTS: usize = 2 * DELIVERY_RUN;
 
 /// A registered wait: the awaited lock, the acquisition site and mode.
 pub(crate) type Wait = (ObjId, Label, Access);
@@ -279,6 +292,21 @@ struct Delivery {
 /// bound, the buffers grew to a hundred thousand events.
 const BACKLOG_BOUND: usize = 1024;
 
+/// A full run: how many events a thread's slot buffers before the
+/// release (failed try, notify, object creation, thread start or join)
+/// that fills it hands them out. Each hand-out
+/// has a fixed cost (the delivery section, the caller's slot, the merge
+/// and the sink mutexes), which a run of this length spreads thin; a
+/// hand-out per release paid it for two events at a time.
+#[doc(hidden)]
+pub const DELIVERY_RUN: usize = 256;
+const _: () = assert!(DELIVERY_RUN <= BACKLOG_BOUND);
+
+/// How many times a blocking acquisition tries the native lock, with a
+/// [`std::hint::spin_loop`] between tries, before it registers a wait
+/// edge: about as long as `std::sync::Mutex` spins before it parks.
+pub(crate) const SPIN_TRIES: u32 = 100;
+
 /// One thread's events between its slot and the sinks.
 struct Carry {
     slot: SharedSlot,
@@ -354,11 +382,16 @@ impl Tracker {
             session: SessionState::seeded(session.as_ref().map_or(0, Session::seed)),
             ..State::default()
         };
+        let buffered = config.record_events || config.sink.is_attached();
+        let delivery = Delivery {
+            run: Vec::with_capacity(if buffered { RESERVED_EVENTS } else { 0 }),
+            ..Delivery::default()
+        };
         let inner = Arc::new(TrackerInner {
             state: Mutex::new(state),
             next_seq: Padded(AtomicU64::new(0)),
-            delivery: Padded(Mutex::default()),
-            buffered: config.record_events || config.sink.is_attached(),
+            delivery: Padded(Mutex::new(delivery)),
+            buffered,
             sink: config.sink,
             obs: config.obs,
             handler: config.handler,
@@ -472,21 +505,26 @@ impl std::fmt::Debug for Tracker {
 /// suffices: the counter publishes no data (the event travels under the
 /// slot mutex), and a release's number, taken before the native unlock,
 /// precedes the next acquirer's, taken after the native lock, by
-/// coherence on the one counter.
-fn emit(inner: &TrackerInner, slot: &mut ThreadSlot, thread: ThreadId, kind: EventKind) {
+/// coherence on the one counter. Returns whether the slot now holds a
+/// full run, which its thread should [`deliver`] (never, when nothing
+/// is buffered).
+fn emit(inner: &TrackerInner, slot: &mut ThreadSlot, thread: ThreadId, kind: EventKind) -> bool {
     let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
     if inner.buffered {
         slot.pending.push(Event::new(seq, thread, kind));
     }
+    slot.pending.len() >= DELIVERY_RUN
 }
 
 /// Emits `kind` as the calling thread's event, registering the thread
-/// on first contact, and returns its id.
-fn emit_own(inner: &Arc<TrackerInner>, kind: EventKind) -> ThreadId {
-    with_own_slot(inner, |me, slot| {
-        emit(inner, &mut slot.lock(), me, kind);
-        me
-    })
+/// on first contact, and delivers if that fills a run.
+fn emit_own(inner: &Arc<TrackerInner>, kind: EventKind) {
+    let due = with_own_slot(inner, |me, slot| {
+        emit(inner, &mut slot.lock(), me, kind).then_some(me)
+    });
+    if let Some(me) = due {
+        deliver(inner, me);
+    }
 }
 
 /// Moves the events `carry`'s slot has buffered into the carry.
@@ -540,16 +578,15 @@ fn hand_out(inner: &TrackerInner, d: &mut Delivery, from: usize) {
 }
 
 /// Delivers the caller's buffered events, and any others they unblock.
-/// Guards call this after the native unlock and no acquisition calls
-/// it, so sink work stays out of the critical section of the lock being
-/// taken or given up. Only the caller's slot is collected: the events
-/// of the other threads go out with their own deliveries or the next
-/// flush. While another thread delivers, the caller moves on, unless
-/// its own backlog is past [`BACKLOG_BOUND`]: then it waits its turn.
+/// Called once the caller's slot holds a full run: guards call it after
+/// the native unlock and no acquisition calls it, so sink work stays
+/// out of the critical section of the lock being taken or given up.
+/// Only the caller's slot is collected: the events of the other threads
+/// go out with their own deliveries or the next flush. While another
+/// thread delivers, the caller moves on (its next release tries again),
+/// unless its own backlog is past [`BACKLOG_BOUND`]: then it waits its
+/// turn.
 pub(crate) fn deliver(inner: &Arc<TrackerInner>, me: ThreadId) {
-    if !inner.buffered {
-        return;
-    }
     let mut d = match inner.delivery.try_lock() {
         Some(d) => d,
         None if with_own_slot(inner, |_, slot| slot.lock().pending.len()) > BACKLOG_BOUND => {
@@ -639,10 +676,14 @@ pub(crate) fn register_thread(
             Some(name.clone()),
         );
         st.trace.bind_thread(id, obj);
-        let slot = SharedSlot::default();
+        let reserved = if inner.buffered { RESERVED_EVENTS } else { 0 };
+        let slot = SharedSlot::new(Mutex::new(ThreadSlot {
+            held: Vec::new(),
+            pending: Vec::with_capacity(reserved),
+        }));
         inner.delivery.lock().threads.push(Carry {
             slot: Arc::clone(&slot),
-            batch: VecDeque::new(),
+            batch: VecDeque::with_capacity(reserved),
         });
         st.threads.push(ThreadState {
             obj,
@@ -658,6 +699,7 @@ pub(crate) fn register_thread(
                 child: id,
                 child_obj: obj,
             };
+            // The flush below delivers it.
             emit(inner, &mut st.thread(parent).slot.lock(), parent, kind);
         }
         (id, slot)
@@ -705,19 +747,21 @@ pub(crate) fn register_condvar(inner: &Arc<TrackerInner>, site: Label) -> ObjId 
 
 fn register_object(inner: &Arc<TrackerInner>, kind: ObjKind, site: Label) -> ObjId {
     let me = current_thread(inner);
-    let obj = {
+    let (obj, due) = {
         let mut st = inner.state.lock();
         let index = alloc_index(&mut st, me, site);
         let obj = st.trace.objects_mut().create(kind, site, None, index);
-        emit(
+        let due = emit(
             inner,
             &mut st.thread(me).slot.lock(),
             me,
             EventKind::New { obj },
         );
-        obj
+        (obj, due)
     };
-    deliver(inner, me);
+    if due {
+        deliver(inner, me);
+    }
     obj
 }
 
@@ -735,6 +779,27 @@ pub(crate) fn unwind_if_aborting(inner: &TrackerInner) {
 pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
     if let Some(session) = &inner.session {
         session::gate(inner, session, lock, site, access);
+    }
+}
+
+/// Retries `try_acquire` while it would block, up to [`SPIN_TRIES`]
+/// tries in all, with a [`std::hint::spin_loop`] between them, and
+/// returns the last outcome. Blocking acquisitions call it before they
+/// register a wait edge: a holder that lets go within the spin costs
+/// the waiter no registry lock, no detection pass, no flush and no
+/// `Blocked`/`Unblocked` events. A wait that outlasts the spin still
+/// registers its edge and runs detection before it parks, so no
+/// deadlock goes unseen.
+pub(crate) fn spin<G>(mut try_acquire: impl FnMut() -> TryLockResult<G>) -> TryLockResult<G> {
+    let mut tries = 1;
+    loop {
+        match try_acquire() {
+            Err(TryLockError::WouldBlock) if tries < SPIN_TRIES => {
+                tries += 1;
+                std::hint::spin_loop();
+            }
+            outcome => return outcome,
+        }
     }
 }
 
@@ -778,18 +843,15 @@ pub(crate) fn try_acquired(
     acquired: bool,
 ) {
     unwind_if_aborting(inner);
-    let me = with_own_slot(inner, |me, slot| {
-        let mut slot = slot.lock();
-        if acquired {
-            record_acquire(inner, &mut slot, me, Hold { lock, site, mode }, true);
-        } else {
-            let kind = EventKind::try_acquire(lock, site, false).with_mode(mode);
-            emit(inner, &mut slot, me, kind);
-        }
-        me
-    });
-    if !acquired {
-        deliver(inner, me);
+    if acquired {
+        with_own_slot(inner, |me, slot| {
+            record_acquire(inner, &mut slot.lock(), me, Hold { lock, site, mode }, true);
+        });
+    } else {
+        emit_own(
+            inner,
+            EventKind::try_acquire(lock, site, false).with_mode(mode),
+        );
     }
 }
 
@@ -862,11 +924,11 @@ pub(crate) fn wait_timed_out(inner: &Arc<TrackerInner>, _lock: ObjId) {
 }
 
 /// Release bookkeeping, called by guard drops *before* the native
-/// unlock so no slot claims a hold the thread gave up; the guard
-/// delivers after the unlock, for the returned thread. Emitted even
-/// during a panic unwind, which keeps the relation balanced after
-/// poisoning.
-pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> ThreadId {
+/// unlock so no slot claims a hold the thread gave up. Returns the
+/// calling thread when its slot holds a full run: the guard then
+/// [`deliver`]s, after the unlock. Emitted even during a panic unwind,
+/// which keeps the relation balanced after poisoning.
+pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> Option<ThreadId> {
     with_own_slot(inner, |me, slot| {
         let mut slot = slot.lock();
         // The guard doesn't know its own mode; the slot does.
@@ -879,8 +941,7 @@ pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> Th
         } else {
             EventKind::release(lock, site).with_mode(mode)
         };
-        emit(inner, &mut slot, me, kind);
-        me
+        emit(inner, &mut slot, me, kind).then_some(me)
     })
 }
 
@@ -950,8 +1011,7 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label)
 /// Emits the `CondNotify` communication event. Rust `Condvar` semantics:
 /// the notifier need not hold any lock.
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
-    let me = emit_own(inner, EventKind::cond_notify(condvar, site, all));
-    deliver(inner, me);
+    emit_own(inner, EventKind::cond_notify(condvar, site, all));
 }
 
 /// Counts a poisoned-lock recovery (`PoisonError::into_inner`).
@@ -962,8 +1022,7 @@ pub(crate) fn note_poison_recovered(inner: &Arc<TrackerInner>) {
 /// Emits `ThreadStart` for a freshly spawned tracked thread, on that
 /// thread.
 pub(crate) fn thread_started(inner: &Arc<TrackerInner>) {
-    let me = emit_own(inner, EventKind::ThreadStart);
-    deliver(inner, me);
+    emit_own(inner, EventKind::ThreadStart);
 }
 
 /// Records a tracked thread's panic for [`Tracker::finish`] (the abort
@@ -975,7 +1034,9 @@ pub(crate) fn thread_panicked(inner: &Arc<TrackerInner>, payload: &(dyn std::any
 /// Marks the thread exited and emits `ThreadExit`; runs from a drop
 /// guard so it fires even when the thread body panicked. Delivers
 /// everything sequenced so far, so no event is left queued once the
-/// program's threads are gone.
+/// program's threads are gone, then gives the thread's emptied buffers
+/// back: a tracker outlives its threads, and one that ran many short
+/// ones would otherwise keep their run-sized reserves.
 pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
     if let Some(ts) = st.threads.get_mut(id.as_usize()) {
@@ -983,13 +1044,16 @@ pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
         emit(inner, &mut ts.slot.lock(), id, EventKind::ThreadExit);
     }
     drop(st);
-    drop(flush(inner));
+    let mut d = flush(inner);
+    if let Some(carry) = d.threads.get_mut(id.as_usize()) {
+        carry.batch.shrink_to_fit();
+        carry.slot.lock().pending.shrink_to_fit();
+    }
 }
 
 /// Emits `Join` on the joining thread after a tracked join completes.
 pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, target: ThreadId) {
-    let me = emit_own(inner, EventKind::Join { target });
-    deliver(inner, me);
+    emit_own(inner, EventKind::Join { target });
 }
 
 /// Whether `me`'s registered wait is on its own conflicting hold — a

@@ -384,6 +384,8 @@ fn poisoned_mutex_recovers_with_balanced_events() {
     let snap = tracker.obs().counters().snapshot();
     assert_eq!(snap.poisoned_recovered, 1);
 
+    // The recovering release waits for a full run; the seal hands it out.
+    tracker.seal();
     let events = &capture.lock().unwrap().events;
     let acquires = events
         .iter()
@@ -445,6 +447,8 @@ fn condvar_handshake_is_quiet_with_balanced_events() {
         witnesses.lock().unwrap().is_empty(),
         "a plain handshake must not be flagged"
     );
+    // The last release waits for a full run; the seal hands it out.
+    tracker.seal();
     let events = &capture.lock().unwrap().events;
     assert!(
         events.iter().any(|e| matches!(

@@ -31,8 +31,10 @@
 //! trace, and a thread whose events wait behind another thread's
 //! undelivered acquire checks when they must go out anyway. Sinks get
 //! the stream in runs, one call per run, and a sink that panics mid-run
-//! loses nothing from the recorded trace; the `acquires_observed`
-//! counter counts every non-re-entrant acquisition.
+//! loses nothing from the recorded trace; a lone thread's releases hand
+//! out only full runs, and a wait that outlasts the acquisition's spin
+//! still reaches the sink and the wait-for graph before it parks; the
+//! `acquires_observed` counter counts every non-re-entrant acquisition.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +46,7 @@ use df_events::{
 use df_igoodlock::RelationBuilder;
 use df_lock::{
     DeadlockHandler, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedRwLock,
-    TrackedRwLockReadGuard, TrackedRwLockWriteGuard, Tracker, TrackerConfig,
+    TrackedRwLockReadGuard, TrackedRwLockWriteGuard, Tracker, TrackerConfig, DELIVERY_RUN,
 };
 use df_runtime::strategy::RoundRobinStrategy;
 use df_runtime::{LockRef, RunConfig, TCtx, VirtualRuntime};
@@ -1045,6 +1047,112 @@ fn sinks_get_the_recorded_trace_in_runs() {
         }
     }
     assert!(exploding.is_poisoned(), "the second sink did panic");
+}
+
+/// Keeps the length of every run a sink is handed while its delivering
+/// thread releases a pair ([`RELEASING`]).
+#[derive(Default)]
+struct ReleasedRuns(Vec<usize>);
+
+impl EventSink for ReleasedRuns {
+    fn on_event(&mut self, event: &Event) {
+        self.on_events(std::slice::from_ref(event));
+    }
+
+    fn on_events(&mut self, events: &[Event]) {
+        if RELEASING.with(std::cell::Cell::get) {
+            self.0.push(events.len());
+        }
+    }
+}
+
+const LONE_PAIRS: usize = 10_000;
+
+/// A lone thread's releases hand its events out in full runs: every run
+/// a release hands the sinks holds at least [`DELIVERY_RUN`] events,
+/// together they carry all but the tail its exit hands out, and the
+/// runs, concatenated, are the recorded trace.
+#[test]
+fn a_lone_threads_releases_hand_out_full_runs() {
+    let runs = Arc::new(Mutex::new(Runs::default()));
+    let released = Arc::new(Mutex::new(ReleasedRuns::default()));
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(SinkHandle::single(runs.clone()).with(released.clone()))
+            .with_record_events(true),
+    );
+    let outer = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+    let inner = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+    let (a, b) = (Arc::clone(&outer), Arc::clone(&inner));
+    tracker
+        .spawn("lone", move || {
+            for _ in 0..LONE_PAIRS {
+                let (mut x, mut y) = (a.lock().unwrap(), b.lock().unwrap());
+                *x += 1;
+                *y += 1;
+                RELEASING.with(|f| f.set(true));
+                drop(y);
+                drop(x);
+                RELEASING.with(|f| f.set(false));
+            }
+        })
+        .join()
+        .unwrap();
+    tracker.seal();
+
+    let lens = std::mem::take(&mut released.lock().unwrap().0);
+    assert!(
+        lens.iter().all(|&n| n >= DELIVERY_RUN),
+        "a release handed out a short run: {lens:?}"
+    );
+    assert!(
+        lens.iter().sum::<usize>() >= 4 * LONE_PAIRS - DELIVERY_RUN,
+        "releases handed out {} of {} pair events",
+        lens.iter().sum::<usize>(),
+        4 * LONE_PAIRS
+    );
+    let delivered: Vec<Event> = std::mem::take(&mut runs.lock().unwrap().0)
+        .into_iter()
+        .flatten()
+        .collect();
+    assert_eq!(delivered, tracker.trace().events());
+    assert_eq!(*outer.lock().unwrap(), LONE_PAIRS as u64);
+}
+
+/// A wait that outlasts the acquisition's spin is a real wait: while a
+/// holder keeps a lock across a channel handshake, the waiter's
+/// `Blocked` reaches the sink before it parks, and `wfg_edges` counts
+/// it. The spin never hides a wait that lasts.
+#[test]
+fn a_wait_past_the_spin_is_delivered_and_counted() {
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let obs = df_obs::Obs::default();
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_sink(SinkHandle::single(sink.clone()))
+            .with_obs(obs.clone()),
+    );
+    let held = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+    let (holding, release) = holder(&tracker, &held);
+    let h = Arc::clone(&held);
+    let waiter = tracker.spawn("waiter", move || *h.lock().unwrap() += 1);
+    let w = waiter.thread_id();
+    let blocked = |k: &EventKind| matches!(k, EventKind::Blocked { .. });
+    eventually("the waiter's Blocked while the holder holds", || {
+        delivered(&sink, w, blocked)
+    });
+    assert!(!waiter.is_finished(), "the waiter is parked");
+    assert_eq!(obs.counters().snapshot().wfg_edges, 1);
+    release.send(()).unwrap();
+    holding.join().unwrap();
+    waiter.join().unwrap();
+    tracker.seal();
+    assert!(delivered(&sink, w, |k| matches!(
+        k,
+        EventKind::Unblocked { .. }
+    )));
+    assert_eq!(*held.lock().unwrap(), 1);
+    assert_eq!(obs.counters().snapshot().wfg_edges, 1);
 }
 
 const COUNT_THREADS: usize = 4;
