@@ -372,6 +372,8 @@ struct FrameReader<'a> {
 }
 
 impl<'a> FrameReader<'a> {
+    #[cold]
+    #[inline(never)]
     fn bad(&self, detail: impl Into<String>) -> SpillError {
         SpillError::MalformedFrame {
             frame: self.frame,
@@ -379,6 +381,7 @@ impl<'a> FrameReader<'a> {
         }
     }
 
+    #[inline(always)]
     fn byte(&mut self) -> Result<u8, SpillError> {
         let b = *self
             .buf
@@ -389,6 +392,23 @@ impl<'a> FrameReader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, SpillError> {
+        // The first nine bytes hold 63 bits, so they cannot overflow:
+        // read them in one pass. A longer or cut-off varint takes the
+        // checked loop from its first byte again.
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(9).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        self.varint_slow()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn varint_slow(&mut self) -> Result<u64, SpillError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -404,6 +424,7 @@ impl<'a> FrameReader<'a> {
         }
     }
 
+    #[inline(always)]
     fn varint_u32(&mut self) -> Result<u32, SpillError> {
         let v = self.varint()?;
         u32::try_from(v).map_err(|_| self.bad(format!("id {v} overflows u32")))
@@ -420,6 +441,7 @@ impl<'a> FrameReader<'a> {
         Ok(s)
     }
 
+    #[inline(always)]
     fn done(&self) -> Result<(), SpillError> {
         if self.pos != self.buf.len() {
             return Err(self.bad(format!(
@@ -430,6 +452,7 @@ impl<'a> FrameReader<'a> {
         Ok(())
     }
 
+    #[inline(always)]
     fn str_ref(&mut self, strings: &[Label]) -> Result<Label, SpillError> {
         let id = self.varint_u32()? as usize;
         strings
@@ -438,10 +461,12 @@ impl<'a> FrameReader<'a> {
             .ok_or_else(|| self.bad(format!("reference to undefined string {id}")))
     }
 
+    #[inline(always)]
     fn obj_id(&mut self) -> Result<ObjId, SpillError> {
         Ok(ObjId::new(self.varint_u32()?))
     }
 
+    #[inline(always)]
     fn thread_id(&mut self) -> Result<ThreadId, SpillError> {
         Ok(ThreadId::new(self.varint_u32()?))
     }
@@ -680,6 +705,7 @@ pub(crate) fn decode_binary<R: BufRead, S: EventSink + ?Sized>(
     Ok(footer)
 }
 
+#[inline(always)]
 fn read_kind(
     f: &mut FrameReader<'_>,
     strings: &[Label],
@@ -854,6 +880,55 @@ mod tests {
 
     fn write_binary_trace(out: Vec<u8>, trace: &Trace) -> Result<Vec<u8>, SpillError> {
         write_trace_as(out, trace, TraceFormat::Binary)
+    }
+
+    /// Reads one varint from `bytes` as frame 7's payload.
+    fn read_varint(bytes: &[u8]) -> (Result<u64, SpillError>, usize) {
+        let mut f = FrameReader {
+            buf: bytes,
+            pos: 0,
+            frame: 7,
+        };
+        (f.varint(), f.pos)
+    }
+
+    #[test]
+    fn reads_varints_of_one_to_ten_bytes() {
+        for len in 1..=10u32 {
+            let low = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let high = 1u64.checked_shl(7 * len).map_or(u64::MAX, |v| v - 1);
+            for v in [low, low + 1, high / 2 + 1, high] {
+                let mut bytes = Vec::new();
+                put_varint(&mut bytes, v);
+                assert_eq!(bytes.len(), len as usize, "{v}");
+                bytes.push(0xff);
+                let (read, pos) = read_varint(&bytes);
+                assert_eq!((read.unwrap(), pos), (v, len as usize));
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_an_overflowing_tenth_varint_byte() {
+        for tenth in [0x02, 0x7f, 0x81] {
+            let mut bytes = vec![0xff; 9];
+            bytes.push(tenth);
+            let err = read_varint(&bytes).0.unwrap_err();
+            assert_eq!(err.to_string(), "malformed frame 7: varint overflows u64");
+        }
+    }
+
+    #[test]
+    fn rejects_a_varint_cut_off_at_each_byte() {
+        let mut whole = Vec::new();
+        put_varint(&mut whole, u64::MAX);
+        for cut in 0..whole.len() {
+            let err = read_varint(&whole[..cut]).0.unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "malformed frame 7: truncated frame payload"
+            );
+        }
     }
 
     fn sample_trace() -> Trace {

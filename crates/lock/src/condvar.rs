@@ -95,18 +95,18 @@ impl TrackedCondvar {
         guard: TrackedMutexGuard<'a, T>,
     ) -> LockResult<TrackedMutexGuard<'a, T>> {
         let site = caller_site();
-        let lock_id = guard.mutex().id();
+        let mutex = guard.mutex();
         debug_assert!(
-            Arc::ptr_eq(&self.tracker, guard.mutex().tracker_inner()),
+            Arc::ptr_eq(&self.tracker, mutex.tracker_inner()),
             "condvar and mutex must share a tracker"
         );
-        tracker::cond_wait_begin(&self.tracker, &self.cv, self.id, lock_id, site);
+        tracker::cond_wait_begin(&self.tracker, &self.cv, self.id, &mutex.obj, site);
         let (lock, native) = guard.into_parts();
         let (native, poisoned) = match self.cv.wait(native) {
             Ok(g) => (g, false),
             Err(p) => (p.into_inner(), true),
         };
-        tracker::cond_wait_end(&self.tracker, lock_id, site);
+        tracker::cond_wait_end(&self.tracker, &mutex.obj, site);
         let g = lock.guard(native, site);
         tracker::unwind_if_aborting(&self.tracker);
         if poisoned {

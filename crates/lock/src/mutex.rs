@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use df_events::{caller_site, Label, ObjId};
 
-use crate::tracker::{self, Access, Tracker, TrackerInner};
+use crate::tracker::{self, Access, LockObj, Tracker, TrackerInner};
 
 /// A `std::sync::Mutex<T>` replacement whose acquisitions and releases
 /// feed the DeadlockFuzzer event stream and the online wait-for-graph
@@ -28,7 +28,7 @@ use crate::tracker::{self, Access, Tracker, TrackerInner};
 /// ```
 pub struct TrackedMutex<T> {
     tracker: Arc<TrackerInner>,
-    id: ObjId,
+    pub(crate) obj: LockObj,
     data: std::sync::Mutex<T>,
 }
 
@@ -45,17 +45,17 @@ impl<T> TrackedMutex<T> {
     #[track_caller]
     pub fn with_tracker(tracker: &Tracker, data: T) -> Self {
         let inner = Arc::clone(tracker.inner());
-        let id = tracker::register_lock(&inner, caller_site());
+        let obj = tracker::register_lock(&inner, caller_site());
         TrackedMutex {
             tracker: inner,
-            id,
+            obj,
             data: std::sync::Mutex::new(data),
         }
     }
 
     /// The lock's object id in the tracker's object table.
     pub fn id(&self) -> ObjId {
-        self.id
+        self.obj.id
     }
 
     /// Whether the mutex is poisoned (a holder panicked).
@@ -79,24 +79,24 @@ impl<T> TrackedMutex<T> {
     #[track_caller]
     pub fn lock(&self) -> LockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
-        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::gate(&self.tracker, &self.obj, site, Access::Exclusive);
         match tracker::spin(|| self.data.try_lock()) {
             Ok(g) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 Ok(self.guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(PoisonError::new(self.guard(p.into_inner(), site)))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::begin_wait(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::begin_wait(&self.tracker, &self.obj, site, Access::Exclusive);
                 let (g, poisoned) = match self.data.lock() {
                     Ok(g) => (g, false),
                     Err(p) => (p.into_inner(), true),
                 };
-                tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                 if poisoned {
                     tracker::note_poison_recovered(&self.tracker);
                     Err(PoisonError::new(self.guard(g, site)))
@@ -116,18 +116,18 @@ impl<T> TrackedMutex<T> {
         let site = caller_site();
         match self.data.try_lock() {
             Ok(g) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, true);
                 Ok(self.guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, true);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(TryLockError::Poisoned(PoisonError::new(
                     self.guard(p.into_inner(), site),
                 )))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, false);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, false);
                 Err(TryLockError::WouldBlock)
             }
         }
@@ -142,14 +142,14 @@ impl<T> TrackedMutex<T> {
     #[track_caller]
     pub fn try_lock_for(&self, timeout: Duration) -> TryLockResult<TrackedMutexGuard<'_, T>> {
         let site = caller_site();
-        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::gate(&self.tracker, &self.obj, site, Access::Exclusive);
         match tracker::spin(|| self.data.try_lock()) {
             Ok(g) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 return Ok(self.guard(g, site));
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 tracker::note_poison_recovered(&self.tracker);
                 return Err(TryLockError::Poisoned(PoisonError::new(
                     self.guard(p.into_inner(), site),
@@ -157,16 +157,16 @@ impl<T> TrackedMutex<T> {
             }
             Err(TryLockError::WouldBlock) => {}
         }
-        tracker::begin_wait(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::begin_wait(&self.tracker, &self.obj, site, Access::Exclusive);
         let deadline = Instant::now() + timeout;
         loop {
             match self.data.try_lock() {
                 Ok(g) => {
-                    tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                    tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                     return Ok(self.guard(g, site));
                 }
                 Err(TryLockError::Poisoned(p)) => {
-                    tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                    tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                     tracker::note_poison_recovered(&self.tracker);
                     return Err(TryLockError::Poisoned(PoisonError::new(
                         self.guard(p.into_inner(), site),
@@ -174,7 +174,7 @@ impl<T> TrackedMutex<T> {
                 }
                 Err(TryLockError::WouldBlock) => {
                     if Instant::now() >= deadline {
-                        tracker::wait_timed_out(&self.tracker, self.id);
+                        tracker::wait_timed_out(&self.tracker);
                         return Err(TryLockError::WouldBlock);
                     }
                     std::thread::sleep(Duration::from_millis(1));
@@ -203,7 +203,7 @@ impl<T> TrackedMutex<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrackedMutex")
-            .field("id", &self.id)
+            .field("id", &self.obj.id)
             .field("data", &self.data)
             .finish()
     }
@@ -254,10 +254,10 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // Unpublish the hold strictly before the native unlock: a slot
         // must never claim a hold another thread could already have
         // re-acquired.
-        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, &self.lock.obj, self.site);
         self.data.take();
-        if let Some(me) = due {
-            tracker::deliver(&self.lock.tracker, me);
+        if due {
+            tracker::deliver(&self.lock.tracker);
         }
     }
 }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use df_events::{caller_site, Label, ObjId};
 
-use crate::tracker::{self, Access, Tracker, TrackerInner};
+use crate::tracker::{self, Access, LockObj, Tracker, TrackerInner};
 
 /// A `std::sync::RwLock<T>` replacement feeding the event stream and
 /// the online detector. Readers register as *shared* holders, so the
@@ -27,7 +27,7 @@ use crate::tracker::{self, Access, Tracker, TrackerInner};
 /// ```
 pub struct TrackedRwLock<T> {
     tracker: Arc<TrackerInner>,
-    id: ObjId,
+    obj: LockObj,
     data: std::sync::RwLock<T>,
 }
 
@@ -43,17 +43,17 @@ impl<T> TrackedRwLock<T> {
     #[track_caller]
     pub fn with_tracker(tracker: &Tracker, data: T) -> Self {
         let inner = Arc::clone(tracker.inner());
-        let id = tracker::register_lock(&inner, caller_site());
+        let obj = tracker::register_lock(&inner, caller_site());
         TrackedRwLock {
             tracker: inner,
-            id,
+            obj,
             data: std::sync::RwLock::new(data),
         }
     }
 
     /// The lock's object id in the tracker's object table.
     pub fn id(&self) -> ObjId {
-        self.id
+        self.obj.id
     }
 
     /// Whether the rwlock is poisoned (a writer panicked).
@@ -65,24 +65,24 @@ impl<T> TrackedRwLock<T> {
     #[track_caller]
     pub fn read(&self) -> LockResult<TrackedRwLockReadGuard<'_, T>> {
         let site = caller_site();
-        tracker::gate(&self.tracker, self.id, site, Access::Shared);
+        tracker::gate(&self.tracker, &self.obj, site, Access::Shared);
         match tracker::spin(|| self.data.try_read()) {
             Ok(g) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Shared);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Shared);
                 Ok(self.read_guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Shared);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Shared);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(PoisonError::new(self.read_guard(p.into_inner(), site)))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::begin_wait(&self.tracker, self.id, site, Access::Shared);
+                tracker::begin_wait(&self.tracker, &self.obj, site, Access::Shared);
                 let (g, poisoned) = match self.data.read() {
                     Ok(g) => (g, false),
                     Err(p) => (p.into_inner(), true),
                 };
-                tracker::acquired_contended(&self.tracker, self.id, site, Access::Shared);
+                tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Shared);
                 if poisoned {
                     tracker::note_poison_recovered(&self.tracker);
                     Err(PoisonError::new(self.read_guard(g, site)))
@@ -97,24 +97,24 @@ impl<T> TrackedRwLock<T> {
     #[track_caller]
     pub fn write(&self) -> LockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
-        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::gate(&self.tracker, &self.obj, site, Access::Exclusive);
         match tracker::spin(|| self.data.try_write()) {
             Ok(g) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 Ok(self.write_guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(PoisonError::new(self.write_guard(p.into_inner(), site)))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::begin_wait(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::begin_wait(&self.tracker, &self.obj, site, Access::Exclusive);
                 let (g, poisoned) = match self.data.write() {
                     Ok(g) => (g, false),
                     Err(p) => (p.into_inner(), true),
                 };
-                tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                 if poisoned {
                     tracker::note_poison_recovered(&self.tracker);
                     Err(PoisonError::new(self.write_guard(g, site)))
@@ -132,18 +132,18 @@ impl<T> TrackedRwLock<T> {
         let site = caller_site();
         match self.data.try_read() {
             Ok(g) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Shared, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Shared, true);
                 Ok(self.read_guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Shared, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Shared, true);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(TryLockError::Poisoned(PoisonError::new(
                     self.read_guard(p.into_inner(), site),
                 )))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Shared, false);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Shared, false);
                 Err(TryLockError::WouldBlock)
             }
         }
@@ -156,18 +156,18 @@ impl<T> TrackedRwLock<T> {
         let site = caller_site();
         match self.data.try_write() {
             Ok(g) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, true);
                 Ok(self.write_guard(g, site))
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, true);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, true);
                 tracker::note_poison_recovered(&self.tracker);
                 Err(TryLockError::Poisoned(PoisonError::new(
                     self.write_guard(p.into_inner(), site),
                 )))
             }
             Err(TryLockError::WouldBlock) => {
-                tracker::try_acquired(&self.tracker, self.id, site, Access::Exclusive, false);
+                tracker::try_acquired(&self.tracker, &self.obj, site, Access::Exclusive, false);
                 Err(TryLockError::WouldBlock)
             }
         }
@@ -182,14 +182,14 @@ impl<T> TrackedRwLock<T> {
         timeout: Duration,
     ) -> TryLockResult<TrackedRwLockWriteGuard<'_, T>> {
         let site = caller_site();
-        tracker::gate(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::gate(&self.tracker, &self.obj, site, Access::Exclusive);
         match tracker::spin(|| self.data.try_write()) {
             Ok(g) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 return Ok(self.write_guard(g, site));
             }
             Err(TryLockError::Poisoned(p)) => {
-                tracker::acquired_uncontended(&self.tracker, self.id, site, Access::Exclusive);
+                tracker::acquired_uncontended(&self.tracker, &self.obj, site, Access::Exclusive);
                 tracker::note_poison_recovered(&self.tracker);
                 return Err(TryLockError::Poisoned(PoisonError::new(
                     self.write_guard(p.into_inner(), site),
@@ -197,16 +197,16 @@ impl<T> TrackedRwLock<T> {
             }
             Err(TryLockError::WouldBlock) => {}
         }
-        tracker::begin_wait(&self.tracker, self.id, site, Access::Exclusive);
+        tracker::begin_wait(&self.tracker, &self.obj, site, Access::Exclusive);
         let deadline = Instant::now() + timeout;
         loop {
             match self.data.try_write() {
                 Ok(g) => {
-                    tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                    tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                     return Ok(self.write_guard(g, site));
                 }
                 Err(TryLockError::Poisoned(p)) => {
-                    tracker::acquired_contended(&self.tracker, self.id, site, Access::Exclusive);
+                    tracker::acquired_contended(&self.tracker, &self.obj, site, Access::Exclusive);
                     tracker::note_poison_recovered(&self.tracker);
                     return Err(TryLockError::Poisoned(PoisonError::new(
                         self.write_guard(p.into_inner(), site),
@@ -214,7 +214,7 @@ impl<T> TrackedRwLock<T> {
                 }
                 Err(TryLockError::WouldBlock) => {
                     if Instant::now() >= deadline {
-                        tracker::wait_timed_out(&self.tracker, self.id);
+                        tracker::wait_timed_out(&self.tracker);
                         return Err(TryLockError::WouldBlock);
                     }
                     std::thread::sleep(Duration::from_millis(1));
@@ -251,7 +251,7 @@ impl<T> TrackedRwLock<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for TrackedRwLock<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrackedRwLock")
-            .field("id", &self.id)
+            .field("id", &self.obj.id)
             .field("data", &self.data)
             .finish()
     }
@@ -273,10 +273,10 @@ impl<T> std::ops::Deref for TrackedRwLockReadGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, &self.lock.obj, self.site);
         self.data.take();
-        if let Some(me) = due {
-            tracker::deliver(&self.lock.tracker, me);
+        if due {
+            tracker::deliver(&self.lock.tracker);
         }
     }
 }
@@ -303,10 +303,10 @@ impl<T> std::ops::DerefMut for TrackedRwLockWriteGuard<'_, T> {
 
 impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        let due = tracker::release(&self.lock.tracker, self.lock.id, self.site);
+        let due = tracker::release(&self.lock.tracker, &self.lock.obj, self.site);
         self.data.take();
-        if let Some(me) = due {
-            tracker::deliver(&self.lock.tracker, me);
+        if due {
+            tracker::deliver(&self.lock.tracker);
         }
     }
 }

@@ -385,7 +385,7 @@ fn pause_if_targeted(
     let verdict = tracker::detect(&mut st, me, Detector::Strategy);
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::CheckRealDeadlock {
-            step: tracker::event_seq(inner),
+            step: st.progress(),
             verdict: verdict.is_some(),
             cycle_len: verdict.as_ref().map_or(0, |w| w.components.len()),
         });
@@ -395,7 +395,7 @@ fn pause_if_targeted(
     }
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::Pause {
-            step: tracker::event_seq(inner),
+            step: st.progress(),
             thread: me,
             name: st.thread(me).name.clone(),
             lock: lock_abs.to_string(),
@@ -540,7 +540,7 @@ pub(crate) fn start_watchdog(inner: &Arc<TrackerInner>, session: &Session) {
                     abort(session, &st);
                     continue;
                 }
-                let seq = tracker::event_seq(&inner);
+                let seq = st.progress();
                 if seq != last_progress {
                     last_progress = seq;
                     last_change = Instant::now();
@@ -581,7 +581,7 @@ fn release_expired(
         st.session.stats.monitor_releases += 1;
         if inner.obs.traces() {
             inner.obs.emit(&df_obs::TraceEvent::Unpause {
-                step: tracker::event_seq(inner),
+                step: st.progress(),
                 thread: t,
                 name: thread_name(st, t),
             });
@@ -612,7 +612,7 @@ fn thrash_if_stuck(inner: &TrackerInner, session: &Session, st: &mut State) {
     inner.obs.counters().add_thrash_events(1);
     if inner.obs.traces() {
         inner.obs.emit(&df_obs::TraceEvent::Thrash {
-            step: tracker::event_seq(inner),
+            step: st.progress(),
             thread: victim,
             name: thread_name(st, victim),
         });

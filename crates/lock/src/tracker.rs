@@ -13,24 +13,29 @@
 //! ## Where the bookkeeping lives
 //!
 //! * Each tracked thread owns a [`ThreadSlot`] behind a mutex of its own:
-//!   the locks it holds, as `(lock, site, mode)`, and its sequenced
-//!   events not yet collected for the sinks. No per-lock holder map
-//!   exists; a lock's holders are the threads whose slots list it.
-//! * Events are sequenced by one atomic counter, taken under the
-//!   emitting thread's slot mutex: an acquisition takes its number after
-//!   the native acquire and a release before the native unlock, so
-//!   per-lock sequence order is the real order. The event goes into the
-//!   slot's own buffer; no section is shared between emitting threads.
-//! * A delivery section ([`Delivery`]) collects slot buffers and hands
-//!   their events to the sinks in strict sequence order, outside the
-//!   native critical sections. Each hand-out merges what it can deliver
-//!   into one run and calls the sinks once with it. After an unlock it
-//!   runs only once the caller's slot holds a full run
-//!   ([`DELIVERY_RUN`] events), collects only that slot and stops at
-//!   the first number another thread has not handed over yet; a flush
+//!   the locks it holds, as `(lock, site, mode)`, its Lamport clock, its
+//!   uncounted acquisitions and its events not yet handed out. No
+//!   per-lock holder map exists; a lock's holders are the threads whose
+//!   slots list it.
+//! * An event is stamped one past its thread's clock; no counter is
+//!   shared. Each tracked lock keeps a stamp beside its native lock
+//!   ([`LockObj`]). An acquisition, after the native acquire, first
+//!   moves the clock up to the lock's stamp; a release, before the native
+//!   unlock, raises the lock's stamp with `fetch_max`, so all of an
+//!   rwlock's readers come before its next writer. A condvar wait does
+//!   both. A spawned thread starts from its `Spawn` stamp, a joiner
+//!   continues from the joined thread's clock.
+//! * A hand-out ([`Delivery`]) locks every live slot in thread-id order
+//!   and, holding them all, drains them and raises every clock to the
+//!   largest among them, so no later event is stamped at or below one
+//!   handed out. It orders the run by (stamp, thread), numbers it
+//!   gaplessly and calls the sinks once, off the native locks. The stream
+//!   keeps each thread's, each lock's and the fork/join order; unrelated
+//!   events come in causal, not real-time, order. A release hands out
+//!   once its slot holds a full run ([`DELIVERY_RUN`] events); a flush
 //!   (before a thread blocks, at a tracked thread's exit, at
-//!   registration, at [`Tracker::trace`] and at the seal) collects every
-//!   slot.
+//!   registration, at [`Tracker::trace`] and at the seal) always does.
+//!   Acquisitions reach `acquires_observed` at hand-outs.
 //! * A blocking acquisition retries the native `try_*` up to
 //!   [`SPIN_TRIES`] times before it registers a wait edge (see
 //!   [`spin`]), so a brief overlap costs neither the registry nor a
@@ -40,8 +45,9 @@
 //!
 //! An uncontended acquire, a release and a `try_*` take only their own
 //! slot and, off the native lock and once a run is due, the delivery
-//! section. Lock order: registry → delivery → slot, with sinks called
-//! under the delivery section; nothing holds a slot while it takes the
+//! section. Lock order: registry → delivery → slots in thread-id order,
+//! with sinks called under the delivery section; only a hand-out holds
+//! a slot while it takes another, and nothing while it takes the
 //! delivery section.
 //!
 //! ## Why detection cannot miss and cannot lie
@@ -63,7 +69,7 @@
 //! cycles cannot form.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, TryLockError, TryLockResult};
@@ -90,12 +96,13 @@ pub struct TrackerConfig {
     pub handler: DeadlockHandler,
     /// Streaming observers of the emitted event stream (a spill writer,
     /// a relation builder, …). Sinks run on program threads and must
-    /// not acquire tracked locks. They see every event in sequence
-    /// order, in runs handed over by whichever thread delivers, one
-    /// [`df_events::EventSink::on_events`] call per run. An event goes
-    /// out with a later delivery: once its thread has buffered a full
-    /// run, and at the latest before its thread blocks on a lock or
-    /// condvar, when a thread the tracker spawned exits, or at
+    /// not acquire tracked locks. They see every event, numbered
+    /// gaplessly, in runs handed over by whichever thread delivers, one
+    /// [`df_events::EventSink::on_events`] call per run, in an order that
+    /// keeps each thread's, each lock's and the fork/join order (causal,
+    /// not real time). An event goes out once some thread has buffered
+    /// a full run, and at the latest before its thread blocks on a lock
+    /// or condvar, when a thread the tracker spawned exits, or at
     /// [`Tracker::trace`] or [`Tracker::seal`]. A sink read while the
     /// program runs may therefore lag it; flush first.
     pub sink: SinkHandle,
@@ -182,18 +189,28 @@ pub(crate) struct Hold {
 
 /// A tracked thread's own bookkeeping. Only its thread changes `held`;
 /// the detector, witnesses and the Phase II gate read it under the
-/// registry lock. The delivery section empties `pending`.
+/// registry lock. A hand-out empties `pending` and `acquires` and raises
+/// `clock`.
 #[derive(Debug, Default)]
 pub(crate) struct ThreadSlot {
     /// Locks held, outermost first (repeats on re-entrant reads and
     /// tries).
     pub(crate) held: Vec<Hold>,
-    /// Sequenced events not yet collected by the delivery section, in
-    /// sequence order.
+    /// The Lamport clock: the stamp of the thread's latest event.
+    clock: u64,
+    /// Non-re-entrant acquisitions not yet added to `acquires_observed`.
+    acquires: u64,
+    /// Events not yet handed out, in stamp order; each one's `seq` holds
+    /// its stamp until the hand-out numbers it.
     pending: Vec<Event>,
 }
 
 impl ThreadSlot {
+    /// Moves the clock up to `stamp`: the next event is stamped past it.
+    fn observe(&mut self, stamp: u64) {
+        self.clock = self.clock.max(stamp);
+    }
+
     fn holds(&self, lock: ObjId) -> bool {
         self.held.iter().any(|h| h.lock == lock)
     }
@@ -214,6 +231,14 @@ pub(crate) type SharedSlot = Arc<Mutex<ThreadSlot>>;
 /// full runs, so a run that fills between two releases fits, and a
 /// thread's steady state allocates nothing.
 const RESERVED_EVENTS: usize = 2 * DELIVERY_RUN;
+
+/// A tracked lock's object id and Lamport stamp, kept beside its native
+/// lock. The stamp is the largest of the lock's releases so far.
+#[derive(Debug)]
+pub(crate) struct LockObj {
+    pub(crate) id: ObjId,
+    stamp: AtomicU64,
+}
 
 /// A registered wait: the awaited lock, the acquisition site and mode.
 pub(crate) type Wait = (ObjId, Label, Access);
@@ -265,39 +290,41 @@ impl State {
     pub(crate) fn set_wait(&mut self, t: ThreadId, wait: Option<Wait>) {
         self.waits[t.as_usize()] = wait;
     }
+
+    /// The Phase II watchdog's progress clock: the sum of the thread
+    /// clocks, which every event and every hand-out's raise moves up.
+    pub(crate) fn progress(&self) -> u64 {
+        self.threads.iter().map(|ts| ts.slot.lock().clock).sum()
+    }
 }
 
-/// The delivery section: the one thread holding it collects slot
-/// buffers and hands their events to the sinks in sequence order.
+/// The delivery section: its holder drains the slots for the sinks.
 #[derive(Default)]
 struct Delivery {
     /// Sequence number of the next event to hand out.
     next: u64,
-    /// Indexed by [`ThreadId`]: each registered thread's slot and the
-    /// events collected from it but not handed out yet.
-    threads: Vec<Carry>,
-    /// The run being handed out, merged from the carries in sequence
-    /// order; reused across hand-outs.
+    /// The slots of the threads that have not exited, in thread-id order.
+    slots: Vec<SharedSlot>,
+    /// The run being handed out; reused across hand-outs.
     run: Vec<Event>,
     /// The handed-out events, when [`TrackerConfig::record_events`] is
     /// set.
     events: Vec<Event>,
 }
 
-/// How many events a thread leaves waiting for the sinks, in its slot or
-/// collected behind another thread's number, before its delivery waits
-/// for the delivery section or collects every slot. While one thread
-/// hands out a batch, the others run their lock operations unhindered
-/// and fill their buffers faster than a batch drains; without the
-/// bound, the buffers grew to a hundred thousand events.
+/// How many events a thread leaves waiting in its slot before its
+/// delivery waits for the delivery section. While one thread hands out
+/// a run, the others run their lock operations unhindered and fill their
+/// buffers faster than a run drains; without the bound, the buffers grew
+/// to a hundred thousand events.
 const BACKLOG_BOUND: usize = 1024;
 
 /// A full run: how many events a thread's slot buffers before the
 /// release (failed try, notify, object creation, thread start or join)
-/// that fills it hands them out. Each hand-out
-/// has a fixed cost (the delivery section, the caller's slot, the merge
-/// and the sink mutexes), which a run of this length spreads thin; a
-/// hand-out per release paid it for two events at a time.
+/// that fills it hands out. Each hand-out has a fixed cost (the delivery
+/// section, the slots, the sort and the sink mutexes), which a run of
+/// this length spreads thin; a hand-out per release paid it for two
+/// events at a time.
 #[doc(hidden)]
 pub const DELIVERY_RUN: usize = 256;
 const _: () = assert!(DELIVERY_RUN <= BACKLOG_BOUND);
@@ -307,33 +334,10 @@ const _: () = assert!(DELIVERY_RUN <= BACKLOG_BOUND);
 /// edge: about as long as `std::sync::Mutex` spins before it parks.
 pub(crate) const SPIN_TRIES: u32 = 100;
 
-/// One thread's events between its slot and the sinks.
-struct Carry {
-    slot: SharedSlot,
-    /// Collected, in sequence order, waiting behind a number another
-    /// thread has not handed over.
-    batch: VecDeque<Event>,
-}
-
-/// Keeps a field every emitting thread writes off the cache lines of
-/// the fields they only read.
-#[repr(align(128))]
-struct Padded<T>(T);
-
-impl<T> std::ops::Deref for Padded<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
 /// Shared guts of a [`Tracker`]; lock types hold an `Arc` to this.
 pub struct TrackerInner {
     pub(crate) state: Mutex<State>,
-    /// Sequence number of the next event; also the progress clock of the
-    /// Phase II watchdog.
-    next_seq: Padded<AtomicU64>,
-    delivery: Padded<Mutex<Delivery>>,
+    delivery: Mutex<Delivery>,
     sink: SinkHandle,
     pub(crate) obs: Obs,
     handler: DeadlockHandler,
@@ -389,8 +393,7 @@ impl Tracker {
         };
         let inner = Arc::new(TrackerInner {
             state: Mutex::new(state),
-            next_seq: Padded(AtomicU64::new(0)),
-            delivery: Padded(Mutex::new(delivery)),
+            delivery: Mutex::new(delivery),
             buffered,
             sink: config.sink,
             obs: config.obs,
@@ -443,7 +446,7 @@ impl Tracker {
     /// A copy of the trace so far: the object table and thread bindings,
     /// plus the events when [`TrackerConfig::record_events`] is set —
     /// the input of Phase I. The recorded events are the delivered
-    /// ones, so it first delivers everything sequenced so far.
+    /// ones, so it first hands out everything stamped so far.
     pub fn trace(&self) -> Trace {
         let st = self.inner.state.lock();
         let d = flush(&self.inner);
@@ -500,67 +503,70 @@ impl std::fmt::Debug for Tracker {
     }
 }
 
-/// Sequences one event into `slot`, which the caller holds: takes the
-/// next sequence number and buffers the event for delivery. `Relaxed`
-/// suffices: the counter publishes no data (the event travels under the
-/// slot mutex), and a release's number, taken before the native unlock,
-/// precedes the next acquirer's, taken after the native lock, by
-/// coherence on the one counter. Returns whether the slot now holds a
-/// full run, which its thread should [`deliver`] (never, when nothing
-/// is buffered).
+/// Stamps one event into `slot`, which the caller holds, one past its
+/// clock, and buffers it for delivery. Returns whether the slot now
+/// holds a full run, which its thread should [`deliver`] (never, when
+/// nothing is buffered).
 fn emit(inner: &TrackerInner, slot: &mut ThreadSlot, thread: ThreadId, kind: EventKind) -> bool {
-    let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
+    slot.clock += 1;
     if inner.buffered {
-        slot.pending.push(Event::new(seq, thread, kind));
+        slot.pending.push(Event::new(slot.clock, thread, kind));
     }
     slot.pending.len() >= DELIVERY_RUN
 }
 
-/// Emits `kind` as the calling thread's event, registering the thread
-/// on first contact, and delivers if that fills a run.
-fn emit_own(inner: &Arc<TrackerInner>, kind: EventKind) {
+/// Emits `kind` as the calling thread's event, stamped past `after`,
+/// registering the thread on first contact, and delivers if that fills a
+/// run.
+fn emit_own(inner: &Arc<TrackerInner>, after: u64, kind: EventKind) {
     let due = with_own_slot(inner, |me, slot| {
-        emit(inner, &mut slot.lock(), me, kind).then_some(me)
+        let mut slot = slot.lock();
+        slot.observe(after);
+        emit(inner, &mut slot, me, kind)
     });
-    if let Some(me) = due {
-        deliver(inner, me);
+    if due {
+        deliver(inner);
     }
 }
 
-/// Moves the events `carry`'s slot has buffered into the carry.
-fn collect(carry: &mut Carry) {
-    carry.batch.extend(carry.slot.lock().pending.drain(..));
+/// Locks `slots` in order and, holding all of them, moves their events
+/// into `run`, their acquisition counts into `acquires` and their
+/// largest clock into `top`, then raises each clock to `top` before
+/// letting its slot go. Recursive, so every guard lives on the stack.
+fn drain(slots: &[SharedSlot], run: &mut Vec<Event>, acquires: &mut u64, top: &mut u64) {
+    let Some((first, rest)) = slots.split_first() else {
+        return;
+    };
+    let mut slot = first.lock();
+    run.append(&mut slot.pending);
+    *acquires += std::mem::take(&mut slot.acquires);
+    *top = (*top).max(slot.clock);
+    drain(rest, run, acquires, top);
+    slot.clock = *top;
 }
 
-/// Hands the sinks collected events in sequence order, starting with
-/// thread `from`'s, until the next number is not collected yet: merges
-/// them into one run and calls the sinks once.
-fn hand_out(inner: &TrackerInner, d: &mut Delivery, from: usize) {
+/// Hands the sinks everything buffered: drains every live slot, orders
+/// the events by (stamp, thread), numbers them from [`Delivery::next`]
+/// and calls the sinks once with the run.
+fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
     let Delivery {
         next,
-        threads,
+        slots,
         run,
         events,
     } = d;
     // A sink that panicked mid-run left its run behind.
     run.clear();
-    let mut cur = from;
-    loop {
-        let continues = |c: &Carry| c.batch.front().is_some_and(|e| e.seq == *next);
-        if !threads.get(cur).is_some_and(continues) {
-            match threads.iter().position(continues) {
-                Some(i) => cur = i,
-                None => break,
-            }
-        }
-        let batch = &mut threads[cur].batch;
-        while let Some(event) = batch.pop_front_if(|e| e.seq == *next) {
-            run.push(event);
-            *next += 1;
-        }
-    }
+    let (mut acquires, mut top) = (0, 0);
+    drain(slots, run, &mut acquires, &mut top);
+    inner.obs.counters().add_acquires_observed(acquires);
     if run.is_empty() {
         return;
+    }
+    run.sort_unstable_by_key(|e| (e.seq, e.thread));
+    for event in run.iter_mut() {
+        event.seq = *next;
+        *next += 1;
     }
     // Taken, counted and recorded before any sink runs: a sink that
     // panics neither gets the run twice nor loses it from the trace.
@@ -577,53 +583,32 @@ fn hand_out(inner: &TrackerInner, d: &mut Delivery, from: usize) {
     inner.sink.emit(run);
 }
 
-/// Delivers the caller's buffered events, and any others they unblock.
-/// Called once the caller's slot holds a full run: guards call it after
-/// the native unlock and no acquisition calls it, so sink work stays
-/// out of the critical section of the lock being taken or given up.
-/// Only the caller's slot is collected: the events of the other threads
-/// go out with their own deliveries or the next flush. While another
-/// thread delivers, the caller moves on (its next release tries again),
-/// unless its own backlog is past [`BACKLOG_BOUND`]: then it waits its
-/// turn.
-pub(crate) fn deliver(inner: &Arc<TrackerInner>, me: ThreadId) {
+/// Hands out what is buffered once the caller's slot holds a full run:
+/// guards call it after the native unlock and no acquisition calls it,
+/// so sink work stays out of the critical section of the lock being
+/// taken or given up. While another thread delivers, the caller moves
+/// on (its next release tries again), unless its own backlog is past
+/// [`BACKLOG_BOUND`]: then it waits its turn, and hands out only if the
+/// other hand-out left it a full run.
+pub(crate) fn deliver(inner: &Arc<TrackerInner>) {
+    let own = || with_own_slot(inner, |_, slot| slot.lock().pending.len());
     let mut d = match inner.delivery.try_lock() {
         Some(d) => d,
-        None if with_own_slot(inner, |_, slot| slot.lock().pending.len()) > BACKLOG_BOUND => {
-            inner.delivery.lock()
-        }
+        None if own() > BACKLOG_BOUND => inner.delivery.lock(),
         None => return,
     };
-    let own = me.as_usize();
-    collect(&mut d.threads[own]);
-    hand_out(inner, &mut d, own);
-    if d.threads[own].batch.len() > BACKLOG_BOUND {
-        collect_all(inner, &mut d);
+    if own() >= DELIVERY_RUN {
+        hand_out(inner, &mut d);
     }
 }
 
-/// Collects every slot and hands out what that unblocks.
-fn collect_all(inner: &TrackerInner, d: &mut Delivery) {
-    d.threads.iter_mut().for_each(collect);
-    hand_out(inner, d, 0);
-}
-
-/// Delivers every event sequenced before the call, waiting for the
+/// Hands out every event stamped before the call, waiting for the
 /// delivering thread if there is one, and keeps the delivery section so
-/// the caller can tell the sinks more in order. Gapless: each number
-/// taken before the call was taken under some slot's mutex, which the
-/// flush takes afterwards.
+/// the caller can tell the sinks more in order.
 fn flush(inner: &TrackerInner) -> MutexGuard<'_, Delivery> {
     let mut d = inner.delivery.lock();
-    if inner.buffered {
-        collect_all(inner, &mut d);
-    }
+    hand_out(inner, &mut d);
     d
-}
-
-/// The sequence number the next event will get.
-pub(crate) fn event_seq(inner: &TrackerInner) -> u64 {
-    inner.next_seq.load(Ordering::Relaxed)
 }
 
 /// The registry's object table and thread bindings with the recorded
@@ -676,15 +661,24 @@ pub(crate) fn register_thread(
             Some(name.clone()),
         );
         st.trace.bind_thread(id, obj);
+        // The child starts from its `Spawn` stamp; the flush below
+        // delivers the `Spawn`.
+        let clock = spawner.map_or(0, |parent| {
+            let mut slot = st.thread(parent).slot.lock();
+            let kind = EventKind::Spawn {
+                child: id,
+                child_obj: obj,
+            };
+            emit(inner, &mut slot, parent, kind);
+            slot.clock
+        });
         let reserved = if inner.buffered { RESERVED_EVENTS } else { 0 };
         let slot = SharedSlot::new(Mutex::new(ThreadSlot {
-            held: Vec::new(),
+            clock,
             pending: Vec::with_capacity(reserved),
+            ..ThreadSlot::default()
         }));
-        inner.delivery.lock().threads.push(Carry {
-            slot: Arc::clone(&slot),
-            batch: VecDeque::with_capacity(reserved),
-        });
+        inner.delivery.lock().slots.push(Arc::clone(&slot));
         st.threads.push(ThreadState {
             obj,
             name,
@@ -694,14 +688,6 @@ pub(crate) fn register_thread(
             exited: false,
         });
         st.waits.push(None);
-        if let Some(parent) = spawner {
-            let kind = EventKind::Spawn {
-                child: id,
-                child_obj: obj,
-            };
-            // The flush below delivers it.
-            emit(inner, &mut st.thread(parent).slot.lock(), parent, kind);
-        }
         (id, slot)
     };
     let _delivery = flush(inner);
@@ -734,8 +720,12 @@ pub(crate) fn current_thread(inner: &Arc<TrackerInner>) -> ThreadId {
 }
 
 /// Registers a lock object at its allocation site and emits `New`.
-pub(crate) fn register_lock(inner: &Arc<TrackerInner>, site: Label) -> ObjId {
-    register_object(inner, ObjKind::Lock, site)
+pub(crate) fn register_lock(inner: &Arc<TrackerInner>, site: Label) -> LockObj {
+    let id = register_object(inner, ObjKind::Lock, site);
+    LockObj {
+        id,
+        stamp: AtomicU64::new(0),
+    }
 }
 
 /// Registers a condition variable object (an [`ObjKind::Plain`] object,
@@ -760,7 +750,7 @@ fn register_object(inner: &Arc<TrackerInner>, kind: ObjKind, site: Label) -> Obj
         (obj, due)
     };
     if due {
-        deliver(inner, me);
+        deliver(inner);
     }
     obj
 }
@@ -776,9 +766,9 @@ pub(crate) fn unwind_if_aborting(inner: &TrackerInner) {
 /// The Phase II gate before a blocking acquisition (`lock`, `read`,
 /// `write` and the `*_for` variants): a no-op unless a fuzz or noise
 /// policy is set.
-pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
+pub(crate) fn gate(inner: &Arc<TrackerInner>, lock: &LockObj, site: Label, access: Access) {
     if let Some(session) = &inner.session {
-        session::gate(inner, session, lock, site, access);
+        session::gate(inner, session, lock.id, site, access);
     }
 }
 
@@ -804,30 +794,34 @@ pub(crate) fn spin<G>(mut try_acquire: impl FnMut() -> TryLockResult<G>) -> TryL
 }
 
 /// Publishes a completed acquisition in the caller's slot and emits its
-/// event: `Reacquire` when the thread already holds the lock, otherwise
-/// the `Acquire` or, for a `try_*`, the successful `TryAcquire`.
-/// Must be called with the native lock already held; delivery waits
-/// for a later call.
+/// event, stamped past the lock's stamp: `Reacquire` when the thread
+/// already holds the lock, otherwise the `Acquire` or, for a `try_*`,
+/// the successful `TryAcquire`. Must be called with the native lock
+/// already held; delivery waits for a later call.
 fn record_acquire(
     inner: &TrackerInner,
     slot: &mut ThreadSlot,
     me: ThreadId,
-    hold: Hold,
+    lock: &LockObj,
+    site: Label,
+    mode: Access,
     tried: bool,
 ) {
-    let re_entrant = slot.holds(hold.lock);
+    // `Relaxed`: the native acquire orders this load after the previous
+    // holders' `fetch_max`es, which precede their native unlocks.
+    slot.observe(lock.stamp.load(Ordering::Relaxed));
+    let lock = lock.id;
+    let re_entrant = slot.holds(lock);
     let kind = if re_entrant {
-        EventKind::reacquire(hold.lock, hold.site)
+        EventKind::reacquire(lock, site)
     } else if tried {
-        EventKind::try_acquire(hold.lock, hold.site, true).with_mode(hold.mode)
+        EventKind::try_acquire(lock, site, true).with_mode(mode)
     } else {
-        EventKind::acquire(hold.lock, hold.site).with_mode(hold.mode)
+        EventKind::acquire(lock, site).with_mode(mode)
     };
     emit(inner, slot, me, kind);
-    slot.held.push(hold);
-    if !re_entrant {
-        inner.obs.counters().add_acquires_observed(1);
-    }
+    slot.held.push(Hold { lock, site, mode });
+    slot.acquires += u64::from(!re_entrant);
 }
 
 /// Bookkeeping for a non-blocking `try_*` attempt. A successful try
@@ -837,7 +831,7 @@ fn record_acquire(
 /// the slot untouched and records `TryAcquire { acquired: false }`.
 pub(crate) fn try_acquired(
     inner: &Arc<TrackerInner>,
-    lock: ObjId,
+    lock: &LockObj,
     site: Label,
     mode: Access,
     acquired: bool,
@@ -845,32 +839,24 @@ pub(crate) fn try_acquired(
     unwind_if_aborting(inner);
     if acquired {
         with_own_slot(inner, |me, slot| {
-            record_acquire(inner, &mut slot.lock(), me, Hold { lock, site, mode }, true);
+            record_acquire(inner, &mut slot.lock(), me, lock, site, mode, true);
         });
     } else {
-        emit_own(
-            inner,
-            EventKind::try_acquire(lock, site, false).with_mode(mode),
-        );
+        let failed = EventKind::try_acquire(lock.id, site, false).with_mode(mode);
+        emit_own(inner, 0, failed);
     }
 }
 
 /// Bookkeeping for an acquisition that succeeded without blocking.
 pub(crate) fn acquired_uncontended(
     inner: &Arc<TrackerInner>,
-    lock: ObjId,
+    lock: &LockObj,
     site: Label,
     mode: Access,
 ) {
     unwind_if_aborting(inner);
     with_own_slot(inner, |me, slot| {
-        record_acquire(
-            inner,
-            &mut slot.lock(),
-            me,
-            Hold { lock, site, mode },
-            false,
-        );
+        record_acquire(inner, &mut slot.lock(), me, lock, site, mode, false);
     });
 }
 
@@ -880,7 +866,8 @@ pub(crate) fn acquired_uncontended(
 /// threads: a cycle exists exactly when its last wait edge is
 /// registered, and that registration happens here or at a Phase II
 /// pause, under the registry lock.
-pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, access: Access) {
+pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: &LockObj, site: Label, access: Access) {
+    let lock = lock.id;
     unwind_if_aborting(inner);
     let me = current_thread(inner);
     let mut st = inner.state.lock();
@@ -902,7 +889,7 @@ pub(crate) fn begin_wait(inner: &Arc<TrackerInner>, lock: ObjId, site: Label, ac
 /// the hold that satisfied it.
 pub(crate) fn acquired_contended(
     inner: &Arc<TrackerInner>,
-    lock: ObjId,
+    lock: &LockObj,
     site: Label,
     mode: Access,
 ) {
@@ -911,24 +898,27 @@ pub(crate) fn acquired_contended(
     st.set_wait(me, None);
     unwind_if_aborting(inner);
     let mut slot = st.thread(me).slot.lock();
-    emit(inner, &mut slot, me, EventKind::unblocked(lock));
-    record_acquire(inner, &mut slot, me, Hold { lock, site, mode }, false);
+    slot.observe(lock.stamp.load(Ordering::Relaxed));
+    emit(inner, &mut slot, me, EventKind::unblocked(lock.id));
+    record_acquire(inner, &mut slot, me, lock, site, mode, false);
 }
 
 /// A timed acquisition gave up: clears the wait edge and counts the
 /// timeout. No `Unblocked` is emitted — that event means "acquired".
-pub(crate) fn wait_timed_out(inner: &Arc<TrackerInner>, _lock: ObjId) {
+pub(crate) fn wait_timed_out(inner: &Arc<TrackerInner>) {
     let me = current_thread(inner);
     inner.state.lock().set_wait(me, None);
     inner.obs.counters().add_lock_timeouts(1);
 }
 
 /// Release bookkeeping, called by guard drops *before* the native
-/// unlock so no slot claims a hold the thread gave up. Returns the
-/// calling thread when its slot holds a full run: the guard then
-/// [`deliver`]s, after the unlock. Emitted even during a panic unwind,
-/// which keeps the relation balanced after poisoning.
-pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> Option<ThreadId> {
+/// unlock so no slot claims a hold the thread gave up; raises the lock's
+/// stamp to the release's. Returns whether the calling thread's slot
+/// holds a full run: the guard then [`deliver`]s, after the unlock.
+/// Emitted even during a panic unwind, which keeps the relation
+/// balanced after poisoning.
+pub(crate) fn release(inner: &Arc<TrackerInner>, obj: &LockObj, site: Label) -> bool {
+    let lock = obj.id;
     with_own_slot(inner, |me, slot| {
         let mut slot = slot.lock();
         // The guard doesn't know its own mode; the slot does.
@@ -941,7 +931,11 @@ pub(crate) fn release(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) -> Op
         } else {
             EventKind::release(lock, site).with_mode(mode)
         };
-        emit(inner, &mut slot, me, kind).then_some(me)
+        let due = emit(inner, &mut slot, me, kind);
+        // A maximum, not a store: concurrent readers release in any
+        // order, and the next writer must come after all of them.
+        obj.stamp.fetch_max(slot.clock, Ordering::Relaxed);
+        due
     })
 }
 
@@ -961,9 +955,10 @@ pub(crate) fn cond_wait_begin(
     inner: &Arc<TrackerInner>,
     cv: &Arc<std::sync::Condvar>,
     condvar: ObjId,
-    lock: ObjId,
+    obj: &LockObj,
     site: Label,
 ) {
+    let lock = obj.id;
     let me = current_thread(inner);
     let mut st = inner.state.lock();
     // Checked under the registry lock, where aborts happen: a waiter
@@ -981,6 +976,7 @@ pub(crate) fn cond_wait_begin(
             me,
             EventKind::cond_wait(condvar, lock, site),
         );
+        obj.stamp.fetch_max(slot.clock, Ordering::Relaxed);
     }
     st.set_wait(me, Some((lock, site, Access::Exclusive)));
     inner.obs.counters().add_wfg_edges(1);
@@ -996,13 +992,15 @@ pub(crate) fn cond_wait_begin(
 /// the hold *silently* — matching the virtual runtime, where the
 /// original `Acquire` already carries the lock dependency and the
 /// reacquisition emits nothing.
-pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label) {
+pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: &LockObj, site: Label) {
     let me = current_thread(inner);
     let mut st = inner.state.lock();
     st.set_wait(me, None);
     st.session.parked.remove(&me);
-    st.thread(me).slot.lock().held.push(Hold {
-        lock,
+    let mut slot = st.thread(me).slot.lock();
+    slot.observe(lock.stamp.load(Ordering::Relaxed));
+    slot.held.push(Hold {
+        lock: lock.id,
         site,
         mode: Access::Exclusive,
     });
@@ -1011,7 +1009,7 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: ObjId, site: Label)
 /// Emits the `CondNotify` communication event. Rust `Condvar` semantics:
 /// the notifier need not hold any lock.
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
-    emit_own(inner, EventKind::cond_notify(condvar, site, all));
+    emit_own(inner, 0, EventKind::cond_notify(condvar, site, all));
 }
 
 /// Counts a poisoned-lock recovery (`PoisonError::into_inner`).
@@ -1022,7 +1020,7 @@ pub(crate) fn note_poison_recovered(inner: &Arc<TrackerInner>) {
 /// Emits `ThreadStart` for a freshly spawned tracked thread, on that
 /// thread.
 pub(crate) fn thread_started(inner: &Arc<TrackerInner>) {
-    emit_own(inner, EventKind::ThreadStart);
+    emit_own(inner, 0, EventKind::ThreadStart);
 }
 
 /// Records a tracked thread's panic for [`Tracker::finish`] (the abort
@@ -1032,28 +1030,30 @@ pub(crate) fn thread_panicked(inner: &Arc<TrackerInner>, payload: &(dyn std::any
 }
 
 /// Marks the thread exited and emits `ThreadExit`; runs from a drop
-/// guard so it fires even when the thread body panicked. Delivers
-/// everything sequenced so far, so no event is left queued once the
-/// program's threads are gone, then gives the thread's emptied buffers
-/// back: a tracker outlives its threads, and one that ran many short
-/// ones would otherwise keep their run-sized reserves.
+/// guard so it fires even when the thread body panicked. Hands out
+/// everything stamped so far, so no event is left queued once the
+/// program's threads are gone, then drops the slot from the hand-outs
+/// and gives its emptied buffer back: a tracker outlives its threads,
+/// and one that ran many short ones would otherwise keep their
+/// run-sized reserves.
 pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
-    if let Some(ts) = st.threads.get_mut(id.as_usize()) {
-        ts.exited = true;
-        emit(inner, &mut ts.slot.lock(), id, EventKind::ThreadExit);
-    }
+    let Some(ts) = st.threads.get_mut(id.as_usize()) else {
+        return;
+    };
+    ts.exited = true;
+    let slot = Arc::clone(&ts.slot);
+    emit(inner, &mut slot.lock(), id, EventKind::ThreadExit);
     drop(st);
-    let mut d = flush(inner);
-    if let Some(carry) = d.threads.get_mut(id.as_usize()) {
-        carry.batch.shrink_to_fit();
-        carry.slot.lock().pending.shrink_to_fit();
-    }
+    flush(inner).slots.retain(|s| !Arc::ptr_eq(s, &slot));
+    slot.lock().pending.shrink_to_fit();
 }
 
-/// Emits `Join` on the joining thread after a tracked join completes.
+/// Emits `Join` on the joining thread after a tracked join completes,
+/// stamped past the joined thread's clock.
 pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, target: ThreadId) {
-    emit_own(inner, EventKind::Join { target });
+    let exit = inner.state.lock().thread(target).slot.lock().clock;
+    emit_own(inner, exit, EventKind::Join { target });
 }
 
 /// Whether `me`'s registered wait is on its own conflicting hold — a
@@ -1253,7 +1253,7 @@ fn dispatch(inner: &Arc<TrackerInner>, witness: &DeadlockWitness, rendered: &str
     }
 }
 
-/// Seals the run (idempotent): delivers every sequenced event, records
+/// Seals the run (idempotent): hands out every stamped event, records
 /// the peak-trace-bytes high-water mark, then hands `on_finish` the
 /// trace skeleton. The delivery section stays held through `on_finish`,
 /// so no delivery interleaves with the footer.

@@ -28,8 +28,8 @@
 //! mutexes and rwlocks checks delivery: gapless sequence numbers, real
 //! per-lock order, and the same release modes. Eight threads mixing
 //! pairs, tries and condvar waits check that a sink gets the recorded
-//! trace, and a thread whose events wait behind another thread's
-//! undelivered acquire checks when they must go out anyway. Sinks get
+//! trace, and a thread whose events sit buffered in its slot checks
+//! when they must go out anyway. Sinks get
 //! the stream in runs, one call per run, and a sink that panics mid-run
 //! loses nothing from the recorded trace; a lone thread's releases hand
 //! out only full runs, and a wait that outlasts the acquisition's spin
@@ -819,10 +819,9 @@ fn takes(kind: &EventKind) -> bool {
     matches!(kind, EventKind::Acquire { .. })
 }
 
-/// A release delivers only up to the first number another thread has
-/// not handed over. Events stuck behind a holder's undelivered acquire
-/// still reach the sink before their thread blocks, when it exits and
-/// at the seal.
+/// A release hands out only a full run. Events a thread still buffers
+/// while a holder keeps a lock still reach the sink before their thread
+/// blocks, when it exits and at the seal.
 #[test]
 fn events_behind_another_threads_number_are_delivered() {
     let sink = Arc::new(Mutex::new(Collect::default()));
@@ -832,8 +831,8 @@ fn events_behind_another_threads_number_are_delivered() {
     let other = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
 
     // Before it blocks: the waiter runs once the holder holds `held`, so
-    // its pair on `other` sits behind the holder's acquire until it
-    // blocks on `held`.
+    // its pair on `other` stays buffered in its slot, short of a run,
+    // until it blocks on `held`.
     let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
     let (paired, wait_for_pair) = std::sync::mpsc::channel::<()>();
     let (block, wait_for_block) = std::sync::mpsc::channel::<()>();
@@ -849,10 +848,7 @@ fn events_behind_another_threads_number_are_delivered() {
     let w = waiter.thread_id();
     go.send(()).unwrap();
     wait_for_pair.recv().unwrap();
-    assert!(
-        !delivered(&sink, w, takes),
-        "the pair waits behind the holder"
-    );
+    assert!(!delivered(&sink, w, takes), "the pair stays buffered");
     block.send(()).unwrap();
     eventually("the waiter's pair before it blocks", || {
         delivered(&sink, w, |k| matches!(k, EventKind::Blocked { .. }))
@@ -862,8 +858,8 @@ fn events_behind_another_threads_number_are_delivered() {
     holding.join().unwrap();
     waiter.join().unwrap();
 
-    // When it exits: the exiting thread's pair sits behind the holder's
-    // acquire until its exit.
+    // When it exits: the exiting thread's pair stays buffered until its
+    // exit.
     let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
     let (paired, wait_for_pair) = std::sync::mpsc::channel::<()>();
     let (exit, wait_for_exit) = std::sync::mpsc::channel::<()>();
@@ -878,10 +874,7 @@ fn events_behind_another_threads_number_are_delivered() {
     let x = exiting.thread_id();
     go.send(()).unwrap();
     wait_for_pair.recv().unwrap();
-    assert!(
-        !delivered(&sink, x, takes),
-        "the pair waits behind the holder"
-    );
+    assert!(!delivered(&sink, x, takes), "the pair stays buffered");
     exit.send(()).unwrap();
     exiting.join().unwrap();
     assert!(delivered(&sink, x, |k| matches!(k, EventKind::ThreadExit)));
@@ -889,8 +882,8 @@ fn events_behind_another_threads_number_are_delivered() {
     release.send(()).unwrap();
     holding.join().unwrap();
 
-    // At the seal: this thread's pair sits behind a holder that has not
-    // released yet.
+    // At the seal: this thread's pair stays buffered while a holder has
+    // not released yet.
     let (holding, release) = holder(&tracker, &held);
     *other.lock().unwrap() += 1;
     let me = {
@@ -903,10 +896,7 @@ fn events_behind_another_threads_number_are_delivered() {
         created.expect("this thread created the locks").thread
     };
     let released = |k: &EventKind| matches!(k, EventKind::Release { .. });
-    assert!(
-        !delivered(&sink, me, released),
-        "the pair waits behind the holder"
-    );
+    assert!(!delivered(&sink, me, released), "the pair stays buffered");
     tracker.seal();
     assert!(delivered(&sink, me, released));
     release.send(()).unwrap();
@@ -1219,4 +1209,300 @@ fn acquires_observed_is_exact_once_threads_exit() {
             assert!(events > expected);
         }
     }
+}
+
+/// Takes `lock` and gives it up `pairs` times, flagging the releases
+/// ([`RELEASING`]).
+fn lock_pairs(lock: &TrackedMutex<u64>, pairs: usize) {
+    for _ in 0..pairs {
+        let mut held = lock.lock().unwrap();
+        *held += 1;
+        RELEASING.with(|f| f.set(true));
+        drop(held);
+        RELEASING.with(|f| f.set(false));
+    }
+}
+
+/// The positions in `events` of `thread`'s events matching `pick`.
+fn positions(events: &[Event], thread: ThreadId, pick: fn(&EventKind) -> bool) -> Vec<usize> {
+    let mine = |(i, e): (usize, &Event)| (e.thread == thread && pick(&e.kind)).then_some(i);
+    events.iter().enumerate().filter_map(mine).collect()
+}
+
+const IDLE_PAIRS: usize = 10_000;
+
+/// Two workers take a lock of their own over and over while the main
+/// thread that spawned them sits parked in `join`, with nothing to hand
+/// out: every run a worker's release hands the sinks is a full one, and
+/// once both are done, before either exits, the sinks hold all of their
+/// pair events but what each still buffers — at most a backlog of four
+/// runs.
+#[test]
+fn an_idle_main_thread_in_join_holds_back_no_worker_runs() {
+    let runs = Arc::new(Mutex::new(Runs::default()));
+    let released = Arc::new(Mutex::new(ReleasedRuns::default()));
+    let tracker = Tracker::new(
+        TrackerConfig::default().with_sink(SinkHandle::single(runs.clone()).with(released.clone())),
+    );
+    let (done, wait_for_done) = std::sync::mpsc::channel::<()>();
+    let (exits, workers): (Vec<_>, Vec<_>) = (0..2)
+        .map(|t| {
+            let (exit, wait_for_exit) = std::sync::mpsc::channel::<()>();
+            let (lock, done) = (TrackedMutex::with_tracker(&tracker, 0u64), done.clone());
+            let worker = tracker.spawn(&format!("idle-{t}"), move || {
+                lock_pairs(&lock, IDLE_PAIRS);
+                done.send(()).unwrap();
+                wait_for_exit.recv().unwrap();
+            });
+            (exit, worker)
+        })
+        .unzip();
+    let ids: Vec<ThreadId> = workers.iter().map(|w| w.thread_id()).collect();
+    // Untracked, so the main thread stays the only one in `join`.
+    let sink = Arc::clone(&runs);
+    let checker = std::thread::spawn(move || {
+        wait_for_done.recv().unwrap();
+        wait_for_done.recv().unwrap();
+        let pair_events = sink
+            .lock()
+            .unwrap()
+            .0
+            .iter()
+            .flatten()
+            .filter(|e| ids.contains(&e.thread))
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Acquire { .. } | EventKind::Release { .. }
+                )
+            })
+            .count();
+        for exit in exits {
+            exit.send(()).unwrap();
+        }
+        pair_events
+    });
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    let pair_events = checker.join().unwrap();
+    let all = 2 * 2 * IDLE_PAIRS;
+    assert!(
+        pair_events >= all - 2 * 4 * DELIVERY_RUN,
+        "the sinks held {pair_events} of {all} pair events while the workers were done"
+    );
+    let lens = std::mem::take(&mut released.lock().unwrap().0);
+    assert!(!lens.is_empty(), "the workers' releases handed out runs");
+    assert!(
+        lens.iter().all(|&n| n >= DELIVERY_RUN),
+        "a release handed out a short run: {lens:?}"
+    );
+}
+
+/// A writer's `Acquire` follows every concurrent reader's `Release`,
+/// even when the reader with the far larger clock lets go first: the
+/// lock keeps the largest stamp released, not the last one. No flush
+/// falls between the readers' releases and the write, so nothing but
+/// the lock's stamp orders them.
+#[test]
+fn a_writers_acquire_follows_every_concurrent_readers_release() {
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let tracker =
+        Tracker::new(TrackerConfig::default().with_sink(SinkHandle::single(sink.clone())));
+    let rw = Arc::new(TrackedRwLock::with_tracker(&tracker, 0u64));
+    let start = Arc::new(std::sync::Barrier::new(3));
+    let both_read = Arc::new(std::sync::Barrier::new(2));
+    let finish = Arc::new(std::sync::Barrier::new(3));
+    let (busy_let_go, wait_for_busy) = std::sync::mpsc::channel::<()>();
+    let (idle_let_go, wait_for_idle) = std::sync::mpsc::channel::<()>();
+    let busy = {
+        let (rw, start, both_read, finish) =
+            (rw.clone(), start.clone(), both_read.clone(), finish.clone());
+        let own = TrackedMutex::with_tracker(&tracker, 0u64);
+        tracker.spawn("busy reader", move || {
+            start.wait();
+            // A hundred events: a clock far ahead, and no full run.
+            lock_pairs(&own, 50);
+            let read = rw.read().unwrap();
+            both_read.wait();
+            drop(read);
+            busy_let_go.send(()).unwrap();
+            finish.wait();
+        })
+    };
+    let idle = {
+        let (rw, start, both_read, finish) =
+            (rw.clone(), start.clone(), both_read.clone(), finish.clone());
+        tracker.spawn("idle reader", move || {
+            start.wait();
+            let read = rw.read().unwrap();
+            both_read.wait();
+            wait_for_busy.recv().unwrap();
+            drop(read);
+            idle_let_go.send(()).unwrap();
+            finish.wait();
+        })
+    };
+    let writer = {
+        let rw = rw.clone();
+        tracker.spawn("writer", move || {
+            start.wait();
+            wait_for_idle.recv().unwrap();
+            *rw.write().unwrap() += 1;
+            finish.wait();
+        })
+    };
+    let threads = [busy.thread_id(), idle.thread_id(), writer.thread_id()];
+    for t in [busy, idle, writer] {
+        t.join().unwrap();
+    }
+    tracker.seal();
+
+    let trace = std::mem::take(&mut sink.lock().unwrap().0);
+    let released = |k: &EventKind| matches!(k, EventKind::Release { .. });
+    let releases: Vec<usize> = threads[..2]
+        .iter()
+        .flat_map(|&reader| positions(trace.events(), reader, released))
+        .filter(|&i| matches!(trace.events()[i].kind, EventKind::Release { lock, .. } if lock == rw.id()))
+        .collect();
+    let write = positions(trace.events(), threads[2], takes);
+    assert_eq!((releases.len(), write.len()), (2, 1));
+    assert!(
+        releases.iter().all(|&r| r < write[0]),
+        "the write at {} precedes a read release at {releases:?}",
+        write[0]
+    );
+    check_exclusion(trace.events());
+}
+
+/// Spawn and join order the stream whatever real time says: while a
+/// busy thread's clock runs far ahead and untracked sleeps stretch the
+/// child's life, the child's events follow its `Spawn`, and the joiner,
+/// whose own clock is small, continues after the child's `ThreadExit`.
+#[test]
+fn spawn_and_join_order_holds_when_untracked_work_skews_real_time() {
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let tracker =
+        Tracker::new(TrackerConfig::default().with_sink(SinkHandle::single(sink.clone())));
+    let own = TrackedMutex::with_tracker(&tracker, 0u64);
+    let (stop, wait_for_stop) = std::sync::mpsc::channel::<()>();
+    let busy_lock = TrackedMutex::with_tracker(&tracker, 0u64);
+    let busy = tracker.spawn("busy", move || {
+        while wait_for_stop.try_recv().is_err() {
+            lock_pairs(&busy_lock, 100);
+        }
+    });
+    let parent = tracker.spawn("parent", {
+        let tracker = tracker.clone();
+        move || {
+            let child_lock = TrackedMutex::with_tracker(&tracker, 0u64);
+            let child = tracker.spawn("child", move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                lock_pairs(&child_lock, 3);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            });
+            let id = child.thread_id();
+            child.join().unwrap();
+            lock_pairs(&own, 1);
+            id
+        }
+    });
+    let child = parent.join().unwrap();
+    stop.send(()).unwrap();
+    busy.join().unwrap();
+    tracker.seal();
+
+    let trace = std::mem::take(&mut sink.lock().unwrap().0);
+    let events = trace.events();
+    let spawned = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::Spawn { child: c, .. } if c == child))
+        .expect("the child's spawn");
+    let joined = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::Join { target } if target == child))
+        .expect("the child's join");
+    let parent_id = events[joined].thread;
+    let of_child = positions(events, child, |_| true);
+    let exited = positions(events, child, |k| matches!(k, EventKind::ThreadExit));
+    assert!(of_child.len() > 6 && exited.len() == 1);
+    assert!(
+        of_child.iter().all(|&i| i > spawned),
+        "child before its spawn"
+    );
+    assert_eq!(
+        of_child.last(),
+        exited.first(),
+        "the exit is the child's last"
+    );
+    assert!(
+        joined > exited[0],
+        "join at {joined} before the exit at {}",
+        exited[0]
+    );
+    assert_eq!(events[spawned].thread, parent_id, "the parent spawned it");
+    let after = positions(events, parent_id, takes);
+    assert!(!after.is_empty() && after.iter().all(|&i| i > joined));
+    check(&trace, None);
+}
+
+/// A hand-out levels the thread clocks: a thread idle across it goes on
+/// from the largest clock, not its own, so the next run does not put its
+/// later events ahead of a busy thread's earlier ones. The busy thread
+/// takes its lock once after the flush, then the idle one does; in the
+/// run that carries both, the busy thread's comes first.
+#[test]
+fn a_hand_out_levels_the_thread_clocks() {
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let tracker =
+        Tracker::new(TrackerConfig::default().with_sink(SinkHandle::single(sink.clone())));
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let (busy_done, wait_for_busy) = std::sync::mpsc::channel::<()>();
+    let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
+    let (turn, wait_for_turn) = std::sync::mpsc::channel::<()>();
+    let (idle_done, wait_for_idle) = std::sync::mpsc::channel::<()>();
+    let (exit, wait_for_exit) = std::sync::mpsc::channel::<()>();
+    let busy = {
+        let (lock, start) = (TrackedMutex::with_tracker(&tracker, 0u64), start.clone());
+        tracker.spawn("busy", move || {
+            start.wait();
+            // A hundred events: a clock far ahead, and no full run.
+            lock_pairs(&lock, 50);
+            busy_done.send(()).unwrap();
+            wait_for_go.recv().unwrap();
+            lock_pairs(&lock, 1);
+            turn.send(()).unwrap();
+            wait_for_exit.recv().unwrap();
+        })
+    };
+    let idle = {
+        let lock = TrackedMutex::with_tracker(&tracker, 0u64);
+        tracker.spawn("idle", move || {
+            start.wait();
+            wait_for_turn.recv().unwrap();
+            lock_pairs(&lock, 1);
+            idle_done.send(()).unwrap();
+        })
+    };
+    wait_for_busy.recv().unwrap();
+    drop(tracker.trace());
+    let flushed = sink.lock().unwrap().0.events().len();
+    go.send(()).unwrap();
+    wait_for_idle.recv().unwrap();
+    exit.send(()).unwrap();
+    let (b, i) = (busy.thread_id(), idle.thread_id());
+    busy.join().unwrap();
+    idle.join().unwrap();
+    tracker.seal();
+
+    let trace = std::mem::take(&mut sink.lock().unwrap().0);
+    let later = &trace.events()[flushed..];
+    let (busy_takes, idle_takes) = (positions(later, b, takes), positions(later, i, takes));
+    assert_eq!((busy_takes.len(), idle_takes.len()), (1, 1));
+    assert!(
+        busy_takes[0] < idle_takes[0],
+        "the idle thread's acquire at {} went ahead of the busy one's at {}",
+        idle_takes[0],
+        busy_takes[0]
+    );
 }
