@@ -4,7 +4,9 @@
 //! A thread may touch locks of several trackers (a test process runs
 //! many), so the binding is a small vector keyed by tracker identity
 //! rather than a single slot. Entries hold [`Weak`] references; dead
-//! trackers are pruned on the next bind.
+//! trackers are pruned on the next bind. A binding dropped with its OS
+//! thread marks the slot gone, so the tracker's hand-outs stop visiting
+//! it once it is empty.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
@@ -13,7 +15,17 @@ use df_events::ThreadId;
 
 use crate::tracker::{SharedSlot, TrackerInner};
 
-type Binding = (Weak<TrackerInner>, ThreadId, SharedSlot);
+struct Binding {
+    tracker: Weak<TrackerInner>,
+    id: ThreadId,
+    slot: SharedSlot,
+}
+
+impl Drop for Binding {
+    fn drop(&mut self) {
+        self.slot.lock().gone = true;
+    }
+}
 
 thread_local! {
     static BINDINGS: RefCell<Vec<Binding>> = const { RefCell::new(Vec::new()) };
@@ -35,9 +47,9 @@ where
         let bindings = b.borrow();
         match bindings
             .iter()
-            .find(|(weak, _, _)| std::ptr::eq(weak.as_ptr(), target))
+            .find(|b| std::ptr::eq(b.tracker.as_ptr(), target))
         {
-            Some((_, id, slot)) => Ok(f(*id, slot)),
+            Some(b) => Ok(f(b.id, &b.slot)),
             None => Err(f),
         }
     })
@@ -47,7 +59,11 @@ where
 pub(crate) fn bind(inner: &Arc<TrackerInner>, id: ThreadId, slot: SharedSlot) {
     BINDINGS.with(|b| {
         let mut v = b.borrow_mut();
-        v.retain(|(weak, _, _)| weak.strong_count() > 0);
-        v.push((Arc::downgrade(inner), id, slot));
+        v.retain(|b| b.tracker.strong_count() > 0);
+        v.push(Binding {
+            tracker: Arc::downgrade(inner),
+            id,
+            slot,
+        });
     });
 }

@@ -25,17 +25,20 @@
 //!   rwlock's readers come before its next writer. A condvar wait does
 //!   both. A spawned thread starts from its `Spawn` stamp, a joiner
 //!   continues from the joined thread's clock.
-//! * A hand-out ([`Delivery`]) locks every live slot in thread-id order
-//!   and, holding them all, drains them and raises every clock to the
-//!   largest among them, so no later event is stamped at or below one
-//!   handed out. It orders the run by (stamp, thread), numbers it
-//!   gaplessly and calls the sinks once, off the native locks. The stream
+//! * A hand-out ([`Delivery`]) reads the largest clock of the live slots,
+//!   its cut, then, one slot at a time, raises the slot's clock to the
+//!   cut and takes its events stamped up to it. So no later event is
+//!   stamped at or below one handed out, and every event a taken one
+//!   depends on is stamped below it and taken too. It orders the run by
+//!   (stamp, thread), numbers it gaplessly and calls the sinks once, off
+//!   the native locks. The stream
 //!   keeps each thread's, each lock's and the fork/join order; unrelated
 //!   events come in causal, not real-time, order. A release hands out
 //!   once its slot holds a full run ([`DELIVERY_RUN`] events); a flush
 //!   (before a thread blocks, at a tracked thread's exit, at
 //!   registration, at [`Tracker::trace`] and at the seal) always does.
-//!   Acquisitions reach `acquires_observed` at hand-outs.
+//!   Acquisitions reach `acquires_observed` at hand-outs. A slot leaves
+//!   the hand-outs once its OS thread has ended and it is empty.
 //! * A blocking acquisition retries the native `try_*` up to
 //!   [`SPIN_TRIES`] times before it registers a wait edge (see
 //!   [`spin`]), so a brief overlap costs neither the registry nor a
@@ -46,9 +49,8 @@
 //! An uncontended acquire, a release and a `try_*` take only their own
 //! slot and, off the native lock and once a run is due, the delivery
 //! section. Lock order: registry → delivery → slots in thread-id order,
-//! with sinks called under the delivery section; only a hand-out holds
-//! a slot while it takes another, and nothing while it takes the
-//! delivery section.
+//! with sinks called under the delivery section; no one holds two slots
+//! at once, and nothing while it takes the delivery section.
 //!
 //! ## Why detection cannot miss and cannot lie
 //!
@@ -189,7 +191,7 @@ pub(crate) struct Hold {
 
 /// A tracked thread's own bookkeeping. Only its thread changes `held`;
 /// the detector, witnesses and the Phase II gate read it under the
-/// registry lock. A hand-out empties `pending` and `acquires` and raises
+/// registry lock. A hand-out takes `pending` and `acquires` and raises
 /// `clock`.
 #[derive(Debug, Default)]
 pub(crate) struct ThreadSlot {
@@ -203,6 +205,9 @@ pub(crate) struct ThreadSlot {
     /// Events not yet handed out, in stamp order; each one's `seq` holds
     /// its stamp until the hand-out numbers it.
     pending: Vec<Event>,
+    /// The thread's binding is gone with its OS thread: nothing emits
+    /// here any more.
+    pub(crate) gone: bool,
 }
 
 impl ThreadSlot {
@@ -227,10 +232,11 @@ impl ThreadSlot {
 /// A thread slot, shared by its thread's binding and the registry.
 pub(crate) type SharedSlot = Arc<Mutex<ThreadSlot>>;
 
-/// Events a buffer of the delivery path is reserved for up front: two
-/// full runs, so a run that fills between two releases fits, and a
-/// thread's steady state allocates nothing.
-const RESERVED_EVENTS: usize = 2 * DELIVERY_RUN;
+/// Events a buffer of the delivery path is reserved for up front, per
+/// slot: a backlog up to its bound plus a run, so no buffer grows while
+/// the program runs. Grown then, next to a growing spill buffer, they
+/// left ~10 MB of native-spill's heap stranded between campaigns.
+const RESERVED_EVENTS: usize = BACKLOG_BOUND + DELIVERY_RUN;
 
 /// A tracked lock's object id and Lamport stamp, kept beside its native
 /// lock. The stamp is the largest of the lock's releases so far.
@@ -303,9 +309,11 @@ impl State {
 struct Delivery {
     /// Sequence number of the next event to hand out.
     next: u64,
-    /// The slots of the threads that have not exited, in thread-id order.
+    /// The slots a hand-out visits, in thread-id order: every slot but
+    /// the emptied ones of ended threads.
     slots: Vec<SharedSlot>,
-    /// The run being handed out; reused across hand-outs.
+    /// The run being handed out; reused, and reserved at registration for
+    /// [`RESERVED_EVENTS`] per slot.
     run: Vec<Event>,
     /// The handed-out events, when [`TrackerConfig::record_events`] is
     /// set.
@@ -386,15 +394,10 @@ impl Tracker {
             session: SessionState::seeded(session.as_ref().map_or(0, Session::seed)),
             ..State::default()
         };
-        let buffered = config.record_events || config.sink.is_attached();
-        let delivery = Delivery {
-            run: Vec::with_capacity(if buffered { RESERVED_EVENTS } else { 0 }),
-            ..Delivery::default()
-        };
         let inner = Arc::new(TrackerInner {
             state: Mutex::new(state),
-            delivery: Mutex::new(delivery),
-            buffered,
+            delivery: Mutex::default(),
+            buffered: config.record_events || config.sink.is_attached(),
             sink: config.sink,
             obs: config.obs,
             handler: config.handler,
@@ -515,39 +518,20 @@ fn emit(inner: &TrackerInner, slot: &mut ThreadSlot, thread: ThreadId, kind: Eve
     slot.pending.len() >= DELIVERY_RUN
 }
 
-/// Emits `kind` as the calling thread's event, stamped past `after`,
-/// registering the thread on first contact, and delivers if that fills a
-/// run.
-fn emit_own(inner: &Arc<TrackerInner>, after: u64, kind: EventKind) {
-    let due = with_own_slot(inner, |me, slot| {
-        let mut slot = slot.lock();
-        slot.observe(after);
-        emit(inner, &mut slot, me, kind)
-    });
+/// Emits `kind` as the calling thread's event, registering the thread
+/// on first contact, and delivers if that fills a run.
+fn emit_own(inner: &Arc<TrackerInner>, kind: EventKind) {
+    let due = with_own_slot(inner, |me, slot| emit(inner, &mut slot.lock(), me, kind));
     if due {
         deliver(inner);
     }
 }
 
-/// Locks `slots` in order and, holding all of them, moves their events
-/// into `run`, their acquisition counts into `acquires` and their
-/// largest clock into `top`, then raises each clock to `top` before
-/// letting its slot go. Recursive, so every guard lives on the stack.
-fn drain(slots: &[SharedSlot], run: &mut Vec<Event>, acquires: &mut u64, top: &mut u64) {
-    let Some((first, rest)) = slots.split_first() else {
-        return;
-    };
-    let mut slot = first.lock();
-    run.append(&mut slot.pending);
-    *acquires += std::mem::take(&mut slot.acquires);
-    *top = (*top).max(slot.clock);
-    drain(rest, run, acquires, top);
-    slot.clock = *top;
-}
-
-/// Hands the sinks everything buffered: drains every live slot, orders
-/// the events by (stamp, thread), numbers them from [`Delivery::next`]
-/// and calls the sinks once with the run.
+/// Hands the sinks every event stamped up to the cut, the largest slot
+/// clock: raises each slot's clock to the cut and takes its events up to
+/// it, one slot at a time, drops the emptied slots of ended threads,
+/// orders the run by (stamp, thread), numbers it from [`Delivery::next`]
+/// and calls the sinks once.
 fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
     let Delivery {
         next,
@@ -557,8 +541,20 @@ fn hand_out(inner: &TrackerInner, d: &mut Delivery) {
     } = d;
     // A sink that panicked mid-run left its run behind.
     run.clear();
-    let (mut acquires, mut top) = (0, 0);
-    drain(slots, run, &mut acquires, &mut top);
+    let cut = slots.iter().map(|s| s.lock().clock).max().unwrap_or(0);
+    let mut acquires = 0;
+    slots.retain(|slot| {
+        let mut slot = slot.lock();
+        slot.observe(cut);
+        let taken = slot.pending.partition_point(|e| e.seq <= cut);
+        run.extend(slot.pending.drain(..taken));
+        acquires += std::mem::take(&mut slot.acquires);
+        let done = slot.gone && slot.pending.is_empty();
+        if done {
+            slot.pending = Vec::new();
+        }
+        !done
+    });
     inner.obs.counters().add_acquires_observed(acquires);
     if run.is_empty() {
         return;
@@ -678,7 +674,10 @@ pub(crate) fn register_thread(
             pending: Vec::with_capacity(reserved),
             ..ThreadSlot::default()
         }));
-        inner.delivery.lock().slots.push(Arc::clone(&slot));
+        let mut d = inner.delivery.lock();
+        d.slots.push(Arc::clone(&slot));
+        let backlog = d.slots.len() * reserved;
+        d.run.reserve(backlog);
         st.threads.push(ThreadState {
             obj,
             name,
@@ -843,7 +842,7 @@ pub(crate) fn try_acquired(
         });
     } else {
         let failed = EventKind::try_acquire(lock.id, site, false).with_mode(mode);
-        emit_own(inner, 0, failed);
+        emit_own(inner, failed);
     }
 }
 
@@ -1009,7 +1008,7 @@ pub(crate) fn cond_wait_end(inner: &Arc<TrackerInner>, lock: &LockObj, site: Lab
 /// Emits the `CondNotify` communication event. Rust `Condvar` semantics:
 /// the notifier need not hold any lock.
 pub(crate) fn cond_notify(inner: &Arc<TrackerInner>, condvar: ObjId, site: Label, all: bool) {
-    emit_own(inner, 0, EventKind::cond_notify(condvar, site, all));
+    emit_own(inner, EventKind::cond_notify(condvar, site, all));
 }
 
 /// Counts a poisoned-lock recovery (`PoisonError::into_inner`).
@@ -1020,7 +1019,7 @@ pub(crate) fn note_poison_recovered(inner: &Arc<TrackerInner>) {
 /// Emits `ThreadStart` for a freshly spawned tracked thread, on that
 /// thread.
 pub(crate) fn thread_started(inner: &Arc<TrackerInner>) {
-    emit_own(inner, 0, EventKind::ThreadStart);
+    emit_own(inner, EventKind::ThreadStart);
 }
 
 /// Records a tracked thread's panic for [`Tracker::finish`] (the abort
@@ -1032,10 +1031,10 @@ pub(crate) fn thread_panicked(inner: &Arc<TrackerInner>, payload: &(dyn std::any
 /// Marks the thread exited and emits `ThreadExit`; runs from a drop
 /// guard so it fires even when the thread body panicked. Hands out
 /// everything stamped so far, so no event is left queued once the
-/// program's threads are gone, then drops the slot from the hand-outs
-/// and gives its emptied buffer back: a tracker outlives its threads,
-/// and one that ran many short ones would otherwise keep their
-/// run-sized reserves.
+/// program's threads are gone, then gives the emptied buffer back: a
+/// tracker outlives its threads, and one that ran many short ones would
+/// otherwise keep their run-sized reserves. Hand-outs visit the slot
+/// until its OS thread ends, so a thread-local destructor's events go out.
 pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let mut st = inner.state.lock();
     let Some(ts) = st.threads.get_mut(id.as_usize()) else {
@@ -1045,7 +1044,7 @@ pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
     let slot = Arc::clone(&ts.slot);
     emit(inner, &mut slot.lock(), id, EventKind::ThreadExit);
     drop(st);
-    flush(inner).slots.retain(|s| !Arc::ptr_eq(s, &slot));
+    drop(flush(inner));
     slot.lock().pending.shrink_to_fit();
 }
 
@@ -1053,7 +1052,8 @@ pub(crate) fn thread_exited(inner: &Arc<TrackerInner>, id: ThreadId) {
 /// stamped past the joined thread's clock.
 pub(crate) fn thread_joined(inner: &Arc<TrackerInner>, target: ThreadId) {
     let exit = inner.state.lock().thread(target).slot.lock().clock;
-    emit_own(inner, exit, EventKind::Join { target });
+    with_own_slot(inner, |_, slot| slot.lock().observe(exit));
+    emit_own(inner, EventKind::Join { target });
 }
 
 /// Whether `me`'s registered wait is on its own conflicting hold — a
@@ -1385,5 +1385,27 @@ mod tests {
         tracker.seal();
         let (events, _) = sink.lock().unwrap().close().unwrap();
         assert!(events >= 10 * ROUNDS as u64);
+    }
+
+    /// Threads the tracker did not spawn register on first contact and
+    /// leave the hand-outs once they have ended and their events are
+    /// out.
+    #[test]
+    fn ended_first_contact_threads_leave_the_hand_outs() {
+        const THREADS: usize = 8;
+        let tracker = Tracker::new(TrackerConfig::default().with_record_events(true));
+        let lock = Arc::new(TrackedMutex::with_tracker(&tracker, 0u64));
+        for _ in 0..THREADS {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || *lock.lock().unwrap() += 1)
+                .join()
+                .unwrap();
+        }
+        let trace = tracker.trace();
+        let acquires = trace.events().iter();
+        let acquires = acquires.filter(|e| matches!(e.kind, EventKind::Acquire { .. }));
+        assert_eq!(acquires.count(), THREADS);
+        // Only the slot of this thread, which created the lock, is left.
+        assert_eq!(tracker.inner.delivery.lock().slots.len(), 1);
     }
 }

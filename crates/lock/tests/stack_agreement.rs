@@ -35,6 +35,9 @@
 //! out only full runs, and a wait that outlasts the acquisition's spin
 //! still reaches the sink and the wait-for graph before it parks; the
 //! `acquires_observed` counter counts every non-re-entrant acquisition.
+//! The Lamport-stamped order keeps lock, reader–writer and spawn/join
+//! order, and a pair a thread-local destructor takes after its thread's
+//! exit still goes out.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1505,4 +1508,51 @@ fn a_hand_out_levels_the_thread_clocks() {
         idle_takes[0],
         busy_takes[0]
     );
+}
+
+/// A mutex a thread-local owns and takes once more when the thread ends.
+struct LockOnDrop(TrackedMutex<u64>);
+
+impl Drop for LockOnDrop {
+    fn drop(&mut self) {
+        *self.0.lock().unwrap() += 1;
+    }
+}
+
+thread_local! {
+    static LATE: std::cell::RefCell<Option<LockOnDrop>> = const { std::cell::RefCell::new(None) };
+}
+
+/// A thread-local destructor runs after a tracked thread's exit
+/// bookkeeping: the pair it takes still reaches the sink, after the
+/// thread's `ThreadExit` and before the joiner's `Join`, and is counted.
+#[test]
+fn a_thread_local_destructor_that_locks_after_exit_is_delivered() {
+    let obs = df_obs::Obs::default();
+    let sink = Arc::new(Mutex::new(Collect::default()));
+    let tracker = Tracker::new(
+        TrackerConfig::default()
+            .with_obs(obs.clone())
+            .with_sink(SinkHandle::single(sink.clone())),
+    );
+    let lock = TrackedMutex::with_tracker(&tracker, 0u64);
+    let late = tracker.spawn("late", move || {
+        lock_pairs(&lock, 1);
+        LATE.with(|l| *l.borrow_mut() = Some(LockOnDrop(lock)));
+    });
+    let t = late.thread_id();
+    late.join().unwrap();
+    tracker.seal();
+
+    let trace = std::mem::take(&mut sink.lock().unwrap().0);
+    let events = trace.events();
+    let exit = positions(events, t, |k| matches!(k, EventKind::ThreadExit));
+    let pairs = positions(events, t, takes);
+    let releases = positions(events, t, |k| matches!(k, EventKind::Release { .. }));
+    let join = positions(events, ThreadId::new(0), |k| {
+        matches!(k, EventKind::Join { .. })
+    });
+    assert_eq!((exit.len(), pairs.len(), releases.len()), (1, 2, 2));
+    assert!(exit[0] < pairs[1] && pairs[1] < releases[1] && releases[1] < join[0]);
+    assert_eq!(obs.counters().snapshot().acquires_observed, 2);
 }
